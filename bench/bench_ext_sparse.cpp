@@ -50,9 +50,9 @@ RunResult run(unsigned ranks, std::uint64_t image_bytes, bool sparse,
   RunResult out;
   out.seconds = sw.elapsed_seconds();
   out.backend_bytes = mem->total_pwritten_bytes();
-  const MountStats::Snapshot stats = fs.value()->stats().snapshot();
-  out.partial_flushes = stats.partial_flushes;
-  out.full_flushes = stats.full_flushes;
+  obs::Registry& metrics = fs.value()->metrics();
+  out.partial_flushes = metrics.counter("crfs.mount.partial_flushes").value();
+  out.full_flushes = metrics.counter("crfs.mount.full_flushes").value();
   return out;
 }
 

@@ -80,15 +80,16 @@ int main(int argc, char** argv) {
 
   // 5. Aggregation at work: 10000 application writes became a handful of
   //    large backend writes.
-  const MountStats& stats = fs.value()->stats();
+  obs::Registry& metrics = fs.value()->metrics();
+  const auto count = [&metrics](const char* name) {
+    return static_cast<unsigned long long>(metrics.counter(name).value());
+  };
   std::printf("\naggregation statistics:\n");
-  std::printf("  application writes : %llu (%s)\n",
-              static_cast<unsigned long long>(stats.app_writes.load()),
-              format_bytes(stats.app_bytes.load()).c_str());
+  std::printf("  application writes : %llu (%s)\n", count("crfs.mount.app_writes"),
+              format_bytes(count("crfs.mount.app_bytes")).c_str());
   std::printf("  backend chunk writes: %llu (full flushes %llu, partial %llu)\n",
               static_cast<unsigned long long>(fs.value()->backend_chunks_written()),
-              static_cast<unsigned long long>(stats.full_flushes.load()),
-              static_cast<unsigned long long>(stats.partial_flushes.load()));
+              count("crfs.mount.full_flushes"), count("crfs.mount.partial_flushes"));
   std::printf("  file on backing dir : %s/hello.ckpt\n", dir.c_str());
   std::printf("\nthe file is a plain file on the backing filesystem — restart-able\n"
               "without CRFS mounted, exactly as the paper's §V-F notes.\n");

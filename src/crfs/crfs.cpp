@@ -8,29 +8,9 @@
 
 #include "common/table.h"
 #include "obs/chrome_trace.h"
+#include "obs/json_out.h"
 
 namespace crfs {
-
-namespace {
-
-// Minimal JSON string escaper for the postmortem document (config strings
-// may carry quotes/backslashes via user-supplied paths).
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 Result<std::unique_ptr<Crfs>> Crfs::mount(std::shared_ptr<BackendFs> backend, Config cfg) {
   if (backend == nullptr) return Error{EINVAL, "mount: null backend"};
@@ -41,36 +21,39 @@ Result<std::unique_ptr<Crfs>> Crfs::mount(std::shared_ptr<BackendFs> backend, Co
 Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     : backend_(std::move(backend)),
       cfg_(cfg),
-      trace_(cfg.trace_ring_events),
-      events_(cfg.event_capacity),
-      slow_(cfg.slow_exemplars,
-            static_cast<std::uint64_t>(cfg.slow_capture_ms) * 1'000'000) {
+      plane_(cfg, obs::now_ns, obs::Plane::TimeBase::kWall),
+      trace_(cfg.trace_ring_events) {
   trace_.set_enabled(cfg_.enable_tracing);
-  if (cfg_.epoch_tracking) {
-    epochs_ = std::make_unique<obs::EpochTracker>(
-        obs::EpochTracker::Options{
-            .gap_ns = static_cast<std::uint64_t>(cfg_.epoch_gap_ms) * 1'000'000,
-            .ledger_capacity = cfg_.epoch_ledger},
-        &metrics_);
-  }
+  obs::Registry& m = plane_.metrics();
   pool_ = std::make_unique<BufferPool>(cfg_.pool_size, cfg_.chunk_size, cfg_.pool_shards);
 
   // Resolve every hot-path metric once, before any worker thread exists;
   // after this point the registry is only touched through these handles
   // and snapshot().
-  h_write_copy_ = &metrics_.histogram("crfs.write.copy_ns");
-  h_pool_wait_ = &metrics_.histogram("crfs.write.pool_wait_ns");
-  h_drain_wait_ = &metrics_.histogram("crfs.drain.wait_ns");
-  h_pwrite_ = &metrics_.histogram("crfs.io.pwrite_ns");
-  c_pwrite_bytes_ = &metrics_.counter("crfs.io.pwrite_bytes");
-  c_pwrite_errors_ = &metrics_.counter("crfs.io.pwrite_errors");
-  c_bypass_bytes_ = &metrics_.counter("crfs.write.bypass_bytes");
-  c_m_reopens_ = &metrics_.counter("crfs.mount.reopens");
-  c_m_partial_flushes_ = &metrics_.counter("crfs.mount.partial_flushes");
-  c_m_full_flushes_ = &metrics_.counter("crfs.mount.full_flushes");
-  c_m_chunk_steals_ = &metrics_.counter("crfs.mount.chunk_steals");
-  c_m_bypass_writes_ = &metrics_.counter("crfs.mount.bypass_writes");
-  queue_.set_wait_histogram(&metrics_.histogram("crfs.queue.wait_ns"));
+  h_write_copy_ = &m.histogram("crfs.write.copy_ns");
+  h_pool_wait_ = &m.histogram("crfs.write.pool_wait_ns");
+  h_drain_wait_ = &m.histogram("crfs.drain.wait_ns");
+  h_pwrite_ = &m.histogram("crfs.io.pwrite_ns");
+  c_pwrite_bytes_ = &m.counter("crfs.io.pwrite_bytes");
+  c_pwrite_errors_ = &m.counter("crfs.io.pwrite_errors");
+  c_bypass_bytes_ = &m.counter("crfs.write.bypass_bytes");
+  c_m_app_writes_ = &m.counter("crfs.mount.app_writes");
+  c_m_app_bytes_ = &m.counter("crfs.mount.app_bytes");
+  c_m_reopens_ = &m.counter("crfs.mount.reopens");
+  c_m_partial_flushes_ = &m.counter("crfs.mount.partial_flushes");
+  c_m_full_flushes_ = &m.counter("crfs.mount.full_flushes");
+  c_m_chunk_steals_ = &m.counter("crfs.mount.chunk_steals");
+  c_m_bypass_writes_ = &m.counter("crfs.mount.bypass_writes");
+  mount_counters_ = {{"app_writes", c_m_app_writes_},
+                     {"app_bytes", c_m_app_bytes_},
+                     {"full_flushes", c_m_full_flushes_},
+                     {"partial_flushes", c_m_partial_flushes_},
+                     {"reopens", c_m_reopens_},
+                     {"chunk_steals", c_m_chunk_steals_},
+                     {"bypass_writes", c_m_bypass_writes_},
+                     {"reads", &m.counter("crfs.read.ops")},
+                     {"read_bytes", &m.counter("crfs.read.bytes")}};
+  queue_.set_wait_histogram(&m.histogram("crfs.queue.wait_ns"));
 
   // Tiered staging (docs/PERFORMANCE.md "Tiered staging"): when the
   // backend is a TieredBackend, bind its crfs.tier.* telemetry and wire
@@ -80,36 +63,15 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // contracts), so neither callback can deadlock against the other plane.
   tier_ = dynamic_cast<TieredBackend*>(backend_.get());
   if (tier_ != nullptr) {
-    tier_->bind_obs(&metrics_, &events_);
-    if (epochs_ != nullptr) {
-      epochs_->set_finalize_listener(
+    tier_->bind_obs(&m, &plane_.events());
+    if (obs::EpochTracker* epochs = plane_.epochs()) {
+      epochs->set_finalize_listener(
           [this](const obs::EpochRecord& rec) { tier_->seal_epoch(rec.id); });
-      tier_->set_drain_listener([this](std::uint64_t epoch_id, std::uint64_t bytes,
-                                       std::uint64_t drain_ns, std::uint64_t end_ns) {
-        if (epoch_id != 0) epochs_->attach_drain(epoch_id, bytes, drain_ns, end_ns);
+      tier_->set_drain_listener([epochs](std::uint64_t epoch_id, std::uint64_t bytes,
+                                         std::uint64_t drain_ns, std::uint64_t end_ns) {
+        if (epoch_id != 0) epochs->attach_drain(epoch_id, bytes, drain_ns, end_ns);
       });
     }
-  }
-
-  // Durable journal (docs/OBSERVABILITY.md "Durable journal"). Constructed
-  // before the IO pool and the knob plane: the event listener below
-  // appends into it, and the journal_fsync_ms knob applies to it.
-  if (!cfg_.journal_dir.empty()) {
-    journal_ = std::make_unique<obs::Journal>(
-        obs::JournalOptions{.dir = cfg_.journal_dir,
-                            .segment_bytes = cfg_.journal_segment_bytes,
-                            .max_bytes = cfg_.journal_max_bytes,
-                            .flush_ms = cfg_.journal_flush_ms,
-                            .fsync_ms = cfg_.journal_fsync_ms},
-        &metrics_);
-  }
-  if (cfg_.slo_enabled()) {
-    // validate() guarantees sample_ms > 0, so the tick observer below will
-    // actually drive the monitor.
-    slo_ = std::make_unique<obs::SloMonitor>(cfg_.slo_config(), &metrics_, &events_);
-  }
-  if (journal_ != nullptr || slo_ != nullptr) {
-    slo_extract_ = std::make_unique<obs::SloExtractor>();
   }
 
   IoPoolObs io_obs;
@@ -117,44 +79,32 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   io_obs.pwrite_bytes = c_pwrite_bytes_;
   io_obs.pwrite_errors = c_pwrite_errors_;
   io_obs.trace = &trace_;
-  io_obs.events = &events_;
-  io_obs.batch_chunks = &metrics_.histogram("crfs.io.batch_chunks");
-  io_obs.coalesced_pwrites = &metrics_.counter("crfs.io.coalesced_pwrites");
-  io_obs.durability_lag_ns = &metrics_.histogram("crfs.chunk.durability_lag_ns");
-  io_obs.engine.inflight_depth = &metrics_.histogram("crfs.io.inflight_depth");
-  io_obs.engine.sqe_batch = &metrics_.histogram("crfs.io.sqe_batch");
-  io_obs.engine.cqe_wait_ns = &metrics_.histogram("crfs.io.cqe_wait_ns");
-  io_obs.slow = &slow_;
-  io_obs.slow_captured = &metrics_.counter("crfs.slow.captured");
-  // The knob plane is built after the pool (define_knobs below); no job
-  // can complete before the ctor finishes, but guard anyway.
-  io_obs.knob_generation = [this]() -> std::uint64_t {
-    return knobs_ != nullptr ? knobs_->generation() : 0;
-  };
+  io_obs.events = &plane_.events();
+  io_obs.batch_chunks = &m.histogram("crfs.io.batch_chunks");
+  io_obs.coalesced_pwrites = &m.counter("crfs.io.coalesced_pwrites");
+  io_obs.durability_lag_ns = &m.histogram("crfs.chunk.durability_lag_ns");
+  io_obs.engine.inflight_depth = &m.histogram("crfs.io.inflight_depth");
+  io_obs.engine.sqe_batch = &m.histogram("crfs.io.sqe_batch");
+  io_obs.engine.cqe_wait_ns = &m.histogram("crfs.io.cqe_wait_ns");
+  io_obs.slow = &plane_.slow();
+  io_obs.slow_captured = &m.counter("crfs.slow.captured");
+  io_obs.knob_generation = [this] { return plane_.knobs().generation(); };
 
   // Flight recorder before the IO pool exists: the pool's run-complete
-  // hook and the event listener below reference it, and nothing can fire
+  // hook and the event hook below reference it, and nothing can fire
   // until the workers start.
   if (!cfg_.postmortem_path.empty()) {
     flight_ = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::Options{
         .path = cfg_.postmortem_path, .capacity = cfg_.postmortem_buffer});
     flight_->install_signal_handlers();
     io_obs.on_run_complete = [this] { refresh_flight(/*force=*/false); };
-  }
-  // The event listener is a single slot, so compose its consumers here:
-  // the journal persists every structured event, the flight recorder
-  // dumps on criticals. Error bursts and failed pwrites should leave a
-  // dump even when the process survives them: refresh with the event
-  // included, then write the file. Runs outside the EventBuffer lock.
-  if (flight_ != nullptr || journal_ != nullptr) {
-    events_.set_listener([this](const obs::Event& ev) {
-      if (journal_ != nullptr) {
-        journal_->append(obs::FrameType::kEvent, ev.ts_ns, ev.to_json());
-      }
-      if (flight_ != nullptr && ev.severity == obs::Severity::kCritical) {
-        refresh_flight(/*force=*/true);
-        (void)flight_->dump_now();
-      }
+    // Error bursts and failed pwrites should leave a dump even when the
+    // process survives them: refresh with the event included, then write
+    // the file. Runs after the plane journals the event.
+    plane_.set_event_hook([this](const obs::Event& ev) {
+      if (ev.severity != obs::Severity::kCritical) return;
+      refresh_flight(/*force=*/true);
+      (void)flight_->dump_now();
     });
   }
   // Cap the dequeue batch at half the pool: a batch's chunks stay parked
@@ -174,22 +124,22 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // restore"): its own engine instance so restore reads never compete with
   // checkpoint SQEs for ring slots, same engine kind and fallback rules.
   ReadObs read_obs;
-  read_obs.ops = &metrics_.counter("crfs.read.ops");
-  read_obs.bytes = &metrics_.counter("crfs.read.bytes");
-  read_obs.prefetch_issued = &metrics_.counter("crfs.read.prefetch_issued");
-  read_obs.prefetch_hits = &metrics_.counter("crfs.read.prefetch_hits");
-  read_obs.prefetch_wasted = &metrics_.counter("crfs.read.prefetch_wasted");
-  read_obs.sync_preads = &metrics_.counter("crfs.read.sync_preads");
-  read_obs.pread_ns = &metrics_.histogram("crfs.read.pread_ns");
-  read_obs.inflight_depth = &metrics_.histogram("crfs.read.inflight_depth");
+  read_obs.ops = &m.counter("crfs.read.ops");
+  read_obs.bytes = &m.counter("crfs.read.bytes");
+  read_obs.prefetch_issued = &m.counter("crfs.read.prefetch_issued");
+  read_obs.prefetch_hits = &m.counter("crfs.read.prefetch_hits");
+  read_obs.prefetch_wasted = &m.counter("crfs.read.prefetch_wasted");
+  read_obs.sync_preads = &m.counter("crfs.read.sync_preads");
+  read_obs.pread_ns = &m.histogram("crfs.read.pread_ns");
+  read_obs.inflight_depth = &m.histogram("crfs.read.inflight_depth");
   // Slow-read forensics: same store and threshold as the write side, with
   // kind="read". A blocking restore read has no copy/queue chain — the
   // whole duration is device time.
-  read_obs.on_slow = [this, c_slow = &metrics_.counter("crfs.slow.captured")](
+  read_obs.on_slow = [this, c_slow = &m.counter("crfs.slow.captured")](
                          const std::string& path, std::uint64_t offset, std::size_t len,
                          std::uint64_t t_start, std::uint64_t t_done) {
     const std::uint64_t dur = t_done - t_start;
-    if (!slow_.over_threshold(dur, dur)) return;
+    if (!plane_.slow().over_threshold(dur, dur)) return;
     obs::SlowExemplar ex;
     ex.kind = "read";
     ex.path = path;
@@ -201,9 +151,9 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     ex.total_lag_ns = dur;
     ex.queue_depth = queue_.depth();
     ex.free_chunks = pool_->free_chunks();
-    ex.knob_generation = knobs_ != nullptr ? knobs_->generation() : 0;
+    ex.knob_generation = plane_.knobs().generation();
     ex.engine = readahead_ != nullptr ? readahead_->engine_name() : "sync";
-    slow_.capture(std::move(ex));
+    plane_.slow().capture(std::move(ex));
     c_slow->add(1);
   };
   readahead_ = std::make_unique<Readahead>(
@@ -214,110 +164,86 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   readahead_window_.store(cfg_.readahead_window, std::memory_order_relaxed);
 
   // Occupancy gauges, sampled at snapshot time straight from the stages.
-  metrics_.gauge_fn("crfs.pool.free_chunks", [this] {
+  m.gauge_fn("crfs.pool.free_chunks", [this] {
     return static_cast<std::int64_t>(pool_->free_chunks());
   });
-  metrics_.gauge_fn("crfs.pool.parked_chunks", [this] {
+  m.gauge_fn("crfs.pool.parked_chunks", [this] {
     return static_cast<std::int64_t>(pool_->in_use_chunks());
   });
-  metrics_.gauge_fn("crfs.pool.contentions", [this] {
+  m.gauge_fn("crfs.pool.contentions", [this] {
     return static_cast<std::int64_t>(pool_->contention_count());
   });
-  metrics_.gauge_fn("crfs.queue.depth", [this] {
+  m.gauge_fn("crfs.queue.depth", [this] {
     return static_cast<std::int64_t>(queue_.depth());
   });
-  metrics_.gauge_fn("crfs.io.in_flight", [this] {
+  m.gauge_fn("crfs.io.in_flight", [this] {
     return static_cast<std::int64_t>(io_pool_->in_flight());
   });
-  metrics_.gauge_fn("crfs.io.engine_inflight", [this] {
+  m.gauge_fn("crfs.io.engine_inflight", [this] {
     return static_cast<std::int64_t>(io_pool_->engine_inflight());
   });
-  metrics_.gauge_fn("crfs.files.open", [this] {
+  m.gauge_fn("crfs.files.open", [this] {
     return static_cast<std::int64_t>(table_.open_count());
   });
   // Self-health gauges (docs/OBSERVABILITY.md "Observing the observer"):
   // spans lost to ring wrap-around, and slow-exemplar buffer occupancy.
-  metrics_.gauge_fn("crfs.trace.dropped_spans", [this] {
+  m.gauge_fn("crfs.trace.dropped_spans", [this] {
     return static_cast<std::int64_t>(trace_.dropped());
   });
-  metrics_.gauge_fn("crfs.slow.exemplars", [this] {
-    return static_cast<std::int64_t>(slow_.size());
+  m.gauge_fn("crfs.slow.exemplars", [this] {
+    return static_cast<std::int64_t>(plane_.slow().size());
   });
 
-  // Live telemetry plane: background sampler + health rules. Construction
-  // only here — the thread starts below, after the control plane is wired,
-  // so the first tick already sees the tick observer.
+  // Live telemetry: background sampler + health rules. Construction only
+  // here — the thread starts below, after the control plane is wired, so
+  // the first tick already sees the tick observer.
   if (cfg_.sample_ms > 0) {
-    health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, events_);
+    health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, plane_.events());
     sampler_ = std::make_unique<obs::Sampler>(
-        metrics_, obs::SamplerOptions{.ring_capacity = cfg_.sample_ring});
+        m, obs::SamplerOptions{.ring_capacity = cfg_.sample_ring});
     sampler_->set_health_monitor(health_.get());
-    sampler_->set_overrun_counter(&metrics_.counter("crfs.obs.sampler_overruns"));
+    sampler_->set_overrun_counter(&m.counter("crfs.obs.sampler_overruns"));
   }
 
   // Control plane (docs/OBSERVABILITY.md "Control plane"): the knob plane
   // and decision log always exist (crfsctl tune works on any mount); the
   // feedback controller only with controller=on.
   define_knobs();
-  decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &metrics_, &events_);
+  decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &m, &plane_.events());
   if (flight_ != nullptr) {
     // Every audited decision refreshes the postmortem (throttled), so a
     // crash shortly after a knob change still shows what was retuned.
     decisions_->set_listener([this](const obs::CtlDecision&) { refresh_flight(false); });
   }
-  metrics_.gauge_fn("crfs.ctl.generation", [this] {
-    return static_cast<std::int64_t>(knobs_->generation());
+  m.gauge_fn("crfs.ctl.generation", [this] {
+    return static_cast<std::int64_t>(plane_.knobs().generation());
   });
-  for (const KnobDef& def : knobs_->defs()) {
-    metrics_.gauge_fn("crfs.knob." + def.name, [this, name = def.name] {
-      return static_cast<std::int64_t>(knobs_->snapshot()->get(name, 0.0));
+  for (const KnobDef& def : plane_.knobs().defs()) {
+    m.gauge_fn("crfs.knob." + def.name, [this, name = def.name] {
+      return static_cast<std::int64_t>(plane_.knobs().snapshot()->get(name, 0.0));
     });
   }
   if (cfg_.controller) {
     // validate() guarantees sample_ms > 0 here, so sampler_ exists.
     controller_ = std::make_unique<obs::Controller>(
-        obs::ControllerConfig{}, *decisions_, &events_, &metrics_,
+        obs::ControllerConfig{}, *decisions_, &plane_.events(), &m,
         [this](std::string_view name, double fallback) {
-          return knobs_->snapshot()->get(name, fallback);
+          return plane_.knobs().snapshot()->get(name, fallback);
         },
         [this](std::string_view name, double requested) {
-          const TuneResult r = knobs_->tune(name, requested);
+          const TuneResult r = plane_.knobs().tune(name, requested);
           return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
         });
   }
-  // The tick observer is a single slot shared by the controller, the SLO
-  // monitor, and the journal; compose them here in a fixed order so the
-  // journal frame for a tick reflects the same sample the monitor saw.
-  if (sampler_ != nullptr && (controller_ != nullptr || slo_extract_ != nullptr)) {
+  // The tick observer is a single slot: the controller decides first, then
+  // the plane observes the same sample (SLO burn rates, journal frames).
+  if (sampler_ != nullptr) {
     sampler_->set_tick_observer([this](const obs::Sample& s) {
       if (controller_ != nullptr) controller_->tick(s);
-      if (slo_extract_ != nullptr) {
-        const obs::SloInput in = slo_extract_->extract(s);
-        if (slo_ != nullptr) slo_->observe(in);
-        if (journal_ != nullptr) {
-          journal_->append(obs::FrameType::kSample, s.ts_ns,
-                           obs::journal_sample_json(s, in));
-        }
-      }
-      journal_poll_cold_sinks();
+      plane_.on_sample(s);
     });
+    sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
   }
-
-  // Journal head: one meta frame describing the mount, the sampling
-  // cadence, and (when set) the SLO targets — enough for an offline
-  // `crfsctl slo` replay to rebuild the monitor after the process dies.
-  if (journal_ != nullptr) {
-    std::string meta = "{\"crfs_journal\":1,\"config\":\"";
-    append_json_escaped(meta, cfg_.describe());
-    meta += "\",\"sample_ms\":" + std::to_string(cfg_.sample_ms);
-    meta += ",\"slo\":";
-    meta += cfg_.slo_enabled() ? cfg_.slo_config().to_json() : std::string("null");
-    meta += "}";
-    journal_->set_meta(meta, obs::now_ns());
-    journal_->start();
-  }
-
-  if (sampler_ != nullptr) sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
 
   // Seed the flight recorder so a crash before the first IO completion
   // still leaves a (mostly empty) parseable document.
@@ -325,7 +251,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
 }
 
 void Crfs::define_knobs() {
-  knobs_ = std::make_unique<KnobPlane>();
+  KnobPlane& knobs = plane_.knobs();
 
   // pool_chunks: grow/shrink the buffer pool by whole chunks, ceiling from
   // tune_pool_max (0 = 4x the mount-time pool). Shrinks are best-effort
@@ -336,7 +262,7 @@ void Crfs::define_knobs() {
       cfg_.tune_pool_max != 0 ? cfg_.tune_pool_max : cfg_.pool_size * 4;
   const std::size_t pool_cap_chunks =
       std::max<std::size_t>(1, pool_cap_bytes / cfg_.chunk_size);
-  knobs_->define(
+  knobs.define(
       KnobDef{"pool_chunks", 1.0, static_cast<double>(pool_cap_chunks), "chunks"},
       static_cast<double>(cfg_.num_chunks()),
       [this](double v, double* achieved, std::string* reason) {
@@ -347,14 +273,14 @@ void Crfs::define_knobs() {
         }
         const unsigned cap = static_cast<unsigned>(std::max<std::size_t>(1, got / 2));
         const auto tuned_batch = static_cast<unsigned>(
-            knobs_->snapshot()->get("io_batch", io_pool_->batch()));
+            plane_.knobs().snapshot()->get("io_batch", io_pool_->batch()));
         io_pool_->set_batch(std::min(tuned_batch, cap));
         return true;
       });
 
   // io_batch: chunks per work-queue drain. The half-the-pool cap is
   // enforced at apply time (and re-checked when pool_chunks changes).
-  knobs_->define(
+  knobs.define(
       KnobDef{"io_batch", 1.0, static_cast<double>(cfg_.tune_io_batch_max), "chunks"},
       static_cast<double>(io_pool_->batch()),
       [this](double v, double* achieved, std::string* reason) {
@@ -372,7 +298,7 @@ void Crfs::define_knobs() {
 
   // uring_depth: soft in-flight cap per worker ring, re-armed on the next
   // submit window. Vetoed on the sync engine — there is no ring to re-arm.
-  knobs_->define(
+  knobs.define(
       KnobDef{"uring_depth", 1.0, 4096.0, "sqes"},
       static_cast<double>(cfg_.uring_depth),
       [this](double v, double* achieved, std::string* reason) {
@@ -386,7 +312,7 @@ void Crfs::define_knobs() {
       });
 
   // sample_ms: background sampler period, picked up on the next wakeup.
-  knobs_->define(
+  knobs.define(
       KnobDef{"sample_ms", 1.0, 10000.0, "ms"}, static_cast<double>(cfg_.sample_ms),
       [this](double v, double*, std::string* reason) {
         if (sampler_ == nullptr) {
@@ -398,7 +324,7 @@ void Crfs::define_knobs() {
       });
 
   // slow_pwrite_ms: the health rule's p99 threshold; 0 disables the rule.
-  knobs_->define(
+  knobs.define(
       KnobDef{"slow_pwrite_ms", 0.0, 100000.0, "ms"},
       static_cast<double>(cfg_.health.slow_pwrite_p99_ns) / 1e6,
       [this](double v, double*, std::string* reason) {
@@ -410,33 +336,10 @@ void Crfs::define_knobs() {
         return true;
       });
 
-  // slow_capture_ms: the tail-latency exemplar threshold (durability lag
-  // OR device time); 0 disables capture. Applied as one relaxed store.
-  knobs_->define(
-      KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
-      static_cast<double>(cfg_.slow_capture_ms),
-      [this](double v, double*, std::string*) {
-        slow_.set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
-        return true;
-      });
-
-  // epoch_gap_ms: the auto-rotation quiet window of the epoch tracker.
-  knobs_->define(
-      KnobDef{"epoch_gap_ms", 1.0, 600000.0, "ms"},
-      static_cast<double>(cfg_.epoch_gap_ms),
-      [this](double v, double*, std::string* reason) {
-        if (epochs_ == nullptr) {
-          *reason = "epoch tracking disabled (no_epochs)";
-          return false;
-        }
-        epochs_->set_gap_ns(static_cast<std::uint64_t>(v) * 1'000'000);
-        return true;
-      });
-
   // readahead: restore-prefetch master switch. One relaxed store; an
   // in-progress scan sees the change on its next read (already-parked
   // prefetch slots still serve, then the window stops topping up).
-  knobs_->define(
+  knobs.define(
       KnobDef{"readahead", 0.0, 1.0, "bool"}, cfg_.readahead ? 1.0 : 0.0,
       [this](double v, double*, std::string*) {
         readahead_on_.store(v >= 0.5, std::memory_order_relaxed);
@@ -446,7 +349,7 @@ void Crfs::define_knobs() {
   // readahead_window: chunk reads kept in flight per sequential restore
   // scan (the engine's own depth still caps it). Floor 1 gives the
   // controller's shed_readahead rule a halving path that never hits 0.
-  knobs_->define(
+  knobs.define(
       KnobDef{"readahead_window", 1.0, 1024.0, "chunks"},
       static_cast<double>(cfg_.readahead_window),
       [this](double v, double*, std::string*) {
@@ -456,15 +359,15 @@ void Crfs::define_knobs() {
 
   // journal_fsync_ms: durability cadence of the telemetry journal; 0 means
   // fsync only on rotation and shutdown. Picked up on the next flush.
-  knobs_->define(
+  knobs.define(
       KnobDef{"journal_fsync_ms", 0.0, 600000.0, "ms"},
       static_cast<double>(cfg_.journal_fsync_ms),
       [this](double v, double*, std::string* reason) {
-        if (journal_ == nullptr) {
+        if (plane_.journal() == nullptr) {
           *reason = "journal disabled (mount with journal=<dir>)";
           return false;
         }
-        journal_->set_fsync_ms(static_cast<unsigned>(v));
+        plane_.journal()->set_fsync_ms(static_cast<unsigned>(v));
         return true;
       });
 
@@ -472,7 +375,7 @@ void Crfs::define_knobs() {
   // the cap. One relaxed store, picked up by the next drain chunk. The
   // controller's shed_drain rule halves/restores this under remote
   // saturation. Vetoed on non-tiered mounts.
-  knobs_->define(
+  knobs.define(
       KnobDef{"drain_mbps", 0.0, 1e6, "MB/s"},
       tier_ != nullptr ? tier_->drain_mbps() : static_cast<double>(cfg_.drain_mbps),
       [this](double v, double*, std::string* reason) {
@@ -486,7 +389,7 @@ void Crfs::define_knobs() {
 
   // drain_parallel: helper threads splitting one drain unit's runs.
   // Picked up by the next unit drained.
-  knobs_->define(
+  knobs.define(
       KnobDef{"drain_parallel", 1.0, 64.0, "threads"},
       tier_ != nullptr ? static_cast<double>(tier_->drain_parallel())
                        : static_cast<double>(cfg_.drain_parallel),
@@ -498,39 +401,6 @@ void Crfs::define_knobs() {
         tier_->set_drain_parallel(static_cast<unsigned>(v));
         return true;
       });
-}
-
-void Crfs::journal_poll_cold_sinks() {
-  // Epoch records and slow exemplars are pull-model stores with no change
-  // hooks; journal whatever finalized since the last tick. Monotonic
-  // totals guard against ring eviction: records()/snapshot() only hold the
-  // most recent N, so index from the tail by how many we still owe.
-  if (journal_ == nullptr) return;
-  if (epochs_ != nullptr) {
-    const std::uint64_t total = epochs_->total_finalized();
-    if (total > journaled_epochs_) {
-      const auto recs = epochs_->records();
-      std::uint64_t owed = total - journaled_epochs_;
-      if (owed > recs.size()) owed = recs.size();
-      for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-           i < recs.size(); ++i) {
-        journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-      }
-      journaled_epochs_ = total;
-    }
-  }
-  const std::uint64_t captured = slow_.captured();
-  if (captured > journaled_slow_) {
-    const auto exemplars = slow_.snapshot();
-    std::uint64_t owed = captured - journaled_slow_;
-    if (owed > exemplars.size()) owed = exemplars.size();
-    for (std::size_t i = exemplars.size() - static_cast<std::size_t>(owed);
-         i < exemplars.size(); ++i) {
-      journal_->append(obs::FrameType::kSlow, exemplars[i].durable_ns,
-                       exemplars[i].to_json());
-    }
-    journaled_slow_ = captured;
-  }
 }
 
 Crfs::~Crfs() {
@@ -550,21 +420,15 @@ Crfs::~Crfs() {
   // durable counts. A clean unmount leaves no postmortem file (the
   // recorder only dumps on signals/critical events/dump_postmortem).
   // With a tier, finalize fires the seal listener, so the last epoch's
-  // unit is drain-eligible before the flush below.
-  if (epochs_ != nullptr) epochs_->finalize_open(obs::now_ns());
-  // Drain the tier to remote-durable, then detach the drain listener:
-  // backend_ (and its drain thread) outlives epochs_/metrics_ in member
-  // order, so no callback may touch them after this point.
-  if (tier_ != nullptr) {
+  // unit is drain-eligible before the flush; draining it to remote-durable
+  // fills the ledger row's drain columns before the plane journals it.
+  // The drain listener is detached afterwards: backend_ (and its drain
+  // thread) outlives plane_ in member order.
+  plane_.finish(obs::now_ns(), [this] {
+    if (tier_ == nullptr) return;
     (void)tier_->flush();
     tier_->set_drain_listener(nullptr);
-  }
-  // Journal last: catch the epoch just finalized and any trailing slow
-  // exemplars, then flush+fsync the tail so the segments outlive us.
-  if (journal_ != nullptr) {
-    journal_poll_cold_sinks();
-    journal_->stop();
-  }
+  });
 }
 
 Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
@@ -592,7 +456,6 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
   });
   if (!entry.ok()) return entry.error();
   if (reopened) {
-    stats_.reopens.fetch_add(1, std::memory_order_relaxed);
     c_m_reopens_->add(1);
     if (flags.truncate && flags.write) {
       // Truncating reopen: discard buffered data and truncate the backend.
@@ -611,8 +474,8 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
 
   // Epoch attribution is resolved once here (cold path) and cached on the
   // entry; write() and the IO workers never touch the tracker.
-  if (epochs_ != nullptr && flags.write) {
-    auto epoch = epochs_->on_open(path, obs::now_ns());
+  if (plane_.epochs() != nullptr && flags.write) {
+    auto epoch = plane_.epochs()->on_open(path, obs::now_ns());
     std::lock_guard agg(entry.value()->agg_mu);
     entry.value()->epoch = std::move(epoch);
   }
@@ -639,13 +502,7 @@ std::uint64_t Crfs::flush_current_locked(const std::shared_ptr<FileEntry>& entry
     auto chunk = std::move(entry->current);
     span.set_trace_id(chunk->trace_id());
     entry->write_chunks.fetch_add(1, std::memory_order_acq_rel);
-    if (partial) {
-      stats_.partial_flushes.fetch_add(1, std::memory_order_relaxed);
-      c_m_partial_flushes_->add(1);
-    } else {
-      stats_.full_flushes.fetch_add(1, std::memory_order_relaxed);
-      c_m_full_flushes_->add(1);
-    }
+    (partial ? c_m_partial_flushes_ : c_m_full_flushes_)->add(1);
     // Capture the epoch under agg_mu (the only lock that guards the
     // field); the IO threads attribute through the job's copy, never
     // through the entry.
@@ -669,8 +526,8 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
   FileEntry& entry = *entry_sp;
 
   const std::size_t nbytes = data.size();
-  stats_.app_writes.fetch_add(1, std::memory_order_relaxed);
-  stats_.app_bytes.fetch_add(nbytes, std::memory_order_relaxed);
+  c_m_app_writes_->add(1);
+  c_m_app_bytes_->add(nbytes);
 
   // Per-stage accounting: one clock pair for the whole call, plus slow-path
   // clocks inside acquire_chunk only when the pool actually blocks. The
@@ -708,7 +565,6 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
     }
     c_pwrite_bytes_->add(nbytes);
     c_bypass_bytes_->add(nbytes);
-    stats_.bypass_writes.fetch_add(1, std::memory_order_relaxed);
     c_m_bypass_writes_->add(1);
     if (entry.epoch != nullptr) {
       entry.epoch->app_writes.fetch_add(1, std::memory_order_relaxed);
@@ -737,6 +593,15 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
       flush_current_locked(entry_sp, /*partial=*/true);
     }
     if (entry.current == nullptr) {
+      // Last writer wins across IO threads: the IO pool keeps FIFO order
+      // only within one batch, so a chunk that may overlap bytes still in
+      // flight must not be queued until they land. Only an overwrite
+      // (offset below the high-water mark) can overlap; checkpoint streams
+      // never take this wait. IO threads never take agg_mu, so it cannot
+      // deadlock.
+      if (offset < entry.size_seen.load(std::memory_order_relaxed)) {
+        entry.wait_for_completion(entry.write_chunks.load(std::memory_order_acquire));
+      }
       const std::uint64_t wait_before = pool_wait_ns;
       entry.current = acquire_chunk(entry, offset, &pool_wait_ns);
       if (entry.current == nullptr) return Error{EIO, "CRFS shutting down"};
@@ -832,7 +697,6 @@ std::unique_ptr<Chunk> Crfs::acquire_chunk(FileEntry& entry, std::uint64_t offse
         if (victim_lock.owns_lock() && victim->current != nullptr &&
             !victim->current->empty()) {
           flush_current_locked(victim, /*partial=*/true);
-          stats_.chunk_steals.fetch_add(1, std::memory_order_relaxed);
           c_m_chunk_steals_->add(1);
         }
       }
@@ -903,12 +767,10 @@ Result<std::size_t> Crfs::read(FileHandle handle, std::span<std::byte> data,
     }
   }
 
-  stats_.reads.fetch_add(1, std::memory_order_relaxed);
-  auto r = readahead_->read(entry_sp, data, offset,
-                            readahead_on_.load(std::memory_order_relaxed),
-                            readahead_window_.load(std::memory_order_relaxed));
-  if (r.ok()) stats_.read_bytes.fetch_add(r.value(), std::memory_order_relaxed);
-  return r;
+  // The read pipeline counts the op and its bytes (crfs.read.ops/bytes).
+  return readahead_->read(entry_sp, data, offset,
+                          readahead_on_.load(std::memory_order_relaxed),
+                          readahead_window_.load(std::memory_order_relaxed));
 }
 
 Status Crfs::fsync(FileHandle handle) {
@@ -939,8 +801,8 @@ Status Crfs::close(FileHandle handle) {
   // The epoch's open/close correlation window advances only after the
   // drain: a "closed" file has all its chunks enqueued (durability still
   // trails via the in-flight WriteJobs' epoch pointers).
-  if (epochs_ != nullptr && removed->writable) {
-    epochs_->on_close(entry->path(), obs::now_ns());
+  if (plane_.epochs() != nullptr && removed->writable) {
+    plane_.epochs()->on_close(entry->path(), obs::now_ns());
   }
 
   Status result;
@@ -987,22 +849,15 @@ Result<std::vector<std::string>> Crfs::list_dir(const std::string& path) {
 }
 
 std::string Crfs::stats_report() const {
-  const MountStats::Snapshot s = stats_.snapshot();
   std::string out = "CRFS pipeline stats (" + cfg_.describe() +
                     ", engine=" + io_pool_->engine_name() + ")\n";
   TextTable mount({"Mount counter", "Value"});
-  mount.add_row({"app_writes", std::to_string(s.app_writes)});
-  mount.add_row({"app_bytes", std::to_string(s.app_bytes)});
-  mount.add_row({"full_flushes", std::to_string(s.full_flushes)});
-  mount.add_row({"partial_flushes", std::to_string(s.partial_flushes)});
-  mount.add_row({"reopens", std::to_string(s.reopens)});
-  mount.add_row({"chunk_steals", std::to_string(s.chunk_steals)});
-  mount.add_row({"bypass_writes", std::to_string(s.bypass_writes)});
-  mount.add_row({"reads", std::to_string(s.reads)});
-  mount.add_row({"read_bytes", std::to_string(s.read_bytes)});
+  for (const auto& [name, counter] : mount_counters_) {
+    mount.add_row({name, std::to_string(counter->value())});
+  }
   out += mount.render();
   out += "\n";
-  out += metrics_.snapshot().render_table();
+  out += metrics().snapshot().render_table();
   if (tier_ != nullptr) {
     const TierStats t = tier_->tier_stats();
     TextTable tt({"Tier", "Value"});
@@ -1021,9 +876,9 @@ std::string Crfs::stats_report() const {
     out += "\n";
     out += tt.render();
   }
-  if (epochs_ != nullptr) {
-    auto recs = epochs_->records();
-    if (auto open = epochs_->open_epoch(obs::now_ns())) recs.push_back(*open);
+  if (const obs::EpochTracker* epochs = plane_.epochs()) {
+    auto recs = epochs->records();
+    if (auto open = epochs->open_epoch(obs::now_ns())) recs.push_back(*open);
     if (!recs.empty()) {
       TextTable ep({"Epoch", "Label", "Files", "Bytes", "Chunks", "Agg ratio",
                     "BW (MiB/s)", "Lag max (ms)", "Drained", "Drain BW", "State"});
@@ -1069,7 +924,7 @@ std::string Crfs::stats_report() const {
     out += "\n";
     out += rt.render();
   }
-  const auto events = events_.snapshot();
+  const auto events = plane_.events().snapshot();
   if (!events.empty()) {
     TextTable ev({"Severity", "Rule", "Detail"});
     for (const auto& e : events) {
@@ -1081,27 +936,25 @@ std::string Crfs::stats_report() const {
   return out;
 }
 
+std::string Crfs::mount_json() const {
+  std::string out = "{";
+  for (const auto& [name, counter] : mount_counters_) {
+    out += '"';
+    out += name;
+    out += "\":" + std::to_string(counter->value()) + ",";
+  }
+  out += "\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
+  out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
+  out += ",\"read_engine\":\"" + std::string(readahead_->engine_name()) + "\"}";
+  return out;
+}
+
 std::string Crfs::stats_json() const {
-  const MountStats::Snapshot s = stats_.snapshot();
   // schema_version counts breaking shape changes of this document (and of
   // the postmortem, which embeds the same sections): 2 = control plane,
   // 3 = durable journal + SLO burn rates.
-  std::string out = "{\"schema_version\":3,\"mount\":{";
-  out += "\"app_writes\":" + std::to_string(s.app_writes);
-  out += ",\"app_bytes\":" + std::to_string(s.app_bytes);
-  out += ",\"full_flushes\":" + std::to_string(s.full_flushes);
-  out += ",\"partial_flushes\":" + std::to_string(s.partial_flushes);
-  out += ",\"reopens\":" + std::to_string(s.reopens);
-  out += ",\"chunk_steals\":" + std::to_string(s.chunk_steals);
-  out += ",\"bypass_writes\":" + std::to_string(s.bypass_writes);
-  out += ",\"reads\":" + std::to_string(s.reads);
-  out += ",\"read_bytes\":" + std::to_string(s.read_bytes);
-  out += ",\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
-  out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
-  out += ",\"read_engine\":\"" + std::string(readahead_->engine_name()) + "\"";
-  out += "},\"pipeline\":" + metrics_.snapshot().to_json();
-  out += ",\"events\":" + obs::events_to_json(events_.snapshot());
-  out += ",\"slow\":" + slow_.to_json();
+  std::string out = "{\"schema_version\":3,\"mount\":" + mount_json();
+  out += ",\"pipeline\":" + metrics().snapshot().to_json();
   out += ",\"restores\":[";
   {
     bool first = true;
@@ -1109,7 +962,7 @@ std::string Crfs::stats_json() const {
       if (!first) out += ",";
       first = false;
       out += "{\"path\":\"";
-      append_json_escaped(out, r.path);
+      obs::append_json_escaped(out, r.path);
       out += "\",\"bytes\":" + std::to_string(r.bytes);
       out += ",\"ops\":" + std::to_string(r.ops);
       out += ",\"prefetch_issued\":" + std::to_string(r.prefetch_issued);
@@ -1125,19 +978,11 @@ std::string Crfs::stats_json() const {
     }
   }
   out += "]";
-  if (epochs_ != nullptr) {
-    out += ",\"epochs\":" + obs::epochs_to_json(epochs_->records());
-    const auto open = epochs_->open_epoch(obs::now_ns());
-    out += ",\"epoch_open\":";
-    out += open.has_value() ? open->to_json() : std::string("null");
-    out += ",\"epochs_completed\":" + std::to_string(epochs_->total_finalized());
-  }
+  plane_.append_sections(out);
   if (sampler_ != nullptr) {
     out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
   }
   out += ",\"controller\":" + controller_json();
-  out += ",\"journal\":" + journal_json();
-  out += ",\"slo\":" + slo_json();
   out += ",\"tier\":" + tier_json();
   out += "}";
   return out;
@@ -1146,27 +991,31 @@ std::string Crfs::stats_json() const {
 // -- Checkpoint epochs ------------------------------------------------------
 
 Status Crfs::epoch_begin(const std::string& label) {
-  if (epochs_ == nullptr) return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
-  epochs_->begin(label, obs::now_ns());
+  if (plane_.epochs() == nullptr) {
+    return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
+  }
+  plane_.epochs()->begin(label, obs::now_ns());
   refresh_flight(/*force=*/true);
   return {};
 }
 
 Status Crfs::epoch_end() {
-  if (epochs_ == nullptr) return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
-  epochs_->end(obs::now_ns());
+  if (plane_.epochs() == nullptr) {
+    return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
+  }
+  plane_.epochs()->end(obs::now_ns());
   refresh_flight(/*force=*/true);
   return {};
 }
 
 std::vector<obs::EpochRecord> Crfs::epochs() const {
-  if (epochs_ == nullptr) return {};
-  return epochs_->records();
+  if (plane_.epochs() == nullptr) return {};
+  return plane_.epochs()->records();
 }
 
 std::optional<obs::EpochRecord> Crfs::open_epoch() const {
-  if (epochs_ == nullptr) return std::nullopt;
-  return epochs_->open_epoch(obs::now_ns());
+  if (plane_.epochs() == nullptr) return std::nullopt;
+  return plane_.epochs()->open_epoch(obs::now_ns());
 }
 
 Status Crfs::handle_epoch_marker(std::span<const std::byte> data) {
@@ -1188,7 +1037,7 @@ Status Crfs::handle_epoch_marker(std::span<const std::byte> data) {
 // -- Control plane ----------------------------------------------------------
 
 obs::CtlDecision Crfs::tune(std::string_view knob, double value, std::string source) {
-  const TuneResult r = knobs_->tune(knob, value);
+  const TuneResult r = plane_.knobs().tune(knob, value);
   obs::CtlDecision d;
   d.ts_ns = obs::now_ns();
   d.source = std::move(source);
@@ -1243,9 +1092,9 @@ Status Crfs::handle_tune_marker(std::span<const std::byte> data) {
 std::string Crfs::controller_json() const {
   std::string out = "{\"enabled\":";
   out += controller_ != nullptr ? "true" : "false";
-  out += ",\"generation\":" + std::to_string(knobs_->generation());
+  out += ",\"generation\":" + std::to_string(plane_.knobs().generation());
   out += ",\"ticks\":" + std::to_string(controller_ != nullptr ? controller_->ticks() : 0);
-  out += ",\"knob_plane\":" + knobs_->to_json();
+  out += ",\"knob_plane\":" + plane_.knobs().to_json();
   out += ",\"decisions\":" + decisions_->to_json();
   out += ",\"decisions_total\":" + std::to_string(decisions_->total());
   out += "}";
@@ -1275,37 +1124,15 @@ void Crfs::refresh_flight(bool force) {
 }
 
 std::string Crfs::render_postmortem() const {
-  const std::uint64_t now = obs::now_ns();
   std::string out = "{\"crfs_postmortem\":1";
   out += ",\"schema_version\":3";
-  out += ",\"rendered_ns\":" + std::to_string(now);
+  out += ",\"rendered_ns\":" + std::to_string(obs::now_ns());
   out += ",\"config\":\"";
-  append_json_escaped(out, cfg_.describe());
-  out += "\"";
-
-  const MountStats::Snapshot s = stats_.snapshot();
-  out += ",\"mount\":{\"app_writes\":" + std::to_string(s.app_writes);
-  out += ",\"app_bytes\":" + std::to_string(s.app_bytes);
-  out += ",\"full_flushes\":" + std::to_string(s.full_flushes);
-  out += ",\"partial_flushes\":" + std::to_string(s.partial_flushes);
-  out += ",\"chunk_steals\":" + std::to_string(s.chunk_steals) + "}";
-
-  out += ",\"epoch_open\":";
-  if (epochs_ != nullptr) {
-    const auto open = epochs_->open_epoch(now);
-    out += open.has_value() ? open->to_json() : std::string("null");
-    out += ",\"epochs\":" + obs::epochs_to_json(epochs_->records());
-    out += ",\"epochs_completed\":" + std::to_string(epochs_->total_finalized());
-  } else {
-    out += "null,\"epochs\":[],\"epochs_completed\":0";
-  }
-
-  out += ",\"events\":" + obs::events_to_json(events_.snapshot());
-  out += ",\"slow\":" + slow_.to_json();
-  out += ",\"pipeline\":" + metrics_.snapshot().to_json();
+  obs::append_json_escaped(out, cfg_.describe());
+  out += "\",\"mount\":" + mount_json();
+  plane_.append_sections(out);
+  out += ",\"pipeline\":" + metrics().snapshot().to_json();
   out += ",\"controller\":" + controller_json();
-  out += ",\"journal\":" + journal_json();
-  out += ",\"slo\":" + slo_json();
   out += ",\"tier\":" + tier_json();
   if (sampler_ != nullptr) {
     out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
@@ -1321,7 +1148,7 @@ std::string Crfs::render_postmortem() const {
   for (std::size_t i = first; i < spans.size(); ++i) {
     if (i > first) out += ",";
     out += "{\"name\":\"";
-    append_json_escaped(out, spans[i].name);
+    obs::append_json_escaped(out, spans[i].name);
     out += "\",\"tid\":" + std::to_string(spans[i].tid);
     out += ",\"ts_ns\":" + std::to_string(spans[i].ts_ns);
     out += ",\"dur_ns\":" + std::to_string(spans[i].dur_ns);

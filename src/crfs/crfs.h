@@ -15,6 +15,7 @@
 #include <span>
 #include <string>
 #include <string_view>
+#include <utility>
 #include <vector>
 
 #include "backend/backend_fs.h"
@@ -24,67 +25,17 @@
 #include "crfs/file_table.h"
 #include "crfs/handle_table.h"
 #include "crfs/io_pool.h"
-#include "crfs/knobs.h"
 #include "crfs/readahead.h"
 #include "crfs/work_queue.h"
 #include "obs/controller.h"
-#include "obs/epoch.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
+#include "obs/knobs.h"
+#include "obs/plane.h"
 #include "obs/sampler.h"
-#include "obs/slo.h"
-#include "obs/slow_store.h"
 #include "obs/trace.h"
 
 namespace crfs {
-
-/// Counters exposed by a mount; all monotonically increasing.
-struct MountStats {
-  std::atomic<std::uint64_t> app_writes{0};      ///< write() calls received
-  std::atomic<std::uint64_t> app_bytes{0};       ///< bytes received from apps
-  std::atomic<std::uint64_t> full_flushes{0};    ///< chunks enqueued because full
-  std::atomic<std::uint64_t> partial_flushes{0}; ///< chunks enqueued at close/fsync/seek
-  std::atomic<std::uint64_t> reopens{0};         ///< opens that hit an existing entry
-  /// Pool-exhaustion rescues: another file's partial chunk was flushed
-  /// early because every chunk was parked (more open files than chunks).
-  std::atomic<std::uint64_t> chunk_steals{0};
-  /// Large writes issued straight to the backend, skipping the buffer-pool
-  /// memcpy (Config::large_write_bypass).
-  std::atomic<std::uint64_t> bypass_writes{0};
-  std::atomic<std::uint64_t> reads{0};
-  std::atomic<std::uint64_t> read_bytes{0};
-
-  /// Plain-integer copy of the counters, so callers compare and print
-  /// values instead of `.load()`-ing atomics field by field.
-  struct Snapshot {
-    std::uint64_t app_writes = 0;
-    std::uint64_t app_bytes = 0;
-    std::uint64_t full_flushes = 0;
-    std::uint64_t partial_flushes = 0;
-    std::uint64_t reopens = 0;
-    std::uint64_t chunk_steals = 0;
-    std::uint64_t bypass_writes = 0;
-    std::uint64_t reads = 0;
-    std::uint64_t read_bytes = 0;
-  };
-
-  Snapshot snapshot() const {
-    // Relaxed: monitoring counters, each independently monotone.
-    return Snapshot{
-        app_writes.load(std::memory_order_relaxed),
-        app_bytes.load(std::memory_order_relaxed),
-        full_flushes.load(std::memory_order_relaxed),
-        partial_flushes.load(std::memory_order_relaxed),
-        reopens.load(std::memory_order_relaxed),
-        chunk_steals.load(std::memory_order_relaxed),
-        bypass_writes.load(std::memory_order_relaxed),
-        reads.load(std::memory_order_relaxed),
-        read_bytes.load(std::memory_order_relaxed),
-    };
-  }
-};
 
 class Crfs {
  public:
@@ -135,7 +86,6 @@ class Crfs {
 
   // -- Introspection --------------------------------------------------------
   const Config& config() const { return cfg_; }
-  const MountStats& stats() const { return stats_; }
   BackendFs& backend() { return *backend_; }
 
   // -- Tiered staging (docs/PERFORMANCE.md "Tiered staging") ----------------
@@ -176,8 +126,8 @@ class Crfs {
   /// (crfs.write.copy_ns, crfs.write.pool_wait_ns, crfs.queue.wait_ns,
   /// crfs.io.pwrite_ns, crfs.drain.wait_ns), occupancy gauges
   /// (crfs.pool.*, crfs.queue.depth, crfs.io.in_flight) and counters.
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
+  obs::Registry& metrics() { return plane_.metrics(); }
+  const obs::Registry& metrics() const { return plane_.metrics(); }
 
   /// Span sink; empty unless Config::enable_tracing.
   obs::TraceCollector& trace() { return trace_; }
@@ -191,8 +141,8 @@ class Crfs {
   /// Structured health/error events fired so far (bounded log, oldest
   /// dropped past Config::event_capacity). Health rules need the sampler
   /// on; pwrite failure events are recorded unconditionally.
-  std::vector<obs::Event> events() const { return events_.snapshot(); }
-  obs::EventBuffer& event_log() { return events_; }
+  std::vector<obs::Event> events() const { return plane_.events().snapshot(); }
+  obs::EventBuffer& event_log() { return plane_.events(); }
 
   // -- Checkpoint epochs (docs/OBSERVABILITY.md "Epoch ledger") -------------
   /// Starts an explicit epoch (finalizing any active one). Explicit
@@ -214,37 +164,33 @@ class Crfs {
   /// state for every chunk whose durability lag or device time crossed
   /// Config::slow_capture_ms. Always present (capture disabled when the
   /// threshold is 0), so the stats_json "slow" key is schema-stable.
-  obs::SlowStore& slow_store() { return slow_; }
-  const obs::SlowStore& slow_store() const { return slow_; }
+  obs::SlowStore& slow_store() { return plane_.slow(); }
+  const obs::SlowStore& slow_store() const { return plane_.slow(); }
 
   /// The slow store as one JSON object (stats_json "slow" section).
-  std::string slow_json() const { return slow_.to_json(); }
+  std::string slow_json() const { return plane_.slow().to_json(); }
 
   // -- Durable journal (docs/OBSERVABILITY.md "Durable journal") ------------
   /// nullptr unless Config::journal_dir is set.
-  obs::Journal* journal() { return journal_.get(); }
-  const obs::Journal* journal() const { return journal_.get(); }
+  obs::Journal* journal() { return plane_.journal(); }
+  const obs::Journal* journal() const { return plane_.journal(); }
 
   /// The stats_json "journal" section ({"enabled":false} without one).
-  std::string journal_json() const {
-    return journal_ != nullptr ? journal_->to_json() : "{\"enabled\":false}";
-  }
+  std::string journal_json() const { return plane_.journal_json(); }
 
   // -- SLO burn rates (docs/OBSERVABILITY.md "SLOs and burn rates") ---------
   /// nullptr unless at least one slo_* target is configured.
-  obs::SloMonitor* slo_monitor() { return slo_.get(); }
-  const obs::SloMonitor* slo_monitor() const { return slo_.get(); }
+  obs::SloMonitor* slo_monitor() { return plane_.slo(); }
+  const obs::SloMonitor* slo_monitor() const { return plane_.slo(); }
 
   /// The stats_json "slo" section ({"enabled":false} without a monitor).
-  std::string slo_json() const {
-    return slo_ != nullptr ? slo_->to_json() : "{\"enabled\":false}";
-  }
+  std::string slo_json() const { return plane_.slo_json(); }
 
   // -- Control plane (docs/OBSERVABILITY.md "Control plane") ----------------
   /// Runtime-tunes one knob ("pool_chunks", "io_batch", "uring_depth",
-  /// "sample_ms", "slow_pwrite_ms", "epoch_gap_ms", "slow_capture_ms",
-  /// "readahead", "readahead_window").
-  /// Out-of-bounds
+  /// "sample_ms", "slow_pwrite_ms", "readahead", "readahead_window",
+  /// "journal_fsync_ms", "drain_mbps", "drain_parallel", and the plane's
+  /// "slow_capture_ms" and "epoch_gap_ms"). Out-of-bounds
   /// requests are clamped, impossible ones vetoed; every outcome is
   /// recorded in the decision log (and thus metrics/events/postmortem)
   /// before the returned CtlDecision is handed back. `source` tags the
@@ -254,8 +200,8 @@ class Crfs {
                         std::string source = "manual");
 
   /// The knob plane: declared bounds plus the lock-free current snapshot.
-  KnobPlane& knob_plane() { return *knobs_; }
-  const KnobPlane& knob_plane() const { return *knobs_; }
+  KnobPlane& knob_plane() { return plane_.knobs(); }
+  const KnobPlane& knob_plane() const { return plane_.knobs(); }
 
   /// Audit trail of every knob-change decision (bounded ring).
   obs::DecisionLog& decision_log() { return *decisions_; }
@@ -265,7 +211,7 @@ class Crfs {
   obs::Controller* controller() { return controller_.get(); }
 
   /// {"generation":...,"knobs":[{name,value,min,max,unit},...]}.
-  std::string knobs_json() const { return knobs_->to_json(); }
+  std::string knobs_json() const { return plane_.knobs().to_json(); }
 
   /// Controller/knob-plane state as one JSON object: enabled flag, knob
   /// generation, knob table, decision ring, decision total, tick count.
@@ -327,13 +273,11 @@ class Crfs {
   /// first vetoed or malformed token fails the write, naming the token.
   Status handle_tune_marker(std::span<const std::byte> data);
 
-  /// Registers the runtime knob set against the live pipeline stages.
+  /// Registers the pipeline's runtime knobs (the plane defines its own).
   void define_knobs();
 
-  /// Journals newly finished epochs and newly captured slow exemplars
-  /// (sampler tick observer + unmount; single driver at a time). No-op
-  /// without a journal.
-  void journal_poll_cold_sinks();
+  /// The "mount" section of stats_json and the postmortem.
+  std::string mount_json() const;
 
   /// Flight-recorder refresh; `force` skips the postmortem_refresh_ms
   /// throttle (epoch transitions, critical events). No-op without a
@@ -346,31 +290,14 @@ class Crfs {
   TieredBackend* tier_ = nullptr;
   Config cfg_;
   // Declared before the pipeline pieces: instrumented stages hold
-  // references into these, so they must outlive pool_/queue_/io_pool_.
-  obs::Registry metrics_;
+  // references into the sinks (registry, events, epoch states, slow
+  // store, trace ring), so they must outlive pool_/queue_/io_pool_. The
+  // flight recorder sits with them: the IO pool's on_run_complete hook
+  // refreshes it.
+  obs::Plane plane_;
   obs::TraceCollector trace_;
-  obs::EventBuffer events_;
-  // Epoch tracker and flight recorder sit with the other sinks: WriteJobs
-  // hold EpochState shared_ptrs and the IO pool's on_run_complete hook
-  // refreshes the recorder, so both must outlive io_pool_.
-  std::unique_ptr<obs::EpochTracker> epochs_;
-  // Slow store sits with the sinks: IO workers capture into it, so it
-  // must outlive io_pool_.
-  obs::SlowStore slow_;
   std::unique_ptr<obs::FlightRecorder> flight_;
   std::atomic<std::uint64_t> last_flight_refresh_ns_{0};
-  // Durable journal + SLO monitor sit with the sinks: the event listener
-  // appends into the journal and the sampler tick observer drives both, so
-  // they must outlive io_pool_ and be destroyed after the sampler stops.
-  std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::SloMonitor> slo_;
-  // One shared extractor turns each Sample into the SloInput both the
-  // monitor and the journal's sample frames consume. Touched only from the
-  // tick observer (single driver).
-  std::unique_ptr<obs::SloExtractor> slo_extract_;
-  // High-water marks of what journal_poll_cold_sinks already persisted.
-  std::uint64_t journaled_epochs_ = 0;
-  std::uint64_t journaled_slow_ = 0;
   std::unique_ptr<BufferPool> pool_;
   WorkQueue queue_;
   std::unique_ptr<IoThreadPool> io_pool_;
@@ -382,7 +309,6 @@ class Crfs {
   std::atomic<bool> readahead_on_{true};
   std::atomic<unsigned> readahead_window_{4};
   FileTable table_;
-  MountStats stats_;
 
   // Live telemetry plane (only when cfg_.sample_ms > 0). Declared after
   // the pipeline pieces it observes; the sampler thread is stopped first
@@ -390,10 +316,8 @@ class Crfs {
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<obs::Sampler> sampler_;
 
-  // Control plane: knob apply callbacks reach back into the pipeline
-  // stages above, and the controller ticks from the sampler thread (which
+  // Control plane: the controller ticks from the sampler thread (which
   // ~Crfs stops before anything here is destroyed).
-  std::unique_ptr<KnobPlane> knobs_;
   std::unique_ptr<obs::DecisionLog> decisions_;
   std::unique_ptr<obs::Controller> controller_;
 
@@ -407,15 +331,18 @@ class Crfs {
   obs::Counter* c_pwrite_bytes_ = nullptr;
   obs::Counter* c_pwrite_errors_ = nullptr;
   obs::Counter* c_bypass_bytes_ = nullptr;
-  // Registry mirrors of the legacy MountStats counters (crfs.mount.*), so
-  // reopen/flush/steal/bypass activity reaches Prometheus and `crfsctl
-  // watch`; MountStats::snapshot() stays the source of truth for the CLI
-  // tables and its values are bumped in the same statements.
+  // Mount counters (crfs.mount.*): the only copy, read back by
+  // stats_json, the postmortem and stats_report through mount_counters_.
+  obs::Counter* c_m_app_writes_ = nullptr;
+  obs::Counter* c_m_app_bytes_ = nullptr;
   obs::Counter* c_m_reopens_ = nullptr;
   obs::Counter* c_m_partial_flushes_ = nullptr;
   obs::Counter* c_m_full_flushes_ = nullptr;
   obs::Counter* c_m_chunk_steals_ = nullptr;
   obs::Counter* c_m_bypass_writes_ = nullptr;
+  // The "mount" section's counters in document order; reads/read_bytes
+  // are crfs.read.ops/bytes, bumped by the read pipeline.
+  std::vector<std::pair<const char*, const obs::Counter*>> mount_counters_;
 
   /// Causal chain ids (docs/OBSERVABILITY.md "Causal tracing"): one
   /// relaxed fetch_add per chunk acquired; id 0 is reserved for

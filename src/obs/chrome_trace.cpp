@@ -3,27 +3,9 @@
 #include <cerrno>
 #include <cstdio>
 
+#include "obs/json_out.h"
+
 namespace crfs::obs {
-
-namespace {
-
-void append_escaped(std::string& out, const char* s) {
-  for (; *s != '\0'; ++s) {
-    const char c = *s;
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string to_chrome_json(std::span<const TraceEvent> events) {
   std::string out = "{\"traceEvents\":[";
@@ -55,7 +37,7 @@ std::string to_chrome_json(std::span<const TraceEvent> events) {
       if (has_tag) {
         if (ev.trace_id != 0) out += ",";
         out += "\"file\":\"";
-        append_escaped(out, ev.tag);
+        append_json_escaped(out, ev.tag);
         out += "\"";
       }
       out += "}";

@@ -2,36 +2,9 @@
 
 #include <cstdio>
 
+#include "obs/json_out.h"
+
 namespace crfs::obs {
-namespace {
-
-// Deterministic numeric rendering shared by the decision JSON and event
-// messages: integral values print with no fraction, the rest with %g.
-// Byte-identical logs across identical replays are part of the contract.
-void append_num(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string CtlDecision::to_json() const {
   std::string out = "{\"seq\":";
@@ -41,11 +14,11 @@ std::string CtlDecision::to_json() const {
   std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(ts_ns));
   out += buf;
   out += ",\"source\":\"";
-  append_escaped(out, source);
+  append_json_escaped(out, source);
   out += "\",\"rule\":\"";
-  append_escaped(out, rule);
+  append_json_escaped(out, rule);
   out += "\",\"knob\":\"";
-  append_escaped(out, knob);
+  append_json_escaped(out, knob);
   out += "\",\"requested\":";
   append_num(out, requested);
   out += ",\"from\":";
@@ -53,9 +26,9 @@ std::string CtlDecision::to_json() const {
   out += ",\"to\":";
   append_num(out, to);
   out += ",\"outcome\":\"";
-  append_escaped(out, outcome);
+  append_json_escaped(out, outcome);
   out += "\",\"reason\":\"";
-  append_escaped(out, reason);
+  append_json_escaped(out, reason);
   out += "\",\"generation\":";
   append_num(out, static_cast<double>(generation));
   out += "}";

@@ -3,33 +3,12 @@
 #include <algorithm>
 #include <cstdio>
 
+#include "obs/json_out.h"
 #include "obs/prom.h"
 
 namespace crfs::obs {
 
 namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  out += '"';
-}
 
 std::string format_double(double v) {
   char buf[32];
@@ -41,9 +20,9 @@ std::string format_double(double v) {
 
 std::string EpochRecord::to_json() const {
   std::string out = "{\"id\":" + std::to_string(id);
-  out += ",\"label\":";
-  append_json_string(out, label);
-  out += ",\"explicit\":" + std::string(explicit_marker ? "true" : "false");
+  out += ",\"label\":\"";
+  append_json_escaped(out, label);
+  out += "\",\"explicit\":" + std::string(explicit_marker ? "true" : "false");
   out += ",\"open\":" + std::string(open ? "true" : "false");
   out += ",\"start_ns\":" + std::to_string(start_ns);
   out += ",\"end_ns\":" + std::to_string(end_ns);

@@ -2,6 +2,8 @@
 
 #include <cstdio>
 
+#include "obs/json_out.h"
+
 namespace crfs::obs {
 
 const char* severity_name(Severity s) {
@@ -12,25 +14,6 @@ const char* severity_name(Severity s) {
   }
   return "unknown";
 }
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string Event::to_json() const {
   std::string out = "{\"severity\":\"";

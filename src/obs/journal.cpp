@@ -12,6 +12,7 @@
 #include <fstream>
 
 #include "common/checksum.h"
+#include "obs/json_out.h"
 #include "obs/sampler.h"
 #include "obs/slo.h"
 
@@ -269,15 +270,9 @@ void Journal::stop() {
 }
 
 std::string Journal::to_json() const {
-  std::string dir_escaped;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (char c : opts_.dir) {
-      if (c == '"' || c == '\\') dir_escaped.push_back('\\');
-      dir_escaped.push_back(c);
-    }
-  }
-  std::string s = "{\"enabled\":true,\"dir\":\"" + dir_escaped + "\"";
+  std::string s = "{\"enabled\":true,\"dir\":\"";
+  append_json_escaped(s, opts_.dir);  // opts_ is const: no lock needed
+  s += "\"";
   s += ",\"segment_bytes\":" + std::to_string(opts_.segment_bytes);
   s += ",\"max_bytes\":" + std::to_string(opts_.max_bytes);
   s += ",\"fsync_ms\":" + std::to_string(fsync_ms());

@@ -1,39 +1,10 @@
-#include "crfs/knobs.h"
+#include "obs/knobs.h"
 
 #include <algorithm>
-#include <cstdio>
+
+#include "obs/json_out.h"
 
 namespace crfs {
-namespace {
-
-// Deterministic numeric rendering for knob values: integral values print
-// with no fraction (the common case — chunk counts, batch sizes, ms), the
-// rest with %g. Byte-identical output is part of the decision-log replay
-// contract, so everything funnels through here.
-void append_num(std::string& out, double v) {
-  char buf[64];
-  if (v == static_cast<double>(static_cast<long long>(v))) {
-    std::snprintf(buf, sizeof(buf), "%lld", static_cast<long long>(v));
-  } else {
-    std::snprintf(buf, sizeof(buf), "%g", v);
-  }
-  out += buf;
-}
-
-void append_escaped(std::string& out, std::string_view s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 double KnobSnapshot::get(std::string_view name, double fallback) const {
   const auto it = std::lower_bound(
@@ -85,9 +56,9 @@ TuneResult KnobPlane::tune(std::string_view name, double requested) {
   }
   if (clamped) {
     r.reason = "clamped to [";
-    append_num(r.reason, def.min_value);
+    obs::append_num(r.reason, def.min_value);
     r.reason += ", ";
-    append_num(r.reason, def.max_value);
+    obs::append_num(r.reason, def.max_value);
     r.reason += "]";
   }
 
@@ -140,20 +111,20 @@ void KnobPlane::publish_locked() {
 std::string KnobPlane::to_json() const {
   std::lock_guard<std::mutex> lock(mu_);
   std::string out = "{\"generation\":";
-  append_num(out, static_cast<double>(generation_));
+  obs::append_num(out, static_cast<double>(generation_));
   out += ",\"knobs\":[";
   for (std::size_t i = 0; i < defs_.size(); ++i) {
     if (i > 0) out += ',';
     out += "{\"name\":\"";
-    append_escaped(out, defs_[i].name);
+    obs::append_json_escaped(out, defs_[i].name);
     out += "\",\"value\":";
-    append_num(out, values_[i]);
+    obs::append_num(out, values_[i]);
     out += ",\"min\":";
-    append_num(out, defs_[i].min_value);
+    obs::append_num(out, defs_[i].min_value);
     out += ",\"max\":";
-    append_num(out, defs_[i].max_value);
+    obs::append_num(out, defs_[i].max_value);
     out += ",\"unit\":\"";
-    append_escaped(out, defs_[i].unit);
+    obs::append_json_escaped(out, defs_[i].unit);
     out += "\"}";
   }
   out += "]}";

@@ -3,6 +3,7 @@
 #include <cstdio>
 
 #include "common/table.h"
+#include "obs/json_out.h"
 
 namespace crfs::obs {
 
@@ -120,25 +121,6 @@ std::string Registry::Snapshot::render_table() const {
   }
   return out;
 }
-
-namespace {
-
-void append_json_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-}
-
-}  // namespace
 
 std::string Registry::Snapshot::to_json() const {
   std::string out = "{\"counters\":{";

@@ -147,20 +147,22 @@ SloMonitor::SloMonitor(SloConfig cfg, Registry* registry, EventBuffer* events)
 }
 
 void SloMonitor::observe(const SloInput& in) {
-  ++ticks_;
-  if (lag_.enabled && in.lag_n > 0) {
-    observe_one(lag_, in.ts_ns, in.lag_p99_ns, in.lag_n);
+  std::vector<Event> edges;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    ++ticks_;
+    if (lag_.enabled && in.lag_n > 0) observe_one(lag_, in.ts_ns, in.lag_p99_ns, &edges);
+    if (stall_.enabled && in.stall_n > 0) {
+      observe_one(stall_, in.ts_ns, in.stall_ratio, &edges);
+    }
+    if (ttfb_.enabled && in.ttfb_n > 0) observe_one(ttfb_, in.ts_ns, in.ttfb_p99_ns, &edges);
   }
-  if (stall_.enabled && in.stall_n > 0) {
-    observe_one(stall_, in.ts_ns, in.stall_ratio, in.stall_n);
-  }
-  if (ttfb_.enabled && in.ttfb_n > 0) {
-    observe_one(ttfb_, in.ts_ns, in.ttfb_p99_ns, in.ttfb_n);
-  }
+  if (events_ == nullptr) return;
+  for (Event& ev : edges) events_->push(std::move(ev));
 }
 
 void SloMonitor::observe_one(Objective& o, std::uint64_t ts_ns, double value,
-                             std::uint64_t /*n*/) {
+                             std::vector<Event>* edges) {
   const bool bad = value > o.target;
   o.obs.emplace_back(ts_ns, bad);
   const std::uint64_t long_lo =
@@ -194,43 +196,55 @@ void SloMonitor::observe_one(Objective& o, std::uint64_t ts_ns, double value,
     ++o.breaches;
     ++breaches_total_;
     if (c_breaches_ != nullptr) c_breaches_->add(1);
-    if (events_ != nullptr) {
-      Event ev;
-      ev.severity = Severity::kCritical;
-      ev.rule = "slo_breach";
-      ev.message = std::string("slo ") + o.name + " burning error budget: short=" +
-                   std::to_string(milli(o.burn_short)) + "m long=" +
-                   std::to_string(milli(o.burn_long)) + "m";
-      ev.value = o.burn_short;
-      ev.threshold = cfg_.burn_threshold;
-      ev.ts_ns = ts_ns;
-      events_->push(std::move(ev));
-    }
+    Event ev;
+    ev.severity = Severity::kCritical;
+    ev.rule = "slo_breach";
+    ev.message = std::string("slo ") + o.name + " burning error budget: short=" +
+                 std::to_string(milli(o.burn_short)) + "m long=" +
+                 std::to_string(milli(o.burn_long)) + "m";
+    ev.value = o.burn_short;
+    ev.threshold = cfg_.burn_threshold;
+    ev.ts_ns = ts_ns;
+    edges->push_back(std::move(ev));
   } else if (o.fired && o.burn_short < cfg_.burn_threshold) {
     o.fired = false;
-    if (events_ != nullptr) {
-      Event ev;
-      ev.severity = Severity::kInfo;
-      ev.rule = "slo_recovered";
-      ev.message = std::string("slo ") + o.name + " short-window burn back under threshold";
-      ev.value = o.burn_short;
-      ev.threshold = cfg_.burn_threshold;
-      ev.ts_ns = ts_ns;
-      events_->push(std::move(ev));
-    }
+    Event ev;
+    ev.severity = Severity::kInfo;
+    ev.rule = "slo_recovered";
+    ev.message = std::string("slo ") + o.name + " short-window burn back under threshold";
+    ev.value = o.burn_short;
+    ev.threshold = cfg_.burn_threshold;
+    ev.ts_ns = ts_ns;
+    edges->push_back(std::move(ev));
   }
   if (o.g_breached != nullptr) o.g_breached->set(o.fired ? 1 : 0);
 }
 
+std::uint64_t SloMonitor::ticks() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return ticks_;
+}
+
+std::uint64_t SloMonitor::breaches() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breaches_total_;
+}
+
 bool SloMonitor::breached() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return breached_locked();
+}
+
+bool SloMonitor::breached_locked() const {
   return lag_.fired || stall_.fired || ttfb_.fired;
 }
 
 std::string SloMonitor::to_json() const {
+  std::lock_guard<std::mutex> lock(mu_);
   std::string s = "{\"enabled\":true,\"config\":" + cfg_.to_json();
   s += ",\"ticks\":" + std::to_string(ticks_);
   s += ",\"breaches\":" + std::to_string(breaches_total_);
-  s += ",\"breached\":" + std::string(breached() ? "true" : "false");
+  s += ",\"breached\":" + std::string(breached_locked() ? "true" : "false");
   s += ",\"objectives\":[";
   bool first = true;
   for (const Objective* o : {&lag_, &stall_, &ttfb_}) {

@@ -25,6 +25,7 @@
 
 #include <cstdint>
 #include <deque>
+#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -105,8 +106,8 @@ class SloMonitor {
   void observe(const SloInput& in);
 
   const SloConfig& config() const { return cfg_; }
-  std::uint64_t ticks() const { return ticks_; }
-  std::uint64_t breaches() const { return breaches_total_; }
+  std::uint64_t ticks() const;
+  std::uint64_t breaches() const;
   /// True while any objective is in the breached state.
   bool breached() const;
 
@@ -131,13 +132,20 @@ class SloMonitor {
     Gauge* g_breached = nullptr;
   };
 
+  /// Updates `o` (mu_ held); a breach/recovery edge is appended to
+  /// `edges`, pushed by observe() after mu_ is released.
   void observe_one(Objective& o, std::uint64_t ts_ns, double value,
-                   std::uint64_t n);
+                   std::vector<Event>* edges);
+  bool breached_locked() const;
 
   const SloConfig cfg_;
   EventBuffer* events_;
   Counter* c_breaches_ = nullptr;
   SloExtractor extractor_;
+  // The sampler thread observes while stats_json/postmortem readers
+  // render; events are pushed outside it, because an event listener may
+  // itself render (the flight recorder's postmortem calls to_json).
+  mutable std::mutex mu_;
   Objective lag_, stall_, ttfb_;
   std::uint64_t ticks_ = 0;
   std::uint64_t breaches_total_ = 0;

@@ -2,26 +2,11 @@
 
 #include <cstdio>
 
+#include "obs/json_out.h"
+
 namespace crfs::obs {
 
 namespace {
-
-void append_json_string(std::string& out, const std::string& s) {
-  out += '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (static_cast<unsigned char>(c) < 0x20) {
-      char buf[8];
-      std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-      out += buf;
-    } else {
-      out += c;
-    }
-  }
-  out += '"';
-}
 
 void append_u64(std::string& out, const char* key, std::uint64_t v) {
   out += ",\"";
@@ -34,10 +19,11 @@ void append_u64(std::string& out, const char* key, std::uint64_t v) {
 
 std::string SlowExemplar::to_json() const {
   std::string out = "{\"trace_id\":" + std::to_string(trace_id);
-  out += ",\"kind\":";
-  append_json_string(out, kind);
-  out += ",\"path\":";
-  append_json_string(out, path);
+  out += ",\"kind\":\"";
+  append_json_escaped(out, kind);
+  out += "\",\"path\":\"";
+  append_json_escaped(out, path);
+  out += '"';
   append_u64(out, "offset", offset);
   append_u64(out, "len", len);
   append_u64(out, "born_ns", born_ns);
@@ -54,9 +40,9 @@ std::string SlowExemplar::to_json() const {
   append_u64(out, "queue_depth", queue_depth);
   append_u64(out, "free_chunks", free_chunks);
   append_u64(out, "knob_generation", knob_generation);
-  out += ",\"engine\":";
-  append_json_string(out, engine);
-  out += "}";
+  out += ",\"engine\":\"";
+  append_json_escaped(out, engine);
+  out += "\"}";
   return out;
 }
 

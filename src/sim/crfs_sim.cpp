@@ -1,34 +1,9 @@
 #include "sim/crfs_sim.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <vector>
 
 namespace crfs::sim {
-namespace {
-
-// Minimal JSON string escaping for the journal meta frame (same contract
-// as the per-TU helpers in src/obs: quotes, backslashes, control chars).
-void append_meta_escaped(std::string& out, const std::string& s) {
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-}
-
-}  // namespace
 
 CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& backend,
                          unsigned node, crfs::Config config, crfs::FuseOptions fuse,
@@ -45,72 +20,36 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
       chunk_available_(sim),
       job_ready_(sim),
       cqe_slot_(sim),
-      slow_(config.slow_exemplars,
-            static_cast<std::uint64_t>(config.slow_capture_ms) * 1'000'000) {
+      plane_(config, [this] { return now_ns(); }, obs::Plane::TimeBase::kVirtual) {
   // Same registry schema as the real mount (crfs.cpp), read on virtual
   // time by an obs::Sampler via sample_loop(). The single-threaded sim
   // pays nothing for the atomics.
-  h_pwrite_ = &metrics_.histogram("crfs.io.pwrite_ns");
-  c_pwrite_bytes_ = &metrics_.counter("crfs.io.pwrite_bytes");
-  h_lag_ = &metrics_.histogram("crfs.chunk.durability_lag_ns");
+  obs::Registry& m = plane_.metrics();
+  h_pwrite_ = &m.histogram("crfs.io.pwrite_ns");
+  c_pwrite_bytes_ = &m.counter("crfs.io.pwrite_bytes");
+  h_lag_ = &m.histogram("crfs.chunk.durability_lag_ns");
   // Registered for both engines (schema parity with the real mount); only
   // the uring mirror records non-trivial depths.
-  h_inflight_depth_ = &metrics_.histogram("crfs.io.inflight_depth");
+  h_inflight_depth_ = &m.histogram("crfs.io.inflight_depth");
   // Restart-scan mirror: same crfs.read.* schema as the real mount, so an
   // obs::Controller's shed_readahead rule ticks unchanged on virtual time.
-  h_read_ = &metrics_.histogram("crfs.read.pread_ns");
-  h_read_inflight_ = &metrics_.histogram("crfs.read.inflight_depth");
-  c_read_ops_ = &metrics_.counter("crfs.read.ops");
-  c_read_bytes_ = &metrics_.counter("crfs.read.bytes");
-  c_prefetch_issued_ = &metrics_.counter("crfs.read.prefetch_issued");
-  c_prefetch_hits_ = &metrics_.counter("crfs.read.prefetch_hits");
-  c_prefetch_wasted_ = &metrics_.counter("crfs.read.prefetch_wasted");
-  c_sync_preads_ = &metrics_.counter("crfs.read.sync_preads");
-  metrics_.gauge_fn("crfs.io.engine_inflight",
-                    [this] { return static_cast<std::int64_t>(engine_inflight_); });
-  metrics_.gauge_fn("crfs.pool.free_chunks",
-                    [this] { return static_cast<std::int64_t>(free_chunks_); });
-  metrics_.gauge_fn("crfs.queue.depth",
-                    [this] { return static_cast<std::int64_t>(queue_.size()); });
-  if (config_.epoch_tracking) {
-    epochs_ = std::make_unique<obs::EpochTracker>(
-        obs::EpochTracker::Options{
-            .gap_ns = static_cast<std::uint64_t>(config_.epoch_gap_ms) * 1'000'000,
-            .ledger_capacity = config_.epoch_ledger},
-        &metrics_);
-  }
-  // Journal/SLO mirror: same construction gates as the real mount, but no
-  // flusher thread — observe_sample() drives flushes on virtual time, so
-  // segment bytes replay identically.
-  if (!config_.journal_dir.empty()) {
-    journal_ = std::make_unique<obs::Journal>(
-        obs::JournalOptions{.dir = config_.journal_dir,
-                            .segment_bytes = config_.journal_segment_bytes,
-                            .max_bytes = config_.journal_max_bytes,
-                            .flush_ms = config_.journal_flush_ms,
-                            .fsync_ms = config_.journal_fsync_ms},
-        &metrics_);
-    events_.set_listener([this](const obs::Event& ev) {
-      journal_->append(obs::FrameType::kEvent, ev.ts_ns, ev.to_json());
-    });
-    std::string meta = "{\"crfs_journal\":1,\"config\":\"";
-    append_meta_escaped(meta, config_.describe());
-    meta += "\",\"sample_ms\":" + std::to_string(config_.sample_ms);
-    meta += ",\"slo\":";
-    meta += config_.slo_enabled() ? config_.slo_config().to_json() : std::string("null");
-    meta += "}";
-    journal_->set_meta(meta, now_ns());
-  }
-  if (config_.slo_enabled()) {
-    slo_ = std::make_unique<obs::SloMonitor>(config_.slo_config(), &metrics_, &events_);
-  }
-  if (journal_ != nullptr || slo_ != nullptr) {
-    slo_extract_ = std::make_unique<obs::SloExtractor>();
-  }
+  h_read_ = &m.histogram("crfs.read.pread_ns");
+  h_read_inflight_ = &m.histogram("crfs.read.inflight_depth");
+  c_read_ops_ = &m.counter("crfs.read.ops");
+  c_read_bytes_ = &m.counter("crfs.read.bytes");
+  c_prefetch_issued_ = &m.counter("crfs.read.prefetch_issued");
+  c_prefetch_hits_ = &m.counter("crfs.read.prefetch_hits");
+  c_prefetch_wasted_ = &m.counter("crfs.read.prefetch_wasted");
+  c_sync_preads_ = &m.counter("crfs.read.sync_preads");
+  m.gauge_fn("crfs.io.engine_inflight",
+             [this] { return static_cast<std::int64_t>(engine_inflight_); });
+  m.gauge_fn("crfs.pool.free_chunks", [this] { return static_cast<std::int64_t>(free_chunks_); });
+  m.gauge_fn("crfs.queue.depth", [this] { return static_cast<std::int64_t>(queue_.size()); });
   define_knobs();
 }
 
 void CrfsSimNode::define_knobs() {
+  crfs::KnobPlane& knobs = plane_.knobs();
   // Same names/bounds as Crfs::define_knobs; the applies mutate config_
   // and free_chunks_, which io_worker/app_write re-read each iteration —
   // a tune takes effect on the next virtual-time step, mirroring the
@@ -119,7 +58,7 @@ void CrfsSimNode::define_knobs() {
       config_.tune_pool_max != 0 ? config_.tune_pool_max : config_.pool_size * 4;
   const std::size_t pool_cap_chunks =
       std::max<std::size_t>(1, pool_cap_bytes / config_.chunk_size);
-  knobs_.define(
+  knobs.define(
       crfs::KnobDef{"pool_chunks", 1.0, static_cast<double>(pool_cap_chunks), "chunks"},
       static_cast<double>(config_.num_chunks()),
       [this](double v, double* achieved, std::string* reason) {
@@ -141,7 +80,7 @@ void CrfsSimNode::define_knobs() {
         *achieved = static_cast<double>(got);
         return true;
       });
-  knobs_.define(
+  knobs.define(
       crfs::KnobDef{"io_batch", 1.0, static_cast<double>(config_.tune_io_batch_max),
                     "chunks"},
       static_cast<double>(config_.io_batch),
@@ -157,7 +96,7 @@ void CrfsSimNode::define_knobs() {
         }
         return true;
       });
-  knobs_.define(
+  knobs.define(
       crfs::KnobDef{"uring_depth", 1.0, 4096.0, "sqes"},
       static_cast<double>(config_.uring_depth),
       [this](double v, double*, std::string* reason) {
@@ -168,32 +107,14 @@ void CrfsSimNode::define_knobs() {
         config_.uring_depth = static_cast<unsigned>(v);
         return true;
       });
-  knobs_.define(
-      crfs::KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
-      static_cast<double>(config_.slow_capture_ms),
-      [this](double v, double*, std::string*) {
-        slow_.set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
-        return true;
-      });
-  knobs_.define(
-      crfs::KnobDef{"epoch_gap_ms", 1.0, 600000.0, "ms"},
-      static_cast<double>(config_.epoch_gap_ms),
-      [this](double v, double*, std::string* reason) {
-        if (epochs_ == nullptr) {
-          *reason = "epoch tracking disabled (no_epochs)";
-          return false;
-        }
-        epochs_->set_gap_ns(static_cast<std::uint64_t>(v) * 1'000'000);
-        return true;
-      });
-  knobs_.define(
+  knobs.define(
       crfs::KnobDef{"readahead", 0.0, 1.0, "bool"},
       config_.readahead ? 1.0 : 0.0,
       [this](double v, double*, std::string*) {
         config_.readahead = v >= 0.5;
         return true;
       });
-  knobs_.define(
+  knobs.define(
       crfs::KnobDef{"readahead_window", 1.0, 1024.0, "chunks"},
       static_cast<double>(config_.readahead_window),
       [this](double v, double*, std::string*) {
@@ -215,9 +136,9 @@ CrfsSimNode::FileState& CrfsSimNode::state(FileId file) {
     it->second.completion = std::make_unique<Event>(sim_);
     // Files have no separate open() in the sim; first touch is the open.
     // Synthetic path keeps ckpt-heuristic behaviour reachable via FileId.
-    if (epochs_ != nullptr) {
+    if (plane_.epochs() != nullptr) {
       it->second.epoch =
-          epochs_->on_open("sim/file" + std::to_string(file), now_ns());
+          plane_.epochs()->on_open("sim/file" + std::to_string(file), now_ns());
     }
   }
   return it->second;
@@ -562,7 +483,7 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
     }
     const std::uint64_t device =
         t_done > submit_ns ? t_done - submit_ns : 0;
-    if (slow_.over_threshold(lag, device)) {
+    if (plane_.slow().over_threshold(lag, device)) {
       // Same exemplar shape as the real IO pool, on virtual time; two
       // replays of one workload capture byte-identical chains.
       obs::SlowExemplar ex;
@@ -585,9 +506,9 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
       ex.total_lag_ns = lag;
       ex.queue_depth = queue_.size();
       ex.free_chunks = free_chunks_;
-      ex.knob_generation = knobs_.generation();
+      ex.knob_generation = plane_.knobs().generation();
       ex.engine = io_engine_name(config_.io_engine);
-      slow_.capture(std::move(ex));
+      plane_.slow().capture(std::move(ex));
     }
   }
 
@@ -630,8 +551,8 @@ Task CrfsSimNode::close_file(FileId file) {
   st.read_streak = 0;
   st.read_next = 0;
   co_await backend_.close_file(node_, file, /*via_crfs=*/true);
-  if (epochs_ != nullptr) {
-    epochs_->on_close("sim/file" + std::to_string(file), now_ns());
+  if (plane_.epochs() != nullptr) {
+    plane_.epochs()->on_close("sim/file" + std::to_string(file), now_ns());
   }
 }
 
@@ -640,89 +561,27 @@ void CrfsSimNode::stop() {
   job_ready_.pulse();
   // All closes have drained by the time an experiment stops its node, so
   // the final record carries complete durable counts.
-  if (epochs_ != nullptr) epochs_->finalize_open(now_ns());
-  if (journal_ != nullptr) {
-    // Catch the epoch just finalized, then seal the tail. stop() flushes
-    // with the wall clock, which only times the final fsync — every frame
-    // already carries its virtual timestamp, so the bytes stay replayable.
-    const std::uint64_t t = now_ns();
-    if (epochs_ != nullptr) {
-      const std::uint64_t total = epochs_->total_finalized();
-      if (total > journaled_epochs_) {
-        const auto recs = epochs_->records();
-        std::uint64_t owed = total - journaled_epochs_;
-        if (owed > recs.size()) owed = recs.size();
-        for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-             i < recs.size(); ++i) {
-          journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-        }
-        journaled_epochs_ = total;
-      }
-    }
-    journal_->flush(t, /*force_fsync=*/true);
-  }
+  plane_.finish(now_ns());
 }
 
 void CrfsSimNode::epoch_begin(const std::string& label) {
-  if (epochs_ != nullptr) epochs_->begin(label, now_ns());
+  if (plane_.epochs() != nullptr) plane_.epochs()->begin(label, now_ns());
 }
 
 void CrfsSimNode::epoch_end() {
-  if (epochs_ != nullptr) epochs_->end(now_ns());
+  if (plane_.epochs() != nullptr) plane_.epochs()->end(now_ns());
 }
 
 std::vector<obs::EpochRecord> CrfsSimNode::epochs() const {
-  if (epochs_ == nullptr) return {};
-  return epochs_->records();
+  if (plane_.epochs() == nullptr) return {};
+  return plane_.epochs()->records();
 }
 
 Task CrfsSimNode::sample_loop(obs::Sampler& sampler, double interval_s) {
   while (!stopping_) {
     co_await sim_.delay(interval_s);
-    observe_sample(sampler.tick(static_cast<std::uint64_t>(sim_.now() * 1e9)));
+    plane_.on_sample(sampler.tick(now_ns()));
   }
-}
-
-void CrfsSimNode::observe_sample(const obs::Sample& s) {
-  if (slo_extract_ != nullptr) {
-    const obs::SloInput in = slo_extract_->extract(s);
-    if (slo_ != nullptr) slo_->observe(in);
-    if (journal_ != nullptr) {
-      journal_->append(obs::FrameType::kSample, s.ts_ns,
-                       obs::journal_sample_json(s, in));
-    }
-  }
-  if (journal_ == nullptr) return;
-  // Cold sinks, exactly like Crfs::journal_poll_cold_sinks: journal
-  // whatever finalized since the last tick, indexing from the tail.
-  if (epochs_ != nullptr) {
-    const std::uint64_t total = epochs_->total_finalized();
-    if (total > journaled_epochs_) {
-      const auto recs = epochs_->records();
-      std::uint64_t owed = total - journaled_epochs_;
-      if (owed > recs.size()) owed = recs.size();
-      for (std::size_t i = recs.size() - static_cast<std::size_t>(owed);
-           i < recs.size(); ++i) {
-        journal_->append(obs::FrameType::kEpoch, recs[i].end_ns, recs[i].to_json());
-      }
-      journaled_epochs_ = total;
-    }
-  }
-  const std::uint64_t captured = slow_.captured();
-  if (captured > journaled_slow_) {
-    const auto exemplars = slow_.snapshot();
-    std::uint64_t owed = captured - journaled_slow_;
-    if (owed > exemplars.size()) owed = exemplars.size();
-    for (std::size_t i = exemplars.size() - static_cast<std::size_t>(owed);
-         i < exemplars.size(); ++i) {
-      journal_->append(obs::FrameType::kSlow, exemplars[i].durable_ns,
-                       exemplars[i].to_json());
-    }
-    journaled_slow_ = captured;
-  }
-  // Flush on virtual time: frame bytes (and rotation points) depend only
-  // on the workload, never on wall-clock scheduling.
-  journal_->tick(s.ts_ns);
 }
 
 }  // namespace crfs::sim

@@ -17,14 +17,7 @@
 #include <unordered_map>
 
 #include "crfs/config.h"
-#include "crfs/knobs.h"
-#include "obs/epoch.h"
-#include "obs/health.h"
-#include "obs/journal.h"
-#include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/slo.h"
-#include "obs/slow_store.h"
+#include "obs/plane.h"
 #include "sim/backend_sim.h"
 
 namespace crfs::sim {
@@ -66,8 +59,8 @@ class CrfsSimNode {
   /// (crfs.pool.free_chunks, crfs.queue.depth, crfs.io.pwrite_ns/_bytes
   /// — see docs/OBSERVABILITY.md) with virtual-time nanoseconds, so an
   /// obs::Sampler and HealthMonitor run unchanged over a simulated node.
-  obs::Registry& metrics() { return metrics_; }
-  const obs::Registry& metrics() const { return metrics_; }
+  obs::Registry& metrics() { return plane_.metrics(); }
+  const obs::Registry& metrics() const { return plane_.metrics(); }
 
   /// Drives `sampler` every `interval_s` of virtual time until stop() —
   /// the deterministic twin of the real mount's sampler thread. Spawn it
@@ -96,25 +89,23 @@ class CrfsSimNode {
   /// Slow-chunk exemplars on virtual nanoseconds. Trace ids come from the
   /// node's own deterministic counter, so two runs of the same workload
   /// produce byte-identical slow_json().
-  obs::SlowStore& slow_store() { return slow_; }
-  const obs::SlowStore& slow_store() const { return slow_; }
-  std::string slow_json() const { return slow_.to_json(); }
+  obs::SlowStore& slow_store() { return plane_.slow(); }
+  const obs::SlowStore& slow_store() const { return plane_.slow(); }
+  std::string slow_json() const { return plane_.slow().to_json(); }
 
   // -- Durable journal + SLO mirror (virtual-time twins) --------------------
   /// Telemetry journal on virtual nanoseconds (nullptr unless
   /// Config::journal_dir is set). No flusher thread: sample_loop drives
   /// appends and flushes, and every frame carries a virtual timestamp, so
   /// two replays of the same workload produce byte-identical segments.
-  obs::Journal* journal() { return journal_.get(); }
+  obs::Journal* journal() { return plane_.journal(); }
   /// SLO burn-rate monitor on virtual time (nullptr unless slo targets
   /// are configured). Deterministic: two runs of the same workload
   /// produce byte-identical slo_json().
-  obs::SloMonitor* slo_monitor() { return slo_.get(); }
-  std::string slo_json() const {
-    return slo_ != nullptr ? slo_->to_json() : "{\"enabled\":false}";
-  }
+  obs::SloMonitor* slo_monitor() { return plane_.slo(); }
+  std::string slo_json() const { return plane_.slo_json(); }
   /// Structured events on virtual time (SLO breach/recovery land here).
-  obs::EventBuffer& events() { return events_; }
+  obs::EventBuffer& events() { return plane_.events(); }
 
   /// Current virtual time as integer nanoseconds (the clock the epoch
   /// ledger and the mirrored histograms run on).
@@ -124,12 +115,12 @@ class CrfsSimNode {
   /// Same knob names and bounds semantics as Crfs::define_knobs, applied
   /// straight to the sim state the io_worker re-reads every iteration:
   /// pool_chunks mutates the free-chunk count (and pulses waiters on
-  /// grow), io_batch/uring_depth mutate the config the worker consults,
-  /// epoch_gap_ms re-arms the tracker; uring_depth is vetoed on the sync
-  /// engine, exactly like the real mount. An obs::Controller wired to
-  /// this plane and driven from sample_loop's ticks replays policy
-  /// decisions deterministically on virtual time.
-  crfs::KnobPlane& knob_plane() { return knobs_; }
+  /// grow), io_batch/uring_depth mutate the config the worker consults;
+  /// uring_depth is vetoed on the sync engine, exactly like the real
+  /// mount. slow_capture_ms and epoch_gap_ms come from the shared plane.
+  /// An obs::Controller wired to this plane and driven from sample_loop's
+  /// ticks replays policy decisions deterministically on virtual time.
+  crfs::KnobPlane& knob_plane() { return plane_.knobs(); }
 
  private:
   /// One prefetched chunk-sized read in the window (mirror of
@@ -175,12 +166,9 @@ class CrfsSimNode {
   };
 
   Task io_worker(unsigned worker);
-  /// Registers the runtime knob set against the sim state (ctor tail).
+  /// Registers the pipeline's runtime knobs against the sim state (ctor
+  /// tail; the plane defines its own).
   void define_knobs();
-  /// Tick tail of sample_loop: SLO observation, journal sample frame,
-  /// cold-sink (epoch/slow) journaling, journal flush — the deterministic
-  /// twin of the real mount's composite tick observer.
-  void observe_sample(const obs::Sample& s);
   /// One coalesced run's backend write plus all per-chunk completion
   /// bookkeeping (pwrite histograms, epoch attribution, pool release).
   /// The sync engine awaits it inline (worker blocked for the duration,
@@ -226,8 +214,9 @@ class CrfsSimNode {
   std::uint64_t pool_waits_ = 0;
   std::unordered_map<FileId, FileState> files_;
 
-  // Virtual-time telemetry (same names as the real mount's registry).
-  obs::Registry metrics_;
+  // Virtual-time telemetry: the same plane as the real mount, on the
+  // simulation clock (same metric names, journal and SLO schema).
+  obs::Plane plane_;
   obs::LatencyHistogram* h_pwrite_ = nullptr;
   obs::Counter* c_pwrite_bytes_ = nullptr;
   obs::LatencyHistogram* h_lag_ = nullptr;
@@ -242,25 +231,9 @@ class CrfsSimNode {
   obs::Counter* c_prefetch_wasted_ = nullptr;
   obs::Counter* c_sync_preads_ = nullptr;
 
-  /// Epoch ledger on virtual time (nullptr when Config::epoch_tracking is
-  /// off). Same EpochTracker as the real mount; only the clock differs.
-  std::unique_ptr<obs::EpochTracker> epochs_;
-
-  /// Slow-exemplar store on virtual time (same SlowStore as the mount).
-  obs::SlowStore slow_;
-  /// Event buffer + journal/SLO mirror (see journal()/slo_monitor()).
-  obs::EventBuffer events_;
-  std::unique_ptr<obs::Journal> journal_;
-  std::unique_ptr<obs::SloMonitor> slo_;
-  std::unique_ptr<obs::SloExtractor> slo_extract_;
-  std::uint64_t journaled_epochs_ = 0;
-  std::uint64_t journaled_slow_ = 0;
   /// Deterministic causal-id counter (mirror of Crfs::next_trace_id_; a
   /// plain integer — the sim is single-threaded).
   std::uint64_t next_trace_id_ = 1;
-
-  /// Runtime knob plane (see knob_plane()).
-  crfs::KnobPlane knobs_;
 };
 
 }  // namespace crfs::sim

@@ -5,11 +5,14 @@
 // Sampler thread and manual virtual-time ticks), and the DES policy
 // scenario: against a concurrency-sensitive backend the shed_io rule
 // observably lowers submission aggregation and backend residency, and
-// identical replays produce byte-identical decision logs.
+// identical replays produce byte-identical decision logs. The knob sets
+// of the mount and the DES node are pinned, and a control byte in an
+// audited knob name stays escaped in every JSON document.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
+#include <cstdio>
 #include <cstring>
 #include <string>
 #include <thread>
@@ -19,10 +22,10 @@
 #include "common/units.h"
 #include "crfs/crfs.h"
 #include "crfs/fuse_shim.h"
-#include "crfs/knobs.h"
 #include "obs/controller.h"
 #include "obs/health.h"
 #include "obs/json_lite.h"
+#include "obs/knobs.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
 #include "obs/sampler.h"
@@ -285,6 +288,88 @@ TEST(TuneControlFile, TokensApplyAndMalformedOnesNameTheToken) {
   ASSERT_TRUE(rd.ok());
   EXPECT_EQ(rd.value(), 0u);
   ASSERT_TRUE(shim.close(h.value()).ok());
+}
+
+// A vetoed .crfs_tune token is still audited under its raw knob name; a
+// control byte in it must come out escaped, or stats_json and the
+// postmortem stop being JSON.
+TEST(TuneControlFile, ControlBytesInVetoedKnobNamesStayEscaped) {
+  Config cfg = small_config();
+  cfg.postmortem_path = ::testing::TempDir() + "crfs_ctlbyte_postmortem.json";
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
+  ASSERT_TRUE(fs.ok());
+  FuseShim shim(*fs.value(), FuseOptions{});
+  auto h = shim.open(".crfs_tune", {.write = true});
+  ASSERT_TRUE(h.ok());
+  const std::string text = "\x01x=1";
+  std::vector<std::byte> payload(text.size());
+  std::memcpy(payload.data(), text.data(), text.size());
+  EXPECT_FALSE(shim.write(h.value(), payload, 0).ok());  // vetoed: unknown knob
+  ASSERT_TRUE(shim.close(h.value()).ok());
+  ASSERT_EQ(fs.value()->decision_log().snapshot().size(), 1u);
+
+  for (const std::string& doc : {fs.value()->stats_json(), fs.value()->render_postmortem()}) {
+    for (const char c : doc) {
+      ASSERT_GE(static_cast<unsigned char>(c), 0x20u) << "raw control byte in " << doc;
+    }
+    EXPECT_NE(doc.find("\\u0001x"), std::string::npos);
+    EXPECT_TRUE(obs::json::parse(doc).has_value());
+  }
+  std::remove(cfg.postmortem_path.c_str());
+}
+
+// ------------------------------------------------------- knob-set pins
+
+// The knob sets are part of the control-plane contract (crfsctl tune, the
+// controller's rules, .crfs_tune): a refactor that adds, drops or rebounds
+// one must fail here first.
+void expect_knob_set(const KnobPlane& plane, const std::vector<KnobDef>& want) {
+  const std::vector<KnobDef> got = plane.defs();
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].name, want[i].name);
+    EXPECT_DOUBLE_EQ(got[i].min_value, want[i].min_value) << want[i].name;
+    EXPECT_DOUBLE_EQ(got[i].max_value, want[i].max_value) << want[i].name;
+    EXPECT_EQ(got[i].unit, want[i].unit) << want[i].name;
+  }
+}
+
+TEST(KnobPin, RealMountDefinesExactlyTwelveKnobs) {
+  const Config cfg;
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
+  ASSERT_TRUE(fs.ok());
+  const double pool_max = static_cast<double>(cfg.pool_size * 4 / cfg.chunk_size);
+  const double batch_max = static_cast<double>(cfg.tune_io_batch_max);
+  expect_knob_set(fs.value()->knob_plane(),
+                  {{"drain_mbps", 0.0, 1e6, "MB/s"},
+                   {"drain_parallel", 1.0, 64.0, "threads"},
+                   {"epoch_gap_ms", 1.0, 600000.0, "ms"},
+                   {"io_batch", 1.0, batch_max, "chunks"},
+                   {"journal_fsync_ms", 0.0, 600000.0, "ms"},
+                   {"pool_chunks", 1.0, pool_max, "chunks"},
+                   {"readahead", 0.0, 1.0, "bool"},
+                   {"readahead_window", 1.0, 1024.0, "chunks"},
+                   {"sample_ms", 1.0, 10000.0, "ms"},
+                   {"slow_capture_ms", 0.0, 100000.0, "ms"},
+                   {"slow_pwrite_ms", 0.0, 100000.0, "ms"},
+                   {"uring_depth", 1.0, 4096.0, "sqes"}});
+}
+
+TEST(KnobPin, SimNodeDefinesExactlySevenKnobs) {
+  sim::Simulation sim;
+  sim::Calibration cal;
+  sim::ThrottledBackendSim backend(sim);
+  const Config cfg;
+  sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
+  const double pool_max = static_cast<double>(cfg.pool_size * 4 / cfg.chunk_size);
+  const double batch_max = static_cast<double>(cfg.tune_io_batch_max);
+  expect_knob_set(node.knob_plane(), {{"epoch_gap_ms", 1.0, 600000.0, "ms"},
+                                      {"io_batch", 1.0, batch_max, "chunks"},
+                                      {"pool_chunks", 1.0, pool_max, "chunks"},
+                                      {"readahead", 0.0, 1.0, "bool"},
+                                      {"readahead_window", 1.0, 1024.0, "chunks"},
+                                      {"slow_capture_ms", 0.0, 100000.0, "ms"},
+                                      {"uring_depth", 1.0, 4096.0, "sqes"}});
 }
 
 // --------------------------------- cooldown: fire, cool down, re-fire

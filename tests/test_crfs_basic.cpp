@@ -73,10 +73,10 @@ TEST_F(CrfsBasic, SmallWritesCoalesceIntoOneBackendWrite) {
   ASSERT_TRUE(fs_->close(h.value()).ok());
   EXPECT_EQ(mem_->total_pwrites(), 1u);
   EXPECT_EQ(backend_content("agg.bin"), expect);
-  const MountStats::Snapshot stats = fs_->stats().snapshot();
-  EXPECT_EQ(stats.app_writes, 64u);
-  EXPECT_EQ(stats.partial_flushes, 1u);
-  EXPECT_EQ(stats.full_flushes, 0u);
+  obs::Registry& m = fs_->metrics();
+  EXPECT_EQ(m.counter("crfs.mount.app_writes").value(), 64u);
+  EXPECT_EQ(m.counter("crfs.mount.partial_flushes").value(), 1u);
+  EXPECT_EQ(m.counter("crfs.mount.full_flushes").value(), 0u);
 }
 
 TEST_F(CrfsBasic, FullChunksFlushEagerly) {
@@ -89,9 +89,9 @@ TEST_F(CrfsBasic, FullChunksFlushEagerly) {
   std::vector<std::byte> data(4096 * 3, std::byte{0x5A});  // exactly 3 chunks
   ASSERT_TRUE(fs_->write(h.value(), data, 0).ok());
   ASSERT_TRUE(fs_->close(h.value()).ok());
-  const MountStats::Snapshot stats = fs_->stats().snapshot();
-  EXPECT_EQ(stats.full_flushes, 3u);
-  EXPECT_EQ(stats.partial_flushes, 0u);
+  obs::Registry& m = fs_->metrics();
+  EXPECT_EQ(m.counter("crfs.mount.full_flushes").value(), 3u);
+  EXPECT_EQ(m.counter("crfs.mount.partial_flushes").value(), 0u);
   EXPECT_EQ(mem_->total_pwritten_bytes(), data.size());
 }
 
@@ -124,7 +124,7 @@ TEST_F(CrfsBasic, NonContiguousWriteFlushesAndRestarts) {
   EXPECT_EQ(content.substr(0, 4), "head");
   EXPECT_EQ(content.substr(1000), "tail");
   EXPECT_EQ(content[500], '\0');
-  EXPECT_GE(fs_->stats().snapshot().partial_flushes, 2u);
+  EXPECT_GE(fs_->metrics().counter("crfs.mount.partial_flushes").value(), 2u);
 }
 
 TEST_F(CrfsBasic, BackwardOverwriteIsHonoured) {
@@ -179,7 +179,7 @@ TEST_F(CrfsBasic, ReadPassesThroughToBackend) {
   EXPECT_EQ(n.value(), 5u);
   EXPECT_EQ(std::memcmp(buf.data(), "image", 5), 0);
   ASSERT_TRUE(fs_->close(h.value()).ok());
-  EXPECT_EQ(fs_->stats().snapshot().reads, 1u);
+  EXPECT_EQ(fs_->metrics().counter("crfs.read.ops").value(), 1u);
 }
 
 TEST_F(CrfsBasic, FlushBeforeReadSeesBufferedData) {
@@ -214,7 +214,7 @@ TEST_F(CrfsBasic, SharedOpenRefcounts) {
   auto h2 = fs_->open("shared.bin", {.create = false, .truncate = false, .write = true});
   ASSERT_TRUE(h2.ok());
   EXPECT_EQ(fs_->open_files(), 1u);  // one table entry
-  EXPECT_EQ(fs_->stats().snapshot().reopens, 1u);
+  EXPECT_EQ(fs_->metrics().counter("crfs.mount.reopens").value(), 1u);
 
   ASSERT_TRUE(fs_->write(h1.value(), as_bytes("one"), 0).ok());
   ASSERT_TRUE(fs_->close(h1.value()).ok());

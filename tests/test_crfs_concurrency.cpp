@@ -313,7 +313,7 @@ TEST(CrfsConcurrency, MoreOpenFilesThanChunksDoesNotDeadlock) {
     ASSERT_TRUE(fs.value()->close(handles[f]).ok());
     EXPECT_EQ(mem->contents("park" + std::to_string(f)).value().size(), offsets[f]);
   }
-  EXPECT_GT(fs.value()->stats().snapshot().chunk_steals, 0u)
+  EXPECT_GT(fs.value()->metrics().counter("crfs.mount.chunk_steals").value(), 0u)
       << "the rescue path must have engaged";
 }
 

@@ -37,7 +37,7 @@ TEST_F(FuseShimTest, BigWritesSplitAt128K) {
   // 512K / 128K = 4 write requests.
   EXPECT_EQ(shim.requests_routed() - before, 4u);
   ASSERT_TRUE(shim.close(h.value()).ok());
-  EXPECT_EQ(fs_->stats().snapshot().app_writes, 4u);
+  EXPECT_EQ(fs_->metrics().counter("crfs.mount.app_writes").value(), 4u);
 }
 
 TEST_F(FuseShimTest, SmallWritesSplitAt4K) {

@@ -2,11 +2,17 @@
 // plumbing, sync fallback, uring/sync byte-identity over a real
 // PosixBackend, engine error propagation through the sticky FileEntry
 // error, the large-write copy bypass, and the in-flight-depth evidence
-// that the async engine actually decouples submission from completion.
+// that the async engine actually decouples submission from completion,
+// and last-writer-wins when an overwrite races the chunk it overwrites
+// across IO threads.
 #include <gtest/gtest.h>
 
+#include <condition_variable>
 #include <cstdlib>
 #include <filesystem>
+#include <map>
+#include <mutex>
+#include <set>
 #include <string>
 #include <thread>
 #include <vector>
@@ -251,6 +257,90 @@ TEST(IoEngineIdentity, ConcurrentStreamsUringByteExact) {
   }
 }
 
+// ------------------------------------------------ last writer wins
+
+// Holds a file's first chunk write (pwrite or pwritev) until another
+// write to that file has finished, or 200 ms pass: the schedule in which a
+// second IO thread lands a newer chunk before an older one.
+class HoldFirstWriteBackend final : public BackendFs {
+ public:
+  explicit HoldFirstWriteBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    return held(f, [&] { return inner_->pwrite(f, d, off); });
+  }
+  Status pwritev(BackendFile f, std::span<const BackendIoVec> iov, std::uint64_t off) override {
+    return held(f, [&] { return inner_->pwritev(f, iov, off); });
+  }
+  Result<BackendFile> open_file(const std::string& p, OpenFlags fl) override {
+    return inner_->open_file(p, fl);
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_->pread(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_->unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  std::string name() const override { return "hold_first(" + inner_->name() + ")"; }
+
+ private:
+  template <typename Write>
+  Status held(BackendFile f, Write write) {
+    std::unique_lock lock(mu_);
+    if (started_.insert(f).second) {
+      cv_.wait_for(lock, std::chrono::milliseconds(200), [&] { return finished_[f] > 0; });
+    }
+    lock.unlock();
+    const Status st = write();
+    lock.lock();
+    finished_[f] += 1;
+    cv_.notify_all();
+    return st;
+  }
+
+  std::shared_ptr<BackendFs> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  std::set<BackendFile> started_;
+  std::map<BackendFile, int> finished_;
+};
+
+// An overwrite queued while the chunk it overwrites is still in flight on
+// one IO thread must not be written first by the other IO thread.
+TEST(LastWriterWins, OverwriteNeverLandsBeforeTheChunkItOverwrites) {
+  auto mem = std::make_shared<MemBackend>();
+  Config cfg;
+  cfg.chunk_size = 4 * KiB;
+  cfg.pool_size = 8 * 4 * KiB;
+  cfg.io_threads = 2;
+  cfg.io_batch = 1;  // one chunk per dequeue: each IO thread takes one
+  cfg.large_write_bypass = false;
+  auto fs = Crfs::mount(std::make_shared<HoldFirstWriteBackend>(mem), cfg);
+  ASSERT_TRUE(fs.ok());
+  auto h = fs.value()->open("f.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h.ok());
+  const std::string older(4 * KiB, 'a');
+  const std::string newer(4 * KiB, 'b');
+  ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(older), 0).ok());  // full: queued, held
+  ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(newer), 0).ok());  // overwrite
+  ASSERT_TRUE(fs.value()->close(h.value()).ok());
+  auto content = mem->contents("f.bin");
+  ASSERT_TRUE(content.ok());
+  EXPECT_EQ(std::string(reinterpret_cast<const char*>(content.value().data()),
+                        content.value().size()),
+            newer);
+}
+
 // ------------------------------------------------- engine error paths
 
 // FaultyBackend hides its fd (raw_fd == -1), so a uring-requested mount
@@ -359,7 +449,7 @@ TEST(LargeWriteBypass, ChunkSizedWriteSkipsThePool) {
   auto contents = mem->contents("big.bin");
   ASSERT_TRUE(contents.ok());
   EXPECT_EQ(contents.value().size(), payload.size());
-  EXPECT_EQ(fs.value()->stats().snapshot().bypass_writes, 1u);
+  EXPECT_EQ(fs.value()->metrics().counter("crfs.mount.bypass_writes").value(), 1u);
   EXPECT_EQ(fs.value()->buffer_pool().in_use_chunks(), 0u);
 
   const auto snap = fs.value()->metrics().snapshot();
@@ -400,7 +490,7 @@ TEST(LargeWriteBypass, MixedSmallAndLargeWritesStayOrdered) {
   EXPECT_TRUE(got == expect);
   // With a partial chunk parked, large writes take the aggregation path
   // (current != nullptr) — but at least some fell on a clean append point.
-  EXPECT_GT(fs.value()->stats().snapshot().bypass_writes, 0u);
+  EXPECT_GT(fs.value()->metrics().counter("crfs.mount.bypass_writes").value(), 0u);
 }
 
 TEST(LargeWriteBypass, OverwriteBelowHighWaterMarkAggregates) {
@@ -415,14 +505,14 @@ TEST(LargeWriteBypass, OverwriteBelowHighWaterMarkAggregates) {
   ASSERT_TRUE(h.ok());
   const std::string first(32 * KiB, '1');
   ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(first), 0).ok());
-  EXPECT_EQ(fs.value()->stats().snapshot().bypass_writes, 1u);
+  EXPECT_EQ(fs.value()->metrics().counter("crfs.mount.bypass_writes").value(), 1u);
 
   // Rewriting inside the already-written range must NOT bypass: ordering
   // against queued chunks for those bytes is only guaranteed on the
   // aggregation path.
   const std::string second(16 * KiB, '2');
   ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(second), 8 * KiB).ok());
-  EXPECT_EQ(fs.value()->stats().snapshot().bypass_writes, 1u);  // unchanged
+  EXPECT_EQ(fs.value()->metrics().counter("crfs.mount.bypass_writes").value(), 1u);  // unchanged
   ASSERT_TRUE(fs.value()->close(h.value()).ok());
 
   auto contents = mem->contents("ow.bin");
@@ -448,7 +538,7 @@ TEST(LargeWriteBypass, NoBypassOptionDisablesIt) {
   ASSERT_TRUE(h.ok());
   std::string payload(64 * KiB, 'N');
   ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(payload), 0).ok());
-  EXPECT_EQ(fs.value()->stats().snapshot().bypass_writes, 0u);
+  EXPECT_EQ(fs.value()->metrics().counter("crfs.mount.bypass_writes").value(), 0u);
   ASSERT_TRUE(fs.value()->close(h.value()).ok());
   auto contents = mem->contents("nb.bin");
   ASSERT_TRUE(contents.ok());

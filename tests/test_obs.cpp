@@ -3,13 +3,18 @@
 // wraparound, Chrome-trace JSON well-formedness (parsed back with
 // json_lite), and the pipeline integration contract — per-stage
 // histograms fill during a multi-file checkpoint, span events appear only
-// when Config::enable_tracing is set.
+// when Config::enable_tracing is set — plus the telemetry plane shared by
+// the mount and the DES (journal listener composition, cold-sink
+// journaling, its own knobs) and the registry as the only counter store.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
+#include <map>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -23,8 +28,10 @@
 #include "obs/chrome_trace.h"
 #include "obs/epoch.h"
 #include "obs/health.h"
+#include "obs/journal.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
+#include "obs/plane.h"
 #include "obs/prom.h"
 #include "obs/sampler.h"
 #include "obs/slow_store.h"
@@ -200,18 +207,6 @@ TEST(Registry, JsonRendersAndParses) {
   ASSERT_NE(pwrite, nullptr);
   EXPECT_DOUBLE_EQ(pwrite->get("count")->number, 1.0);
   EXPECT_DOUBLE_EQ(pwrite->get("max")->number, 1500.0);
-}
-
-TEST(MountStatsSnapshot, CopiesAllCounters) {
-  MountStats stats;
-  stats.app_writes.store(3);
-  stats.app_bytes.store(1024);
-  stats.chunk_steals.store(1);
-  const MountStats::Snapshot s = stats.snapshot();
-  EXPECT_EQ(s.app_writes, 3u);
-  EXPECT_EQ(s.app_bytes, 1024u);
-  EXPECT_EQ(s.chunk_steals, 1u);
-  EXPECT_EQ(s.full_flushes, 0u);
 }
 
 // ------------------------------------------------------------- TraceRing
@@ -437,7 +432,7 @@ TEST(PipelineObs, TracingOffLeavesSpansEmptyButCountersOn) {
   EXPECT_EQ(fs->trace().total_recorded(), 0u);
 
   // Counters and histograms: still fully populated.
-  EXPECT_EQ(fs->stats().snapshot().app_bytes, 3u * 2 * MiB);
+  EXPECT_EQ(fs->metrics().counter("crfs.mount.app_bytes").value(), 3u * 2 * MiB);
   const auto snap = fs->metrics().snapshot();
   for (const auto& [name, h] : snap.histograms) {
     if (name == "crfs.queue.wait_ns" || name == "crfs.io.pwrite_ns" ||
@@ -1332,6 +1327,187 @@ TEST(SimEpochStages, CriticalPathDecompositionTracksWallTime) {
   EXPECT_NEAR(stage_sum, wall_ns, wall_ns * 0.05);
   EXPECT_GT(rec.device_ns, 900'000'000u);  // the 1 s backend write dominates
   EXPECT_GT(rec.barrier_ns, 0u);           // close blocked on the §IV-C drain
+}
+
+// ------------------------------------------------ mount counters = registry
+
+// The registry is the only counter store: after a workload that reopens,
+// partial-flushes, bypasses and reads, every numeric stats_json "mount"
+// key equals the registry counter it is rendered from.
+TEST(MountCounters, StatsJsonMountKeysEqualRegistryCounters) {
+  Config cfg;
+  cfg.chunk_size = 16 * KiB;
+  cfg.pool_size = 4 * 16 * KiB;
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
+  ASSERT_TRUE(fs.ok());
+  Crfs& crfs = *fs.value();
+
+  auto h1 = crfs.open("f.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h1.ok());
+  auto h2 = crfs.open("f.bin", {.create = false, .truncate = false, .write = true});
+  ASSERT_TRUE(h2.ok());  // reopen
+  const std::vector<std::byte> small(100, std::byte{1});
+  ASSERT_TRUE(crfs.write(h1.value(), small, 0).ok());
+  ASSERT_TRUE(crfs.write(h1.value(), small, 5000).ok());  // non-contiguous: partial flush
+  ASSERT_TRUE(crfs.close(h2.value()).ok());
+  ASSERT_TRUE(crfs.close(h1.value()).ok());
+  auto h3 = crfs.open("big.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h3.ok());
+  const std::vector<std::byte> big(cfg.chunk_size, std::byte{2});
+  ASSERT_TRUE(crfs.write(h3.value(), big, 0).ok());  // chunk-sized: bypass
+  std::vector<std::byte> buf(64);
+  ASSERT_TRUE(crfs.read(h3.value(), buf, 0).ok());
+  ASSERT_TRUE(crfs.close(h3.value()).ok());
+
+  const std::map<std::string, std::string> source = {
+      {"app_writes", "crfs.mount.app_writes"},
+      {"app_bytes", "crfs.mount.app_bytes"},
+      {"full_flushes", "crfs.mount.full_flushes"},
+      {"partial_flushes", "crfs.mount.partial_flushes"},
+      {"reopens", "crfs.mount.reopens"},
+      {"chunk_steals", "crfs.mount.chunk_steals"},
+      {"bypass_writes", "crfs.mount.bypass_writes"},
+      {"reads", "crfs.read.ops"},
+      {"read_bytes", "crfs.read.bytes"}};
+  auto parsed = obs::json::parse(crfs.stats_json());
+  ASSERT_TRUE(parsed.has_value());
+  const auto* mount = parsed->get("mount");
+  ASSERT_NE(mount, nullptr);
+  std::size_t numeric = 0;
+  for (const auto& [key, value] : *mount->object) {
+    if (!value.is_number()) continue;
+    ++numeric;
+    ASSERT_EQ(source.count(key), 1u) << "unmapped mount key " << key;
+    EXPECT_EQ(value.number,
+              static_cast<double>(crfs.metrics().counter(source.at(key)).value()))
+        << key;
+  }
+  EXPECT_EQ(numeric, source.size());
+  // The workload reached every path it claims to.
+  for (const char* key : {"reopens", "partial_flushes", "bypass_writes", "reads"}) {
+    EXPECT_GT(mount->get(key)->number, 0.0) << key;
+  }
+  EXPECT_EQ(mount->get("app_writes")->number, 3.0);
+  EXPECT_EQ(mount->get("read_bytes")->number, 64.0);
+}
+
+// --------------------------------------------------------- telemetry plane
+
+// Decodes a journal directory into per-type frame counts.
+std::map<obs::FrameType, int> frame_counts(const std::string& dir) {
+  std::map<obs::FrameType, int> out;
+  for (const auto& rec : obs::JournalReader::read_dir(dir).records) out[rec.type] += 1;
+  return out;
+}
+
+// On virtual time the plane journals every finished epoch and captured
+// exemplar exactly once (on the tick after it appears, or at finish), and
+// flushes only on sample timestamps.
+TEST(ObsPlane, VirtualTimeJournalsEachEpochAndExemplarOnce) {
+  const std::string dir = ::testing::TempDir() + "crfs_plane_vt_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  Config cfg;
+  cfg.journal_dir = dir;
+  cfg.slow_capture_ms = 1;
+  std::uint64_t now = 1'000'000;
+  obs::Plane plane(cfg, [&now] { return now; }, obs::Plane::TimeBase::kVirtual);
+  ASSERT_NE(plane.journal(), nullptr);
+  ASSERT_NE(plane.epochs(), nullptr);
+  EXPECT_EQ(plane.slo(), nullptr);
+  obs::Sampler sampler(plane.metrics());
+
+  const auto capture = [&plane](std::uint64_t durable_ns) {
+    obs::SlowExemplar ex;
+    ex.durable_ns = durable_ns;
+    ex.total_lag_ns = 5'000'000;
+    plane.slow().capture(std::move(ex));
+  };
+  plane.epochs()->begin("one", now);
+  now += 10'000'000;
+  plane.epochs()->end(now);
+  capture(now);
+  plane.on_sample(sampler.tick(now));
+  plane.on_sample(sampler.tick(now + 1'000'000));  // nothing new: no frames
+  auto counts = frame_counts(dir);
+  EXPECT_EQ(counts[obs::FrameType::kEpoch], 1);
+  EXPECT_EQ(counts[obs::FrameType::kSlow], 1);
+  EXPECT_EQ(counts[obs::FrameType::kSample], 2);
+
+  // finish(): the open epoch is finalized, then it and the trailing
+  // exemplar are journaled, and the journal is flushed.
+  plane.epochs()->begin("two", now);
+  capture(now + 2'000'000);
+  bool settled = false;
+  plane.finish(now + 3'000'000, [&] {
+    settled = true;
+    EXPECT_EQ(plane.epochs()->total_finalized(), 2u);  // finalized before settle
+  });
+  EXPECT_TRUE(settled);
+  counts = frame_counts(dir);
+  EXPECT_EQ(counts[obs::FrameType::kEpoch], 2);
+  EXPECT_EQ(counts[obs::FrameType::kSlow], 2);
+  const auto meta = obs::json::parse(obs::JournalReader::read_dir(dir).meta_json);
+  ASSERT_TRUE(meta.has_value());
+  EXPECT_DOUBLE_EQ(meta->get("crfs_journal")->number, 1.0);
+  std::filesystem::remove_all(dir);
+}
+
+// The event listener composes the journal append with the owner's hook;
+// events pushed from several threads reach both exactly once (TSan covers
+// the composition).
+TEST(ObsPlane, EventsReachJournalAndHookFromManyThreads) {
+  const std::string dir = ::testing::TempDir() + "crfs_plane_ev_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  Config cfg;
+  cfg.journal_dir = dir;
+  cfg.event_capacity = 16;
+  std::atomic<int> hooked{0};
+  {
+    obs::Plane plane(cfg, obs::now_ns, obs::Plane::TimeBase::kWall);
+    plane.set_event_hook([&hooked](const obs::Event&) { hooked.fetch_add(1); });
+    std::vector<std::thread> threads;
+    for (int t = 0; t < 4; ++t) {
+      threads.emplace_back([&plane, t] {
+        for (int i = 0; i < 25; ++i) {
+          obs::Event ev;
+          ev.rule = "t" + std::to_string(t);
+          ev.ts_ns = obs::now_ns();
+          plane.events().push(std::move(ev));
+        }
+      });
+    }
+    for (auto& th : threads) th.join();
+    plane.finish(obs::now_ns());
+  }
+  EXPECT_EQ(hooked.load(), 100);
+  EXPECT_EQ(frame_counts(dir)[obs::FrameType::kEvent], 100);
+  std::filesystem::remove_all(dir);
+}
+
+// The plane's own knobs tune the plane's sinks, identically on both sides.
+TEST(ObsPlane, OwnKnobsTuneSlowStoreAndEpochGap) {
+  Config cfg;
+  cfg.epoch_tracking = false;
+  obs::Plane plane(cfg, obs::now_ns, obs::Plane::TimeBase::kWall);
+  const auto defs = plane.knobs().defs();
+  ASSERT_EQ(defs.size(), 2u);
+  EXPECT_EQ(defs[0].name, "epoch_gap_ms");
+  EXPECT_EQ(defs[1].name, "slow_capture_ms");
+  EXPECT_TRUE(plane.knobs().tune("slow_capture_ms", 7).ok());
+  EXPECT_TRUE(plane.slow().over_threshold(7'000'000, 0));
+  EXPECT_FALSE(plane.slow().over_threshold(6'999'999, 0));
+  const TuneResult gap = plane.knobs().tune("epoch_gap_ms", 50);
+  EXPECT_EQ(gap.outcome, "vetoed");
+  EXPECT_NE(gap.reason.find("no_epochs"), std::string::npos);
+  // No epochs: the shared sections still carry the epoch keys.
+  std::string out = "{\"x\":0";
+  plane.append_sections(out);
+  out += "}";
+  auto parsed = obs::json::parse(out);
+  ASSERT_TRUE(parsed.has_value()) << out;
+  EXPECT_TRUE(parsed->get("epochs")->is_array());
+  EXPECT_DOUBLE_EQ(parsed->get("epochs_completed")->number, 0.0);
+  EXPECT_FALSE(parsed->get("journal")->get("enabled")->boolean);
 }
 
 }  // namespace

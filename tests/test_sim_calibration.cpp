@@ -19,6 +19,10 @@ struct Anchor {
   double tolerance;  ///< relative (0.3 = +/-30%)
 };
 
+// Without this, gtest prints the raw bytes of the struct (name pointer and
+// padding included), so the listed test names changed from run to run.
+void PrintTo(const Anchor& a, std::ostream* os) { *os << a.name; }
+
 class CalibrationAnchor : public ::testing::TestWithParam<Anchor> {};
 
 TEST_P(CalibrationAnchor, WithinBand) {

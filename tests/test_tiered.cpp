@@ -23,9 +23,9 @@
 #include "crfs/crfs.h"
 #include "crfs/file.h"
 #include "crfs/fuse_shim.h"
-#include "crfs/knobs.h"
 #include "crfs/mount_options.h"
 #include "obs/controller.h"
+#include "obs/knobs.h"
 #include "obs/sampler.h"
 #include "sim/tiered_sim.h"
 
