@@ -1,5 +1,5 @@
-// On-disk checkpoint image format shared by CheckpointWriter and
-// RestartReader.
+// On-disk checkpoint image format, encoded and decoded by image_codec.h
+// for CheckpointWriter, RestartReader and the delta images.
 //
 // Layout (all integers little-endian, written as the *separate small
 // writes* BLCR issues — that write pattern, not the format itself, is

@@ -1,8 +1,6 @@
 #include "blcr/checkpoint_writer.h"
 
-#include <array>
-#include <cstring>
-
+#include "blcr/image_codec.h"
 #include "common/checksum.h"
 #include "common/units.h"
 #include "common/wall_clock.h"
@@ -10,39 +8,29 @@
 namespace crfs::blcr {
 namespace {
 
-// Timed write helper: forwards to the sink and records (size, duration).
-class TimedSink {
+// Timed sink: forwards to the sink and records (size, duration).
+class TimedSink final : public ByteSink {
  public:
   TimedSink(ByteSink& sink, trace::WriteRecorder* recorder)
       : sink_(sink), recorder_(recorder), epoch_(monotonic_seconds()) {}
 
-  Status write(const void* data, std::size_t size) {
+  Status write(std::span<const std::byte> data) override {
     const double t0 = monotonic_seconds();
-    const Status st = sink_.write({static_cast<const std::byte*>(data), size});
+    const Status st = sink_.write(data);
     if (recorder_ != nullptr) {
       const double t1 = monotonic_seconds();
-      recorder_->record(size, t0 - epoch_, t1 - t0);
+      recorder_->record(data.size(), t0 - epoch_, t1 - t0);
     }
     return st;
   }
 
-  template <typename T>
-  Status write_pod(const T& value) {
-    return write(&value, sizeof(T));
-  }
+  bool skip(std::uint64_t bytes) override { return sink_.skip(bytes); }
 
  private:
   ByteSink& sink_;
   trace::WriteRecorder* recorder_;
   double epoch_;
 };
-
-bool is_all_zero(const std::byte* data, std::uint64_t size) {
-  for (std::uint64_t i = 0; i < size; ++i) {
-    if (data[i] != std::byte{0}) return false;
-  }
-  return true;
-}
 
 }  // namespace
 
@@ -109,85 +97,22 @@ Result<std::uint64_t> CheckpointWriter::write_image(const ProcessImage& image,
                                                     trace::WriteRecorder* recorder,
                                                     const WriterOptions& options) {
   TimedSink out(sink, recorder);
+  CRFS_RETURN_IF_ERROR(write_preamble(
+      out, kMagic, kFormatVersion,
+      {image.pid, static_cast<std::uint32_t>(image.vmas.size()), image.content_bytes()}));
 
-  // ---- file header: each field is its own tiny write (BLCR style) ----
-  CRFS_RETURN_IF_ERROR(out.write(kMagic, sizeof(kMagic)));
-  CRFS_RETURN_IF_ERROR(out.write_pod(kFormatVersion));
-  CRFS_RETURN_IF_ERROR(out.write_pod(image.pid));
-  CRFS_RETURN_IF_ERROR(out.write_pod(static_cast<std::uint32_t>(image.vmas.size())));
-  CRFS_RETURN_IF_ERROR(out.write_pod(image.content_bytes()));
-
-  // ---- context: registers + fpu/siginfo blobs, CRC-protected ----------
-  Rng ctx_rng(image.pid + 0xC0DEULL);
-  Crc64 ctx_crc;
-  for (unsigned i = 0; i < kContextRegisters; ++i) {
-    const std::uint64_t reg = ctx_rng.next_u64();
-    ctx_crc.update(&reg, sizeof(reg));
-    CRFS_RETURN_IF_ERROR(out.write_pod(reg));
-  }
-  std::array<std::byte, kContextBlobBytes> blob{};
-  for (auto& b : blob) b = static_cast<std::byte>(ctx_rng.next_u64());
-  ctx_crc.update(blob.data(), blob.size());
-  ctx_crc.update(blob.data(), blob.size());
-  CRFS_RETURN_IF_ERROR(out.write(blob.data(), blob.size()));
-  CRFS_RETURN_IF_ERROR(out.write(blob.data(), blob.size()));
-  CRFS_RETURN_IF_ERROR(out.write_pod(ctx_crc.digest()));
-
-  // ---- VMAs -----------------------------------------------------------
-  Crc64 total_crc;
+  // The whole-image CRC is combined from the per-VMA CRCs, so each
+  // payload byte is hashed once.
+  std::uint64_t image_crc = 0;
   std::vector<std::byte> payload;
   for (const auto& vma : image.vmas) {
     const std::uint64_t vma_crc = generate_vma_payload(vma, payload);
-    total_crc.update(payload.data(), payload.size());
-
-    CRFS_RETURN_IF_ERROR(out.write_pod(vma.start));
-    CRFS_RETURN_IF_ERROR(out.write_pod(vma.length));
-    const std::uint64_t prot_type =
-        (static_cast<std::uint64_t>(vma.prot) << 32) | static_cast<std::uint32_t>(vma.type);
-    CRFS_RETURN_IF_ERROR(out.write_pod(prot_type));
-    CRFS_RETURN_IF_ERROR(out.write_pod(vma.content_seed));
-    CRFS_RETURN_IF_ERROR(out.write_pod(vma_crc));
-
-    std::uint64_t off = 0;
-    for (const std::uint64_t piece : payload_pieces(vma)) {
-      if (!options.elide_zero_pages) {
-        CRFS_RETURN_IF_ERROR(out.write(payload.data() + off, piece));
-      } else {
-        // Scan the piece in 4 KB pages; write non-zero runs, skip zero
-        // runs. A trailing zero run is written densely if this is the
-        // image's final data (nothing after it would extend the file) —
-        // the trailer that follows every image makes that moot here.
-        std::uint64_t pos = off;
-        const std::uint64_t piece_end = off + piece;
-        while (pos < piece_end) {
-          // Find the end of the current run (zero or non-zero).
-          const std::uint64_t page = std::min<std::uint64_t>(4096, piece_end - pos);
-          const bool zero = is_all_zero(payload.data() + pos, page);
-          std::uint64_t run_end = pos + page;
-          while (run_end < piece_end) {
-            const std::uint64_t next = std::min<std::uint64_t>(4096, piece_end - run_end);
-            if (is_all_zero(payload.data() + run_end, next) != zero) break;
-            run_end += next;
-          }
-          if (zero && run_end - pos >= options.min_skip_run) {
-            if (!sink.skip(run_end - pos)) {
-              CRFS_RETURN_IF_ERROR(out.write(payload.data() + pos, run_end - pos));
-            }
-          } else {
-            CRFS_RETURN_IF_ERROR(out.write(payload.data() + pos, run_end - pos));
-          }
-          pos = run_end;
-        }
-      }
-      off += piece;
-    }
+    image_crc = crc64_combine(image_crc, vma_crc, vma.length);
+    CRFS_RETURN_IF_ERROR(write_vma_header(out, vma, vma_crc));
+    CRFS_RETURN_IF_ERROR(write_payload(out, payload, payload_pieces(vma), options));
   }
-
-  // ---- trailer ----------------------------------------------------------
-  const std::uint64_t digest = total_crc.digest();
-  CRFS_RETURN_IF_ERROR(out.write_pod(digest));
-  CRFS_RETURN_IF_ERROR(out.write(kEndMagic, sizeof(kEndMagic)));
-  return digest;
+  CRFS_RETURN_IF_ERROR(write_trailer(out, image_crc));
+  return image_crc;
 }
 
 std::vector<PlannedWrite> CheckpointWriter::plan(const ProcessImage& image) {

@@ -1,76 +1,15 @@
 #include "blcr/incremental.h"
 
 #include <algorithm>
-#include <array>
-#include <cstring>
 
+#include "blcr/image_codec.h"
 #include "common/checksum.h"
-#include "common/units.h"
 
 namespace crfs::blcr {
 namespace {
 
 constexpr std::uint32_t kChanged = 1;
 constexpr std::uint32_t kUnchanged = 0;
-
-// -- little write/read helpers (mirrors checkpoint_writer/reader) --------
-
-Status write_pod_to(ByteSink& sink, const void* data, std::size_t size) {
-  return sink.write({static_cast<const std::byte*>(data), size});
-}
-
-template <typename T>
-Status write_pod(ByteSink& sink, const T& v) {
-  return write_pod_to(sink, &v, sizeof(T));
-}
-
-Status read_exact(ByteSource& src, void* out, std::size_t size, const char* what) {
-  auto r = src.read({static_cast<std::byte*>(out), size});
-  if (!r.ok()) return r.error();
-  if (r.value() != size) return Error{EILSEQ, std::string("truncated delta at ") + what};
-  return {};
-}
-
-template <typename T>
-Status read_pod(ByteSource& src, T& out, const char* what) {
-  return read_exact(src, &out, sizeof(T), what);
-}
-
-// Context section identical to the full format (see checkpoint_writer).
-Status write_context(ByteSink& sink, std::uint32_t pid) {
-  Rng ctx_rng(pid + 0xC0DEULL);
-  Crc64 ctx_crc;
-  for (unsigned i = 0; i < kContextRegisters; ++i) {
-    const std::uint64_t reg = ctx_rng.next_u64();
-    ctx_crc.update(&reg, sizeof(reg));
-    CRFS_RETURN_IF_ERROR(write_pod(sink, reg));
-  }
-  std::array<std::byte, kContextBlobBytes> blob{};
-  for (auto& b : blob) b = static_cast<std::byte>(ctx_rng.next_u64());
-  ctx_crc.update(blob.data(), blob.size());
-  ctx_crc.update(blob.data(), blob.size());
-  CRFS_RETURN_IF_ERROR(write_pod_to(sink, blob.data(), blob.size()));
-  CRFS_RETURN_IF_ERROR(write_pod_to(sink, blob.data(), blob.size()));
-  return write_pod(sink, ctx_crc.digest());
-}
-
-Status read_context(ByteSource& src) {
-  Crc64 ctx_crc;
-  std::uint64_t reg = 0;
-  for (unsigned i = 0; i < kContextRegisters; ++i) {
-    CRFS_RETURN_IF_ERROR(read_pod(src, reg, "context register"));
-    ctx_crc.update(&reg, sizeof(reg));
-  }
-  std::array<std::byte, kContextBlobBytes> blob;
-  CRFS_RETURN_IF_ERROR(read_exact(src, blob.data(), blob.size(), "blob 0"));
-  ctx_crc.update(blob.data(), blob.size());
-  CRFS_RETURN_IF_ERROR(read_exact(src, blob.data(), blob.size(), "blob 1"));
-  ctx_crc.update(blob.data(), blob.size());
-  std::uint64_t stored = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(src, stored, "context crc"));
-  if (stored != ctx_crc.digest()) return Error{EILSEQ, "delta context CRC mismatch"};
-  return {};
-}
 
 }  // namespace
 
@@ -97,56 +36,23 @@ ImageDigest digest_of(const MaterializedImage& image) {
 }
 
 Result<MaterializedImage> read_image_payloads(ByteSource& source) {
-  // Parse the full format, retaining payloads. (RestartReader::read_image
-  // verifies and discards; this variant materialises.)
+  // RestartReader::read_image verifies and discards; this keeps payloads.
+  ImageDecoder decoder(source);
+  auto header = decoder.read_preamble(kMagic, kFormatVersion);
+  if (!header.ok()) return header.error();
+
   MaterializedImage out;
-
-  char magic[8];
-  CRFS_RETURN_IF_ERROR(read_exact(source, magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Error{EILSEQ, "not a full checkpoint image"};
+  out.pid = header.value().pid;
+  for (std::uint32_t i = 0; i < header.value().vma_count; ++i) {
+    std::vector<std::byte> payload;
+    auto vma = decoder.read_vma(payload);
+    if (!vma.ok()) return vma.error();
+    out.vmas.push_back(vma.value());
+    out.payloads.emplace(vma.value().start, std::move(payload));
   }
-  std::uint32_t version = 0, vma_count = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, version, "version"));
-  if (version != kFormatVersion) return Error{EILSEQ, "unsupported version"};
-  CRFS_RETURN_IF_ERROR(read_pod(source, out.pid, "pid"));
-  CRFS_RETURN_IF_ERROR(read_pod(source, vma_count, "vma count"));
-  std::uint64_t declared = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, declared, "image bytes"));
-  CRFS_RETURN_IF_ERROR(read_context(source));
-
-  Crc64 total;
-  for (std::uint32_t i = 0; i < vma_count; ++i) {
-    Vma vma;
-    std::uint64_t prot_type = 0, vma_crc = 0;
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.start, "vma start"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.length, "vma length"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, prot_type, "vma prot/type"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.content_seed, "vma seed"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma_crc, "vma crc"));
-    vma.prot = static_cast<std::uint32_t>(prot_type >> 32);
-    vma.type = static_cast<VmaType>(static_cast<std::uint32_t>(prot_type));
-    if (vma.length > 1024 * MiB) return Error{EILSEQ, "implausible VMA length"};
-
-    std::vector<std::byte> payload(vma.length);
-    CRFS_RETURN_IF_ERROR(read_exact(source, payload.data(), payload.size(), "payload"));
-    if (Crc64::of(payload.data(), payload.size()) != vma_crc) {
-      return Error{EILSEQ, "VMA CRC mismatch"};
-    }
-    total.update(payload.data(), payload.size());
-    out.vmas.push_back(vma);
-    out.payloads.emplace(vma.start, std::move(payload));
-  }
-
-  std::uint64_t trailer = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, trailer, "trailer crc"));
-  if (trailer != total.digest()) return Error{EILSEQ, "image CRC mismatch"};
-  out.payload_crc = trailer;
-  char end[4];
-  CRFS_RETURN_IF_ERROR(read_exact(source, end, sizeof(end), "end magic"));
-  if (std::memcmp(end, kEndMagic, sizeof(kEndMagic)) != 0) {
-    return Error{EILSEQ, "bad end magic"};
-  }
+  auto image_crc = decoder.read_trailer();
+  if (!image_crc.ok()) return image_crc.error();
+  out.payload_crc = image_crc.value();
   return out;
 }
 
@@ -155,19 +61,15 @@ Result<DeltaStats> write_delta_image(const ProcessImage& image, const ImageDiges
   std::map<std::uint64_t, VmaDigest> parent_by_start;
   for (const auto& d : parent) parent_by_start.emplace(d.start, d);
 
-  CRFS_RETURN_IF_ERROR(write_pod_to(sink, kDeltaMagic, sizeof(kDeltaMagic)));
-  CRFS_RETURN_IF_ERROR(write_pod(sink, kDeltaVersion));
-  CRFS_RETURN_IF_ERROR(write_pod(sink, image.pid));
-  CRFS_RETURN_IF_ERROR(write_pod(sink, static_cast<std::uint32_t>(image.vmas.size())));
-  CRFS_RETURN_IF_ERROR(write_pod(sink, image.content_bytes()));
-  CRFS_RETURN_IF_ERROR(write_context(sink, image.pid));
+  CRFS_RETURN_IF_ERROR(write_preamble(
+      sink, kDeltaMagic, kDeltaVersion,
+      {image.pid, static_cast<std::uint32_t>(image.vmas.size()), image.content_bytes()}));
 
   DeltaStats stats;
-  Crc64 total;
   std::vector<std::byte> payload;
   for (const auto& vma : image.vmas) {
     const std::uint64_t crc = generate_vma_payload(vma, payload);
-    total.update(payload.data(), payload.size());
+    stats.full_image_crc = crc64_combine(stats.full_image_crc, crc, vma.length);
 
     const auto it = parent_by_start.find(vma.start);
     const bool unchanged = it != parent_by_start.end() &&
@@ -184,71 +86,32 @@ Result<DeltaStats> write_delta_image(const ProcessImage& image, const ImageDiges
     }
 
     CRFS_RETURN_IF_ERROR(write_pod(sink, kChanged));
-    CRFS_RETURN_IF_ERROR(write_pod(sink, vma.start));
-    CRFS_RETURN_IF_ERROR(write_pod(sink, vma.length));
-    const std::uint64_t prot_type =
-        (static_cast<std::uint64_t>(vma.prot) << 32) | static_cast<std::uint32_t>(vma.type);
-    CRFS_RETURN_IF_ERROR(write_pod(sink, prot_type));
-    CRFS_RETURN_IF_ERROR(write_pod(sink, vma.content_seed));
-    CRFS_RETURN_IF_ERROR(write_pod(sink, crc));
-    // Payload, optionally with zero-page elision (same as the full writer).
-    if (!options.elide_zero_pages) {
-      CRFS_RETURN_IF_ERROR(write_pod_to(sink, payload.data(), payload.size()));
-    } else {
-      std::size_t pos = 0;
-      while (pos < payload.size()) {
-        std::size_t run_end = pos;
-        const bool zero = payload[pos] == std::byte{0};
-        while (run_end < payload.size() &&
-               (payload[run_end] == std::byte{0}) == zero) {
-          ++run_end;
-        }
-        if (zero && run_end - pos >= options.min_skip_run && sink.skip(run_end - pos)) {
-          // hole
-        } else {
-          CRFS_RETURN_IF_ERROR(write_pod_to(sink, payload.data() + pos, run_end - pos));
-        }
-        pos = run_end;
-      }
-    }
+    CRFS_RETURN_IF_ERROR(write_vma_header(sink, vma, crc));
+    const std::uint64_t whole[] = {vma.length};
+    CRFS_RETURN_IF_ERROR(write_payload(sink, payload, whole, options));
     stats.changed_vmas += 1;
     stats.payload_bytes_written += vma.length;
   }
 
-  stats.full_image_crc = total.digest();
-  CRFS_RETURN_IF_ERROR(write_pod(sink, stats.full_image_crc));
-  CRFS_RETURN_IF_ERROR(write_pod_to(sink, kEndMagic, sizeof(kEndMagic)));
+  CRFS_RETURN_IF_ERROR(write_trailer(sink, stats.full_image_crc));
   return stats;
 }
 
 Result<MaterializedImage> read_delta_image(ByteSource& delta,
                                            const MaterializedImage& parent) {
+  ImageDecoder decoder(delta);
+  auto header = decoder.read_preamble(kDeltaMagic, kDeltaVersion);
+  if (!header.ok()) return header.error();
+
   MaterializedImage out;
-
-  char magic[8];
-  CRFS_RETURN_IF_ERROR(read_exact(delta, magic, sizeof(magic), "delta magic"));
-  if (std::memcmp(magic, kDeltaMagic, sizeof(kDeltaMagic)) != 0) {
-    return Error{EILSEQ, "not a delta checkpoint image"};
-  }
-  std::uint32_t version = 0, vma_count = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(delta, version, "delta version"));
-  if (version != kDeltaVersion) return Error{EILSEQ, "unsupported delta version"};
-  CRFS_RETURN_IF_ERROR(read_pod(delta, out.pid, "pid"));
-  CRFS_RETURN_IF_ERROR(read_pod(delta, vma_count, "vma count"));
-  std::uint64_t declared = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(delta, declared, "image bytes"));
-  CRFS_RETURN_IF_ERROR(read_context(delta));
-
-  Crc64 total;
-  std::uint64_t composed_bytes = 0;
-  for (std::uint32_t i = 0; i < vma_count; ++i) {
+  out.pid = header.value().pid;
+  for (std::uint32_t i = 0; i < header.value().vma_count; ++i) {
     std::uint32_t tag = 0;
     CRFS_RETURN_IF_ERROR(read_pod(delta, tag, "vma tag"));
     if (tag == kUnchanged) {
-      std::uint64_t start = 0, length = 0, crc = 0;
-      CRFS_RETURN_IF_ERROR(read_pod(delta, start, "ref start"));
-      CRFS_RETURN_IF_ERROR(read_pod(delta, length, "ref length"));
-      CRFS_RETURN_IF_ERROR(read_pod(delta, crc, "ref crc"));
+      std::uint64_t ref[3] = {};  // start, length, payload crc
+      CRFS_RETURN_IF_ERROR(read_exact(delta, ref, sizeof(ref), "vma reference"));
+      const auto [start, length, crc] = ref;
       // Resolve against the parent and verify its ACTUAL content.
       const auto pv = parent.payloads.find(start);
       if (pv == parent.payloads.end() || pv->second.size() != length) {
@@ -257,50 +120,25 @@ Result<MaterializedImage> read_delta_image(ByteSource& delta,
       if (Crc64::of(pv->second.data(), pv->second.size()) != crc) {
         return Error{EILSEQ, "parent VMA content does not match delta reference"};
       }
-      // Copy the parent's VMA descriptor.
       const auto pd = std::find_if(parent.vmas.begin(), parent.vmas.end(),
                                    [&](const Vma& v) { return v.start == start; });
       if (pd == parent.vmas.end()) return Error{EILSEQ, "parent VMA descriptor missing"};
-      total.update(pv->second.data(), pv->second.size());
-      composed_bytes += length;
+      CRFS_RETURN_IF_ERROR(decoder.add_verified_payload(crc, length));
       out.vmas.push_back(*pd);
       out.payloads.emplace(start, pv->second);
       continue;
     }
     if (tag != kChanged) return Error{EILSEQ, "bad delta VMA tag"};
 
-    Vma vma;
-    std::uint64_t prot_type = 0, vma_crc = 0;
-    CRFS_RETURN_IF_ERROR(read_pod(delta, vma.start, "vma start"));
-    CRFS_RETURN_IF_ERROR(read_pod(delta, vma.length, "vma length"));
-    CRFS_RETURN_IF_ERROR(read_pod(delta, prot_type, "vma prot/type"));
-    CRFS_RETURN_IF_ERROR(read_pod(delta, vma.content_seed, "vma seed"));
-    CRFS_RETURN_IF_ERROR(read_pod(delta, vma_crc, "vma crc"));
-    vma.prot = static_cast<std::uint32_t>(prot_type >> 32);
-    vma.type = static_cast<VmaType>(static_cast<std::uint32_t>(prot_type));
-    if (vma.length > 1024 * MiB) return Error{EILSEQ, "implausible VMA length"};
-
-    std::vector<std::byte> payload(vma.length);
-    CRFS_RETURN_IF_ERROR(read_exact(delta, payload.data(), payload.size(), "payload"));
-    if (Crc64::of(payload.data(), payload.size()) != vma_crc) {
-      return Error{EILSEQ, "delta VMA CRC mismatch"};
-    }
-    total.update(payload.data(), payload.size());
-    composed_bytes += vma.length;
-    out.vmas.push_back(vma);
-    out.payloads.emplace(vma.start, std::move(payload));
+    std::vector<std::byte> payload;
+    auto vma = decoder.read_vma(payload);
+    if (!vma.ok()) return vma.error();
+    out.vmas.push_back(vma.value());
+    out.payloads.emplace(vma.value().start, std::move(payload));
   }
-
-  if (composed_bytes != declared) return Error{EILSEQ, "delta byte count mismatch"};
-  std::uint64_t trailer = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(delta, trailer, "delta trailer crc"));
-  if (trailer != total.digest()) return Error{EILSEQ, "composed image CRC mismatch"};
-  out.payload_crc = trailer;
-  char end[4];
-  CRFS_RETURN_IF_ERROR(read_exact(delta, end, sizeof(end), "delta end magic"));
-  if (std::memcmp(end, kEndMagic, sizeof(kEndMagic)) != 0) {
-    return Error{EILSEQ, "bad delta end magic"};
-  }
+  auto image_crc = decoder.read_trailer();
+  if (!image_crc.ok()) return image_crc.error();
+  out.payload_crc = image_crc.value();
   return out;
 }
 

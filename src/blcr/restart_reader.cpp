@@ -1,116 +1,29 @@
 #include "blcr/restart_reader.h"
 
-#include <cerrno>
-#include <array>
-#include <cstring>
-
-#include "common/checksum.h"
-#include "common/units.h"
+#include "blcr/image_codec.h"
 
 namespace crfs::blcr {
-namespace {
-
-// Reads exactly `size` bytes or fails.
-Status read_exact(ByteSource& src, void* out, std::size_t size, const char* what) {
-  auto r = src.read({static_cast<std::byte*>(out), size});
-  if (!r.ok()) return r.error();
-  if (r.value() != size) return Error{EILSEQ, std::string("truncated checkpoint at ") + what};
-  return {};
-}
-
-template <typename T>
-Status read_pod(ByteSource& src, T& out, const char* what) {
-  return read_exact(src, &out, sizeof(T), what);
-}
-
-}  // namespace
 
 Result<RestartSummary> RestartReader::read_image(ByteSource& source) {
+  ImageDecoder decoder(source);
+  auto header = decoder.read_preamble(kMagic, kFormatVersion);
+  if (!header.ok()) return header.error();
+
   RestartSummary out;
-
-  char magic[8];
-  CRFS_RETURN_IF_ERROR(read_exact(source, magic, sizeof(magic), "magic"));
-  if (std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return Error{EILSEQ, "bad checkpoint magic"};
-  }
-  std::uint32_t version = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, version, "version"));
-  if (version != kFormatVersion) {
-    return Error{EILSEQ, "unsupported checkpoint version " + std::to_string(version)};
-  }
-  CRFS_RETURN_IF_ERROR(read_pod(source, out.pid, "pid"));
-  CRFS_RETURN_IF_ERROR(read_pod(source, out.vma_count, "vma_count"));
-  std::uint64_t declared_bytes = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, declared_bytes, "image_bytes"));
-
-  // Context section: registers + two blobs, verified against its CRC.
-  Crc64 ctx_crc;
-  std::uint64_t reg = 0;
-  for (unsigned i = 0; i < kContextRegisters; ++i) {
-    CRFS_RETURN_IF_ERROR(read_pod(source, reg, "context register"));
-    ctx_crc.update(&reg, sizeof(reg));
-  }
-  std::array<std::byte, kContextBlobBytes> blob;
-  CRFS_RETURN_IF_ERROR(read_exact(source, blob.data(), blob.size(), "context blob 0"));
-  ctx_crc.update(blob.data(), blob.size());
-  CRFS_RETURN_IF_ERROR(read_exact(source, blob.data(), blob.size(), "context blob 1"));
-  ctx_crc.update(blob.data(), blob.size());
-  std::uint64_t stored_ctx_crc = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, stored_ctx_crc, "context crc"));
-  if (stored_ctx_crc != ctx_crc.digest()) {
-    return Error{EILSEQ, "context CRC mismatch (corrupt checkpoint)"};
-  }
-
-  Crc64 total_crc;
+  out.pid = header.value().pid;
+  out.vma_count = header.value().vma_count;
+  // Every mapping is restored into one reused buffer, as a restart would
+  // fault its pages back in.
   std::vector<std::byte> payload;
-  out.vmas.reserve(out.vma_count);
   for (std::uint32_t i = 0; i < out.vma_count; ++i) {
-    Vma vma;
-    std::uint64_t prot_type = 0, vma_crc = 0;
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.start, "vma start"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.length, "vma length"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, prot_type, "vma prot/type"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma.content_seed, "vma seed"));
-    CRFS_RETURN_IF_ERROR(read_pod(source, vma_crc, "vma crc"));
-    vma.prot = static_cast<std::uint32_t>(prot_type >> 32);
-    vma.type = static_cast<VmaType>(static_cast<std::uint32_t>(prot_type));
-
-    if (vma.length > 1024 * MiB) {
-      return Error{EILSEQ, "implausible VMA length (corrupt header)"};
-    }
-    payload.resize(vma.length);
-    // Restore the mapping contents in bounded slabs, as a restart would
-    // fault pages back in.
-    std::size_t got = 0;
-    while (got < payload.size()) {
-      const std::size_t slab = std::min<std::size_t>(1 * MiB, payload.size() - got);
-      CRFS_RETURN_IF_ERROR(read_exact(source, payload.data() + got, slab, "vma payload"));
-      got += slab;
-    }
-    if (Crc64::of(payload.data(), payload.size()) != vma_crc) {
-      return Error{EILSEQ, "VMA payload CRC mismatch (corrupt checkpoint)"};
-    }
-    total_crc.update(payload.data(), payload.size());
-    out.image_bytes += vma.length;
-    out.vmas.push_back(vma);
+    auto vma = decoder.read_vma(payload);
+    if (!vma.ok()) return vma.error();
+    out.image_bytes += vma.value().length;
+    out.vmas.push_back(vma.value());
   }
-
-  if (out.image_bytes != declared_bytes) {
-    return Error{EILSEQ, "image byte count mismatch"};
-  }
-
-  std::uint64_t trailer_crc = 0;
-  CRFS_RETURN_IF_ERROR(read_pod(source, trailer_crc, "trailer crc"));
-  if (trailer_crc != total_crc.digest()) {
-    return Error{EILSEQ, "whole-image CRC mismatch"};
-  }
-  out.payload_crc = trailer_crc;
-
-  char end[4];
-  CRFS_RETURN_IF_ERROR(read_exact(source, end, sizeof(end), "end magic"));
-  if (std::memcmp(end, kEndMagic, sizeof(kEndMagic)) != 0) {
-    return Error{EILSEQ, "bad end magic"};
-  }
+  auto image_crc = decoder.read_trailer();
+  if (!image_crc.ok()) return image_crc.error();
+  out.payload_crc = image_crc.value();
   return out;
 }
 

@@ -1,49 +1,202 @@
 #include "common/checksum.h"
 
 #include <array>
+#include <bit>
+#include <cstring>
+
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <immintrin.h>
+#define CRFS_CRC64_PCLMUL 1
+#endif
 
 namespace crfs {
 namespace {
 
 constexpr std::uint64_t kPoly = 0xC96C5795D7870F42ULL;  // ECMA-182, reflected
+constexpr std::uint32_t kPoly32 = 0xEDB88320U;          // IEEE 802.3, reflected
 
-std::array<std::uint64_t, 256> make_table() {
-  std::array<std::uint64_t, 256> table{};
-  for (std::uint64_t i = 0; i < 256; ++i) {
-    std::uint64_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1) ? (crc >> 1) ^ kPoly : crc >> 1;
+// Slice-by-8 tables for a reflected CRC: row 0 is the bytewise table, and
+// row k holds the CRC of a byte followed by k zero bytes, so eight table
+// lookups retire eight message bytes at once.
+template <typename T>
+struct SliceTables {
+  std::array<std::array<T, 256>, 8> row{};
+
+  explicit SliceTables(T poly) {
+    for (unsigned i = 0; i < 256; ++i) {
+      T crc = i;
+      for (int bit = 0; bit < 8; ++bit) crc = (crc & 1) ? (crc >> 1) ^ poly : crc >> 1;
+      row[0][i] = crc;
     }
-    table[static_cast<std::size_t>(i)] = crc;
+    for (unsigned k = 1; k < 8; ++k) {
+      for (unsigned i = 0; i < 256; ++i) {
+        const T prev = row[k - 1][i];
+        row[k][i] = (prev >> 8) ^ row[0][prev & 0xFF];
+      }
+    }
   }
-  return table;
+};
+
+template <typename T>
+T slice8_update(const SliceTables<T>& t, T crc, const unsigned char* p, std::size_t n) {
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; n >= 8; p += 8, n -= 8) {
+      std::uint64_t w = 0;
+      std::memcpy(&w, p, sizeof(w));
+      w ^= crc;
+      crc = t.row[7][w & 0xFF] ^ t.row[6][(w >> 8) & 0xFF] ^ t.row[5][(w >> 16) & 0xFF] ^
+            t.row[4][(w >> 24) & 0xFF] ^ t.row[3][(w >> 32) & 0xFF] ^
+            t.row[2][(w >> 40) & 0xFF] ^ t.row[1][(w >> 48) & 0xFF] ^ t.row[0][w >> 56];
+    }
+  }
+  for (; n > 0; ++p, --n) crc = t.row[0][(crc ^ *p) & 0xFF] ^ (crc >> 8);
+  return crc;
 }
 
-const std::array<std::uint64_t, 256>& table() {
-  static const auto t = make_table();
+const SliceTables<std::uint64_t>& tables64() {
+  static const SliceTables<std::uint64_t> t(kPoly);
   return t;
 }
 
-constexpr std::uint32_t kPoly32 = 0xEDB88320U;  // IEEE 802.3, reflected
-
-std::array<std::uint32_t, 256> make_table32() {
-  std::array<std::uint32_t, 256> table{};
-  for (std::uint32_t i = 0; i < 256; ++i) {
-    std::uint32_t crc = i;
-    for (int bit = 0; bit < 8; ++bit) {
-      crc = (crc & 1) ? (crc >> 1) ^ kPoly32 : crc >> 1;
-    }
-    table[static_cast<std::size_t>(i)] = crc;
-  }
-  return table;
+const SliceTables<std::uint32_t>& tables32() {
+  static const SliceTables<std::uint32_t> t(kPoly32);
+  return t;
 }
 
-const std::array<std::uint32_t, 256>& table32() {
-  static const auto t = make_table32();
-  return t;
+// GF(2) polynomial arithmetic modulo the CRC64 polynomial, in the
+// reflected representation: bit 63 is x^0 and bit 0 is x^63.
+
+// a * b mod P.
+std::uint64_t multmodp(std::uint64_t a, std::uint64_t b) {
+  std::uint64_t prod = 0;
+  for (std::uint64_t m = 1ULL << 63; m != 0; m >>= 1) {
+    if (a & m) prod ^= b;
+    b = (b & 1) ? (b >> 1) ^ kPoly : b >> 1;
+  }
+  return prod;
+}
+
+// x^(n * 2^k) mod P, by square-and-multiply over x^(2^j) mod P.
+std::uint64_t x2nmodp(std::uint64_t n, unsigned k) {
+  static const auto x2j = [] {
+    std::array<std::uint64_t, 3 + 64> t{};  // j up to 3 + 63: 8 * a 64-bit length
+    std::uint64_t p = 1ULL << 62;            // x^1
+    for (auto& e : t) {
+      e = p;
+      p = multmodp(p, p);
+    }
+    return t;
+  }();
+  std::uint64_t p = 1ULL << 63;  // x^0
+  for (; n != 0; n >>= 1, ++k) {
+    if (n & 1) p = multmodp(x2j[k], p);
+  }
+  return p;
+}
+
+#ifdef CRFS_CRC64_PCLMUL
+
+// Carry-less-multiply folding (Gopal et al., "Fast CRC Computation for
+// Generic Polynomials Using PCLMULQDQ", Intel 2009). A 128-bit block A is
+// moved D bits further down the message by A*x^D mod P: its low qword
+// (the high-degree half) is multiplied by x^(D+64) and its high qword by
+// x^D. A reflected 64x64 carry-less product lands one bit short of the
+// 128-bit reflected layout, so the keys are x^(D+63) and x^(D-1).
+struct FoldKeys {
+  std::uint64_t by512_lo, by512_hi;  // x^575, x^511: fold across 4 lanes
+  std::uint64_t by128_lo, by128_hi;  // x^191, x^127: fold lane into lane
+};
+
+const FoldKeys& fold_keys() {
+  static const FoldKeys k{x2nmodp(575, 0), x2nmodp(511, 0), x2nmodp(191, 0),
+                          x2nmodp(127, 0)};
+  return k;
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i fold(__m128i acc, __m128i keys,
+                                                               __m128i next) {
+  return _mm_xor_si128(_mm_xor_si128(_mm_clmulepi64_si128(acc, keys, 0x00),
+                                     _mm_clmulepi64_si128(acc, keys, 0x11)),
+                       next);
+}
+
+__attribute__((target("pclmul,sse4.1"))) inline __m128i load(const unsigned char* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+// Below this size the fixed cost of folding beats its per-byte gain.
+constexpr std::size_t kFoldMinBytes = 128;
+
+__attribute__((target("pclmul,sse4.1"))) std::uint64_t pclmul_update(
+    std::uint64_t state, const unsigned char* p, std::size_t n) {
+  if (n < kFoldMinBytes) return slice8_update(tables64(), state, p, n);
+  const FoldKeys& k = fold_keys();
+  const __m128i by512 = _mm_set_epi64x(static_cast<long long>(k.by512_hi),
+                                       static_cast<long long>(k.by512_lo));
+  const __m128i by128 = _mm_set_epi64x(static_cast<long long>(k.by128_hi),
+                                       static_cast<long long>(k.by128_lo));
+
+  // The register enters as the first 8 message bytes XORed with it; the
+  // folds then run from a zero register.
+  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi64_si128(static_cast<long long>(state)));
+  __m128i x1 = load(p + 16);
+  __m128i x2 = load(p + 32);
+  __m128i x3 = load(p + 48);
+  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+    x0 = fold(x0, by512, load(p));
+    x1 = fold(x1, by512, load(p + 16));
+    x2 = fold(x2, by512, load(p + 32));
+    x3 = fold(x3, by512, load(p + 48));
+  }
+  x3 = fold(fold(fold(x0, by128, x1), by128, x2), by128, x3);
+
+  // The folded block is congruent to everything consumed so far; the
+  // tables reduce it along with the tail, so no Barrett step is needed.
+  unsigned char folded[16] = {};
+  _mm_storeu_si128(reinterpret_cast<__m128i*>(folded), x3);
+  return slice8_update(tables64(), slice8_update(tables64(), std::uint64_t{0}, folded, 16), p,
+                       n);
+}
+
+#endif  // CRFS_CRC64_PCLMUL
+
+using Crc64Kernel = std::uint64_t (*)(std::uint64_t, const void*, std::size_t);
+
+Crc64Kernel pick_crc64_kernel() {
+  return detail::crc64_pclmul_supported() ? detail::crc64_update_pclmul
+                                          : detail::crc64_update_table;
 }
 
 }  // namespace
+
+namespace detail {
+
+std::uint64_t crc64_update_table(std::uint64_t state, const void* data, std::size_t size) {
+  return slice8_update(tables64(), state, static_cast<const unsigned char*>(data), size);
+}
+
+std::uint64_t crc64_update_pclmul(std::uint64_t state, const void* data, std::size_t size) {
+#ifdef CRFS_CRC64_PCLMUL
+  if (crc64_pclmul_supported()) {
+    return pclmul_update(state, static_cast<const unsigned char*>(data), size);
+  }
+#endif
+  return crc64_update_table(state, data, size);
+}
+
+bool crc64_pclmul_supported() {
+#ifdef CRFS_CRC64_PCLMUL
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+}  // namespace detail
 
 Crc64::Crc64() : state_(~0ULL) {}
 
@@ -52,17 +205,18 @@ void Crc64::update(std::span<const std::byte> data) {
 }
 
 void Crc64::update(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const auto& t = table();
-  for (std::size_t i = 0; i < size; ++i) {
-    state_ = t[(state_ ^ p[i]) & 0xFF] ^ (state_ >> 8);
-  }
+  static const Crc64Kernel kernel = pick_crc64_kernel();
+  state_ = kernel(state_, data, size);
 }
 
 std::uint64_t Crc64::of(const void* data, std::size_t size) {
   Crc64 c;
   c.update(data, size);
   return c.digest();
+}
+
+std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b, std::uint64_t len_b) {
+  return multmodp(x2nmodp(len_b, 3), crc_a) ^ crc_b;
 }
 
 Crc32::Crc32() : state_(~0U) {}
@@ -72,11 +226,7 @@ void Crc32::update(std::span<const std::byte> data) {
 }
 
 void Crc32::update(const void* data, std::size_t size) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  const auto& t = table32();
-  for (std::size_t i = 0; i < size; ++i) {
-    state_ = t[(state_ ^ p[i]) & 0xFF] ^ (state_ >> 8);
-  }
+  state_ = slice8_update(tables32(), state_, static_cast<const unsigned char*>(data), size);
 }
 
 std::uint32_t Crc32::of(const void* data, std::size_t size) {

@@ -1,6 +1,11 @@
 // CRC64 (ECMA-182) used by the integrity tests and the restart verifier to
 // prove that data passing through CRFS aggregation is byte-identical to
 // what the checkpoint writer produced.
+//
+// Both CRCs run on slice-by-8 tables; on x86-64 CPUs with PCLMULQDQ,
+// Crc64 folds 64-byte blocks with carry-less multiplies instead (chosen at
+// run time). Every kernel yields the same digest as the bytewise
+// definition, so stored digests stay valid across CPUs and builds.
 #pragma once
 
 #include <cstddef>
@@ -27,6 +32,12 @@ class Crc64 {
   std::uint64_t state_;
 };
 
+/// CRC64 of A followed by B, from crc(A), crc(B) and B's length in bytes,
+/// without touching the data (zlib's crc32_combine method: multiply crc(A)
+/// by x^(8*len_b) mod P). Lets a reader that already hashed each record
+/// build the whole-stream digest without hashing any byte twice.
+std::uint64_t crc64_combine(std::uint64_t crc_a, std::uint64_t crc_b, std::uint64_t len_b);
+
 /// Incremental CRC32 (IEEE 802.3, reflected). Smaller than Crc64 on purpose:
 /// journal frame headers carry it inline, and 4 bytes per frame is enough to
 /// reject a torn tail.
@@ -45,5 +56,17 @@ class Crc32 {
  private:
   std::uint32_t state_;
 };
+
+namespace detail {
+
+// The individual CRC64 kernels, for the oracle tests. Each maps a raw
+// (pre-inversion) CRC register and a buffer to the updated register;
+// Crc64::update dispatches to the fastest one the CPU supports.
+std::uint64_t crc64_update_table(std::uint64_t state, const void* data, std::size_t size);
+std::uint64_t crc64_update_pclmul(std::uint64_t state, const void* data, std::size_t size);
+/// True when this CPU can run crc64_update_pclmul.
+bool crc64_pclmul_supported();
+
+}  // namespace detail
 
 }  // namespace crfs

@@ -2,7 +2,9 @@
 // checksum, table renderers.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <set>
+#include <vector>
 
 #include "common/checksum.h"
 #include "common/histogram.h"
@@ -243,12 +245,135 @@ TEST(Samples, SingleElement) {
 
 // -------------------------------------------------------------- Checksum
 
+// Bytewise reference CRCs, with their tables built bit by bit from the
+// reflected polynomials: the oracle every fast kernel must match. Each step
+// maps a raw (pre-inversion) register, like the detail:: kernels.
+template <typename T, T kPoly>
+T crc_bytewise_step(T crc, unsigned char byte) {
+  static const auto table = [] {
+    std::array<T, 256> t{};
+    for (unsigned i = 0; i < 256; ++i) {
+      T c = i;
+      for (int bit = 0; bit < 8; ++bit) c = (c & 1) ? (c >> 1) ^ kPoly : c >> 1;
+      t[i] = c;
+    }
+    return t;
+  }();
+  return table[(crc ^ byte) & 0xFF] ^ (crc >> 8);
+}
+
+constexpr auto crc64_step = crc_bytewise_step<std::uint64_t, 0xC96C5795D7870F42ULL>;
+constexpr auto crc32_step = crc_bytewise_step<std::uint32_t, 0xEDB88320U>;
+
+std::uint64_t crc64_bytewise(std::uint64_t crc, const unsigned char* p, std::size_t n) {
+  for (std::size_t i = 0; i < n; ++i) crc = crc64_step(crc, p[i]);
+  return crc;
+}
+
+std::vector<unsigned char> random_bytes(std::size_t n, std::uint64_t seed) {
+  std::vector<unsigned char> data(n);
+  Rng r(seed);
+  for (auto& b : data) b = static_cast<unsigned char>(r.next_u64());
+  return data;
+}
+
+using Crc64KernelFn = std::uint64_t (*)(std::uint64_t, const void*, std::size_t);
+
+// Every length 0-4097 at every start alignment 0-15, from the standard
+// initial register and from an arbitrary mid-stream one. The reference
+// for length n extends the one for n-1 by a single byte.
+void expect_kernel_matches_bytewise(Crc64KernelFn kernel) {
+  const auto data = random_bytes(4097 + 16, 7);
+  for (std::size_t align = 0; align < 16; ++align) {
+    const unsigned char* p = data.data() + align;
+    for (const std::uint64_t init : {~0ULL, 0x0123456789ABCDEFULL}) {
+      std::uint64_t expected = init;
+      for (std::size_t len = 0; len <= 4097; ++len) {
+        if (len > 0) expected = crc64_step(expected, p[len - 1]);
+        ASSERT_EQ(kernel(init, p, len), expected) << "len=" << len << " align=" << align;
+      }
+    }
+  }
+}
+
+void expect_kernel_matches_bytewise_on_huge_buffer(Crc64KernelFn kernel) {
+  const auto data = random_bytes(64 * MiB + 13 + 1, 8);
+  const unsigned char* p = data.data() + 1;  // misaligned start
+  const std::size_t n = data.size() - 1;
+  EXPECT_EQ(kernel(~0ULL, p, n), crc64_bytewise(~0ULL, p, n));
+}
+
 TEST(Crc64, KnownValueStable) {
-  const char* msg = "123456789";
-  const auto d1 = Crc64::of(msg, 9);
-  const auto d2 = Crc64::of(msg, 9);
-  EXPECT_EQ(d1, d2);
-  EXPECT_NE(d1, 0u);
+  // CRC-64/XZ check value: pins the digests already stored in MANIFESTs.
+  EXPECT_EQ(Crc64::of("123456789", 9), 0x995DC9BBDF1939FAULL);
+  EXPECT_EQ(Crc64::of(nullptr, 0), 0u);
+}
+
+TEST(Crc32, KnownValueStable) {
+  // CRC-32/ISO-HDLC check value: pins the journal's frame digests.
+  EXPECT_EQ(Crc32::of("123456789", 9), 0xCBF43926U);
+  const auto data = random_bytes(4097 + 16, 9);
+  for (std::size_t align = 0; align < 16; ++align) {
+    const unsigned char* p = data.data() + align;
+    std::uint32_t expected = ~0U;
+    for (std::size_t len = 0; len <= 4097; ++len) {
+      if (len > 0) expected = crc32_step(expected, p[len - 1]);
+      ASSERT_EQ(Crc32::of(p, len), ~expected) << "len=" << len << " align=" << align;
+    }
+  }
+}
+
+TEST(Crc64, TableKernelMatchesBytewise) {
+  expect_kernel_matches_bytewise(detail::crc64_update_table);
+}
+
+TEST(Crc64, TableKernelMatchesBytewiseOnHugeBuffer) {
+  expect_kernel_matches_bytewise_on_huge_buffer(detail::crc64_update_table);
+}
+
+TEST(Crc64, PclmulKernelMatchesBytewise) {
+  if (!detail::crc64_pclmul_supported()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_kernel_matches_bytewise(detail::crc64_update_pclmul);
+}
+
+TEST(Crc64, PclmulKernelMatchesBytewiseOnHugeBuffer) {
+  if (!detail::crc64_pclmul_supported()) GTEST_SKIP() << "CPU lacks PCLMULQDQ";
+  expect_kernel_matches_bytewise_on_huge_buffer(detail::crc64_update_pclmul);
+}
+
+TEST(Crc64, RandomSplitsMatchOneShot) {
+  const auto data = random_bytes(1 * MiB + 77, 10);
+  const auto whole = Crc64::of(data.data(), data.size());
+  Rng cuts(11);
+  for (int round = 0; round < 20; ++round) {
+    Crc64 pieces;
+    std::size_t pos = 0;
+    while (pos < data.size()) {
+      const std::size_t n =
+          std::min<std::size_t>(cuts.uniform(0, 64 * KiB), data.size() - pos);
+      pieces.update(data.data() + pos, n);
+      pos += n;
+    }
+    ASSERT_EQ(pieces.digest(), whole) << "round " << round;
+  }
+}
+
+TEST(Crc64, CombineMatchesConcatenation) {
+  const auto data = random_bytes(300 * KiB, 12);
+  Rng cuts(13);
+  for (int round = 0; round < 50; ++round) {
+    const std::size_t split = cuts.uniform(0, data.size());
+    const auto a = Crc64::of(data.data(), split);
+    const auto b = Crc64::of(data.data() + split, data.size() - split);
+    ASSERT_EQ(crc64_combine(a, b, data.size() - split), Crc64::of(data.data(), data.size()))
+        << "split at " << split;
+  }
+  // Identities: an empty right side leaves crc(A); an empty left side
+  // (digest 0) leaves crc(B).
+  const auto a = Crc64::of(data.data(), 1000);
+  EXPECT_EQ(crc64_combine(a, Crc64::of(nullptr, 0), 0), a);
+  EXPECT_EQ(crc64_combine(Crc64::of(nullptr, 0), a, 1000), a);
+  EXPECT_EQ(crc64_combine(0, 0, 0), 0u);
 }
 
 TEST(Crc64, ChunkingIndependent) {
