@@ -8,10 +8,12 @@
 # bypass racing queued chunks, concurrent streams over both engines), and
 # test_control (knob-plane snapshot publication racing tunes, the
 # controller ticking on a real sampler thread while other threads read
-# the decision log), test_read_path (readahead prefetcher racing
-# appending writers, flush-before-read barriers under concurrent reads),
-# and test_journal (journal flusher thread racing cold-path appends, the
-# SLO monitor ticking on the sampler thread, a real ThrottledBackend
+# the decision log), test_read_path (readahead fills completing on IO
+# threads while their readers wait, copy and reclaim slots; concurrent
+# scans sharing the pool; unmount with fills in flight; the prefetcher
+# racing appending writers, flush-before-read barriers under concurrent
+# reads), and test_journal (journal flusher thread racing cold-path
+# appends, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
 # stall on backpressure, and read across tiers; drain-failure retry

@@ -1,7 +1,8 @@
 // Decorator backends used by tests and demos:
-//   * FaultyBackend    - injects an error on the Nth write (or on fsync),
-//                        exercising CRFS's failure propagation: the error
-//                        must surface at the application's close()/fsync().
+//   * FaultyBackend    - injects an error on the Nth write or read (or on
+//                        fsync), exercising CRFS's failure propagation: a
+//                        write error must surface at the application's
+//                        close()/fsync(), a read error at its read().
 //   * ThrottledBackend - caps write bandwidth and adds fixed per-op
 //                        latency, letting real-mode examples demonstrate
 //                        the IO-thread throttle without a slow disk.
@@ -23,6 +24,13 @@ class FaultyBackend final : public BackendFs {
   /// After this many successful pwrites, every further pwrite fails with
   /// EIO. Negative disables (default).
   void fail_writes_after(std::int64_t n) { fail_after_ = n; }
+  /// After this many successful preads (counted from this call), every
+  /// further pread fails with EIO. Negative disables (default), which
+  /// also heals reads.
+  void fail_reads_after(std::int64_t n) {
+    reads_ = 0;
+    fail_reads_after_ = n;
+  }
   /// Makes every fsync fail with EIO.
   void fail_fsync(bool on) { fail_fsync_ = on; }
   /// Makes every open fail with EACCES.
@@ -41,6 +49,10 @@ class FaultyBackend final : public BackendFs {
     return inner_->pwrite(f, d, off);
   }
   Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    const std::int64_t limit = fail_reads_after_.load();
+    if (limit >= 0 && reads_.fetch_add(1) >= limit) {
+      return Error{EIO, "injected read failure"};
+    }
     return inner_->pread(f, d, off);
   }
   Status fsync(BackendFile f) override {
@@ -64,6 +76,8 @@ class FaultyBackend final : public BackendFs {
   std::shared_ptr<BackendFs> inner_;
   std::atomic<std::int64_t> fail_after_{-1};
   std::atomic<std::int64_t> writes_{0};
+  std::atomic<std::int64_t> fail_reads_after_{-1};
+  std::atomic<std::int64_t> reads_{0};
   std::atomic<bool> fail_fsync_{false};
   std::atomic<bool> fail_open_{false};
 };

@@ -85,15 +85,16 @@ struct Config {
 
   /// Restart-side sequential readahead (docs/PERFORMANCE.md "Read path
   /// and restore"): when a file's reads form a forward scan, keep up to
-  /// `readahead_window` chunk-sized reads in flight through a dedicated
-  /// read engine (same sync/uring choice as io_engine), parking the
-  /// results in pool-backed cache slots. Runtime-tunable via the
-  /// `readahead` knob. Mount option `readahead` / `no_readahead`.
+  /// `readahead_window` chunk-sized reads in flight on the IO threads
+  /// (through the same engines as the write path), parking the results
+  /// in pool-backed cache slots. Runtime-tunable via the `readahead`
+  /// knob. Mount option `readahead` / `no_readahead`.
   bool readahead = true;
 
   /// Max chunk reads kept in flight ahead of a sequential reader (also
-  /// bounded by the read engine's ring depth and by free pool chunks —
-  /// prefetch never blocks checkpoint writers). Runtime-tunable via the
+  /// bounded by free pool chunks — prefetch never blocks checkpoint
+  /// writers — and by the file's fair share of the pool among files open
+  /// for reading). Runtime-tunable via the
   /// `readahead_window` knob. Mount option `readahead_window=N`.
   unsigned readahead_window = 4;
 

@@ -121,8 +121,8 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       pool_->chunk_regions());
 
   // Restore-side read pipeline (docs/PERFORMANCE.md "Read path and
-  // restore"): its own engine instance so restore reads never compete with
-  // checkpoint SQEs for ring slots, same engine kind and fallback rules.
+  // restore"): window fills ride the work queue's read lane, so the IO
+  // pool's workers and engines run them — one engine set per mount.
   ReadObs read_obs;
   read_obs.ops = &m.counter("crfs.read.ops");
   read_obs.bytes = &m.counter("crfs.read.bytes");
@@ -152,14 +152,12 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     ex.queue_depth = queue_.depth();
     ex.free_chunks = pool_->free_chunks();
     ex.knob_generation = plane_.knobs().generation();
-    ex.engine = readahead_ != nullptr ? readahead_->engine_name() : "sync";
+    ex.engine = io_pool_->engine_name();
     plane_.slow().capture(std::move(ex));
     c_slow->add(1);
   };
-  readahead_ = std::make_unique<Readahead>(
-      *backend_, *pool_,
-      IoEngineOptions{.requested = cfg_.io_engine, .uring_depth = cfg_.uring_depth},
-      pool_->chunk_regions(), IoEngineObs{}, std::move(read_obs), cfg_.epoch_ledger);
+  readahead_ = std::make_unique<Readahead>(*backend_, *pool_, queue_, std::move(read_obs),
+                                          cfg_.epoch_ledger);
   readahead_on_.store(cfg_.readahead, std::memory_order_relaxed);
   readahead_window_.store(cfg_.readahead_window, std::memory_order_relaxed);
 
@@ -410,11 +408,12 @@ Crfs::~Crfs() {
   // Flush buffered data of any files the application failed to close, so
   // unmounting never silently drops bytes.
   for (const HandleState& state : handles_.snapshot()) drain(state.entry);
-  // Destroy the IO pool first: drains the queue, joins workers.
-  io_pool_.reset();
-  // The read pipeline parks pool chunks in its prefetch slots; tear it
-  // down (draining its in-flight reads) before the pool shuts down.
+  // The read pipeline parks pool chunks in its prefetch slots and its
+  // in-flight fills run on the IO workers: tear it down (waiting those
+  // fills out) while the workers still run.
   readahead_.reset();
+  // Then the IO pool: drains the queue, joins workers.
+  io_pool_.reset();
   pool_->shutdown();
   // All chunk writes have landed: the final epoch record sees complete
   // durable counts. A clean unmount leaves no postmortem file (the
@@ -480,6 +479,9 @@ Result<Crfs::FileHandle> Crfs::open(const std::string& path, OpenFlags flags) {
     entry.value()->epoch = std::move(epoch);
   }
 
+  // A read-only open is a restore scan about to start: count it in the
+  // readahead fair share before its first read.
+  if (!flags.write) readahead_->open(entry.value());
   return handles_.insert(HandleState{entry.value(), flags.write});
 }
 
@@ -810,11 +812,11 @@ Status Crfs::close(FileHandle handle) {
 
   if (auto last = table_.release(entry->path())) {
     // Final close: drop the read-side prefetch cache (finalizing the
-    // restore-ledger row) and release both engines' registered-fd slots
-    // before the fd number can be reused by a later open. All of the
-    // file's writes have drained above, so no in-flight SQE references it.
+    // restore-ledger row, waiting out its fills) and release the engines'
+    // registered-fd slots before the fd number can be reused by a later
+    // open. All of the file's writes have drained above, so no in-flight
+    // SQE references it.
     readahead_->evict(last.get());
-    readahead_->forget_file(last->backend_file());
     io_pool_->forget_backend_file(last->backend_file());
     const Status close_status = backend_->close_file(last->backend_file());
     if (result.ok() && !close_status.ok()) result = close_status;
@@ -945,7 +947,7 @@ std::string Crfs::mount_json() const {
   }
   out += "\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
   out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
-  out += ",\"read_engine\":\"" + std::string(readahead_->engine_name()) + "\"}";
+  out += ",\"read_engine\":\"" + std::string(io_pool_->engine_name()) + "\"}";
   return out;
 }
 

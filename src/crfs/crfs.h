@@ -110,9 +110,9 @@ class Crfs {
   /// "uring", or "sync" (either requested or fallen back to).
   const char* active_io_engine() const { return io_pool_->engine_name(); }
 
-  /// The restore-side read engine (a separate ring from the write pool,
-  /// same fallback rules).
-  const char* active_read_engine() const { return readahead_->engine_name(); }
+  /// The engine running readahead fills: the IO pool's (fills share the
+  /// write path's workers and rings), so always active_io_engine().
+  const char* active_read_engine() const { return io_pool_->engine_name(); }
 
   /// Per-restore attribution rows (docs/PERFORMANCE.md "Read path and
   /// restore"): finalized scans oldest-first, then live scans
@@ -301,8 +301,9 @@ class Crfs {
   std::unique_ptr<BufferPool> pool_;
   WorkQueue queue_;
   std::unique_ptr<IoThreadPool> io_pool_;
-  // Restore-side read pipeline: borrows pool chunks for prefetch slots, so
-  // it is torn down (explicitly, in ~Crfs) before the pool shuts down.
+  // Restore-side read pipeline: borrows pool chunks for prefetch slots and
+  // runs its fills on io_pool_, so it is torn down (explicitly, in ~Crfs)
+  // before the IO pool joins and the pool shuts down.
   std::unique_ptr<Readahead> readahead_;
   // Lock-free mirrors of the readahead/readahead_window knobs, read per
   // serve on the read path.

@@ -21,21 +21,9 @@ Status backend_write_run(BackendFs& backend, const IoRun& run) {
   return backend.pwritev(file, iov, run.offset);
 }
 
-Result<std::size_t> backend_read_run(BackendFs& backend, const ReadRun& run) {
-  if (run.segs.size() == 1) {
-    return backend.pread(run.file, {run.segs.front().dst, run.segs.front().len}, run.offset);
-  }
-  std::vector<BackendMutIoVec> iov;
-  iov.reserve(run.segs.size());
-  for (const ReadSeg& seg : run.segs) {
-    iov.push_back(BackendMutIoVec{seg.dst, seg.len});
-  }
-  return backend.preadv(run.file, iov, run.offset);
-}
-
-void IoEngine::submit_read(ReadRun run) {
-  const std::uint64_t t = obs::now_ns();
-  read_complete_(std::move(run), Error{ENOTSUP, "engine has no read path"}, t, t);
+void backend_read_fill(BackendFs& backend, ReadJob job) {
+  auto nread = backend.pread(job.file, {job.dst, job.len}, job.offset);
+  job.done(std::move(nread));
 }
 
 void SyncEngine::submit(IoRun run) {
@@ -44,11 +32,7 @@ void SyncEngine::submit(IoRun run) {
   complete_(std::move(run), std::move(status), t_start, obs::now_ns());
 }
 
-void SyncEngine::submit_read(ReadRun run) {
-  const std::uint64_t t_start = obs::now_ns();
-  Result<std::size_t> nread = backend_read_run(backend_, run);
-  read_complete_(std::move(run), std::move(nread), t_start, obs::now_ns());
-}
+void SyncEngine::submit_read(ReadJob job) { backend_read_fill(backend_, std::move(job)); }
 
 std::size_t SyncEngine::capacity() const {
   // Inline completion means inflight() is always 0; an "unbounded"

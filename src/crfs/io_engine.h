@@ -12,6 +12,10 @@
 //                   Linux; selected at runtime with feature detection and
 //                   silent fallback to sync.
 //
+// Readahead window fills (ReadJob, the work queue's read lane) ride the
+// same engines: the worker that pops a fill submits it to its own engine,
+// so a mount has exactly one engine set for reads and writes.
+//
 // Engines are per-worker (one ring per IO thread, no cross-thread ring
 // locking). All methods are called from the owning worker thread except
 // forget_file(), which application threads call at close().
@@ -38,27 +42,6 @@ struct IoRun {
   std::uint64_t total = 0;   ///< sum of the chunks' fills
 };
 
-/// One destination segment of a chunk-granular read.
-struct ReadSeg {
-  std::byte* dst = nullptr;
-  std::size_t len = 0;
-};
-
-/// One chunk-granular backend read: fills `segs` contiguously from
-/// `offset`. The read-side mirror of IoRun — the prefetcher submits one
-/// per cache slot and correlates the completion back via `token`.
-struct ReadRun {
-  BackendFile file = 0;
-  std::uint64_t offset = 0;       ///< file offset of the first byte
-  std::vector<ReadSeg> segs;
-  std::uint64_t total = 0;        ///< sum of the segments' lens
-  std::uint64_t token = 0;        ///< caller correlation id, opaque here
-  /// Registered fixed-buffer index when the single destination segment is
-  /// a pool chunk's storage (IORING_OP_READ_FIXED); Chunk::kNoPoolIndex
-  /// otherwise.
-  std::uint16_t buf_index = Chunk::kNoPoolIndex;
-};
-
 /// Engine-level metric sinks (all optional; owned by the mount registry).
 struct IoEngineObs {
   /// Runs in flight on the engine after each submission flush
@@ -80,28 +63,19 @@ class IoEngine {
   using CompleteFn = std::function<void(IoRun run, Status status, std::uint64_t t_start,
                                         std::uint64_t t_done)>;
 
-  /// Read completion: invoked exactly once per submitted ReadRun — inline
-  /// from submit_read() (sync engines, uring non-fd fallback) or from
-  /// reap(). `nread` is the bytes actually filled (short only at EOF).
-  using ReadCompleteFn = std::function<void(ReadRun run, Result<std::size_t> nread,
-                                            std::uint64_t t_start, std::uint64_t t_done)>;
-
   virtual ~IoEngine() = default;
 
   /// Queues (or performs) one run. May invoke the completion inline. The
   /// caller must keep inflight() < capacity() before calling.
   virtual void submit(IoRun run) = 0;
 
-  /// Installs the read-completion sink. Must be set before the first
-  /// submit_read(); read submissions share the ring (and inflight/
-  /// capacity accounting) with writes.
-  void set_read_complete(ReadCompleteFn fn) { read_complete_ = std::move(fn); }
-
-  /// Queues (or performs) one chunk read. May invoke the read completion
-  /// inline. Same backpressure contract as submit(). The base default
-  /// reports ENOTSUP; SyncEngine performs the read inline and UringEngine
-  /// submits IORING_OP_READ_FIXED / READV.
-  virtual void submit_read(ReadRun run);
+  /// Queues (or performs) one readahead fill; `job.done` fires exactly
+  /// once — inline (sync, uring non-fd fallback) or from reap(). Fills
+  /// share the ring (and inflight/capacity accounting) with writes; same
+  /// backpressure contract as submit(). SyncEngine preads inline,
+  /// UringEngine submits IORING_OP_READ_FIXED (READV when the chunk is
+  /// not registered).
+  virtual void submit_read(ReadJob job) = 0;
 
   /// Publishes queued submissions to the kernel (no-op for sync).
   virtual void flush() {}
@@ -135,9 +109,6 @@ class IoEngine {
   /// backend closes `file`. Called from application threads; must be
   /// thread-safe against the worker using the engine.
   virtual void forget_file(BackendFile file) { (void)file; }
-
- protected:
-  ReadCompleteFn read_complete_;
 };
 
 /// The paper's blocking engine: one pwrite/pwritev per run, inline
@@ -149,7 +120,7 @@ class SyncEngine final : public IoEngine {
       : backend_(backend), complete_(std::move(complete)) {}
 
   void submit(IoRun run) override;
-  void submit_read(ReadRun run) override;
+  void submit_read(ReadJob job) override;
   std::size_t capacity() const override;
   const char* name() const override { return "sync"; }
 
@@ -169,11 +140,11 @@ struct IoEngineOptions {
 /// per-write semantics under either engine.
 Status backend_write_run(BackendFs& backend, const IoRun& run);
 
-/// Fills `run` synchronously through the backend (pread for one segment,
-/// preadv for several). Shared by SyncEngine and the uring engine's
-/// non-fd fallback path, so decorating backends keep their per-read
-/// semantics under either engine. Returns bytes read (short only at EOF).
-Result<std::size_t> backend_read_run(BackendFs& backend, const ReadRun& run);
+/// Runs `job` synchronously through the backend (one pread) and fires
+/// its completion. Shared by SyncEngine and the uring engine's non-fd
+/// fallback path, so decorating backends keep their per-read semantics
+/// (fault injection, throttling) under either engine.
+void backend_read_fill(BackendFs& backend, ReadJob job);
 
 /// Builds the engine the options ask for, with runtime feature detection:
 /// a uring request falls back silently to sync when the kernel lacks

@@ -168,15 +168,13 @@ class UringEngine final : public IoEngine {
     inflight_.fetch_add(1, std::memory_order_relaxed);
   }
 
-  void submit_read(ReadRun run) override {
-    const int fd = backend_.raw_fd(run.file);
+  void submit_read(ReadJob job) override {
+    const int fd = backend_.raw_fd(job.file);
     if (fd < 0) {
       // Non-fd backend (MemBackend, decorators): read synchronously so
       // wrapper semantics (fault injection, throttling) are preserved per
-      // run exactly as under the sync engine.
-      const std::uint64_t t_start = obs::now_ns();
-      Result<std::size_t> nread = backend_read_run(backend_, run);
-      read_complete_(std::move(run), std::move(nread), t_start, obs::now_ns());
+      // fill exactly as under the sync engine.
+      backend_read_fill(backend_, std::move(job));
       return;
     }
 
@@ -187,29 +185,25 @@ class UringEngine final : public IoEngine {
 
     auto rs = std::make_unique<RunState>();
     rs->is_read = true;
-    rs->read = std::move(run);
-    rs->t_start = obs::now_ns();
+    rs->read = std::move(job);
 
     const unsigned tail = sq_local_tail_;
     io_uring_sqe* sqe = &sqes_[tail & *sq_mask_];
     std::memset(sqe, 0, sizeof(*sqe));
 
-    if (rs->read.segs.size() == 1 && buffers_registered_ &&
-        rs->read.buf_index != Chunk::kNoPoolIndex) {
+    if (buffers_registered_ && rs->read.buf_index != Chunk::kNoPoolIndex) {
       // Registered pool chunk as destination: pre-pinned pages.
       sqe->opcode = IORING_OP_READ_FIXED;
-      sqe->addr = reinterpret_cast<std::uint64_t>(rs->read.segs.front().dst);
-      sqe->len = static_cast<std::uint32_t>(rs->read.segs.front().len);
+      sqe->addr = reinterpret_cast<std::uint64_t>(rs->read.dst);
+      sqe->len = static_cast<std::uint32_t>(rs->read.len);
       sqe->buf_index = rs->read.buf_index;
     } else {
-      rs->iov.resize(rs->read.segs.size());
-      for (std::size_t i = 0; i < rs->read.segs.size(); ++i) {
-        rs->iov[i].iov_base = rs->read.segs[i].dst;
-        rs->iov[i].iov_len = rs->read.segs[i].len;
-      }
+      rs->iov.resize(1);
+      rs->iov[0].iov_base = rs->read.dst;
+      rs->iov[0].iov_len = rs->read.len;
       sqe->opcode = IORING_OP_READV;
       sqe->addr = reinterpret_cast<std::uint64_t>(rs->iov.data());
-      sqe->len = static_cast<std::uint32_t>(rs->iov.size());
+      sqe->len = 1;
     }
     const int slot = file_slot(fd);
     if (slot >= 0) {
@@ -315,7 +309,7 @@ class UringEngine final : public IoEngine {
   struct RunState {
     bool is_read = false;  ///< discriminates run (write) vs read below
     IoRun run;
-    ReadRun read;
+    ReadJob read;
     std::vector<struct iovec> iov;  ///< must outlive the SQE for WRITEV/READV
     const FileEntry* file = nullptr;  ///< writes only (overlap holdback)
     std::uint64_t end = 0;  ///< run.offset + run.total (overlap check)
@@ -437,16 +431,17 @@ class UringEngine final : public IoEngine {
     const std::uint64_t t_done = obs::now_ns();
     if (rs->is_read) {
       drop_inflight(rs);
+      ReadJob& job = rs->read;
       if (res < 0) {
-        read_complete_(std::move(rs->read), Error{-res, "io_uring read"}, rs->t_start, t_done);
-      } else if (static_cast<std::uint64_t>(res) < rs->read.total) {
+        job.done(Error{-res, "io_uring read"});
+      } else if (static_cast<std::size_t>(res) < job.len) {
         // Async short read: resume synchronously. The resume itself stops
         // at EOF, so a short final result is the file ending, not a bug.
-        Result<std::size_t> nread = finish_read_short(*rs, static_cast<std::size_t>(res));
-        read_complete_(std::move(rs->read), std::move(nread), rs->t_start, t_done);
+        const auto got = static_cast<std::size_t>(res);
+        auto rest = backend_.pread(job.file, {job.dst + got, job.len - got}, job.offset + got);
+        job.done(rest.ok() ? Result<std::size_t>(got + rest.value()) : rest);
       } else {
-        read_complete_(std::move(rs->read), static_cast<std::size_t>(res), rs->t_start,
-                       t_done);
+        job.done(static_cast<std::size_t>(res));
       }
       delete rs;
       return;
@@ -462,25 +457,6 @@ class UringEngine final : public IoEngine {
     drop_inflight(rs);
     complete_(std::move(rs->run), std::move(status), rs->t_start, t_done);
     delete rs;
-  }
-
-  Result<std::size_t> finish_read_short(RunState& rs, std::size_t got) {
-    ReadRun rest;
-    rest.file = rs.read.file;
-    rest.offset = rs.read.offset + got;
-    std::size_t skip = got;
-    for (const ReadSeg& seg : rs.read.segs) {
-      if (skip >= seg.len) {
-        skip -= seg.len;
-        continue;
-      }
-      rest.segs.push_back(ReadSeg{seg.dst + skip, seg.len - skip});
-      skip = 0;
-    }
-    rest.total = rs.read.total - got;
-    auto r = backend_read_run(backend_, rest);
-    if (!r.ok()) return r;
-    return got + r.value();
   }
 
   Status finish_short(RunState& rs, std::size_t written) {
@@ -525,8 +501,7 @@ class UringEngine final : public IoEngine {
       store_release(sq_ktail_, sq_local_tail_);
       const std::uint64_t t_done = obs::now_ns();
       if (rs->is_read) {
-        read_complete_(std::move(rs->read), Error{err, "io_uring submit"}, rs->t_start,
-                       t_done);
+        rs->read.done(Error{err, "io_uring submit"});
       } else {
         complete_(std::move(rs->run), Error{err, "io_uring submit"}, rs->t_start, t_done);
       }

@@ -56,22 +56,26 @@ void IoThreadPool::worker_loop(unsigned idx) {
       continue;
     }
 
-    std::vector<WriteJob> batch;
-    if (inflight == 0) {
-      // Nothing to reap: park in the blocking pop. Shutdown is detected
-      // here — an empty pop_batch means drained, and inflight == 0 means
-      // the engine is drained too, so exiting loses nothing.
-      batch = queue_.pop_batch(want);
-      if (batch.empty()) return;
-    } else {
-      // Completions pending: never block on the queue. Either take more
-      // work or turn the idle moment into a completion wait.
-      batch = queue_.try_pop_batch(want);
-      if (batch.empty()) {
-        eng.reap(/*wait=*/true);
-        continue;
-      }
+    // Nothing to reap: park in the blocking pop. Shutdown is detected
+    // there — an empty pop means both lanes drained, and inflight == 0
+    // means the engine is drained too, so exiting loses nothing. With
+    // completions pending, never block on the queue: either take more
+    // work or turn the idle moment into a completion wait.
+    WorkBatch work = queue_.pop_work(want, /*wait=*/inflight == 0);
+    if (work.empty()) {
+      if (inflight == 0) return;
+      eng.reap(/*wait=*/true);
+      continue;
     }
+    if (work.read) {
+      // A readahead fill: a restoring reader waits on it, so it went ahead
+      // of queued write batches. Its completion wakes that reader.
+      eng.submit_read(std::move(*work.read));
+      eng.flush();
+      eng.reap(/*wait=*/false);
+      continue;
+    }
+    std::vector<WriteJob>& batch = work.writes;
 
     // The whole batch counts as in-flight until its last chunk is
     // released: the pool-exhaustion rescue in Crfs::acquire_chunk treats

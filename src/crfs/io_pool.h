@@ -3,7 +3,8 @@
 // outstanding chunk writes hitting the backend at once — unless the
 // async engine is selected, in which case each worker keeps up to
 // uring_depth coalesced runs in flight (docs/PERFORMANCE.md "IO
-// engines").
+// engines"). The same workers run the queue's readahead fills, ahead of
+// write batches, through the same engines.
 #pragma once
 
 #include <atomic>
@@ -72,13 +73,14 @@ class IoThreadPool {
  public:
   /// Starts `threads` workers, each owning one IoEngine built from
   /// `engine` (with runtime fallback to sync — see make_io_engine). Each
-  /// worker loops: pop up to `batch` already-queued chunks, group them by
-  /// file (keeping FIFO order within a file, so overlapping writes stay
-  /// in program order), submit one coalesced run of adjacent chunks per
-  /// engine submission, and reap completions that bump the owning files'
-  /// complete-chunk counts and return the chunks to the pool. With the
-  /// sync engine and `batch == 1` this reproduces the original
-  /// one-chunk-per-pop behaviour exactly. `regions` is the buffer pool's
+  /// worker loops: pop one readahead fill if any is queued and submit it
+  /// to its engine; otherwise pop up to `batch` already-queued chunks,
+  /// group them by file (keeping FIFO order within a file, so overlapping
+  /// writes stay in program order), submit one coalesced run of adjacent
+  /// chunks per engine submission, and reap completions that bump the
+  /// owning files' complete-chunk counts and return the chunks to the
+  /// pool. With the sync engine, `batch == 1` and no fills this
+  /// reproduces the original one-chunk-per-pop behaviour exactly. `regions` is the buffer pool's
   /// chunk storage for fixed-buffer registration (pass {} to skip).
   IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool, BackendFs& backend,
                IoPoolObs observe = {}, unsigned batch = 1, IoEngineOptions engine = {},

@@ -7,154 +7,156 @@
 
 namespace crfs {
 
-Readahead::Readahead(BackendFs& backend, BufferPool& pool, const IoEngineOptions& engine_opts,
-                     std::vector<ChunkRegion> regions, IoEngineObs engine_obs, ReadObs obs,
+Readahead::Readahead(BackendFs& backend, BufferPool& pool, WorkQueue& queue, ReadObs obs,
                      std::size_t ledger_capacity)
     : backend_(backend),
       pool_(pool),
+      queue_(queue),
       obs_(std::move(obs)),
-      ledger_capacity_(ledger_capacity == 0 ? 1 : ledger_capacity) {
-  // The write CompleteFn never fires — this engine only carries reads.
-  engine_ = make_io_engine(engine_opts, backend_, std::move(regions), engine_obs,
-                           [](IoRun, Status, std::uint64_t, std::uint64_t) {});
-  // Runs inline from submit_read/reap, which are only called under mu_ —
-  // the lock is already held, so only touch slot/token state here.
-  engine_->set_read_complete([this](ReadRun run, Result<std::size_t> nread, std::uint64_t,
-                                    std::uint64_t) {
-    auto it = inflight_tokens_.find(run.token);
-    if (it == inflight_tokens_.end()) return;
-    Slot* slot = it->second;
-    inflight_tokens_.erase(it);
-    slot->owner->inflight -= 1;
-    if (nread.ok()) {
-      slot->valid = nread.value();
-      slot->chunk->set_fill(slot->valid);
-      slot->state = Slot::State::kReady;
-      if (slot->valid < slot->want) {
-        // Short read = EOF inside the slot: stop the window from issuing
-        // further reads past the end of the file.
-        slot->owner->eof_at = std::min(slot->owner->eof_at, slot->offset + slot->valid);
-      }
-    } else {
-      slot->state = Slot::State::kError;
-      slot->err = nread.error().code;
-    }
-  });
-}
+      ledger_capacity_(ledger_capacity == 0 ? 1 : ledger_capacity) {}
 
 Readahead::~Readahead() {
-  std::lock_guard lock(mu_);
-  for (auto& [entry, fs] : files_) {
-    drop_cache_locked(fs);
-    finalize_locked(fs);
+  std::vector<const FileEntry*> open;
+  {
+    std::lock_guard lock(mu_);
+    for (const auto& [entry, fs] : files_) open.push_back(entry);
   }
-  files_.clear();
-  engine_.reset();
+  for (const FileEntry* entry : open) evict(entry);
+}
+
+void Readahead::open(const std::shared_ptr<FileEntry>& entry) { (void)state_for(entry); }
+
+std::shared_ptr<Readahead::FileState> Readahead::state_for(
+    const std::shared_ptr<FileEntry>& entry) {
+  std::lock_guard lock(mu_);
+  std::shared_ptr<FileState>& found = files_[entry.get()];
+  if (found == nullptr) {
+    found = std::make_shared<FileState>();
+    found->stats.path = entry->path();
+    found->gen_seen = entry->write_gen.load(std::memory_order_acquire);
+    scans_.fetch_add(1, std::memory_order_relaxed);
+  }
+  return found;
 }
 
 Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
                                     std::span<std::byte> out, std::uint64_t offset,
                                     bool enabled, unsigned window) {
   const std::uint64_t t0 = obs::now_ns();
-  std::lock_guard lock(mu_);
-  FileState& fs = files_[entry.get()];
-  if (!fs.touched) {
-    fs.touched = true;
-    fs.stats.path = entry->path();
-    fs.stats.first_read_ns = t0;
-    fs.gen_seen = entry->write_gen.load(std::memory_order_acquire);
-  }
+  const std::shared_ptr<FileState> state = state_for(entry);
+  FileState& fs = *state;
 
-  // Coherence: a write or truncate since the cache was filled invalidates
-  // every prefetched byte (the caller barriered the file's queued chunks
-  // before entering, so fresh backend reads observe them).
-  const std::uint64_t gen = entry->write_gen.load(std::memory_order_acquire);
-  if (gen != fs.gen_seen) {
-    drop_cache_locked(fs);
-    fs.gen_seen = gen;
-    fs.eof_at = ~std::uint64_t{0};
-  }
-
-  // Sequential-scan detection: a seek drops the window, a match extends
-  // the streak that arms prefetching.
-  if (offset == fs.expected_next) {
-    fs.streak += 1;
-  } else {
-    drop_cache_locked(fs);
-    fs.streak = 1;
-  }
-
-  // Serve from the cache window front-to-back.
   std::size_t served = 0;
-  bool eof_hit = false;
-  int slot_err = 0;
-  while (served < out.size() && !fs.slots.empty()) {
-    const std::uint64_t pos = offset + served;
-    Slot* s = fs.slots.front().get();
-    if (pos < s->offset) break;  // gap below the window: sync tail fills it
-    if (pos >= s->offset + s->want) {
-      retire_front_locked(fs);
-      continue;
-    }
-    if (s->state == Slot::State::kInflight) {
-      while (s->state == Slot::State::kInflight) engine_->reap(/*wait=*/true);
-    }
-    if (s->state == Slot::State::kError) {
-      // Drop the failed slot and retry the range synchronously below.
-      slot_err = s->err;
-      retire_front_locked(fs);
-      break;
-    }
-    if (pos >= s->offset + s->valid) {
-      eof_hit = true;  // short slot: the file ends inside it
-      break;
-    }
-    const std::size_t n =
-        std::min(out.size() - served, static_cast<std::size_t>(s->offset + s->valid - pos));
-    std::memcpy(out.data() + served, s->chunk->payload().data() + (pos - s->offset), n);
-    if (!s->consumed) {
-      s->consumed = true;
-      if (obs_.prefetch_hits != nullptr) obs_.prefetch_hits->add(1);
-      fs.stats.prefetch_hits += 1;
-    }
-    served += n;
-    if (s->valid < s->want && offset + served == s->offset + s->valid) {
-      eof_hit = true;
-      break;
-    }
-  }
-  (void)slot_err;  // the sync retry below reports any persistent error
-
-  // Blocking tail for whatever the window did not cover.
   Status tail_error;
-  if (served < out.size() && !eof_hit) {
-    auto r = backend_.pread(entry->backend_file(), out.subspan(served), offset + served);
-    if (obs_.sync_preads != nullptr) obs_.sync_preads->add(1);
-    fs.stats.sync_preads += 1;
-    if (r.ok()) {
-      if (r.value() < out.size() - served) {
-        fs.eof_at = std::min(fs.eof_at, offset + served + r.value());
-      }
-      served += r.value();
-    } else {
-      tail_error = r.error();
+  std::uint64_t t_done = 0;
+  {
+    std::lock_guard scan(fs.scan_mu);
+    Lock lock(fs.mu);
+
+    // Coherence: a write or truncate since the cache was filled invalidates
+    // every prefetched byte (the caller barriered the file's queued chunks
+    // before entering, so fresh backend reads observe them).
+    const std::uint64_t gen = entry->write_gen.load(std::memory_order_acquire);
+    if (gen != fs.gen_seen) {
+      drop_cache(fs, lock);
+      fs.gen_seen = gen;
+      fs.eof_at = ~std::uint64_t{0};
     }
+
+    // Sequential-scan detection: a seek drops the window, a match extends
+    // the streak that arms prefetching.
+    if (offset == fs.expected_next) {
+      fs.streak += 1;
+    } else {
+      drop_cache(fs, lock);
+      fs.streak = 1;
+    }
+
+    // Serve from the cache window front-to-back.
+    bool eof_hit = false;
+    while (served < out.size() && !fs.slots.empty()) {
+      const std::uint64_t pos = offset + served;
+      Slot* s = fs.slots.front().get();
+      if (pos < s->offset) break;  // gap below the window: sync tail fills it
+      if (pos >= s->offset + s->want) {
+        retire_front(fs, lock);
+        continue;
+      }
+      fs.filled.wait(lock, [s] { return s->state != Slot::State::kInflight; });
+      if (s->state == Slot::State::kError) {
+        // Drop the failed slot; the blocking tail below retries the range
+        // and reports the error if it persists.
+        retire_front(fs, lock);
+        break;
+      }
+      if (pos >= s->offset + s->valid) {
+        eof_hit = true;  // short slot: the file ends inside it
+        break;
+      }
+      const std::size_t n =
+          std::min(out.size() - served, static_cast<std::size_t>(s->offset + s->valid - pos));
+      if (!s->consumed) {
+        s->consumed = true;
+        if (obs_.prefetch_hits != nullptr) obs_.prefetch_hits->add(1);
+        fs.stats.prefetch_hits += 1;
+      }
+      // The copy runs unlocked: a ready slot's bytes never change, only the
+      // scan_mu holder retires slots, and reclaim() never takes one whose
+      // reading has begun.
+      lock.unlock();
+      std::memcpy(out.data() + served, s->chunk->payload().data() + (pos - s->offset), n);
+      lock.lock();
+      served += n;
+      if (s->valid < s->want && offset + served == s->offset + s->valid) {
+        eof_hit = true;
+        break;
+      }
+    }
+
+    // Blocking tail for whatever the window did not cover.
+    if (served < out.size() && !eof_hit) {
+      lock.unlock();
+      auto r = backend_.pread(entry->backend_file(), out.subspan(served), offset + served);
+      lock.lock();
+      if (obs_.sync_preads != nullptr) obs_.sync_preads->add(1);
+      fs.stats.sync_preads += 1;
+      if (r.ok()) {
+        if (r.value() < out.size() - served) {
+          fs.eof_at = std::min(fs.eof_at, offset + served + r.value());
+        }
+        served += r.value();
+      } else {
+        tail_error = r.error();
+      }
+    }
+
+    // Top the window back up while the scan is established.
+    std::vector<ReadJob> fills;
+    const bool armed =
+        enabled && tail_error.ok() && fs.streak >= 2 && window > 0 && !fs.evicted;
+    const bool starved = armed && top_up(*entry, fs, offset + served, window, fills);
+
+    fs.expected_next = offset + served;
+    t_done = obs::now_ns();
+    if (fs.stats.ops == 0) {
+      fs.stats.first_read_ns = t0;
+      fs.stats.ttfb_ns = t_done - t0;
+    }
+    fs.stats.ops += 1;
+    fs.stats.bytes += served;
+    fs.stats.last_read_ns = t_done;
+    lock.unlock();
+    if (starved && reclaim(fs)) {
+      lock.lock();
+      top_up(*entry, fs, fs.expected_next, window, fills);
+      lock.unlock();
+    }
+    for (ReadJob& job : fills) queue_.push_read(std::move(job));
   }
 
-  // Top the window back up while the scan is established.
-  if (enabled && tail_error.ok() && fs.streak >= 2 && window > 0) {
-    top_up_locked(entry.get(), fs, offset + served, window);
-  }
-
-  fs.expected_next = offset + served;
-  const std::uint64_t t_done = obs::now_ns();
   if (obs_.ops != nullptr) obs_.ops->add(1);
   if (obs_.bytes != nullptr) obs_.bytes->add(served);
   if (obs_.pread_ns != nullptr) obs_.pread_ns->record(t_done - t0);
-  fs.stats.ops += 1;
-  fs.stats.bytes += served;
-  if (fs.stats.ops == 1) fs.stats.ttfb_ns = t_done - t0;
-  fs.stats.last_read_ns = t_done;
   if (obs_.on_slow) obs_.on_slow(entry->path(), offset, out.size(), t0, t_done);
 
   if (!tail_error.ok() && served == 0) return tail_error.error();
@@ -162,22 +164,43 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
 }
 
 void Readahead::evict(const FileEntry* entry) {
-  std::lock_guard lock(mu_);
-  auto it = files_.find(entry);
-  if (it == files_.end()) return;
-  drop_cache_locked(it->second);
-  finalize_locked(it->second);
-  files_.erase(it);
-}
+  std::shared_ptr<FileState> state;
+  {
+    std::lock_guard lock(mu_);
+    auto it = files_.find(entry);
+    if (it == files_.end()) return;
+    state = it->second;
+  }
+  FileState& fs = *state;
+  std::lock_guard scan(fs.scan_mu);
+  if (fs.evicted) return;
+  {
+    Lock lock(fs.mu);
+    drop_cache(fs, lock);
+  }
+  fs.evicted = true;
 
-void Readahead::forget_file(BackendFile file) { engine_->forget_file(file); }
+  // Unlisting the file and finalizing its row happen under one map lock,
+  // so a ledger snapshot sees the scan either live or finalized.
+  std::lock_guard lock(mu_);
+  if (auto it = files_.find(entry); it != files_.end() && it->second == state) {
+    files_.erase(it);
+    scans_.fetch_sub(1, std::memory_order_relaxed);
+  }
+  std::lock_guard file_lock(fs.mu);
+  if (fs.stats.ops == 0) return;
+  fs.stats.active = false;
+  ledger_.push_back(fs.stats);
+  while (ledger_.size() > ledger_capacity_) ledger_.pop_front();
+}
 
 std::vector<RestoreLedgerEntry> Readahead::ledger_snapshot() const {
   std::lock_guard lock(mu_);
   std::vector<RestoreLedgerEntry> out(ledger_.begin(), ledger_.end());
   for (const auto& [entry, fs] : files_) {
-    if (fs.stats.ops == 0) continue;
-    RestoreLedgerEntry row = fs.stats;
+    std::lock_guard file_lock(fs->mu);
+    if (fs->stats.ops == 0) continue;
+    RestoreLedgerEntry row = fs->stats;
     row.active = true;
     out.push_back(std::move(row));
   }
@@ -189,17 +212,37 @@ std::vector<RestoreLedgerEntry> Readahead::ledger_snapshot() const {
   return out;
 }
 
-void Readahead::drop_cache_locked(FileState& fs) {
-  // Chunks with kernel reads in flight cannot be returned to the pool —
-  // wait those out first (the engine only carries reads, so completions
-  // are always forthcoming).
-  while (fs.inflight > 0) engine_->reap(/*wait=*/true);
-  while (!fs.slots.empty()) retire_front_locked(fs);
+void Readahead::complete_fill(FileState& fs, Slot& slot, Result<std::size_t> nread) {
+  fills_inflight_.fetch_sub(1, std::memory_order_relaxed);
+  std::lock_guard lock(fs.mu);
+  if (nread.ok()) {
+    slot.valid = nread.value();
+    slot.chunk->set_fill(slot.valid);
+    slot.state = Slot::State::kReady;
+    if (slot.valid < slot.want) {
+      // Short read = EOF inside the slot: stop the window from issuing
+      // further reads past the end of the file.
+      fs.eof_at = std::min(fs.eof_at, slot.offset + slot.valid);
+    }
+  } else {
+    slot.state = Slot::State::kError;
+  }
+  fs.inflight -= 1;
+  // Notify under the lock: once it is released the reader may retire the
+  // slot and evict the file, so nothing here may touch `fs` afterwards.
+  fs.filled.notify_all();
 }
 
-void Readahead::retire_front_locked(FileState& fs) {
+void Readahead::drop_cache(FileState& fs, Lock& lock) {
+  // Chunks with fills in flight cannot go back to the pool — wait those
+  // out first (an IO worker always completes a fill it popped).
+  fs.filled.wait(lock, [&fs] { return fs.inflight == 0; });
+  while (!fs.slots.empty()) retire_front(fs, lock);
+}
+
+void Readahead::retire_front(FileState& fs, Lock& lock) {
   Slot* s = fs.slots.front().get();
-  while (s->state == Slot::State::kInflight) engine_->reap(/*wait=*/true);
+  fs.filled.wait(lock, [s] { return s->state != Slot::State::kInflight; });
   if (!s->consumed) {
     if (obs_.prefetch_wasted != nullptr) obs_.prefetch_wasted->add(1);
     fs.stats.prefetch_wasted += 1;
@@ -208,51 +251,81 @@ void Readahead::retire_front_locked(FileState& fs) {
   fs.slots.pop_front();
 }
 
-void Readahead::top_up_locked(const FileEntry* entry, FileState& fs, std::uint64_t next,
-                              unsigned window) {
-  const std::size_t chunk_bytes = pool_.chunk_size();
-  const std::size_t cap = std::min<std::size_t>(window, engine_->capacity());
-  // The window is contiguous: new reads start where coverage ends.
+std::size_t Readahead::fair_share() const {
+  const std::size_t scans = std::max<std::size_t>(1, scans_.load(std::memory_order_relaxed));
+  return std::max<std::size_t>(1, pool_.total_chunks() / scans);
+}
+
+bool Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next,
+                       unsigned window, std::vector<ReadJob>& fills) {
+  const std::size_t cap = std::min<std::size_t>(window, fair_share());
+  // The window is contiguous: new fills start where coverage ends.
   std::uint64_t cover_end = next;
   if (!fs.slots.empty()) {
     cover_end = std::max(cover_end, fs.slots.back()->offset + fs.slots.back()->want);
   }
+  bool starved = false;
+  std::size_t issued = 0;
   while (fs.slots.size() < cap && cover_end < fs.eof_at) {
     // Opportunistic only: never starve checkpoint writers of chunks.
     auto chunk = pool_.try_acquire(cover_end);
-    if (chunk == nullptr) break;
+    if (chunk == nullptr) {
+      starved = true;
+      break;
+    }
     chunk->reset(cover_end);
     auto slot = std::make_unique<Slot>();
-    slot->chunk = std::move(chunk);
-    slot->owner = &fs;
     slot->offset = cover_end;
-    slot->want = std::min<std::size_t>(chunk_bytes, slot->chunk->capacity());
+    slot->want = std::min<std::size_t>(pool_.chunk_size(), chunk->capacity());
 
-    ReadRun run;
-    run.file = entry->backend_file();
-    run.offset = cover_end;
-    run.segs.push_back(ReadSeg{slot->chunk->mutable_storage().data(), slot->want});
-    run.total = slot->want;
-    run.token = next_token_++;
-    run.buf_index = slot->chunk->pool_index();
-
-    inflight_tokens_[run.token] = slot.get();
+    ReadJob job;
+    job.file = entry.backend_file();
+    job.offset = cover_end;
+    job.dst = chunk->mutable_storage().data();
+    job.len = slot->want;
+    job.buf_index = chunk->pool_index();
+    job.done = [this, &fs, s = slot.get()](Result<std::size_t> nread) {
+      complete_fill(fs, *s, std::move(nread));
+    };
+    slot->chunk = std::move(chunk);
+    cover_end += slot->want;
     fs.inflight += 1;
     fs.slots.push_back(std::move(slot));
-    engine_->submit_read(std::move(run));
+    fills.push_back(std::move(job));
+    issued += 1;
     if (obs_.prefetch_issued != nullptr) obs_.prefetch_issued->add(1);
     fs.stats.prefetch_issued += 1;
-    cover_end += chunk_bytes;
   }
-  engine_->flush();
-  if (obs_.inflight_depth != nullptr) obs_.inflight_depth->record(engine_->inflight());
+  const std::size_t inflight =
+      fills_inflight_.fetch_add(issued, std::memory_order_relaxed) + issued;
+  if (obs_.inflight_depth != nullptr) obs_.inflight_depth->record(inflight);
+  return starved;
 }
 
-void Readahead::finalize_locked(FileState& fs) {
-  if (fs.stats.ops == 0) return;
-  fs.stats.active = false;
-  ledger_.push_back(fs.stats);
-  while (ledger_.size() > ledger_capacity_) ledger_.pop_front();
+bool Readahead::reclaim(const FileState& self) {
+  // A scan that filled its window while fewer files were open for reading
+  // may still hold more than today's share, and may not read (or top up)
+  // again for a while — say while its application faults in a fresh
+  // buffer. Take back its furthest slots that are filled but unread: never
+  // one in flight, never one its reader has started on, which keeps its
+  // coverage contiguous.
+  const std::size_t share = fair_share();
+  bool freed = false;
+  std::lock_guard lock(mu_);
+  for (const auto& [entry, other] : files_) {
+    if (other.get() == &self) continue;
+    std::lock_guard file_lock(other->mu);
+    while (other->slots.size() > share) {
+      Slot& back = *other->slots.back();
+      if (back.state == Slot::State::kInflight || back.consumed) break;
+      if (obs_.prefetch_wasted != nullptr) obs_.prefetch_wasted->add(1);
+      other->stats.prefetch_wasted += 1;
+      pool_.release(std::move(back.chunk));
+      other->slots.pop_back();
+      freed = true;
+    }
+  }
+  return freed;
 }
 
 }  // namespace crfs

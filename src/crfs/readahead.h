@@ -4,13 +4,23 @@
 // The paper leaves read() a synchronous passthrough; a BLCR-style restore
 // is a strict forward scan, so every pread stalls the restart for one full
 // backend round trip. This prefetcher recognizes the sequential scan (a
-// per-file expected-offset streak), then keeps up to `window` chunk-sized
-// reads in flight through a dedicated IoEngine (the same sync/uring
-// machinery the write path uses — IORING_OP_READ_FIXED over the pool's
-// registered chunk storage, synchronous preadv fallback). Prefetched
+// per-file expected-offset streak), then keeps a window of chunk-sized
+// fills in flight on the mount's IO threads: each fill is a ReadJob on the
+// work queue's read lane, run by whichever IoThreadPool worker pops it
+// through that worker's own engine (a pread on the IO thread for sync,
+// IORING_OP_READ_FIXED into the pool's registered chunk storage for
+// uring). The rank thread never issues a prefetch pread itself. Filled
 // chunks are parked in pool-backed cache slots and consumed by later
 // reads; anything unconsumed on a seek, a write, or close is counted as
 // wasted and the chunks go back to the pool.
+//
+// Fair share: a file tops its window up to min(window, max(1, pool chunks
+// / files with an open scan)) slots, recomputed at every top-up, so two
+// ranks restoring at once split the pool instead of one taking it all. A
+// file's scan is open from its read-only open (or first read) to its final
+// close, so ranks that open together split the pool from their first
+// fill on. A scan that finds the pool dry below its share reclaims the
+// filled, unread slots other files hold beyond theirs.
 //
 // Coherence: the cache is valid only for the FileEntry::write_gen it was
 // filled under. Every serve snapshots the generation; if a write or
@@ -18,12 +28,18 @@
 // serving (the caller has already barriered the file's queued chunks, so
 // a fresh backend read observes them).
 //
-// Concurrency: one mutex serializes the whole prefetcher (restores are
-// single-stream scans; writers never enter). The engine is driven only
-// under that mutex, so its inline completion callback runs lock-free
-// within an already-locked serve and must not re-lock.
+// Concurrency: all read state is per file. FileState::scan_mu serializes
+// the reads of one file (it is held across their copies and blocking
+// preads); FileState::mu guards the slot window, the slot states fill
+// completions write, the in-flight count and the ledger row, and is only
+// ever held for a few instructions, so an IO thread completing a fill
+// never waits on a backend call. The mount-wide mu_ covers only the file map (one lookup
+// per read) and the ledger ring; no backend call or copy runs under it.
+// Lock order: scan_mu, then mu_, then FileState::mu.
 #pragma once
 
+#include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <deque>
 #include <functional>
@@ -36,7 +52,7 @@
 
 #include "backend/backend_fs.h"
 #include "crfs/buffer_pool.h"
-#include "crfs/io_engine.h"
+#include "crfs/work_queue.h"
 #include "obs/metrics.h"
 
 namespace crfs {
@@ -55,7 +71,7 @@ struct ReadObs {
   obs::LatencyHistogram* pread_ns = nullptr;        ///< crfs.read.pread_ns
   obs::LatencyHistogram* inflight_depth = nullptr;  ///< crfs.read.inflight_depth
   /// Slow-read forensics hook (path, offset, len, t_start, t_done);
-  /// thresholding happens in the sink (SlowStore).
+  /// thresholding happens in the sink (SlowStore). Runs with no lock held.
   std::function<void(const std::string& path, std::uint64_t offset, std::size_t len,
                      std::uint64_t t_start, std::uint64_t t_done)>
       on_slow;
@@ -79,25 +95,29 @@ struct RestoreLedgerEntry {
 
 class Readahead {
  public:
-  /// `engine_opts` mirrors the mount's write-engine choice; the read
-  /// engine is a separate ring so restore traffic never competes with
-  /// checkpoint SQEs for slots. `regions` enables READ_FIXED into pool
-  /// chunk storage.
-  Readahead(BackendFs& backend, BufferPool& pool, const IoEngineOptions& engine_opts,
-            std::vector<ChunkRegion> regions, IoEngineObs engine_obs, ReadObs obs,
+  /// Fills go to `queue`'s read lane; the IO pool draining that queue
+  /// must outlive this object.
+  Readahead(BackendFs& backend, BufferPool& pool, WorkQueue& queue, ReadObs obs,
             std::size_t ledger_capacity);
 
-  /// Drains and releases everything; must run before the pool shuts down.
+  /// Waits out every in-flight fill and releases every slot; must run
+  /// while the IO workers still drain the queue, and before the pool
+  /// shuts down.
   ~Readahead();
 
   Readahead(const Readahead&) = delete;
   Readahead& operator=(const Readahead&) = delete;
 
+  /// Opens `entry`'s scan ahead of its first read (read-only opens), so
+  /// the fair share counts it before it reads.
+  void open(const std::shared_ptr<FileEntry>& entry);
+
   /// Serves one application read at `offset`, from the prefetch cache
   /// where possible, with a blocking backend pread for the uncovered
   /// tail. When `enabled` and the file's sequential streak is
-  /// established, tops the window back up to `window` chunk reads in
-  /// flight before returning. Returns bytes read (short only at EOF).
+  /// established, tops the window back up (to at most `window` slots, and
+  /// at most the file's fair share of the pool) before returning. Returns
+  /// bytes read (short only at EOF).
   Result<std::size_t> read(const std::shared_ptr<FileEntry>& entry, std::span<std::byte> out,
                            std::uint64_t offset, bool enabled, unsigned window);
 
@@ -105,64 +125,69 @@ class Readahead {
   /// finalizing its restore-ledger row. Idempotent.
   void evict(const FileEntry* entry);
 
-  /// Releases the read engine's registered-fd slot before the backend
-  /// closes `file` (mirrors IoThreadPool::forget_backend_file).
-  void forget_file(BackendFile file);
-
-  /// Engine actually running after fallback ("sync"/"uring").
-  const char* engine_name() const { return engine_->name(); }
-
-  /// Reads currently in flight on the read engine (monitoring gauge;
-  /// engine inflight() is thread-safe by contract).
-  std::size_t engine_inflight() const { return engine_->inflight(); }
-
   /// Finalized restore rows (oldest first) plus live scans (active=true),
   /// ordered by first read time.
   std::vector<RestoreLedgerEntry> ledger_snapshot() const;
 
  private:
-  struct FileState;
-
   /// One pool-backed cache slot: a chunk being (or already) filled from
-  /// the backend.
+  /// the backend. `state` and `valid` are written by the fill's
+  /// completion under the owning FileState::mu; the rest belongs to the
+  /// scan_mu holder.
   struct Slot {
     std::unique_ptr<Chunk> chunk;
-    FileState* owner = nullptr;
     std::uint64_t offset = 0;  ///< file offset of the first byte
     std::size_t want = 0;      ///< bytes requested
     std::size_t valid = 0;     ///< bytes filled; < want means EOF inside
     enum class State { kInflight, kReady, kError } state = State::kInflight;
-    int err = 0;
     bool consumed = false;  ///< any byte served to the application
   };
 
   struct FileState {
+    std::mutex scan_mu;  ///< serializes this file's reads and its eviction
+    std::mutex mu;       ///< slot fill states, inflight, eof_at, stats
+    std::condition_variable filled;  ///< a fill of this file completed
+    // Under scan_mu:
     std::uint64_t expected_next = 0;  ///< sequential-scan predictor
     std::uint64_t streak = 0;         ///< consecutive sequential reads
     std::uint64_t gen_seen = 0;       ///< FileEntry::write_gen of the cache
-    std::uint64_t eof_at = ~std::uint64_t{0};  ///< lowest offset at/after EOF
-    std::size_t inflight = 0;         ///< slots in State::kInflight
+    bool evicted = false;   ///< final close ran; never prefetch again
+    // Under mu (and only the scan_mu holder adds slots or takes the front;
+    // another file's reclaim() may trim unread slots off the back):
     std::deque<std::unique_ptr<Slot>> slots;  ///< sorted, contiguous coverage
+    std::uint64_t eof_at = ~std::uint64_t{0};  ///< lowest offset at/after EOF
+    std::size_t inflight = 0;  ///< slots in State::kInflight
     RestoreLedgerEntry stats;
-    bool touched = false;
   };
 
-  void drop_cache_locked(FileState& fs);
-  void retire_front_locked(FileState& fs);
-  void top_up_locked(const FileEntry* entry, FileState& fs, std::uint64_t next,
-                     unsigned window);
-  void finalize_locked(FileState& fs);
+  using Lock = std::unique_lock<std::mutex>;
+
+  /// The file's read state, created (and counted in scans_) on first use.
+  std::shared_ptr<FileState> state_for(const std::shared_ptr<FileEntry>& entry);
+  void complete_fill(FileState& fs, Slot& slot, Result<std::size_t> nread);
+  void drop_cache(FileState& fs, Lock& lock);
+  void retire_front(FileState& fs, Lock& lock);
+  /// Pool chunks per open scan: max(1, total chunks / open scans).
+  std::size_t fair_share() const;
+  /// Appends the fills that bring `fs`'s window back to min(window, fair
+  /// share) slots to `fills` (pushed to the queue once fs.mu is released).
+  /// Returns true when it stopped short because the pool was dry.
+  bool top_up(const FileEntry& entry, FileState& fs, std::uint64_t next, unsigned window,
+              std::vector<ReadJob>& fills);
+  /// Trims other files' windows down to the fair share; true if any chunk
+  /// went back to the pool. Called with no FileState::mu held.
+  bool reclaim(const FileState& self);
 
   BackendFs& backend_;
   BufferPool& pool_;
+  WorkQueue& queue_;
   ReadObs obs_;
   const std::size_t ledger_capacity_;
+  std::atomic<std::size_t> scans_{0};           ///< open scans (files_.size())
+  std::atomic<std::size_t> fills_inflight_{0};  ///< mount-wide, for inflight_depth
 
-  mutable std::mutex mu_;
-  std::unique_ptr<IoEngine> engine_;  ///< driven only under mu_
-  std::unordered_map<const FileEntry*, FileState> files_;
-  std::unordered_map<std::uint64_t, Slot*> inflight_tokens_;
-  std::uint64_t next_token_ = 1;
+  mutable std::mutex mu_;  ///< files_ and ledger_ only
+  std::unordered_map<const FileEntry*, std::shared_ptr<FileState>> files_;
   std::deque<RestoreLedgerEntry> ledger_;  ///< bounded ring, oldest first
 };
 

@@ -15,6 +15,14 @@ void WorkQueue::push(WriteJob job) {
   ready_.notify_one();
 }
 
+void WorkQueue::push_read(ReadJob job) {
+  {
+    std::lock_guard lock(mu_);
+    reads_.push_back(std::move(job));
+  }
+  ready_.notify_one();
+}
+
 std::optional<WriteJob> WorkQueue::pop() {
   auto batch = pop_batch(1);
   if (batch.empty()) return std::nullopt;
@@ -22,37 +30,41 @@ std::optional<WriteJob> WorkQueue::pop() {
 }
 
 std::vector<WriteJob> WorkQueue::pop_batch(std::size_t max) {
-  if (max == 0) max = 1;
-  std::vector<WriteJob> batch;
-  {
-    std::unique_lock lock(mu_);
-    ready_.wait(lock, [&] { return !jobs_.empty() || shutdown_; });
-    drain_locked(batch, max);
-    if (batch.empty()) return batch;  // shutdown and drained
-  }
-  stamp_dequeued(batch);
-  return batch;
+  return take(max, /*wait=*/true, /*reads=*/false).writes;
 }
 
 std::vector<WriteJob> WorkQueue::try_pop_batch(std::size_t max) {
-  if (max == 0) max = 1;
-  std::vector<WriteJob> batch;
-  {
-    std::lock_guard lock(mu_);
-    drain_locked(batch, max);
-    if (batch.empty()) return batch;
-  }
-  stamp_dequeued(batch);
-  return batch;
+  return take(max, /*wait=*/false, /*reads=*/false).writes;
 }
 
-void WorkQueue::drain_locked(std::vector<WriteJob>& batch, std::size_t max) {
-  const std::size_t n = jobs_.size() < max ? jobs_.size() : max;
-  batch.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    batch.push_back(std::move(jobs_.front()));
-    jobs_.pop_front();
+WorkBatch WorkQueue::pop_work(std::size_t max, bool wait) {
+  return take(max, wait, /*reads=*/true);
+}
+
+WorkBatch WorkQueue::take(std::size_t max, bool wait, bool reads) {
+  if (max == 0) max = 1;
+  WorkBatch out;
+  {
+    std::unique_lock lock(mu_);
+    if (wait) {
+      ready_.wait(lock, [&] {
+        return !jobs_.empty() || (reads && !reads_.empty()) || shutdown_;
+      });
+    }
+    if (reads && !reads_.empty()) {
+      out.read = std::move(reads_.front());
+      reads_.pop_front();
+      return out;
+    }
+    const std::size_t n = jobs_.size() < max ? jobs_.size() : max;
+    out.writes.reserve(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      out.writes.push_back(std::move(jobs_.front()));
+      jobs_.pop_front();
+    }
   }
+  if (!out.writes.empty()) stamp_dequeued(out.writes);
+  return out;
 }
 
 void WorkQueue::stamp_dequeued(std::vector<WriteJob>& batch) {

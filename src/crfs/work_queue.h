@@ -1,20 +1,26 @@
 // WorkQueue: FIFO of filled chunks awaiting backend writing (paper §IV-B,
-// "Work Queue and IO Throttling").
+// "Work Queue and IO Throttling"), plus a read lane of readahead window
+// fills.
 //
 // Producers are application threads (full chunks, and partial chunks at
-// close/fsync); consumers are the IO thread pool. The queue is unbounded:
-// backpressure is applied upstream by the finite BufferPool, never here —
-// a chunk that exists always has a queue slot, so enqueue cannot block
-// and close() cannot deadlock against a full queue.
+// close/fsync; fills from a restoring reader); consumers are the IO thread
+// pool. The queue is unbounded: backpressure is applied upstream by the
+// finite BufferPool, never here — a chunk that exists always has a queue
+// slot, so enqueue cannot block and close() cannot deadlock against a full
+// queue. Both lanes hold pool chunks, so the read lane is bounded by the
+// pool too; workers take fills first because a reader is blocked on them.
 #pragma once
 
 #include <condition_variable>
 #include <deque>
+#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
 #include <vector>
 
+#include "backend/backend_fs.h"
+#include "common/result.h"
 #include "crfs/chunk.h"
 #include "obs/epoch.h"
 #include "obs/metrics.h"
@@ -41,10 +47,44 @@ struct WriteJob {
   std::uint64_t dequeue_ns = 0;
 };
 
+/// One readahead window fill: read `len` bytes of `file` from `offset`
+/// into `dst`, a pool chunk's storage. The IO worker that pops it runs it
+/// through its own engine (a pread on the worker for sync, READ_FIXED in
+/// the worker's ring for uring).
+struct ReadJob {
+  BackendFile file = 0;
+  std::uint64_t offset = 0;
+  std::byte* dst = nullptr;
+  std::size_t len = 0;
+  /// Registered fixed-buffer index of `dst`'s chunk
+  /// (IORING_OP_READ_FIXED); Chunk::kNoPoolIndex otherwise.
+  std::uint16_t buf_index = Chunk::kNoPoolIndex;
+  /// Invoked exactly once, on the IO thread, with the bytes filled (short
+  /// only at EOF) or the error.
+  std::function<void(Result<std::size_t>)> done;
+};
+
+/// What one dequeue hands a worker: a single read fill, or a batch of
+/// write jobs (never both).
+struct WorkBatch {
+  std::optional<ReadJob> read;
+  std::vector<WriteJob> writes;
+  bool empty() const { return !read && writes.empty(); }
+};
+
 class WorkQueue {
  public:
   /// Appends a job and wakes one IO thread.
   void push(WriteJob job);
+
+  /// Appends a fill to the read lane and wakes one IO thread.
+  void push_read(ReadJob job);
+
+  /// The IO workers' dequeue: one read fill when the read lane has any,
+  /// otherwise up to `max` already-queued write jobs. With `wait`, blocks
+  /// until either lane has work; returns empty only after shutdown once
+  /// both lanes drained (or at once without `wait` when both are dry).
+  WorkBatch pop_work(std::size_t max, bool wait);
 
   /// Blocks for the next job; nullopt after shutdown once drained.
   std::optional<WriteJob> pop();
@@ -62,7 +102,8 @@ class WorkQueue {
   std::vector<WriteJob> try_pop_batch(std::size_t max);
 
   /// Lets pop() return nullopt once the queue is empty. Already-queued
-  /// jobs are still handed out so teardown never loses buffered data.
+  /// jobs (and fills) are still handed out so teardown never loses
+  /// buffered data.
   void shutdown();
 
   /// Installs the enqueue->pop wait histogram (crfs.queue.wait_ns). Call
@@ -70,16 +111,18 @@ class WorkQueue {
   /// without synchronization afterwards.
   void set_wait_histogram(obs::LatencyHistogram* hist) { wait_hist_ = hist; }
 
+  /// Write jobs queued (the read lane is not counted).
   std::size_t depth() const;
   std::uint64_t total_pushed() const;
 
  private:
-  void drain_locked(std::vector<WriteJob>& batch, std::size_t max);
+  WorkBatch take(std::size_t max, bool wait, bool reads);
   void stamp_dequeued(std::vector<WriteJob>& batch);
 
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::deque<WriteJob> jobs_;
+  std::deque<ReadJob> reads_;
   std::uint64_t pushed_ = 0;
   bool shutdown_ = false;
   obs::LatencyHistogram* wait_hist_ = nullptr;

@@ -1,14 +1,19 @@
 // Read-path tests: pread conformance across every backend (short reads,
 // chunk-boundary straddling, EOF), the sequential-scan prefetcher (arming,
-// seek eviction, runtime toggle), coherence against buffered and racing
-// writes, and bit-identical blcr restart with readahead on / off / retuned
-// mid-stream.
+// seek eviction, runtime toggle, fair pool share between concurrent
+// scans, failed fills, unmount with fills in flight on the IO threads),
+// coherence against buffered and racing writes, and bit-identical blcr
+// restart with readahead on / off / retuned mid-stream.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <functional>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -52,6 +57,25 @@ class ReadPath : public ::testing::Test {
 
   std::filesystem::path dir_;
 };
+
+/// Runs `fn` on a helper thread; if it has not returned within `limit`,
+/// reports `what` and exits the process, so a blocking wait that never
+/// ends fails the test run instead of hanging it.
+void within(std::chrono::seconds limit, const char* what, const std::function<void()>& fn) {
+  std::promise<void> done;
+  std::future<void> finished = done.get_future();
+  std::thread worker([&] {
+    fn();
+    done.set_value();
+  });
+  if (finished.wait_for(limit) != std::future_status::ready) {
+    std::fprintf(stderr, "FAILED: %s did not return within %lld s\n", what,
+                 static_cast<long long>(limit.count()));
+    std::fflush(stderr);
+    std::_Exit(1);
+  }
+  worker.join();
+}
 
 void write_file(Crfs& fs, const std::string& path, const std::vector<std::byte>& data) {
   auto h = fs.open(path, {.create = true, .truncate = true, .write = true});
@@ -494,6 +518,183 @@ TEST_F(ReadPath, RestoreBitIdenticalAcrossBackendsAndModes) {
       EXPECT_EQ(stage, 3) << "mid-stream retune points never reached";
     }
   }
+}
+
+TEST_F(ReadPath, ConcurrentScansShareThePool) {
+  // Two ranks restore at once on a default mount (a pool of 4 chunks).
+  // Each scan's window gets its fair share of the pool, so neither rank
+  // falls back to one blocking pread per read.
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), Config{});
+  ASSERT_TRUE(fs.ok());
+  FuseShim shim(*fs.value(), FuseOptions{});
+  constexpr unsigned kRanks = 2;
+  const auto path = [](unsigned r) { return "share" + std::to_string(r) + ".ckpt"; };
+
+  std::uint64_t crc[kRanks] = {};
+  for (unsigned r = 0; r < kRanks; ++r) {
+    const auto image = blcr::ProcessImage::synthesize(40 + r, 64 * MiB, 11 + r);
+    auto f = File::open(shim, path(r), {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(f.ok());
+    blcr::CrfsFileSink sink(f.value());
+    auto written = blcr::CheckpointWriter::write_image(image, sink);
+    ASSERT_TRUE(written.ok());
+    crc[r] = written.value();
+    ASSERT_TRUE(f.value().close().ok());
+  }
+
+  std::uint64_t restored[kRanks] = {};
+  std::atomic<unsigned> opened{0};
+  std::vector<std::thread> ranks;
+  for (unsigned r = 0; r < kRanks; ++r) {
+    ranks.emplace_back([&, r] {
+      auto f = File::open(shim, path(r), {.create = false, .truncate = false, .write = false});
+      ASSERT_TRUE(f.ok());
+      // Start both scans together, as a coordinated restart does.
+      opened.fetch_add(1);
+      while (opened.load() < kRanks) std::this_thread::yield();
+      blcr::CrfsFileSource source(f.value());
+      auto sum = blcr::RestartReader::read_image(source);
+      ASSERT_TRUE(sum.ok()) << sum.error().to_string();
+      restored[r] = sum.value().payload_crc;
+      ASSERT_TRUE(f.value().close().ok());
+    });
+  }
+  for (auto& t : ranks) t.join();
+
+  const auto ledger = fs.value()->restore_ledger();
+  for (unsigned r = 0; r < kRanks; ++r) {
+    SCOPED_TRACE(path(r));
+    EXPECT_EQ(restored[r], crc[r]);
+    bool found = false;
+    for (const auto& row : ledger) {
+      if (row.path != path(r)) continue;
+      found = true;
+      EXPECT_GT(row.prefetch_hits, 0u) << "this rank's scan never got a pool chunk";
+      EXPECT_LE(row.sync_preads, row.ops / 2)
+          << row.sync_preads << " of " << row.ops << " reads were blocking preads";
+    }
+    EXPECT_TRUE(found) << "missing from the restore ledger";
+  }
+}
+
+TEST_F(ReadPath, LateScanReclaimsItsShare) {
+  // A pool of 4 chunks: the first scan fills its whole window from it
+  // while it is the only file open for reading. A second scan that opens
+  // later must take back the first one's unread slots beyond the fair
+  // share, even though the first scan makes no further read meanwhile.
+  // Every backend op sleeps 2 ms, so the first scan's fills have landed
+  // long before the second scan's 16 reads are done.
+  auto slow = std::make_shared<ThrottledBackend>(std::make_shared<MemBackend>(),
+                                                 1024.0 * MiB, std::chrono::milliseconds(2));
+  auto fs = Crfs::mount(slow, Config{.chunk_size = kChunk, .pool_size = 4 * kChunk});
+  ASSERT_TRUE(fs.ok());
+  const auto early_data = make_pattern(16 * kChunk, /*salt=*/21);
+  const auto late_data = make_pattern(16 * kChunk, /*salt=*/22);
+  write_file(*fs.value(), "early.dat", early_data);
+  write_file(*fs.value(), "late.dat", late_data);
+  slow->throttle_reads(true);
+  const OpenFlags ro{.create = false, .truncate = false, .write = false};
+
+  const auto scan = [&](Crfs::FileHandle h, const std::vector<std::byte>& expect,
+                        std::size_t from, std::size_t to) {
+    std::vector<std::byte> buf(kChunk);
+    for (std::size_t off = from; off < to; off += kChunk) {
+      auto r = fs.value()->read(h, buf, off);
+      ASSERT_TRUE(r.ok());
+      ASSERT_EQ(r.value(), kChunk);
+      ASSERT_EQ(0, std::memcmp(buf.data(), expect.data() + off, kChunk)) << "at " << off;
+    }
+  };
+  auto early = fs.value()->open("early.dat", ro);
+  ASSERT_TRUE(early.ok());
+  scan(early.value(), early_data, 0, 3 * kChunk);
+  EXPECT_EQ(fs.value()->buffer_pool().free_chunks(), 0u);
+
+  auto late = fs.value()->open("late.dat", ro);
+  ASSERT_TRUE(late.ok());
+  scan(late.value(), late_data, 0, late_data.size());
+  // The early scan's coverage stays contiguous after the trim.
+  scan(early.value(), early_data, 3 * kChunk, early_data.size());
+  ASSERT_TRUE(fs.value()->close(late.value()).ok());
+  ASSERT_TRUE(fs.value()->close(early.value()).ok());
+
+  for (const auto& row : fs.value()->restore_ledger()) {
+    SCOPED_TRACE(row.path);
+    if (row.path == "late.dat") {
+      EXPECT_GT(row.prefetch_hits, 0u);
+    } else if (row.path == "early.dat") {
+      EXPECT_GT(row.prefetch_wasted, 0u) << "nothing reclaimed";
+    }
+  }
+  EXPECT_EQ(fs.value()->buffer_pool().free_chunks(), fs.value()->buffer_pool().total_chunks());
+}
+
+TEST_F(ReadPath, FailedFillRetriesOrReportsTheError) {
+  auto faulty = std::make_shared<FaultyBackend>(std::make_shared<MemBackend>());
+  auto fs = Crfs::mount(faulty, Config{.chunk_size = kChunk, .pool_size = kPool});
+  ASSERT_TRUE(fs.ok());
+  const auto data = make_pattern(16 * kChunk, /*salt=*/5);
+  write_file(*fs.value(), "fail.dat", data);
+
+  auto h = fs.value()->open("fail.dat", {.create = false, .truncate = false, .write = false});
+  ASSERT_TRUE(h.ok());
+  // Two blocking preads arm the scan; of the window's fills only one can
+  // succeed, the rest complete in error. A read over a failed slot must
+  // retry the range with a blocking pread (which fails too here) and
+  // return the error, never stale or partial bytes.
+  faulty->fail_reads_after(3);
+  std::vector<std::byte> buf(kChunk);
+  std::size_t errors = 0;
+  for (std::size_t off = 0; off < data.size(); off += kChunk) {
+    auto r = fs.value()->read(h.value(), buf, off);
+    if (!r.ok()) {
+      EXPECT_EQ(r.error().code, EIO);
+      errors += 1;
+      continue;
+    }
+    ASSERT_EQ(r.value(), kChunk) << "short read at " << off;
+    EXPECT_EQ(0, std::memcmp(buf.data(), data.data() + off, kChunk)) << "bad bytes at " << off;
+  }
+  EXPECT_GT(errors, 0u) << "no read saw the injected failure";
+  EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 0u);
+
+  // Healed backend: the failed slots are gone, so a rescan is exact.
+  faulty->fail_reads_after(-1);
+  for (std::size_t off = 0; off < data.size(); off += kChunk) {
+    auto r = fs.value()->read(h.value(), buf, off);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    ASSERT_EQ(r.value(), kChunk);
+    ASSERT_EQ(0, std::memcmp(buf.data(), data.data() + off, kChunk)) << "bad bytes at " << off;
+  }
+
+  within(std::chrono::seconds(30), "close after failed fills",
+         [&] { EXPECT_TRUE(fs.value()->close(h.value()).ok()); });
+  EXPECT_EQ(fs.value()->buffer_pool().free_chunks(), fs.value()->buffer_pool().total_chunks());
+  within(std::chrono::seconds(30), "unmount after failed fills", [&] { fs.value().reset(); });
+}
+
+TEST_F(ReadPath, UnmountMidScanWaitsOutInflightFills) {
+  // Every backend op sleeps 20 ms, so the window's fills are still running
+  // on the IO threads when the mount goes away under the open handle.
+  auto slow = std::make_shared<ThrottledBackend>(std::make_shared<MemBackend>(),
+                                                 1024.0 * MiB, std::chrono::milliseconds(20));
+  auto fs = Crfs::mount(slow, Config{.chunk_size = kChunk, .pool_size = kPool});
+  ASSERT_TRUE(fs.ok());
+  const auto data = make_pattern(16 * kChunk, /*salt=*/9);
+  write_file(*fs.value(), "unmount.dat", data);
+  slow->throttle_reads(true);
+
+  auto h = fs.value()->open("unmount.dat", {.create = false, .truncate = false, .write = false});
+  ASSERT_TRUE(h.ok());
+  std::vector<std::byte> buf(kChunk);
+  for (std::size_t off = 0; off < 3 * kChunk; off += kChunk) {
+    auto r = fs.value()->read(h.value(), buf, off);
+    ASSERT_TRUE(r.ok());
+    ASSERT_EQ(r.value(), kChunk);
+    ASSERT_EQ(0, std::memcmp(buf.data(), data.data() + off, kChunk));
+  }
+  ASSERT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 3u);
+  within(std::chrono::seconds(30), "unmount with fills in flight", [&] { fs.value().reset(); });
 }
 
 }  // namespace

@@ -123,6 +123,39 @@ TEST(WorkQueue, TryPopBatchNeverBlocks) {
   EXPECT_TRUE(q.try_pop_batch(8).empty());  // drained + closed: still empty
 }
 
+TEST(WorkQueue, PopWorkTakesFillsBeforeWrites) {
+  WorkQueue q;
+  auto entry = std::make_shared<FileEntry>("f", 1);
+  q.push(make_job(entry, 64, 0, 'a', 1));
+  q.push(make_job(entry, 64, 1, 'b', 1));
+  const auto fill = [](std::uint64_t off) {
+    ReadJob job;
+    job.offset = off;
+    return job;
+  };
+  for (std::uint64_t off : {100u, 200u}) q.push_read(fill(off));
+  EXPECT_EQ(q.depth(), 2u);  // the read lane is not counted
+
+  // One fill per pop, oldest first, ahead of the earlier writes.
+  for (std::uint64_t off : {100u, 200u}) {
+    WorkBatch work = q.pop_work(8, /*wait=*/false);
+    ASSERT_TRUE(work.read.has_value());
+    EXPECT_EQ(work.read->offset, off);
+    EXPECT_TRUE(work.writes.empty());
+  }
+  WorkBatch work = q.pop_work(8, /*wait=*/false);
+  EXPECT_FALSE(work.read.has_value());
+  EXPECT_EQ(work.writes.size(), 2u);
+  EXPECT_TRUE(q.pop_work(8, /*wait=*/false).empty());
+
+  // After shutdown a queued fill is still handed out, then the blocking
+  // pop returns empty.
+  q.push_read(fill(300));
+  q.shutdown();
+  EXPECT_TRUE(q.pop_work(8, /*wait=*/true).read.has_value());
+  EXPECT_TRUE(q.pop_work(8, /*wait=*/true).empty());
+}
+
 TEST(WorkQueue, TryPopBatchStampsDequeueTimes) {
   WorkQueue q;
   auto entry = std::make_shared<FileEntry>("f", 1);
