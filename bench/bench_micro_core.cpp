@@ -54,8 +54,8 @@ void BM_WorkQueuePushPop(benchmark::State& state) {
     auto chunk = std::make_unique<Chunk>(4096);
     chunk->reset(0);
     queue.push(WriteJob{entry, std::move(chunk)});
-    auto job = queue.pop();
-    benchmark::DoNotOptimize(job);
+    auto work = queue.pop_work(1, /*wait=*/true);
+    benchmark::DoNotOptimize(work);
   }
 }
 BENCHMARK(BM_WorkQueuePushPop);

@@ -9,7 +9,7 @@
 # test_control (knob-plane snapshot publication racing tunes, the
 # controller ticking on a real sampler thread while other threads read
 # the decision log), test_read_path (readahead fills completing on IO
-# threads while their readers wait, copy and reclaim slots; concurrent
+# threads while their readers wait and copy out of slots; concurrent
 # scans sharing the pool; unmount with fills in flight; the prefetcher
 # racing appending writers, flush-before-read barriers under concurrent
 # reads), and test_journal (journal flusher thread racing cold-path

@@ -39,7 +39,7 @@ struct IoPoolObs {
   /// sticky FileEntry error surfaces at close/fsync, this log says what
   /// and where).
   obs::EventBuffer* events = nullptr;
-  /// Batch-dequeue shape: chunks drained per pop_batch (crfs.io.batch_chunks).
+  /// Batch-dequeue shape: chunks drained per pop_work (crfs.io.batch_chunks).
   obs::LatencyHistogram* batch_chunks = nullptr;
   /// Vectored writes issued for runs of >1 adjacent chunks
   /// (crfs.io.coalesced_pwrites).

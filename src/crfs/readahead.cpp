@@ -100,9 +100,8 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
         if (obs_.prefetch_hits != nullptr) obs_.prefetch_hits->add(1);
         fs.stats.prefetch_hits += 1;
       }
-      // The copy runs unlocked: a ready slot's bytes never change, only the
-      // scan_mu holder retires slots, and reclaim() never takes one whose
-      // reading has begun.
+      // The copy runs unlocked: a ready slot's bytes never change and only
+      // the scan_mu holder retires slots.
       lock.unlock();
       std::memcpy(out.data() + served, s->chunk->payload().data() + (pos - s->offset), n);
       lock.lock();
@@ -132,9 +131,9 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
 
     // Top the window back up while the scan is established.
     std::vector<ReadJob> fills;
-    const bool armed =
-        enabled && tail_error.ok() && fs.streak >= 2 && window > 0 && !fs.evicted;
-    const bool starved = armed && top_up(*entry, fs, offset + served, window, fills);
+    if (enabled && tail_error.ok() && fs.streak >= 2 && window > 0 && !fs.evicted) {
+      top_up(*entry, fs, offset + served, window, fills);
+    }
 
     fs.expected_next = offset + served;
     t_done = obs::now_ns();
@@ -146,11 +145,6 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
     fs.stats.bytes += served;
     fs.stats.last_read_ns = t_done;
     lock.unlock();
-    if (starved && reclaim(fs)) {
-      lock.lock();
-      top_up(*entry, fs, fs.expected_next, window, fills);
-      lock.unlock();
-    }
     for (ReadJob& job : fills) queue_.push_read(std::move(job));
   }
 
@@ -256,7 +250,7 @@ std::size_t Readahead::fair_share() const {
   return std::max<std::size_t>(1, pool_.total_chunks() / scans);
 }
 
-bool Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next,
+void Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next,
                        unsigned window, std::vector<ReadJob>& fills) {
   const std::size_t cap = std::min<std::size_t>(window, fair_share());
   // The window is contiguous: new fills start where coverage ends.
@@ -264,15 +258,11 @@ bool Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next
   if (!fs.slots.empty()) {
     cover_end = std::max(cover_end, fs.slots.back()->offset + fs.slots.back()->want);
   }
-  bool starved = false;
   std::size_t issued = 0;
   while (fs.slots.size() < cap && cover_end < fs.eof_at) {
     // Opportunistic only: never starve checkpoint writers of chunks.
     auto chunk = pool_.try_acquire(cover_end);
-    if (chunk == nullptr) {
-      starved = true;
-      break;
-    }
+    if (chunk == nullptr) break;
     chunk->reset(cover_end);
     auto slot = std::make_unique<Slot>();
     slot->offset = cover_end;
@@ -299,33 +289,6 @@ bool Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next
   const std::size_t inflight =
       fills_inflight_.fetch_add(issued, std::memory_order_relaxed) + issued;
   if (obs_.inflight_depth != nullptr) obs_.inflight_depth->record(inflight);
-  return starved;
-}
-
-bool Readahead::reclaim(const FileState& self) {
-  // A scan that filled its window while fewer files were open for reading
-  // may still hold more than today's share, and may not read (or top up)
-  // again for a while — say while its application faults in a fresh
-  // buffer. Take back its furthest slots that are filled but unread: never
-  // one in flight, never one its reader has started on, which keeps its
-  // coverage contiguous.
-  const std::size_t share = fair_share();
-  bool freed = false;
-  std::lock_guard lock(mu_);
-  for (const auto& [entry, other] : files_) {
-    if (other.get() == &self) continue;
-    std::lock_guard file_lock(other->mu);
-    while (other->slots.size() > share) {
-      Slot& back = *other->slots.back();
-      if (back.state == Slot::State::kInflight || back.consumed) break;
-      if (obs_.prefetch_wasted != nullptr) obs_.prefetch_wasted->add(1);
-      other->stats.prefetch_wasted += 1;
-      pool_.release(std::move(back.chunk));
-      other->slots.pop_back();
-      freed = true;
-    }
-  }
-  return freed;
 }
 
 }  // namespace crfs

@@ -19,8 +19,7 @@
 // ranks restoring at once split the pool instead of one taking it all. A
 // file's scan is open from its read-only open (or first read) to its final
 // close, so ranks that open together split the pool from their first
-// fill on. A scan that finds the pool dry below its share reclaims the
-// filled, unread slots other files hold beyond theirs.
+// fill on.
 //
 // Coherence: the cache is valid only for the FileEntry::write_gen it was
 // filled under. Every serve snapshots the generation; if a write or
@@ -152,8 +151,7 @@ class Readahead {
     std::uint64_t streak = 0;         ///< consecutive sequential reads
     std::uint64_t gen_seen = 0;       ///< FileEntry::write_gen of the cache
     bool evicted = false;   ///< final close ran; never prefetch again
-    // Under mu (and only the scan_mu holder adds slots or takes the front;
-    // another file's reclaim() may trim unread slots off the back):
+    // Under mu (and only the scan_mu holder adds or retires slots):
     std::deque<std::unique_ptr<Slot>> slots;  ///< sorted, contiguous coverage
     std::uint64_t eof_at = ~std::uint64_t{0};  ///< lowest offset at/after EOF
     std::size_t inflight = 0;  ///< slots in State::kInflight
@@ -171,12 +169,8 @@ class Readahead {
   std::size_t fair_share() const;
   /// Appends the fills that bring `fs`'s window back to min(window, fair
   /// share) slots to `fills` (pushed to the queue once fs.mu is released).
-  /// Returns true when it stopped short because the pool was dry.
-  bool top_up(const FileEntry& entry, FileState& fs, std::uint64_t next, unsigned window,
+  void top_up(const FileEntry& entry, FileState& fs, std::uint64_t next, unsigned window,
               std::vector<ReadJob>& fills);
-  /// Trims other files' windows down to the fair share; true if any chunk
-  /// went back to the pool. Called with no FileState::mu held.
-  bool reclaim(const FileState& self);
 
   BackendFs& backend_;
   BufferPool& pool_;

@@ -23,35 +23,15 @@ void WorkQueue::push_read(ReadJob job) {
   ready_.notify_one();
 }
 
-std::optional<WriteJob> WorkQueue::pop() {
-  auto batch = pop_batch(1);
-  if (batch.empty()) return std::nullopt;
-  return std::move(batch.front());
-}
-
-std::vector<WriteJob> WorkQueue::pop_batch(std::size_t max) {
-  return take(max, /*wait=*/true, /*reads=*/false).writes;
-}
-
-std::vector<WriteJob> WorkQueue::try_pop_batch(std::size_t max) {
-  return take(max, /*wait=*/false, /*reads=*/false).writes;
-}
-
 WorkBatch WorkQueue::pop_work(std::size_t max, bool wait) {
-  return take(max, wait, /*reads=*/true);
-}
-
-WorkBatch WorkQueue::take(std::size_t max, bool wait, bool reads) {
   if (max == 0) max = 1;
   WorkBatch out;
   {
     std::unique_lock lock(mu_);
     if (wait) {
-      ready_.wait(lock, [&] {
-        return !jobs_.empty() || (reads && !reads_.empty()) || shutdown_;
-      });
+      ready_.wait(lock, [&] { return !jobs_.empty() || !reads_.empty() || shutdown_; });
     }
-    if (reads && !reads_.empty()) {
+    if (!reads_.empty()) {
       out.read = std::move(reads_.front());
       reads_.pop_front();
       return out;

@@ -41,7 +41,7 @@ struct WriteJob {
   /// the chunk is in flight.
   std::shared_ptr<obs::EpochState> epoch{};
   /// Chunk-lifecycle ledger stamps (obs::now_ns): push() stamps enqueue,
-  /// pop_batch() stamps dequeue. The delta is queue residency; the wait
+  /// pop_work() stamps dequeue. The delta is queue residency; the wait
   /// histogram (when installed) records the same quantity mount-wide.
   std::uint64_t enqueue_ns = 0;
   std::uint64_t dequeue_ns = 0;
@@ -81,29 +81,18 @@ class WorkQueue {
   void push_read(ReadJob job);
 
   /// The IO workers' dequeue: one read fill when the read lane has any,
-  /// otherwise up to `max` already-queued write jobs. With `wait`, blocks
-  /// until either lane has work; returns empty only after shutdown once
-  /// both lanes drained (or at once without `wait` when both are dry).
+  /// otherwise up to `max` write jobs that are already queued — one lock
+  /// acquisition for the whole batch, never waiting for stragglers. With
+  /// `wait`, blocks until either lane has work and returns empty only
+  /// after shutdown once both lanes drained; without it (async engines
+  /// with completions to reap) returns at once, possibly empty. The IO
+  /// pool groups a write batch by file and coalesces adjacent chunks into
+  /// vectored backend writes (docs/PERFORMANCE.md).
   WorkBatch pop_work(std::size_t max, bool wait);
 
-  /// Blocks for the next job; nullopt after shutdown once drained.
-  std::optional<WriteJob> pop();
-
-  /// Blocks for the first job, then greedily drains up to `max` jobs that
-  /// are already queued — one lock acquisition for the whole batch, never
-  /// waiting for stragglers. Returns empty only after shutdown once
-  /// drained. The IO pool groups the batch by file and coalesces adjacent
-  /// chunks into vectored backend writes (docs/PERFORMANCE.md).
-  std::vector<WriteJob> pop_batch(std::size_t max);
-
-  /// Non-blocking pop_batch: returns immediately (possibly empty) instead
-  /// of waiting for the first job. Used by async IO engines that have
-  /// completions to reap while the queue is momentarily dry.
-  std::vector<WriteJob> try_pop_batch(std::size_t max);
-
-  /// Lets pop() return nullopt once the queue is empty. Already-queued
-  /// jobs (and fills) are still handed out so teardown never loses
-  /// buffered data.
+  /// Lets a waiting pop_work() return empty once both lanes are empty.
+  /// Already-queued jobs and fills are still handed out so teardown never
+  /// loses buffered data.
   void shutdown();
 
   /// Installs the enqueue->pop wait histogram (crfs.queue.wait_ns). Call
@@ -116,7 +105,6 @@ class WorkQueue {
   std::uint64_t total_pushed() const;
 
  private:
-  WorkBatch take(std::size_t max, bool wait, bool reads);
   void stamp_dequeued(std::vector<WriteJob>& batch);
 
   mutable std::mutex mu_;

@@ -372,7 +372,7 @@ TEST(PipelineObs, StageHistogramsFillDuringCheckpoint) {
   EXPECT_GE(pwrite->count, 96u / fs->config().io_batch);
   const auto* batch_hist = hist("crfs.io.batch_chunks");
   ASSERT_NE(batch_hist, nullptr);
-  EXPECT_GE(batch_hist->count, 1u);  // one record per pop_batch
+  EXPECT_GE(batch_hist->count, 1u);  // one record per write batch popped
   const auto* copy = hist("crfs.write.copy_ns");
   ASSERT_NE(copy, nullptr);
   EXPECT_EQ(copy->count, 3u * (2 * MiB / (32 * KiB)));  // one per app write

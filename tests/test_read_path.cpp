@@ -577,58 +577,6 @@ TEST_F(ReadPath, ConcurrentScansShareThePool) {
   }
 }
 
-TEST_F(ReadPath, LateScanReclaimsItsShare) {
-  // A pool of 4 chunks: the first scan fills its whole window from it
-  // while it is the only file open for reading. A second scan that opens
-  // later must take back the first one's unread slots beyond the fair
-  // share, even though the first scan makes no further read meanwhile.
-  // Every backend op sleeps 2 ms, so the first scan's fills have landed
-  // long before the second scan's 16 reads are done.
-  auto slow = std::make_shared<ThrottledBackend>(std::make_shared<MemBackend>(),
-                                                 1024.0 * MiB, std::chrono::milliseconds(2));
-  auto fs = Crfs::mount(slow, Config{.chunk_size = kChunk, .pool_size = 4 * kChunk});
-  ASSERT_TRUE(fs.ok());
-  const auto early_data = make_pattern(16 * kChunk, /*salt=*/21);
-  const auto late_data = make_pattern(16 * kChunk, /*salt=*/22);
-  write_file(*fs.value(), "early.dat", early_data);
-  write_file(*fs.value(), "late.dat", late_data);
-  slow->throttle_reads(true);
-  const OpenFlags ro{.create = false, .truncate = false, .write = false};
-
-  const auto scan = [&](Crfs::FileHandle h, const std::vector<std::byte>& expect,
-                        std::size_t from, std::size_t to) {
-    std::vector<std::byte> buf(kChunk);
-    for (std::size_t off = from; off < to; off += kChunk) {
-      auto r = fs.value()->read(h, buf, off);
-      ASSERT_TRUE(r.ok());
-      ASSERT_EQ(r.value(), kChunk);
-      ASSERT_EQ(0, std::memcmp(buf.data(), expect.data() + off, kChunk)) << "at " << off;
-    }
-  };
-  auto early = fs.value()->open("early.dat", ro);
-  ASSERT_TRUE(early.ok());
-  scan(early.value(), early_data, 0, 3 * kChunk);
-  EXPECT_EQ(fs.value()->buffer_pool().free_chunks(), 0u);
-
-  auto late = fs.value()->open("late.dat", ro);
-  ASSERT_TRUE(late.ok());
-  scan(late.value(), late_data, 0, late_data.size());
-  // The early scan's coverage stays contiguous after the trim.
-  scan(early.value(), early_data, 3 * kChunk, early_data.size());
-  ASSERT_TRUE(fs.value()->close(late.value()).ok());
-  ASSERT_TRUE(fs.value()->close(early.value()).ok());
-
-  for (const auto& row : fs.value()->restore_ledger()) {
-    SCOPED_TRACE(row.path);
-    if (row.path == "late.dat") {
-      EXPECT_GT(row.prefetch_hits, 0u);
-    } else if (row.path == "early.dat") {
-      EXPECT_GT(row.prefetch_wasted, 0u) << "nothing reclaimed";
-    }
-  }
-  EXPECT_EQ(fs.value()->buffer_pool().free_chunks(), fs.value()->buffer_pool().total_chunks());
-}
-
 TEST_F(ReadPath, FailedFillRetriesOrReportsTheError) {
   auto faulty = std::make_shared<FaultyBackend>(std::make_shared<MemBackend>());
   auto fs = Crfs::mount(faulty, Config{.chunk_size = kChunk, .pool_size = kPool});

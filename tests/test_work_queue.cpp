@@ -21,6 +21,11 @@ WriteJob make_job(std::shared_ptr<FileEntry> file, std::size_t chunk_size,
   return WriteJob{std::move(file), std::move(chunk)};
 }
 
+// The IO workers' dequeue, seen through the write lane these tests fill.
+std::vector<WriteJob> pop_writes(WorkQueue& q, std::size_t max, bool wait = true) {
+  return q.pop_work(max, wait).writes;
+}
+
 TEST(WorkQueue, FifoOrder) {
   WorkQueue q;
   auto entry = std::make_shared<FileEntry>("f", 1);
@@ -30,9 +35,9 @@ TEST(WorkQueue, FifoOrder) {
   EXPECT_EQ(q.depth(), 3u);
   EXPECT_EQ(q.total_pushed(), 3u);
 
-  EXPECT_EQ(q.pop()->chunk->file_offset(), 0u);
-  EXPECT_EQ(q.pop()->chunk->file_offset(), 1u);
-  EXPECT_EQ(q.pop()->chunk->file_offset(), 2u);
+  EXPECT_EQ(pop_writes(q, 1).front().chunk->file_offset(), 0u);
+  EXPECT_EQ(pop_writes(q, 1).front().chunk->file_offset(), 1u);
+  EXPECT_EQ(pop_writes(q, 1).front().chunk->file_offset(), 2u);
   EXPECT_EQ(q.depth(), 0u);
 }
 
@@ -40,8 +45,8 @@ TEST(WorkQueue, PopBlocksUntilPush) {
   WorkQueue q;
   std::atomic<bool> got{false};
   std::thread consumer([&] {
-    auto job = q.pop();
-    got.store(job.has_value());
+    auto jobs = pop_writes(q, 1);
+    got.store(!jobs.empty());
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_FALSE(got.load());
@@ -55,13 +60,13 @@ TEST(WorkQueue, ShutdownDrainsThenReturnsNullopt) {
   auto entry = std::make_shared<FileEntry>("f", 1);
   q.push(make_job(entry, 64, 0, 'a', 1));
   q.shutdown();
-  EXPECT_TRUE(q.pop().has_value());   // queued job still delivered
-  EXPECT_FALSE(q.pop().has_value());  // then closed
+  EXPECT_EQ(pop_writes(q, 1).size(), 1u);  // queued job still delivered
+  EXPECT_TRUE(pop_writes(q, 1).empty());   // then closed
 }
 
 TEST(WorkQueue, ShutdownUnblocksWaiters) {
   WorkQueue q;
-  std::thread consumer([&] { EXPECT_FALSE(q.pop().has_value()); });
+  std::thread consumer([&] { EXPECT_TRUE(pop_writes(q, 1).empty()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   q.shutdown();
   consumer.join();
@@ -73,12 +78,12 @@ TEST(WorkQueue, PopBatchDrainsUpToMaxInFifoOrder) {
   for (int i = 0; i < 5; ++i) {
     q.push(make_job(entry, 64, static_cast<std::uint64_t>(i), 'a', 1));
   }
-  auto first = q.pop_batch(3);
+  auto first = pop_writes(q, 3);
   ASSERT_EQ(first.size(), 3u);
   EXPECT_EQ(first[0].chunk->file_offset(), 0u);
   EXPECT_EQ(first[1].chunk->file_offset(), 1u);
   EXPECT_EQ(first[2].chunk->file_offset(), 2u);
-  auto rest = q.pop_batch(8);  // only 2 left; must not block for more
+  auto rest = pop_writes(q, 8);  // only 2 left; must not block for more
   ASSERT_EQ(rest.size(), 2u);
   EXPECT_EQ(rest[0].chunk->file_offset(), 3u);
   EXPECT_EQ(q.depth(), 0u);
@@ -87,7 +92,7 @@ TEST(WorkQueue, PopBatchDrainsUpToMaxInFifoOrder) {
 TEST(WorkQueue, PopBatchBlocksForFirstJobOnly) {
   WorkQueue q;
   std::atomic<std::size_t> got{0};
-  std::thread consumer([&] { got.store(q.pop_batch(4).size()); });
+  std::thread consumer([&] { got.store(pop_writes(q, 4).size()); });
   std::this_thread::sleep_for(std::chrono::milliseconds(30));
   EXPECT_EQ(got.load(), 0u);
   q.push(make_job(std::make_shared<FileEntry>("f", 1), 64, 0, 'x', 1));
@@ -101,26 +106,26 @@ TEST(WorkQueue, PopBatchReturnsEmptyAfterShutdownDrained) {
   q.push(make_job(entry, 64, 0, 'a', 1));
   q.push(make_job(entry, 64, 1, 'b', 1));
   q.shutdown();
-  EXPECT_EQ(q.pop_batch(8).size(), 2u);  // queued jobs still delivered
-  EXPECT_TRUE(q.pop_batch(8).empty());   // then closed
+  EXPECT_EQ(pop_writes(q, 8).size(), 2u);  // queued jobs still delivered
+  EXPECT_TRUE(pop_writes(q, 8).empty());   // then closed
 }
 
 TEST(WorkQueue, TryPopBatchNeverBlocks) {
   WorkQueue q;
-  EXPECT_TRUE(q.try_pop_batch(4).empty());  // empty queue: immediate return
+  EXPECT_TRUE(pop_writes(q, 4, /*wait=*/false).empty());  // empty queue: immediate return
 
   auto entry = std::make_shared<FileEntry>("f", 1);
   for (int i = 0; i < 3; ++i) {
     q.push(make_job(entry, 64, static_cast<std::uint64_t>(i), 'a', 1));
   }
-  auto batch = q.try_pop_batch(2);  // caps at max, FIFO order
+  auto batch = pop_writes(q, 2, /*wait=*/false);  // caps at max, FIFO order
   ASSERT_EQ(batch.size(), 2u);
   EXPECT_EQ(batch[0].chunk->file_offset(), 0u);
   EXPECT_EQ(batch[1].chunk->file_offset(), 1u);
-  EXPECT_EQ(q.try_pop_batch(8).size(), 1u);
+  EXPECT_EQ(pop_writes(q, 8, /*wait=*/false).size(), 1u);
 
   q.shutdown();
-  EXPECT_TRUE(q.try_pop_batch(8).empty());  // drained + closed: still empty
+  EXPECT_TRUE(pop_writes(q, 8, /*wait=*/false).empty());  // drained + closed: still empty
 }
 
 TEST(WorkQueue, PopWorkTakesFillsBeforeWrites) {
@@ -160,7 +165,7 @@ TEST(WorkQueue, TryPopBatchStampsDequeueTimes) {
   WorkQueue q;
   auto entry = std::make_shared<FileEntry>("f", 1);
   q.push(make_job(entry, 64, 0, 'a', 1));
-  auto batch = q.try_pop_batch(1);
+  auto batch = pop_writes(q, 1, /*wait=*/false);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_GT(batch[0].enqueue_ns, 0u);
   EXPECT_GE(batch[0].dequeue_ns, batch[0].enqueue_ns);
@@ -258,7 +263,7 @@ TEST_F(IoPoolTest, BackendErrorRecordedOnEntry) {
 TEST_F(IoPoolTest, BatchedWorkerCoalescesAdjacentChunks) {
   auto entry = open_entry("seq.bin");
   // Queue four offset-adjacent chunks BEFORE any worker exists, so the
-  // single worker's first pop_batch sees them all and must coalesce the
+  // single worker's first pop_work sees them all and must coalesce the
   // run into one vectored backend write.
   const std::string chunks[] = {"AAAA", "BBBB", "CCCC", "DDDD"};
   std::uint64_t off = 0;
