@@ -1,5 +1,6 @@
 #include "blcr/image_codec.h"
 
+#include <algorithm>
 #include <array>
 #include <cerrno>
 #include <cstring>
@@ -14,9 +15,6 @@ constexpr std::uint64_t kPage = 4096;
 
 /// Registers then both blobs: the bytes the context CRC covers.
 constexpr std::size_t kContextBytes = kContextRegisters * 8 + 2 * kContextBlobBytes;
-
-/// Restart faults a mapping back in slab by slab.
-constexpr std::size_t kPayloadSlab = 1 * MiB;
 
 /// A header longer than this is corrupt, not a real mapping.
 constexpr std::uint64_t kMaxVmaBytes = 1024 * MiB;
@@ -151,7 +149,7 @@ Status ImageDecoder::count_payload(std::uint64_t length) {
   return {};
 }
 
-Result<Vma> ImageDecoder::read_vma(std::vector<std::byte>& payload) {
+Result<Vma> ImageDecoder::read_vma_header(std::uint64_t& stored_crc) {
   std::uint64_t field[kVmaHeaderWrites] = {};  // start, length, prot+type, seed, crc
   CRFS_RETURN_IF_ERROR(read_exact(source_, field, sizeof(field), "vma header"));
   Vma vma;
@@ -160,21 +158,46 @@ Result<Vma> ImageDecoder::read_vma(std::vector<std::byte>& payload) {
   vma.prot = static_cast<std::uint32_t>(field[2] >> 32);
   vma.type = static_cast<VmaType>(static_cast<std::uint32_t>(field[2]));
   vma.content_seed = field[3];
-  const std::uint64_t stored_crc = field[4];
+  stored_crc = field[4];
   CRFS_RETURN_IF_ERROR(count_payload(vma.length));
+  return vma;
+}
 
-  payload.resize(vma.length);
+// A buffer that holds the whole payload keeps it; a shorter one takes
+// every slab at its front.
+Status ImageDecoder::read_payload(std::uint64_t length, std::uint64_t stored_crc,
+                                  std::span<std::byte> buf) {
+  if (buf.empty() && length > 0) return Error{EINVAL, "empty payload buffer"};
+  const bool keep = buf.size() >= length;
   Crc64 crc;
-  for (std::size_t got = 0; got < payload.size();) {
-    const std::size_t slab = std::min(kPayloadSlab, payload.size() - got);
-    CRFS_RETURN_IF_ERROR(read_exact(source_, payload.data() + got, slab, "vma payload"));
-    crc.update(payload.data() + got, slab);
-    got += slab;
+  for (std::uint64_t got = 0; got < length;) {
+    const std::size_t n = std::min<std::uint64_t>({kPayloadSlab, buf.size(), length - got});
+    std::byte* const at = keep ? buf.data() + got : buf.data();
+    CRFS_RETURN_IF_ERROR(read_exact(source_, at, n, "vma payload"));
+    crc.update(at, n);
+    got += n;
   }
   if (crc.digest() != stored_crc) {
     return Error{EILSEQ, "VMA payload CRC mismatch (corrupt checkpoint)"};
   }
-  image_crc_ = crc64_combine(image_crc_, stored_crc, vma.length);
+  image_crc_ = crc64_combine(image_crc_, stored_crc, length);
+  return {};
+}
+
+Result<Vma> ImageDecoder::read_vma(std::vector<std::byte>& payload) {
+  std::uint64_t stored_crc = 0;
+  auto vma = read_vma_header(stored_crc);
+  if (!vma.ok()) return vma.error();
+  payload.resize(vma.value().length);
+  CRFS_RETURN_IF_ERROR(read_payload(vma.value().length, stored_crc, payload));
+  return vma;
+}
+
+Result<Vma> ImageDecoder::verify_vma(std::span<std::byte> slab) {
+  std::uint64_t stored_crc = 0;
+  auto vma = read_vma_header(stored_crc);
+  if (!vma.ok()) return vma.error();
+  CRFS_RETURN_IF_ERROR(read_payload(vma.value().length, stored_crc, slab));
   return vma;
 }
 

@@ -14,8 +14,15 @@
 
 #include "blcr/checkpoint_writer.h"
 #include "blcr/restart_reader.h"
+#include "common/units.h"
 
 namespace crfs::blcr {
+
+/// Payload bytes per source read. Each slab is hashed while it is still in
+/// L2, and RestartReader streams every payload through one buffer this
+/// size. On perfbench `restore_blcr` 1 MiB ties 256 KiB with a quarter of
+/// the reads, and 4 MiB is slower (docs/PERFORMANCE.md §7).
+inline constexpr std::size_t kPayloadSlab = 1 * MiB;
 
 /// The file-header fields after the magic and version.
 struct ImageHeader {
@@ -57,8 +64,8 @@ Status read_pod(ByteSource& source, T& out, const char* what) {
   return read_exact(source, &out, sizeof(T), what);
 }
 
-/// Decodes one image front to back: read_preamble, then one read_vma (or
-/// add_verified_payload) per VMA, then read_trailer.
+/// Decodes one image front to back: read_preamble, then one read_vma,
+/// verify_vma or add_verified_payload per VMA, then read_trailer.
 class ImageDecoder {
  public:
   explicit ImageDecoder(ByteSource& source) : source_(source) {}
@@ -67,10 +74,17 @@ class ImageDecoder {
   /// CRC.
   Result<ImageHeader> read_preamble(const char (&magic)[8], std::uint32_t version);
 
-  /// Reads one VMA record. The payload lands in `payload` (resized to the
-  /// VMA length) in 1 MiB slabs, each hashed while it is cache-hot; the
-  /// result must match the record's CRC and is folded into the image CRC.
+  /// Reads one VMA record and keeps its payload in `payload` (resized to
+  /// the VMA length), as read_image_payloads and read_delta_image need.
+  /// The payload arrives kPayloadSlab at a time, each slab hashed while it
+  /// is cache-hot; the result must match the record's CRC and is folded
+  /// into the image CRC.
   Result<Vma> read_vma(std::vector<std::byte>& payload);
+
+  /// The same checks as read_vma, but keeps no payload: every slab is read
+  /// into the front of `slab` (non-empty) and dropped once hashed, so a
+  /// VMA of any length costs one cache-sized buffer. RestartReader's path.
+  Result<Vma> verify_vma(std::span<std::byte> slab);
 
   /// Counts a payload the caller already holds and has checked against
   /// `payload_crc` (a delta's reference to its parent).
@@ -81,7 +95,14 @@ class ImageDecoder {
   Result<std::uint64_t> read_trailer();
 
  private:
+  /// Reads a VMA header and counts its payload against the declared
+  /// image bytes before any payload is read. Sets `stored_crc`.
+  Result<Vma> read_vma_header(std::uint64_t& stored_crc);
   Status count_payload(std::uint64_t length);
+  /// The one payload loop: reads `length` bytes through `buf`, checks
+  /// them against `stored_crc` and folds it into the image CRC.
+  Status read_payload(std::uint64_t length, std::uint64_t stored_crc,
+                      std::span<std::byte> buf);
 
   ByteSource& source_;
   std::uint64_t declared_bytes_ = 0;

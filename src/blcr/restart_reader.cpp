@@ -1,5 +1,7 @@
 #include "blcr/restart_reader.h"
 
+#include <memory>
+
 #include "blcr/image_codec.h"
 
 namespace crfs::blcr {
@@ -12,11 +14,12 @@ Result<RestartSummary> RestartReader::read_image(ByteSource& source) {
   RestartSummary out;
   out.pid = header.value().pid;
   out.vma_count = header.value().vma_count;
-  // Every mapping is restored into one reused buffer, as a restart would
-  // fault its pages back in.
-  std::vector<std::byte> payload;
+  // Verifies and discards: every payload streams through one cache-sized
+  // slab, so a restore never allocates or faults in a mapping-sized
+  // buffer. read_image_payloads (incremental.h) keeps the payloads.
+  const auto slab = std::make_unique_for_overwrite<std::byte[]>(kPayloadSlab);
   for (std::uint32_t i = 0; i < out.vma_count; ++i) {
-    auto vma = decoder.read_vma(payload);
+    auto vma = decoder.verify_vma({slab.get(), kPayloadSlab});
     if (!vma.ok()) return vma.error();
     out.image_bytes += vma.value().length;
     out.vmas.push_back(vma.value());

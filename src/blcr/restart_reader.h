@@ -2,9 +2,12 @@
 //
 // "During restart, BLCR library reads from checkpoint files and restores
 // the in-memory context for every process." The reader parses the image
-// format, reconstructs every VMA, and verifies per-VMA and whole-image
-// CRCs — which is also how the integration tests prove that data passing
-// through CRFS aggregation is byte-identical.
+// format, recovers every VMA descriptor, and verifies per-VMA and
+// whole-image CRCs — which is also how the integration tests prove that
+// data passing through CRFS aggregation is byte-identical. It keeps no
+// payload: each one streams through a single cache-sized slab
+// (image_codec.h kPayloadSlab). read_image_payloads (incremental.h) is the
+// reader that keeps them.
 #pragma once
 
 #include <functional>
@@ -46,8 +49,9 @@ struct RestartSummary {
 
 class RestartReader {
  public:
-  /// Parses and verifies a full checkpoint image. Fails with EILSEQ-style
-  /// errors on bad magic, truncated stream, or CRC mismatch.
+  /// Parses and verifies a full checkpoint image, then discards its
+  /// payloads. Fails with EILSEQ-style errors on bad magic, truncated
+  /// stream, or CRC mismatch.
   static Result<RestartSummary> read_image(ByteSource& source);
 };
 

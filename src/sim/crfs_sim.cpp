@@ -389,7 +389,7 @@ Task CrfsSimNode::io_worker(unsigned worker) {
     const std::size_t batch_cap = std::max<std::size_t>(1, config_.num_chunks() / 2);
     const std::size_t max_batch =
         std::min<std::size_t>(config_.io_batch == 0 ? 1 : config_.io_batch, batch_cap);
-    // One dequeue stamp for the whole batch (pop_batch holds the lock
+    // One dequeue stamp for the whole batch (pop_work holds the lock
     // once in the real pool; virtual time does not advance inside it).
     const std::uint64_t dequeue_now = now_ns();
     while (!queue_.empty() && batch.size() < max_batch) {

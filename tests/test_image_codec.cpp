@@ -1,15 +1,20 @@
 // Tests for the checkpoint image codec as all three readers see it:
 // RestartReader::read_image, read_image_payloads and read_delta_image. A
-// corrupted image must never restore, whichever reader parses it.
+// corrupted image must never restore, whichever reader parses it, including
+// where a payload crosses the decoder's read slabs.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cerrno>
+#include <cstdint>
 #include <cstring>
+#include <iterator>
 #include <string>
 
+#include "blcr/image_codec.h"
 #include "blcr/incremental.h"
 #include "blcr/restart_reader.h"
+#include "common/checksum.h"
 #include "common/units.h"
 
 namespace crfs::blcr {
@@ -254,6 +259,187 @@ TEST(ImageCodec, EveryBitFlipIsRejectedByTheDeltaReader) {
   const auto delta = delta_image();
   expect_every_flip_rejected(delta, checked_sections(next_image(), true, delta.size()),
                              delta_reader);
+}
+
+// ---- payloads that cross slab boundaries -------------------------------
+
+// VMAs either side of one payload slab and one spanning four slabs, the
+// longest last so its final byte is the image's last payload byte.
+ProcessImage slab_image() {
+  ProcessImage img;
+  img.pid = 7;
+  const std::uint64_t lengths[] = {kPayloadSlab - 1, kPayloadSlab, kPayloadSlab + 1,
+                                   3 * kPayloadSlab + 7};
+  for (std::uint64_t i = 0; i < std::size(lengths); ++i) {
+    img.vmas.push_back({.start = 0x400000 + i * 8 * MiB, .length = lengths[i], .prot = 0x3,
+                        .type = VmaType::kHeap, .content_seed = 100 + i});
+  }
+  return img;
+}
+
+// slab_image() as a delta over an empty parent: every VMA is a changed
+// record carrying its payload.
+std::vector<std::byte> slab_delta() {
+  VecSink sink;
+  EXPECT_TRUE(write_delta_image(slab_image(), ImageDigest{}, sink).ok());
+  return std::move(sink.bytes);
+}
+
+Status slab_delta_reader(std::vector<std::byte> bytes) {
+  VecSource src(std::move(bytes));
+  auto r = read_delta_image(src, MaterializedImage{});
+  return r.ok() ? Status{} : r.error();
+}
+
+// Stream offset of VMA `index`'s first payload byte.
+std::size_t payload_offset(const ProcessImage& img, std::size_t index, bool delta) {
+  std::size_t pos = kPreambleBytes;
+  for (std::size_t i = 0; i <= index; ++i) {
+    pos += (delta ? kDeltaTagBytes : 0) + kVmaHeaderBytes;
+    if (i < index) pos += img.vmas[i].length;
+  }
+  return pos;
+}
+
+void expect_descriptors(const std::vector<Vma>& got, const ProcessImage& img) {
+  ASSERT_EQ(got.size(), img.vmas.size());
+  for (std::size_t i = 0; i < got.size(); ++i) {
+    EXPECT_EQ(got[i].start, img.vmas[i].start) << "vma " << i;
+    EXPECT_EQ(got[i].length, img.vmas[i].length) << "vma " << i;
+    EXPECT_EQ(got[i].prot, img.vmas[i].prot) << "vma " << i;
+    EXPECT_EQ(got[i].type, img.vmas[i].type) << "vma " << i;
+    EXPECT_EQ(got[i].content_seed, img.vmas[i].content_seed) << "vma " << i;
+  }
+}
+
+TEST(ImageCodec, EveryReaderAcceptsPayloadsAcrossSlabs) {
+  const auto img = slab_image();
+  const auto full = full_image(img);
+
+  VecSource restart_src(full);
+  auto summary = RestartReader::read_image(restart_src);
+  ASSERT_TRUE(summary.ok()) << summary.error().to_string();
+  EXPECT_EQ(summary.value().image_bytes, img.content_bytes());
+  expect_descriptors(summary.value().vmas, img);
+
+  VecSource payload_src(full);
+  auto payloads = read_image_payloads(payload_src);
+  ASSERT_TRUE(payloads.ok()) << payloads.error().to_string();
+  expect_descriptors(payloads.value().vmas, img);
+
+  VecSource delta_src(slab_delta());
+  auto composed = read_delta_image(delta_src, MaterializedImage{});
+  ASSERT_TRUE(composed.ok()) << composed.error().to_string();
+  expect_descriptors(composed.value().vmas, img);
+
+  EXPECT_EQ(payloads.value().payload_crc, summary.value().payload_crc);
+  EXPECT_EQ(composed.value().payload_crc, summary.value().payload_crc);
+  std::vector<std::byte> expected;
+  for (const Vma& vma : img.vmas) {
+    const std::uint64_t crc = generate_vma_payload(vma, expected);
+    for (const auto* read : {&payloads.value(), &composed.value()}) {
+      const auto& got = read->payloads.at(vma.start);
+      ASSERT_EQ(got.size(), vma.length);
+      EXPECT_EQ(Crc64::of(got.data(), got.size()), crc) << "vma at " << vma.start;
+    }
+  }
+}
+
+// A flip at the first byte of the second slab, a flip at the last payload
+// byte and a cut inside the second slab, each rejected by every reader.
+TEST(ImageCodec, CorruptionPastTheFirstSlabIsRejected) {
+  const auto img = slab_image();
+  const std::size_t last = img.vmas.size() - 1;
+  struct Case {
+    std::vector<std::byte> image;
+    bool delta;
+    Status (*reader)(std::vector<std::byte>);
+  };
+  const auto full = full_image(img);
+  const auto delta = slab_delta();
+  for (const Case& c : {Case{full, false, restart_reader}, Case{full, false, payload_reader},
+                        Case{delta, true, slab_delta_reader}}) {
+    ASSERT_TRUE(c.reader(c.image).ok());
+    const std::size_t second_slab = payload_offset(img, last, c.delta) + kPayloadSlab;
+    const std::size_t last_byte = payload_offset(img, last, c.delta) + img.vmas[last].length - 1;
+    ASSERT_EQ(last_byte + 1 + kTrailerBytes, c.image.size());
+
+    auto flipped_second = c.image;
+    flipped_second[second_slab] ^= std::byte{0x01};
+    auto flipped_last = c.image;
+    flipped_last[last_byte] ^= std::byte{0x80};
+    auto cut = c.image;
+    cut.resize(second_slab + kPayloadSlab / 2);
+    for (auto* bad : {&flipped_second, &flipped_last, &cut}) {
+      const Status st = c.reader(std::move(*bad));
+      ASSERT_FALSE(st.ok()) << (c.delta ? "delta" : "full") << " corruption restored";
+      EXPECT_EQ(st.error().code, EILSEQ) << st.error().to_string();
+    }
+  }
+}
+
+// Records where each payload read lands in memory.
+class AddressRecordingSource final : public ByteSource {
+ public:
+  AddressRecordingSource(std::vector<std::byte> bytes, std::vector<Section> payloads)
+      : inner_(std::move(bytes)), payloads_(std::move(payloads)) {}
+
+  Result<std::size_t> read(std::span<std::byte> out) override {
+    const bool payload = std::any_of(payloads_.begin(), payloads_.end(), [&](const Section& s) {
+      return pos_ >= s.offset && pos_ < s.offset + s.size;
+    });
+    auto r = inner_.read(out);
+    if (r.ok()) {
+      if (payload) {
+        const auto addr = reinterpret_cast<std::uintptr_t>(out.data());
+        lo_ = std::min(lo_, addr);
+        hi_ = std::max(hi_, addr + r.value());
+        payload_bytes_ += r.value();
+      }
+      pos_ += r.value();
+    }
+    return r;
+  }
+
+  std::uintptr_t region_bytes() const { return hi_ - lo_; }
+  std::uint64_t payload_bytes() const { return payload_bytes_; }
+
+ private:
+  VecSource inner_;
+  std::vector<Section> payloads_;
+  std::size_t pos_ = 0;
+  std::uintptr_t lo_ = UINTPTR_MAX;
+  std::uintptr_t hi_ = 0;
+  std::uint64_t payload_bytes_ = 0;
+};
+
+// Verifying a restart keeps no payload, so however large a mapping is,
+// every payload read lands in the same cache-sized slab.
+TEST(RestartReader, StreamsPayloadsThroughOneSlab) {
+  ProcessImage img;
+  img.pid = 9;
+  img.vmas = {
+      {.start = 0x400000, .length = 5000, .prot = 0x5, .type = VmaType::kText,
+       .content_seed = 1},
+      {.start = 0x1000000, .length = 32 * MiB + 123, .prot = 0x3, .type = VmaType::kHeap,
+       .content_seed = 2},
+      {.start = 0x4000000, .length = 64 * KiB, .prot = 0x3, .type = VmaType::kStack,
+       .content_seed = 3},
+  };
+  const auto full = full_image(img);
+  std::vector<Section> payloads;
+  for (const Section& s : checked_sections(img, false, full.size())) {
+    if (s.name.ends_with(" payload")) payloads.push_back(s);
+  }
+  ASSERT_EQ(payloads.size(), img.vmas.size());
+
+  AddressRecordingSource src(full, std::move(payloads));
+  auto summary = RestartReader::read_image(src);
+  ASSERT_TRUE(summary.ok()) << summary.error().to_string();
+  EXPECT_EQ(summary.value().image_bytes, img.content_bytes());
+  EXPECT_EQ(src.payload_bytes(), img.content_bytes());
+  EXPECT_LE(src.region_bytes(), kPayloadSlab)
+      << "payload reads spread over " << src.region_bytes() << " bytes";
 }
 
 }  // namespace
