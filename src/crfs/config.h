@@ -25,6 +25,9 @@ inline const char* io_engine_name(IoEngineKind k) {
   return k == IoEngineKind::kUring ? "uring" : "sync";
 }
 
+/// The mount configuration. Each mount option sets one member; its
+/// spelling, range and knob unit are its row of kMountOptionTable
+/// (crfs/mount_options.h), and its default is the member initialiser here.
 struct Config {
   /// Size of each aggregation chunk. The paper fixes 4 MB after the Fig 5
   /// sweep ("larger chunk size is generally more favorable").
@@ -45,8 +48,7 @@ struct Config {
   /// split into this many independently locked shards so concurrent
   /// streams acquire/release chunks without a global pool lock. 0 (the
   /// default) auto-sizes from hardware concurrency, capped at 8; the
-  /// effective count never exceeds the number of chunks. Mount option
-  /// `pool_shards=N`.
+  /// effective count never exceeds the number of chunks.
   std::size_t pool_shards = 0;
 
   /// Max chunks an IO worker drains from the work queue per lock
@@ -55,25 +57,23 @@ struct Config {
   /// one vectored backend write. 1 disables batching (one pop, one
   /// pwrite — the pre-batching behaviour). The effective batch is capped
   /// at half the pool's chunk count so a single batch can never park the
-  /// whole pool behind one coalesced write. Mount option `io_batch=N`.
+  /// whole pool behind one coalesced write.
   unsigned io_batch = 8;
 
   /// IO engine the workers submit through (docs/PERFORMANCE.md
   /// "IO engines"). kSync is the paper's behaviour — one blocking
   /// pwrite/pwritev per coalesced run. kUring keeps up to `uring_depth`
   /// runs in flight per worker via raw io_uring, with runtime feature
-  /// detection and silent fallback to sync. Mount option
-  /// `io_engine=sync|uring`.
+  /// detection and silent fallback to sync.
   IoEngineKind io_engine = IoEngineKind::kSync;
 
-  /// Submission-queue depth per worker ring when io_engine=uring. Mount
-  /// option `uring_depth=N`.
+  /// Submission-queue depth per worker ring when io_engine=uring.
   unsigned uring_depth = 64;
 
   /// Large-write copy bypass: an application write of at least chunk_size
   /// bytes landing exactly at the file's append point skips the
   /// buffer-pool memcpy and is issued to the backend directly (counted in
-  /// crfs.write.bypass_bytes). Mount option `no_bypass` disables it.
+  /// crfs.write.bypass_bytes).
   bool large_write_bypass = true;
 
   /// When true, a read() on a file with buffered dirty data flushes that
@@ -87,15 +87,13 @@ struct Config {
   /// and restore"): when a file's reads form a forward scan, keep up to
   /// `readahead_window` chunk-sized reads in flight on the IO threads
   /// (through the same engines as the write path), parking the results
-  /// in pool-backed cache slots. Runtime-tunable via the `readahead`
-  /// knob. Mount option `readahead` / `no_readahead`.
+  /// in pool-backed cache slots.
   bool readahead = true;
 
   /// Max chunk reads kept in flight ahead of a sequential reader (also
   /// bounded by free pool chunks — prefetch never blocks checkpoint
   /// writers — and by the file's fair share of the pool among files open
-  /// for reading). Runtime-tunable via the
-  /// `readahead_window` knob. Mount option `readahead_window=N`.
+  /// for reading).
   unsigned readahead_window = 4;
 
   /// Observability (docs/OBSERVABILITY.md). Counters and per-stage latency
@@ -114,7 +112,7 @@ struct Config {
   /// Live telemetry (docs/OBSERVABILITY.md): sampling period in
   /// milliseconds for the background obs::Sampler thread. 0 (default)
   /// disables the sampler entirely — no thread, no allocation, zero
-  /// write-path effect. Mount option `sample_ms=N`.
+  /// write-path effect.
   unsigned sample_ms = 0;
 
   /// Frames kept in the sampler's time-series ring (oldest evicted).
@@ -135,16 +133,15 @@ struct Config {
   /// obs::EpochState (cold path) and the pipeline attributes bytes,
   /// chunks, pool stalls, and durability lag to it with relaxed atomics;
   /// finished epochs land in a bounded ledger (Crfs::epochs(),
-  /// stats_json "epochs", `crfsctl report`). Mount option `no_epochs`
-  /// turns the whole layer off (the bench guard's baseline).
+  /// stats_json "epochs", `crfsctl report`). Off turns the whole layer
+  /// off (the bench guard's baseline).
   bool epoch_tracking = true;
 
   /// Open/close quiet window after which the next writable open starts a
-  /// new automatic epoch. Mount option `epoch_gap_ms=N`.
+  /// new automatic epoch.
   unsigned epoch_gap_ms = 500;
 
-  /// Finished EpochRecords kept (oldest evicted). Mount option
-  /// `epoch_ledger=N`.
+  /// Finished EpochRecords kept (oldest evicted).
   std::size_t epoch_ledger = 64;
 
   /// Control-file path for explicit epoch markers: writing "begin
@@ -157,7 +154,7 @@ struct Config {
   /// reserved buffer, refreshes it on epoch transitions / IO completions
   /// (throttled) / critical events, installs fatal-signal handlers, and
   /// dumps it to this path on SIGABRT/SIGSEGV/SIGBUS/SIGFPE/SIGILL or an
-  /// error-burst health event. Mount option `postmortem=<path>`.
+  /// error-burst health event.
   std::string postmortem_path{};
 
   /// Minimum interval between IO-completion-driven postmortem refreshes.
@@ -176,7 +173,7 @@ struct Config {
   /// backend, shed toward the paper's §IV throttling when the backend is
   /// the bottleneck). Every decision — applied, clamped, or vetoed — is
   /// audited in the decision log, crfs.ctl.* metrics, stats_json, and the
-  /// postmortem. Requires sample_ms > 0. Mount option `controller=on`.
+  /// postmortem. Requires sample_ms > 0.
   bool controller = false;
 
   /// Upper bound (bytes) for runtime buffer-pool growth via the knob
@@ -192,12 +189,11 @@ struct Config {
   /// queue depth, free chunks, knob generation) captured into a bounded
   /// exemplar store, surfaced via stats_json "slow", `crfsctl slow`, and
   /// the postmortem. 0 disables capture (the store still exists so the
-  /// JSON schema is stable). Runtime-tunable via the `slow_capture_ms`
-  /// knob. Mount option `slow_capture_ms=N`.
+  /// JSON schema is stable).
   unsigned slow_capture_ms = 1000;
 
   /// Exemplars kept in the slow store (oldest evicted; `captured` keeps
-  /// the lifetime total). Mount option `slow_exemplars=N`.
+  /// the lifetime total).
   std::size_t slow_exemplars = 32;
 
   /// Control-file path for runtime tuning: writing "knob=value" tokens
@@ -211,13 +207,10 @@ struct Config {
   /// finished epochs, and slow exemplars as CRC32-framed records under
   /// this directory (convention: `<mountdir>/.crfs/journal`), readable
   /// after the process is gone via `crfsctl timeline` / `crfsctl slo`.
-  /// Mount option `journal=<dir>`.
   std::string journal_dir{};
 
   /// fsync cadence for the current journal segment, in milliseconds; 0
   /// never fsyncs mid-segment (rotation still seals finished segments).
-  /// Runtime-tunable via the `journal_fsync_ms` knob. Mount option
-  /// `journal_fsync_ms=N`.
   unsigned journal_fsync_ms = 1000;
 
   /// Background journal flusher cadence (pending frames -> segment file).
@@ -231,13 +224,11 @@ struct Config {
   /// SLO burn-rate monitor (docs/OBSERVABILITY.md "SLOs and burn rates").
   /// A non-zero target enables that objective; any enabled objective
   /// requires sample_ms > 0 (the monitor runs on the Sampler tick path).
-  /// Mount options `slo_lag_ms=`, `slo_stall_pct=`, `slo_ttfb_ms=`.
   unsigned slo_lag_ms = 0;     ///< durability-lag p99 target (ms)
   unsigned slo_stall_pct = 0;  ///< pool-stall wall-time share target (%)
   unsigned slo_ttfb_ms = 0;    ///< restore read p99 target (ms)
 
-  /// Burn-rate window pair, seconds. Mount options `slo_short_s=`,
-  /// `slo_long_s=`.
+  /// Burn-rate window pair, seconds.
   unsigned slo_short_s = 300;
   unsigned slo_long_s = 3600;
 
@@ -246,97 +237,27 @@ struct Config {
   /// this fast staging tier ("mem" = in-memory MemBackend, anything else
   /// = a directory for a local PosixBackend) and a background thread
   /// drains finalized epochs oldest-first to the slow remote tier.
-  /// Mount option `stage=mem|<dir>`; `remote=<dir>` names the remote
-  /// directory for tools that mount from options alone (crfsctl).
+  /// tier_remote names the remote directory for tools that mount from
+  /// options alone (crfsctl).
   std::string tier_stage{};
   std::string tier_remote{};
 
   /// Max staged bytes before writers block for eviction (0 = unbounded).
-  /// Mount option `stage_cap=<size>`.
   std::size_t stage_cap = 0;
 
   /// Drain bandwidth cap toward the remote tier, MB/s (0 = unthrottled).
-  /// Runtime-tunable via the `drain_mbps` knob. Mount option
-  /// `drain_mbps=N`.
   unsigned drain_mbps = 0;
 
-  /// Drain helper threads splitting one unit's runs. Runtime-tunable via
-  /// the `drain_parallel` knob. Mount option `drain_parallel=N`.
+  /// Drain helper threads splitting one unit's runs.
   unsigned drain_parallel = 1;
 
   /// What fsync() promises under tiering: "stage" (fast, default) or
   /// "remote" (block until this file's staged bytes are remote-durable).
-  /// Mount option `fsync_mode=stage|remote`.
   std::string fsync_mode = "stage";
 
-  /// Validates invariants (chunk fits pool, nonzero sizes, etc.).
-  Status validate() const {
-    if (chunk_size == 0) return Error{EINVAL, "chunk_size must be > 0"};
-    if (io_threads == 0) return Error{EINVAL, "io_threads must be > 0"};
-    if (pool_size < chunk_size) {
-      return Error{EINVAL, "pool_size must hold at least one chunk"};
-    }
-    if (io_batch == 0) return Error{EINVAL, "io_batch must be > 0"};
-    if (uring_depth == 0 || uring_depth > 4096) {
-      return Error{EINVAL, "uring_depth must be in [1, 4096]"};
-    }
-    if (readahead_window == 0 || readahead_window > 1024) {
-      return Error{EINVAL, "readahead_window must be in [1, 1024]"};
-    }
-    if (enable_tracing && trace_ring_events == 0) {
-      return Error{EINVAL, "trace_ring_events must be > 0 when tracing"};
-    }
-    if (sample_ms > 0 && sample_ring == 0) {
-      return Error{EINVAL, "sample_ring must be > 0 when sampling"};
-    }
-    if (event_capacity == 0) return Error{EINVAL, "event_capacity must be > 0"};
-    if (epoch_tracking && epoch_ledger == 0) {
-      return Error{EINVAL, "epoch_ledger must be > 0 when epoch tracking is on"};
-    }
-    if (epoch_tracking && epoch_marker_path.empty()) {
-      return Error{EINVAL, "epoch_marker_path must be set when epoch tracking is on"};
-    }
-    if (!postmortem_path.empty() && postmortem_buffer < 4096) {
-      return Error{EINVAL, "postmortem_buffer must be >= 4096"};
-    }
-    if (controller && sample_ms == 0) {
-      return Error{EINVAL, "controller=on requires sample_ms > 0"};
-    }
-    if (tune_io_batch_max == 0) {
-      return Error{EINVAL, "tune_io_batch_max must be > 0"};
-    }
-    if (slow_exemplars == 0) {
-      return Error{EINVAL, "slow_exemplars must be > 0"};
-    }
-    if (tune_pool_max != 0 && tune_pool_max < pool_size) {
-      return Error{EINVAL, "tune_pool_max must be >= pool_size"};
-    }
-    if (!journal_dir.empty() && journal_segment_bytes == 0) {
-      return Error{EINVAL, "journal_segment_bytes must be > 0"};
-    }
-    if (!journal_dir.empty() && journal_max_bytes < journal_segment_bytes) {
-      return Error{EINVAL, "journal_max_bytes must be >= journal_segment_bytes"};
-    }
-    if ((slo_lag_ms > 0 || slo_stall_pct > 0 || slo_ttfb_ms > 0) && sample_ms == 0) {
-      return Error{EINVAL, "slo_* targets require sample_ms > 0"};
-    }
-    if (slo_stall_pct > 100) {
-      return Error{EINVAL, "slo_stall_pct must be in [0, 100]"};
-    }
-    if (slo_short_s == 0 || slo_long_s < slo_short_s) {
-      return Error{EINVAL, "slo windows need 0 < slo_short_s <= slo_long_s"};
-    }
-    if (fsync_mode != "stage" && fsync_mode != "remote") {
-      return Error{EINVAL, "fsync_mode must be stage or remote"};
-    }
-    if (drain_parallel == 0 || drain_parallel > 64) {
-      return Error{EINVAL, "drain_parallel must be in [1, 64]"};
-    }
-    if (!tier_stage.empty() && stage_cap > 0 && stage_cap < chunk_size) {
-      return Error{EINVAL, "stage_cap must be >= chunk_size"};
-    }
-    return {};
-  }
+  /// Checks every mount option's range (kMountOptionTable in
+  /// crfs/mount_options.h) and the rules that tie fields together.
+  Status validate() const;
 
   /// True when any SLO objective is enabled.
   bool slo_enabled() const {

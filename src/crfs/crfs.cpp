@@ -7,6 +7,7 @@
 #include <cstdlib>
 
 #include "common/table.h"
+#include "crfs/mount_options.h"
 #include "obs/chrome_trace.h"
 #include "obs/json_out.h"
 
@@ -251,18 +252,12 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
 void Crfs::define_knobs() {
   KnobPlane& knobs = plane_.knobs();
 
-  // pool_chunks: grow/shrink the buffer pool by whole chunks, ceiling from
-  // tune_pool_max (0 = 4x the mount-time pool). Shrinks are best-effort
-  // over free chunks, so the apply reports what it actually achieved. A
-  // resize also re-clamps the effective IO batch against the new
-  // half-the-pool cap (same invariant the mount ctor establishes).
-  const std::size_t pool_cap_bytes =
-      cfg_.tune_pool_max != 0 ? cfg_.tune_pool_max : cfg_.pool_size * 4;
-  const std::size_t pool_cap_chunks =
-      std::max<std::size_t>(1, pool_cap_bytes / cfg_.chunk_size);
+  // pool_chunks: grow/shrink the buffer pool by whole chunks. Shrinks are
+  // best-effort over free chunks, so the apply reports what it actually
+  // achieved. A resize also re-clamps the effective IO batch against the
+  // new half-the-pool cap (same invariant the mount ctor establishes).
   knobs.define(
-      KnobDef{"pool_chunks", 1.0, static_cast<double>(pool_cap_chunks), "chunks"},
-      static_cast<double>(cfg_.num_chunks()),
+      knob_def("pool_chunks", cfg_), static_cast<double>(cfg_.num_chunks()),
       [this](double v, double* achieved, std::string* reason) {
         const std::size_t got = pool_->resize(static_cast<std::size_t>(v));
         if (got != static_cast<std::size_t>(v)) {
@@ -279,8 +274,7 @@ void Crfs::define_knobs() {
   // io_batch: chunks per work-queue drain. The half-the-pool cap is
   // enforced at apply time (and re-checked when pool_chunks changes).
   knobs.define(
-      KnobDef{"io_batch", 1.0, static_cast<double>(cfg_.tune_io_batch_max), "chunks"},
-      static_cast<double>(io_pool_->batch()),
+      knob_def("io_batch", cfg_), static_cast<double>(io_pool_->batch()),
       [this](double v, double* achieved, std::string* reason) {
         const unsigned cap = static_cast<unsigned>(
             std::max<std::size_t>(1, pool_->total_chunks() / 2));
@@ -297,8 +291,7 @@ void Crfs::define_knobs() {
   // uring_depth: soft in-flight cap per worker ring, re-armed on the next
   // submit window. Vetoed on the sync engine — there is no ring to re-arm.
   knobs.define(
-      KnobDef{"uring_depth", 1.0, 4096.0, "sqes"},
-      static_cast<double>(cfg_.uring_depth),
+      knob_def("uring_depth", cfg_), static_cast<double>(cfg_.uring_depth),
       [this](double v, double* achieved, std::string* reason) {
         const unsigned eff = io_pool_->set_uring_depth(static_cast<unsigned>(v));
         if (eff == 0) {
@@ -311,7 +304,7 @@ void Crfs::define_knobs() {
 
   // sample_ms: background sampler period, picked up on the next wakeup.
   knobs.define(
-      KnobDef{"sample_ms", 1.0, 10000.0, "ms"}, static_cast<double>(cfg_.sample_ms),
+      knob_def("sample_ms", cfg_), static_cast<double>(cfg_.sample_ms),
       [this](double v, double*, std::string* reason) {
         if (sampler_ == nullptr) {
           *reason = "sampler disabled (mount with sample_ms > 0)";
@@ -323,8 +316,7 @@ void Crfs::define_knobs() {
 
   // slow_pwrite_ms: the health rule's p99 threshold; 0 disables the rule.
   knobs.define(
-      KnobDef{"slow_pwrite_ms", 0.0, 100000.0, "ms"},
-      static_cast<double>(cfg_.health.slow_pwrite_p99_ns) / 1e6,
+      knob_def("slow_pwrite_ms", cfg_), static_cast<double>(cfg_.health.slow_pwrite_p99_ns) / 1e6,
       [this](double v, double*, std::string* reason) {
         if (health_ == nullptr) {
           *reason = "health monitor disabled (mount with sample_ms > 0)";
@@ -338,7 +330,7 @@ void Crfs::define_knobs() {
   // in-progress scan sees the change on its next read (already-parked
   // prefetch slots still serve, then the window stops topping up).
   knobs.define(
-      KnobDef{"readahead", 0.0, 1.0, "bool"}, cfg_.readahead ? 1.0 : 0.0,
+      knob_def("readahead", cfg_), cfg_.readahead ? 1.0 : 0.0,
       [this](double v, double*, std::string*) {
         readahead_on_.store(v >= 0.5, std::memory_order_relaxed);
         return true;
@@ -348,8 +340,7 @@ void Crfs::define_knobs() {
   // scan (the engine's own depth still caps it). Floor 1 gives the
   // controller's shed_readahead rule a halving path that never hits 0.
   knobs.define(
-      KnobDef{"readahead_window", 1.0, 1024.0, "chunks"},
-      static_cast<double>(cfg_.readahead_window),
+      knob_def("readahead_window", cfg_), static_cast<double>(cfg_.readahead_window),
       [this](double v, double*, std::string*) {
         readahead_window_.store(static_cast<unsigned>(v), std::memory_order_relaxed);
         return true;
@@ -358,8 +349,7 @@ void Crfs::define_knobs() {
   // journal_fsync_ms: durability cadence of the telemetry journal; 0 means
   // fsync only on rotation and shutdown. Picked up on the next flush.
   knobs.define(
-      KnobDef{"journal_fsync_ms", 0.0, 600000.0, "ms"},
-      static_cast<double>(cfg_.journal_fsync_ms),
+      knob_def("journal_fsync_ms", cfg_), static_cast<double>(cfg_.journal_fsync_ms),
       [this](double v, double*, std::string* reason) {
         if (plane_.journal() == nullptr) {
           *reason = "journal disabled (mount with journal=<dir>)";
@@ -374,7 +364,7 @@ void Crfs::define_knobs() {
   // controller's shed_drain rule halves/restores this under remote
   // saturation. Vetoed on non-tiered mounts.
   knobs.define(
-      KnobDef{"drain_mbps", 0.0, 1e6, "MB/s"},
+      knob_def("drain_mbps", cfg_),
       tier_ != nullptr ? tier_->drain_mbps() : static_cast<double>(cfg_.drain_mbps),
       [this](double v, double*, std::string* reason) {
         if (tier_ == nullptr) {
@@ -388,7 +378,7 @@ void Crfs::define_knobs() {
   // drain_parallel: helper threads splitting one drain unit's runs.
   // Picked up by the next unit drained.
   knobs.define(
-      KnobDef{"drain_parallel", 1.0, 64.0, "threads"},
+      knob_def("drain_parallel", cfg_),
       tier_ != nullptr ? static_cast<double>(tier_->drain_parallel())
                        : static_cast<double>(cfg_.drain_parallel),
       [this](double v, double*, std::string* reason) {

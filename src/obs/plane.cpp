@@ -1,5 +1,6 @@
 #include "obs/plane.h"
 
+#include "crfs/mount_options.h"
 #include "obs/json_out.h"
 
 namespace crfs::obs {
@@ -70,14 +71,14 @@ Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
 
   // slow_capture_ms: the tail-latency exemplar threshold (durability lag
   // OR device time); 0 disables capture. Applied as one relaxed store.
-  knobs_.define(KnobDef{"slow_capture_ms", 0.0, 100000.0, "ms"},
+  knobs_.define(knob_def("slow_capture_ms", cfg),
                 static_cast<double>(cfg.slow_capture_ms),
                 [this](double v, double*, std::string*) {
                   slow_.set_threshold_ns(static_cast<std::uint64_t>(v) * 1'000'000);
                   return true;
                 });
   // epoch_gap_ms: the auto-rotation quiet window of the epoch tracker.
-  knobs_.define(KnobDef{"epoch_gap_ms", 1.0, 600000.0, "ms"},
+  knobs_.define(knob_def("epoch_gap_ms", cfg),
                 static_cast<double>(cfg.epoch_gap_ms),
                 [this](double v, double*, std::string* reason) {
                   if (epochs_ == nullptr) {

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <vector>
 
+#include "crfs/mount_options.h"
+
 namespace crfs::sim {
 
 CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& backend,
@@ -54,13 +56,8 @@ void CrfsSimNode::define_knobs() {
   // and free_chunks_, which io_worker/app_write re-read each iteration —
   // a tune takes effect on the next virtual-time step, mirroring the
   // atomic re-reads of the real pipeline.
-  const std::size_t pool_cap_bytes =
-      config_.tune_pool_max != 0 ? config_.tune_pool_max : config_.pool_size * 4;
-  const std::size_t pool_cap_chunks =
-      std::max<std::size_t>(1, pool_cap_bytes / config_.chunk_size);
   knobs.define(
-      crfs::KnobDef{"pool_chunks", 1.0, static_cast<double>(pool_cap_chunks), "chunks"},
-      static_cast<double>(config_.num_chunks()),
+      knob_def("pool_chunks", config_), static_cast<double>(config_.num_chunks()),
       [this](double v, double* achieved, std::string* reason) {
         const auto target = static_cast<std::size_t>(v);
         const std::size_t total = config_.num_chunks();
@@ -81,9 +78,7 @@ void CrfsSimNode::define_knobs() {
         return true;
       });
   knobs.define(
-      crfs::KnobDef{"io_batch", 1.0, static_cast<double>(config_.tune_io_batch_max),
-                    "chunks"},
-      static_cast<double>(config_.io_batch),
+      knob_def("io_batch", config_), static_cast<double>(config_.io_batch),
       [this](double v, double* achieved, std::string* reason) {
         const auto cap = static_cast<unsigned>(
             std::max<std::size_t>(1, config_.num_chunks() / 2));
@@ -97,8 +92,7 @@ void CrfsSimNode::define_knobs() {
         return true;
       });
   knobs.define(
-      crfs::KnobDef{"uring_depth", 1.0, 4096.0, "sqes"},
-      static_cast<double>(config_.uring_depth),
+      knob_def("uring_depth", config_), static_cast<double>(config_.uring_depth),
       [this](double v, double*, std::string* reason) {
         if (config_.io_engine != IoEngineKind::kUring) {
           *reason = "io engine 'sync' has no ring";
@@ -108,15 +102,13 @@ void CrfsSimNode::define_knobs() {
         return true;
       });
   knobs.define(
-      crfs::KnobDef{"readahead", 0.0, 1.0, "bool"},
-      config_.readahead ? 1.0 : 0.0,
+      knob_def("readahead", config_), config_.readahead ? 1.0 : 0.0,
       [this](double v, double*, std::string*) {
         config_.readahead = v >= 0.5;
         return true;
       });
   knobs.define(
-      crfs::KnobDef{"readahead_window", 1.0, 1024.0, "chunks"},
-      static_cast<double>(config_.readahead_window),
+      knob_def("readahead_window", config_), static_cast<double>(config_.readahead_window),
       [this](double v, double*, std::string*) {
         config_.readahead_window = static_cast<unsigned>(v);
         return true;
