@@ -1,8 +1,10 @@
 // Restore-side read pipeline benchmark (docs/PERFORMANCE.md "Read path
 // and restore"): checkpoint N rank images through CRFS, then restart
 // them through a read-throttled backend four ways — {sync, uring} read
-// engine x {readahead on, off} — plus a direct BackendSource baseline,
-// verifying the payload CRC every single time.
+// engine x {readahead on, off} — plus a direct BackendSource baseline and
+// a uring restore from a real PosixBackend whose files are evicted from
+// the page cache before each pass, verifying the payload CRC every single
+// time.
 //
 // What it proves, and how:
 //   * Correctness: every restore path must reproduce the checkpoint's
@@ -27,12 +29,14 @@
 //
 // Output: a TextTable for humans, BENCH_RESTORE_* greppable lines for
 // CI, and BENCH_RESTORE.json next to the binary for artifact upload.
+#include <fcntl.h>
 #include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <span>
 #include <string>
 #include <vector>
@@ -73,6 +77,16 @@ struct ModeStats {
 };
 
 std::string rank_path(unsigned r) { return "rank" + std::to_string(r) + ".ckpt"; }
+
+// Writes `file` back and drops its pages from the page cache, so the next
+// restore reads it from the device.
+void evict_page_cache(const std::filesystem::path& file) {
+  const int fd = ::open(file.c_str(), O_RDWR);
+  if (fd < 0) return;
+  (void)::fdatasync(fd);
+  (void)::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED);
+  ::close(fd);
+}
 
 }  // namespace
 
@@ -141,10 +155,13 @@ int main() {
   };
 
   // One CRFS restore pass; fills `out` with the mount's read telemetry.
+  // `before_rep` runs ahead of each repetition, outside its clock.
   auto restore_mode = [&](std::shared_ptr<BackendFs> backend, IoEngineKind engine,
-                          bool readahead, ModeStats& out) -> bool {
+                          bool readahead, ModeStats& out,
+                          const std::function<void()>& before_rep = [] {}) -> bool {
     out.seconds = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
+      before_rep();
       Config cfg{};
       cfg.io_engine = engine;
       cfg.readahead = readahead;
@@ -252,7 +269,13 @@ int main() {
         (void)mem->close_file(src.value());
         (void)posix_backend->close_file(dst.value());
       }
-      if (!restore_mode(posix_backend, IoEngineKind::kUring, true, modes[4])) {
+      // Resident pages pass straight through without a prefetch, so each
+      // restore starts from a cold page cache: the gates below then test
+      // the ring on reads that block.
+      const auto evict_ranks = [&] {
+        for (unsigned r = 0; r < ranks; ++r) evict_page_cache(posix_dir / rank_path(r));
+      };
+      if (!restore_mode(posix_backend, IoEngineKind::kUring, true, modes[4], evict_ranks)) {
         std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[4].name.c_str());
         return 1;
       }

@@ -1,12 +1,14 @@
 // Shared POSIX vectored-write retry loop, extracted from
 // PosixBackend::pwritev so the EINTR / short-write / resume logic is unit
-// testable with an injected write function (tests/test_backend.cpp).
+// testable with an injected write function (tests/test_backend.cpp), plus
+// the non-blocking page-cache read the restore pass-through uses.
 #pragma once
 
 #include <sys/uio.h>
 
 #include <cerrno>
 #include <cstddef>
+#include <span>
 #include <vector>
 
 namespace crfs::posix_detail {
@@ -79,6 +81,26 @@ int preadv_all(std::vector<struct iovec>& vecs, off_t off, std::size_t* nread,
     }
   }
   return 0;
+}
+
+/// Copies into `out` what the page cache already holds of `fd` at `off`,
+/// without blocking on the device: one preadv2(RWF_NOWAIT), retried on
+/// EINTR. Returns the bytes copied, which fall short of out.size() at EOF
+/// or at the first page not resident; 0 when nothing is (EAGAIN) or the
+/// file system cannot read without blocking (EOPNOTSUPP). The caller
+/// reads any shortfall the blocking way.
+inline std::size_t pread_cached(int fd, std::span<std::byte> out, off_t off) {
+#ifdef RWF_NOWAIT
+  struct iovec vec{out.data(), out.size()};
+  for (;;) {
+    const ssize_t n = ::preadv2(fd, &vec, 1, off, RWF_NOWAIT);
+    if (n >= 0) return static_cast<std::size_t>(n);
+    if (errno != EINTR) return 0;
+  }
+#else
+  (void)fd, (void)out, (void)off;
+  return 0;
+#endif
 }
 
 }  // namespace crfs::posix_detail

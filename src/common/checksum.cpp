@@ -103,13 +103,14 @@ std::uint64_t x2nmodp(std::uint64_t n, unsigned k) {
 // x^D. A reflected 64x64 carry-less product lands one bit short of the
 // 128-bit reflected layout, so the keys are x^(D+63) and x^(D-1).
 struct FoldKeys {
-  std::uint64_t by512_lo, by512_hi;  // x^575, x^511: fold across 4 lanes
-  std::uint64_t by128_lo, by128_hi;  // x^191, x^127: fold lane into lane
+  std::uint64_t by2048_lo, by2048_hi;  // x^2111, x^2047: fold across 4 zmm
+  std::uint64_t by512_lo, by512_hi;    // x^575, x^511: fold across 4 lanes
+  std::uint64_t by128_lo, by128_hi;    // x^191, x^127: fold lane into lane
 };
 
 const FoldKeys& fold_keys() {
-  static const FoldKeys k{x2nmodp(575, 0), x2nmodp(511, 0), x2nmodp(191, 0),
-                          x2nmodp(127, 0)};
+  static const FoldKeys k{x2nmodp(2111, 0), x2nmodp(2047, 0), x2nmodp(575, 0),
+                          x2nmodp(511, 0),  x2nmodp(191, 0),  x2nmodp(127, 0)};
   return k;
 }
 
@@ -127,22 +128,17 @@ __attribute__((target("pclmul,sse4.1"))) inline __m128i load(const unsigned char
 // Below this size the fixed cost of folding beats its per-byte gain.
 constexpr std::size_t kFoldMinBytes = 128;
 
-__attribute__((target("pclmul,sse4.1"))) std::uint64_t pclmul_update(
-    std::uint64_t state, const unsigned char* p, std::size_t n) {
-  if (n < kFoldMinBytes) return slice8_update(tables64(), state, p, n);
+// The one tail every folding kernel ends in. x0..x3 are the four folded
+// lanes of the 64 bytes just before `p`: fold the remaining 64-byte
+// blocks into them, reduce them to one lane, and let the tables finish.
+__attribute__((target("pclmul,sse4.1"))) std::uint64_t fold_tail(
+    __m128i x0, __m128i x1, __m128i x2, __m128i x3, const unsigned char* p, std::size_t n) {
   const FoldKeys& k = fold_keys();
   const __m128i by512 = _mm_set_epi64x(static_cast<long long>(k.by512_hi),
                                        static_cast<long long>(k.by512_lo));
   const __m128i by128 = _mm_set_epi64x(static_cast<long long>(k.by128_hi),
                                        static_cast<long long>(k.by128_lo));
-
-  // The register enters as the first 8 message bytes XORed with it; the
-  // folds then run from a zero register.
-  __m128i x0 = _mm_xor_si128(load(p), _mm_cvtsi64_si128(static_cast<long long>(state)));
-  __m128i x1 = load(p + 16);
-  __m128i x2 = load(p + 32);
-  __m128i x3 = load(p + 48);
-  for (p += 64, n -= 64; n >= 64; p += 64, n -= 64) {
+  for (; n >= 64; p += 64, n -= 64) {
     x0 = fold(x0, by512, load(p));
     x1 = fold(x1, by512, load(p + 16));
     x2 = fold(x2, by512, load(p + 32));
@@ -158,11 +154,66 @@ __attribute__((target("pclmul,sse4.1"))) std::uint64_t pclmul_update(
                        n);
 }
 
+__attribute__((target("pclmul,sse4.1"))) std::uint64_t pclmul_update(
+    std::uint64_t state, const unsigned char* p, std::size_t n) {
+  if (n < kFoldMinBytes) return slice8_update(tables64(), state, p, n);
+  // The register enters as the first 8 message bytes XORed with it; the
+  // folds then run from a zero register.
+  return fold_tail(_mm_xor_si128(load(p), _mm_cvtsi64_si128(static_cast<long long>(state))),
+                   load(p + 16), load(p + 32), load(p + 48), p + 64, n - 64);
+}
+
+// The same folds four lanes wide: each zmm register carries four 128-bit
+// lanes, so four of them retire 256 bytes a step.
+#define CRFS_VPCLMUL_TARGET "avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.1"
+
+__attribute__((target(CRFS_VPCLMUL_TARGET))) inline __m512i fold512(__m512i acc, __m512i keys,
+                                                                    __m512i next) {
+  // 0x96: three-way XOR.
+  return _mm512_ternarylogic_epi64(_mm512_clmulepi64_epi128(acc, keys, 0x00),
+                                   _mm512_clmulepi64_epi128(acc, keys, 0x11), next, 0x96);
+}
+
+__attribute__((target(CRFS_VPCLMUL_TARGET))) inline __m512i keys512(std::uint64_t lo,
+                                                                    std::uint64_t hi) {
+  return _mm512_broadcast_i32x4(
+      _mm_set_epi64x(static_cast<long long>(hi), static_cast<long long>(lo)));
+}
+
+// Below this size one 256-byte step cannot run.
+constexpr std::size_t kWideFoldMinBytes = 256;
+
+__attribute__((target(CRFS_VPCLMUL_TARGET))) std::uint64_t vpclmul_update(
+    std::uint64_t state, const unsigned char* p, std::size_t n) {
+  if (n < kWideFoldMinBytes) return pclmul_update(state, p, n);
+  const FoldKeys& k = fold_keys();
+  const __m512i by2048 = keys512(k.by2048_lo, k.by2048_hi);
+  const __m512i by512 = keys512(k.by512_lo, k.by512_hi);
+
+  __m512i x0 = _mm512_xor_si512(_mm512_loadu_si512(p),
+                                _mm512_set_epi64(0, 0, 0, 0, 0, 0, 0,
+                                                 static_cast<long long>(state)));
+  __m512i x1 = _mm512_loadu_si512(p + 64);
+  __m512i x2 = _mm512_loadu_si512(p + 128);
+  __m512i x3 = _mm512_loadu_si512(p + 192);
+  for (p += 256, n -= 256; n >= 256; p += 256, n -= 256) {
+    x0 = fold512(x0, by2048, _mm512_loadu_si512(p));
+    x1 = fold512(x1, by2048, _mm512_loadu_si512(p + 64));
+    x2 = fold512(x2, by2048, _mm512_loadu_si512(p + 128));
+    x3 = fold512(x3, by2048, _mm512_loadu_si512(p + 192));
+  }
+  // Four zmm into one, 64 bytes apart, then its lanes into the 128-bit tail.
+  x3 = fold512(fold512(fold512(x0, by512, x1), by512, x2), by512, x3);
+  return fold_tail(_mm512_extracti32x4_epi32(x3, 0), _mm512_extracti32x4_epi32(x3, 1),
+                   _mm512_extracti32x4_epi32(x3, 2), _mm512_extracti32x4_epi32(x3, 3), p, n);
+}
+
 #endif  // CRFS_CRC64_PCLMUL
 
 using Crc64Kernel = std::uint64_t (*)(std::uint64_t, const void*, std::size_t);
 
 Crc64Kernel pick_crc64_kernel() {
+  if (detail::crc64_vpclmul_supported()) return detail::crc64_update_vpclmul;
   return detail::crc64_pclmul_supported() ? detail::crc64_update_pclmul
                                           : detail::crc64_update_table;
 }
@@ -184,11 +235,34 @@ std::uint64_t crc64_update_pclmul(std::uint64_t state, const void* data, std::si
   return crc64_update_table(state, data, size);
 }
 
+std::uint64_t crc64_update_vpclmul(std::uint64_t state, const void* data, std::size_t size) {
+#ifdef CRFS_CRC64_PCLMUL
+  if (crc64_vpclmul_supported()) {
+    return vpclmul_update(state, static_cast<const unsigned char*>(data), size);
+  }
+#endif
+  return crc64_update_pclmul(state, data, size);
+}
+
 bool crc64_pclmul_supported() {
 #ifdef CRFS_CRC64_PCLMUL
   static const bool supported = [] {
     __builtin_cpu_init();
     return __builtin_cpu_supports("pclmul") && __builtin_cpu_supports("sse4.1");
+  }();
+  return supported;
+#else
+  return false;
+#endif
+}
+
+bool crc64_vpclmul_supported() {
+#ifdef CRFS_CRC64_PCLMUL
+  static const bool supported = [] {
+    __builtin_cpu_init();
+    return crc64_pclmul_supported() && __builtin_cpu_supports("avx512f") &&
+           __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
+           __builtin_cpu_supports("vpclmulqdq");
   }();
   return supported;
 #else

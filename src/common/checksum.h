@@ -2,10 +2,13 @@
 // prove that data passing through CRFS aggregation is byte-identical to
 // what the checkpoint writer produced.
 //
-// Both CRCs run on slice-by-8 tables; on x86-64 CPUs with PCLMULQDQ,
-// Crc64 folds 64-byte blocks with carry-less multiplies instead (chosen at
-// run time). Every kernel yields the same digest as the bytewise
-// definition, so stored digests stay valid across CPUs and builds.
+// Both CRCs run on slice-by-8 tables. On x86-64, Crc64 folds with
+// carry-less multiplies instead, picking the widest kernel the CPU runs at
+// run time: 256-byte steps on four zmm registers with AVX-512 VPCLMULQDQ,
+// else 64-byte steps on four xmm registers with PCLMULQDQ. Both end in the
+// same 64-byte loop and table tail. Every kernel yields the same digest as
+// the bytewise definition, so stored digests stay valid across CPUs and
+// builds.
 #pragma once
 
 #include <cstddef>
@@ -64,8 +67,12 @@ namespace detail {
 // Crc64::update dispatches to the fastest one the CPU supports.
 std::uint64_t crc64_update_table(std::uint64_t state, const void* data, std::size_t size);
 std::uint64_t crc64_update_pclmul(std::uint64_t state, const void* data, std::size_t size);
+std::uint64_t crc64_update_vpclmul(std::uint64_t state, const void* data, std::size_t size);
 /// True when this CPU can run crc64_update_pclmul.
 bool crc64_pclmul_supported();
+/// True when this CPU can run crc64_update_vpclmul (AVX-512F/BW/VL and
+/// VPCLMULQDQ).
+bool crc64_vpclmul_supported();
 
 }  // namespace detail
 

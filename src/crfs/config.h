@@ -278,21 +278,25 @@ struct Config {
   /// Number of chunks the pool will hold.
   std::size_t num_chunks() const { return pool_size / chunk_size; }
 
+  /// One line: the pool shape, then the settings that differ from their
+  /// defaults.
   std::string describe() const {
+    const Config def{};
     return "chunk=" + format_bytes(chunk_size) + " pool=" + format_bytes(pool_size) +
            " io_threads=" + std::to_string(io_threads) +
            (pool_shards > 0 ? " pool_shards=" + std::to_string(pool_shards) : "") +
-           (io_batch != 1 ? " io_batch=" + std::to_string(io_batch) : "") +
+           (io_batch != def.io_batch ? " io_batch=" + std::to_string(io_batch) : "") +
            (io_engine == IoEngineKind::kUring
                 ? " io_engine=uring(depth=" + std::to_string(uring_depth) + ")"
                 : "") +
            (!large_write_bypass ? " no_bypass" : "") +
            (!readahead ? " no_readahead" : "") +
-           (readahead_window != 4 ? " readahead_window=" + std::to_string(readahead_window)
-                                  : "") +
+           (readahead_window != def.readahead_window
+                ? " readahead_window=" + std::to_string(readahead_window)
+                : "") +
            (enable_tracing ? " tracing=on" : "") +
            (sample_ms > 0 ? " sample_ms=" + std::to_string(sample_ms) : "") +
-           (slow_capture_ms != 1000
+           (slow_capture_ms != def.slow_capture_ms
                 ? " slow_capture_ms=" + std::to_string(slow_capture_ms)
                 : "") +
            (controller ? " controller=on" : "") +
@@ -309,10 +313,10 @@ struct Config {
                       (stage_cap > 0 ? " stage_cap=" + format_bytes(stage_cap) : "") +
                       (drain_mbps > 0 ? " drain_mbps=" + std::to_string(drain_mbps)
                                       : "") +
-                      (drain_parallel != 1
+                      (drain_parallel != def.drain_parallel
                            ? " drain_parallel=" + std::to_string(drain_parallel)
                            : "") +
-                      (fsync_mode != "stage" ? " fsync_mode=" + fsync_mode : "")
+                      (fsync_mode != def.fsync_mode ? " fsync_mode=" + fsync_mode : "")
                 : "");
   }
 };

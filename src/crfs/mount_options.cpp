@@ -169,7 +169,13 @@ void set_option_value(const OptionRow& row, MountOptions& options, std::uint64_t
 
 Status Config::validate() const {
   for (const OptionRow& row : kMountOptionTable) {
-    if (row.kind == OptionKind::kPath) continue;
+    if (row.kind == OptionKind::kPath) {
+      // ',' separates options, so such a path could not render back.
+      if ((this->*std::get<std::string Config::*>(row.field)).find(',') != std::string::npos) {
+        return Error{EINVAL, "option '" + std::string(row.key) + "' must be a path without ','"};
+      }
+      continue;
+    }
     CRFS_RETURN_IF_ERROR(check_range(row, option_value(row, *this, FuseOptions{})));
   }
   if (pool_size < chunk_size) {

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstring>
 
+#include "backend/posix_io.h"
 #include "crfs/file_table.h"
 
 namespace crfs {
@@ -112,10 +113,24 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
       }
     }
 
-    // Blocking tail for whatever the window did not cover.
+    // Tail for whatever the window did not cover. With prefetch on, a
+    // backend with a kernel fd first gets the paper's pass-through: what
+    // the page cache holds goes straight into the caller's buffer. Only a
+    // shortfall takes the blocking pread, and only then is the window
+    // worth topping up.
+    bool passed_through = false;
     if (served < out.size() && !eof_hit) {
       lock.unlock();
-      auto r = backend_.pread(entry->backend_file(), out.subspan(served), offset + served);
+      const int fd = enabled ? backend_.raw_fd(entry->backend_file()) : -1;
+      if (fd >= 0) {
+        served += posix_detail::pread_cached(fd, out.subspan(served),
+                                             static_cast<off_t>(offset + served));
+        passed_through = served == out.size();
+      }
+      Result<std::size_t> r = std::size_t{0};
+      if (!passed_through) {
+        r = backend_.pread(entry->backend_file(), out.subspan(served), offset + served);
+      }
       lock.lock();
       if (obs_.sync_preads != nullptr) obs_.sync_preads->add(1);
       fs.stats.sync_preads += 1;
@@ -131,7 +146,8 @@ Result<std::size_t> Readahead::read(const std::shared_ptr<FileEntry>& entry,
 
     // Top the window back up while the scan is established.
     std::vector<ReadJob> fills;
-    if (enabled && tail_error.ok() && fs.streak >= 2 && window > 0 && !fs.evicted) {
+    if (enabled && tail_error.ok() && !passed_through && fs.streak >= 2 && window > 0 &&
+        !fs.evicted) {
       top_up(*entry, fs, offset + served, window, fills);
     }
 

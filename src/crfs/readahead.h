@@ -2,17 +2,25 @@
 // aggregation machinery; ROADMAP item "read path").
 //
 // The paper leaves read() a synchronous passthrough; a BLCR-style restore
-// is a strict forward scan, so every pread stalls the restart for one full
-// backend round trip. This prefetcher recognizes the sequential scan (a
-// per-file expected-offset streak), then keeps a window of chunk-sized
-// fills in flight on the mount's IO threads: each fill is a ReadJob on the
-// work queue's read lane, run by whichever IoThreadPool worker pops it
-// through that worker's own engine (a pread on the IO thread for sync,
-// IORING_OP_READ_FIXED into the pool's registered chunk storage for
-// uring). The rank thread never issues a prefetch pread itself. Filled
-// chunks are parked in pool-backed cache slots and consumed by later
-// reads; anything unconsumed on a seek, a write, or close is counted as
-// wasted and the chunks go back to the pool.
+// is a strict forward scan, so every pread that misses the page cache
+// stalls the restart for one full backend round trip. This prefetcher
+// recognizes the sequential scan (a per-file expected-offset streak),
+// then keeps a window of chunk-sized fills in flight on the mount's IO
+// threads: each fill is a ReadJob on the work queue's read lane, run by
+// whichever IoThreadPool worker pops it through that worker's own engine
+// (a pread on the IO thread for sync, IORING_OP_READ_FIXED into the pool's
+// registered chunk storage for uring). The rank thread never issues a
+// prefetch pread itself. Filled chunks are parked in pool-backed cache
+// slots and consumed by later reads; anything unconsumed on a seek, a
+// write, or close is counted as wasted and the chunks go back to the pool.
+//
+// Residency: a read the window does not cover, on a backend with a kernel
+// fd (BackendFs::raw_fd), first takes the paper's pass-through: one
+// non-blocking preadv2(RWF_NOWAIT) straight into the caller's buffer. If
+// the page cache serves all of it the read is done and the window is not
+// topped up, so a resident file costs one copy per byte, not two. Any
+// shortfall takes the blocking pread and arms the window as usual.
+// Backends without an fd (memory, the tier, decorators) always prefetch.
 //
 // Fair share: a file tops its window up to min(window, max(1, pool chunks
 // / files with an open scan)) slots, recomputed at every top-up, so two
@@ -112,11 +120,13 @@ class Readahead {
   void open(const std::shared_ptr<FileEntry>& entry);
 
   /// Serves one application read at `offset`, from the prefetch cache
-  /// where possible, with a blocking backend pread for the uncovered
-  /// tail. When `enabled` and the file's sequential streak is
-  /// established, tops the window back up (to at most `window` slots, and
-  /// at most the file's fair share of the pool) before returning. Returns
-  /// bytes read (short only at EOF).
+  /// where possible, then from the page cache without blocking (backends
+  /// with a raw fd), then with a blocking backend pread for what is
+  /// left. Unless the page cache served the whole uncovered tail, and
+  /// when `enabled` and the file's sequential streak is established, tops
+  /// the window back up (to at most `window` slots, and at most the
+  /// file's fair share of the pool) before returning. Returns bytes read
+  /// (short only at EOF).
   Result<std::size_t> read(const std::shared_ptr<FileEntry>& entry, std::span<std::byte> out,
                            std::uint64_t offset, bool enabled, unsigned window);
 

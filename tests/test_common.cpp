@@ -341,6 +341,16 @@ TEST(Crc64, PclmulKernelMatchesBytewiseOnHugeBuffer) {
   expect_kernel_matches_bytewise_on_huge_buffer(detail::crc64_update_pclmul);
 }
 
+TEST(Crc64, Vpclmul512KernelMatchesBytewise) {
+  if (!detail::crc64_vpclmul_supported()) GTEST_SKIP() << "CPU lacks AVX-512 VPCLMULQDQ";
+  expect_kernel_matches_bytewise(detail::crc64_update_vpclmul);
+}
+
+TEST(Crc64, Vpclmul512KernelMatchesBytewiseOnHugeBuffer) {
+  if (!detail::crc64_vpclmul_supported()) GTEST_SKIP() << "CPU lacks AVX-512 VPCLMULQDQ";
+  expect_kernel_matches_bytewise_on_huge_buffer(detail::crc64_update_vpclmul);
+}
+
 TEST(Crc64, RandomSplitsMatchOneShot) {
   const auto data = random_bytes(1 * MiB + 77, 10);
   const auto whole = Crc64::of(data.data(), data.size());

@@ -139,6 +139,31 @@ TEST(MountOptions, RandomValidOptionsRoundTripThroughFormat) {
   }
 }
 
+TEST(MountOptions, CommaInPathIsRejected) {
+  // Rendered, this would parse back as postmortem=/tmp/pm plus trace on.
+  Config pm;
+  pm.postmortem_path = "/tmp/pm,trace";
+  expect_rejected(pm.validate(), "postmortem", "postmortem=/tmp/pm,trace");
+  for (const OptionRow& row : kMountOptionTable) {
+    if (row.kind != OptionKind::kPath) continue;
+    MountOptions x;
+    x.config.*std::get<std::string Config::*>(row.field) = "/a,b";
+    expect_rejected(x.config.validate(), row.key, std::string(row.key) + "=/a,b");
+  }
+}
+
+TEST(MountOptions, DescribeNamesOnlyChangedSettings) {
+  const std::string d = Config{}.describe();
+  for (const char* key : {"io_batch", "readahead_window", "slow_capture_ms", "drain_parallel"}) {
+    EXPECT_EQ(d.find(key), std::string::npos) << key << " in default describe(): " << d;
+  }
+  Config changed;
+  changed.io_batch = 2;
+  changed.readahead_window = 7;
+  EXPECT_NE(changed.describe().find(" io_batch=2"), std::string::npos);
+  EXPECT_NE(changed.describe().find(" readahead_window=7"), std::string::npos);
+}
+
 TEST(MountOptions, DefaultsRenderEmpty) {
   EXPECT_EQ(format_mount_options(MountOptions{}), "");
 }

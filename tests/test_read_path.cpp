@@ -2,9 +2,14 @@
 // chunk-boundary straddling, EOF), the sequential-scan prefetcher (arming,
 // seek eviction, runtime toggle, fair pool share between concurrent
 // scans, failed fills, unmount with fills in flight on the IO threads),
+// the page-cache pass-through (resident files skip the prefetcher, cold
+// and decorated ones keep it),
 // coherence against buffered and racing writes, and bit-identical blcr
 // restart with readahead on / off / retuned mid-stream.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <sys/uio.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
@@ -643,6 +648,134 @@ TEST_F(ReadPath, UnmountMidScanWaitsOutInflightFills) {
   }
   ASSERT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 3u);
   within(std::chrono::seconds(30), "unmount with fills in flight", [&] { fs.value().reset(); });
+}
+
+// Bytes of `file` the page cache serves at once, from one non-blocking
+// read of its first `size` bytes; -errno when the read fails outright
+// (EOPNOTSUPP: this file system cannot read without blocking).
+ssize_t resident_bytes(const std::filesystem::path& file, std::size_t size) {
+  const int fd = ::open(file.c_str(), O_RDONLY);
+  if (fd < 0) return -errno;
+  std::vector<std::byte> buf(size);
+  struct iovec vec{buf.data(), buf.size()};
+  const ssize_t n = ::preadv2(fd, &vec, 1, 0, RWF_NOWAIT);
+  const ssize_t result = n >= 0 ? n : -errno;
+  ::close(fd);
+  return result;
+}
+
+// Writes `file` back and drops its pages from the page cache.
+void evict_page_cache(const std::filesystem::path& file) {
+  const int fd = ::open(file.c_str(), O_RDWR);
+  ASSERT_GE(fd, 0) << file;
+  EXPECT_EQ(::fdatasync(fd), 0);
+  EXPECT_EQ(::posix_fadvise(fd, 0, 0, POSIX_FADV_DONTNEED), 0);
+  ::close(fd);
+}
+
+std::shared_ptr<BackendFs> posix_backend(const std::filesystem::path& dir) {
+  std::filesystem::create_directories(dir);
+  auto b = PosixBackend::create(dir.string());
+  EXPECT_TRUE(b.ok());
+  if (!b.ok()) return nullptr;
+  return std::shared_ptr<BackendFs>(std::move(b.value()));
+}
+
+// Reads `path` front to back in kChunk pieces and checks every byte,
+// running `before_read` ahead of each read.
+void scan_exact(Crfs& fs, const std::string& path, const std::vector<std::byte>& expect,
+                const std::function<void()>& before_read = [] {}) {
+  auto h = fs.open(path, {.create = false, .truncate = false, .write = false});
+  ASSERT_TRUE(h.ok());
+  std::vector<std::byte> buf(kChunk);
+  for (std::size_t off = 0; off < expect.size(); off += kChunk) {
+    before_read();
+    auto r = fs.read(h.value(), buf, off);
+    ASSERT_TRUE(r.ok()) << r.error().to_string();
+    ASSERT_EQ(r.value(), kChunk);
+    ASSERT_EQ(0, std::memcmp(buf.data(), expect.data() + off, kChunk)) << "bad bytes at " << off;
+  }
+  ASSERT_TRUE(fs.close(h.value()).ok());
+}
+
+TEST_F(ReadPath, ResidentScanPassesThrough) {
+  // A file the page cache holds takes the paper's pass-through: each read
+  // is one non-blocking pread into the caller's buffer, and no prefetch
+  // (and no slot-to-caller copy) is ever issued.
+  auto backend = posix_backend(dir_ / "resident");
+  ASSERT_NE(backend, nullptr);
+  auto fs = Crfs::mount(backend, Config{.chunk_size = kChunk, .pool_size = 2 * MiB});
+  ASSERT_TRUE(fs.ok());
+  const auto data = make_pattern(1 * MiB, /*salt=*/21);
+  write_file(*fs.value(), "warm.dat", data);
+  const ssize_t resident = resident_bytes(dir_ / "resident" / "warm.dat", data.size());
+  if (resident == -EOPNOTSUPP) GTEST_SKIP() << "file system has no RWF_NOWAIT reads";
+  ASSERT_EQ(resident, static_cast<ssize_t>(data.size())) << "fresh file not in the page cache";
+
+  scan_exact(*fs.value(), "warm.dat", data);
+  auto& m = fs.value()->metrics();
+  EXPECT_EQ(m.counter("crfs.read.ops").value(), data.size() / kChunk);
+  EXPECT_EQ(m.counter("crfs.read.bytes").value(), data.size());
+  EXPECT_EQ(m.counter("crfs.read.prefetch_issued").value(), 0u);
+  EXPECT_EQ(m.counter("crfs.read.sync_preads").value(), m.counter("crfs.read.ops").value());
+}
+
+TEST_F(ReadPath, ColdScanArmsThePrefetcher) {
+  // The same scan over a file evicted from the page cache must block on
+  // the device, so the prefetcher arms and serves it. On a fast device the
+  // kernel's own readahead can refill the cache ahead of the scan, so the
+  // file's pages are dropped again before every read.
+  auto backend = posix_backend(dir_ / "cold");
+  ASSERT_NE(backend, nullptr);
+  auto fs = Crfs::mount(backend, Config{.chunk_size = kChunk, .pool_size = 2 * MiB});
+  ASSERT_TRUE(fs.ok());
+  const auto data = make_pattern(4 * MiB, /*salt=*/23);
+  write_file(*fs.value(), "cold.dat", data);
+  const auto file = dir_ / "cold" / "cold.dat";
+  evict_page_cache(file);
+  if (resident_bytes(file, data.size()) == static_cast<ssize_t>(data.size())) {
+    GTEST_SKIP() << "POSIX_FADV_DONTNEED left the pages resident (e.g. tmpfs)";
+  }
+
+  scan_exact(*fs.value(), "cold.dat", data, [&] { evict_page_cache(file); });
+  auto& m = fs.value()->metrics();
+  EXPECT_EQ(m.counter("crfs.read.bytes").value(), data.size());
+  EXPECT_GT(m.counter("crfs.read.prefetch_issued").value(), 0u);
+  EXPECT_GT(m.counter("crfs.read.prefetch_hits").value(), 0u);
+}
+
+TEST_F(ReadPath, DecoratedPosixKeepsPrefetching) {
+  // Decorators hide the inner fd, so their reads never bypass them: the
+  // prefetcher still runs over a warm Posix file, and an injected read
+  // fault still reaches the application.
+  const auto data = make_pattern(1 * MiB, /*salt=*/25);
+  auto faulty = std::make_shared<FaultyBackend>(posix_backend(dir_ / "faulty"));
+  auto throttled = std::make_shared<ThrottledBackend>(posix_backend(dir_ / "throttled"),
+                                                      1024.0 * MiB);
+  throttled->throttle_reads(true);
+  const std::pair<const char*, std::shared_ptr<BackendFs>> cases[] = {
+      {"faulty", faulty}, {"throttled", throttled}};
+  for (const auto& [label, backend] : cases) {
+    SCOPED_TRACE(label);
+    auto fs = Crfs::mount(backend, Config{.chunk_size = kChunk, .pool_size = 2 * MiB});
+    ASSERT_TRUE(fs.ok());
+    write_file(*fs.value(), "decorated.dat", data);
+    scan_exact(*fs.value(), "decorated.dat", data);
+    EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_issued").value(), 0u);
+    EXPECT_GT(fs.value()->metrics().counter("crfs.read.prefetch_hits").value(), 0u);
+  }
+
+  auto fs = Crfs::mount(faulty, Config{.chunk_size = kChunk, .pool_size = 2 * MiB});
+  ASSERT_TRUE(fs.ok());
+  auto h = fs.value()->open("decorated.dat", {.create = false, .truncate = false, .write = false});
+  ASSERT_TRUE(h.ok());
+  faulty->fail_reads_after(0);
+  std::vector<std::byte> buf(kChunk);
+  auto r = fs.value()->read(h.value(), buf, 0);
+  ASSERT_FALSE(r.ok()) << "a resident page bypassed the injected fault";
+  EXPECT_EQ(r.error().code, EIO);
+  faulty->fail_reads_after(-1);
+  ASSERT_TRUE(fs.value()->close(h.value()).ok());
 }
 
 }  // namespace
