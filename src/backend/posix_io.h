@@ -90,17 +90,12 @@ int preadv_all(std::vector<struct iovec>& vecs, off_t off, std::size_t* nread,
 /// file system cannot read without blocking (EOPNOTSUPP). The caller
 /// reads any shortfall the blocking way.
 inline std::size_t pread_cached(int fd, std::span<std::byte> out, off_t off) {
-#ifdef RWF_NOWAIT
   struct iovec vec{out.data(), out.size()};
   for (;;) {
     const ssize_t n = ::preadv2(fd, &vec, 1, off, RWF_NOWAIT);
     if (n >= 0) return static_cast<std::size_t>(n);
     if (errno != EINTR) return 0;
   }
-#else
-  (void)fd, (void)out, (void)off;
-  return 0;
-#endif
 }
 
 }  // namespace crfs::posix_detail

@@ -165,7 +165,7 @@ __attribute__((target("pclmul,sse4.1"))) std::uint64_t pclmul_update(
 
 // The same folds four lanes wide: each zmm register carries four 128-bit
 // lanes, so four of them retire 256 bytes a step.
-#define CRFS_VPCLMUL_TARGET "avx512f,avx512bw,avx512vl,vpclmulqdq,pclmul,sse4.1"
+#define CRFS_VPCLMUL_TARGET "avx512f,vpclmulqdq,pclmul,sse4.1"
 
 __attribute__((target(CRFS_VPCLMUL_TARGET))) inline __m512i fold512(__m512i acc, __m512i keys,
                                                                     __m512i next) {
@@ -261,7 +261,6 @@ bool crc64_vpclmul_supported() {
   static const bool supported = [] {
     __builtin_cpu_init();
     return crc64_pclmul_supported() && __builtin_cpu_supports("avx512f") &&
-           __builtin_cpu_supports("avx512bw") && __builtin_cpu_supports("avx512vl") &&
            __builtin_cpu_supports("vpclmulqdq");
   }();
   return supported;

@@ -70,7 +70,7 @@ std::uint64_t crc64_update_pclmul(std::uint64_t state, const void* data, std::si
 std::uint64_t crc64_update_vpclmul(std::uint64_t state, const void* data, std::size_t size);
 /// True when this CPU can run crc64_update_pclmul.
 bool crc64_pclmul_supported();
-/// True when this CPU can run crc64_update_vpclmul (AVX-512F/BW/VL and
+/// True when this CPU can run crc64_update_vpclmul (AVX-512F and
 /// VPCLMULQDQ).
 bool crc64_vpclmul_supported();
 
