@@ -17,13 +17,12 @@
 // the vectored-write path engaged, and BENCH_WRITEPATH.json in the
 // current directory for artifact upload.
 //
-// A third section compares IO engines (sync pwritev vs raw io_uring) over
-// a real PosixBackend directory at the same stream counts, printing
-// BENCH_WRITEPATH_SYNC_STREAMS<N> / BENCH_WRITEPATH_URING_STREAMS<N>
-// lines plus BENCH_IOENGINE.json recording the *active* engine after
-// runtime detection and the max in-flight ring depth. When io_uring is
-// unavailable (old kernel, seccomp, CRFS_FORCE_SYNC=1) the uring rows
-// silently run the sync fallback — the JSON says so; nothing fails.
+// The exit gate (no coalesced pwrites -> exit 1) does not rest on timing:
+// fast MemBackend workers pop most chunks the moment they are queued, so
+// the measured rows may coalesce nothing on a given run. A coalescing
+// probe holds one IO thread's first backend write until the stream has
+// queued further adjacent chunks behind it, so that thread's next dequeue
+// always holds a run to coalesce.
 //
 // Env knobs: CRFS_BENCH_BYTES overrides the per-stream volume and
 // CRFS_BENCH_REPS the repetitions (best-of); CRFS_BENCH_BATCH /
@@ -35,18 +34,17 @@
 // throughput; compare the backend-pwrite counts (structure) there and
 // trust the multistream MiB/s only on real multicore hardware.
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include <filesystem>
-
 #include "backend/mem_backend.h"
-#include "backend/posix_backend.h"
 #include "common/units.h"
 #include "crfs/crfs.h"
 #include "crfs/fuse_shim.h"
@@ -111,86 +109,81 @@ RunResult best_of(int reps, int streams, std::size_t per_stream, const Config& c
   return best;
 }
 
-// ---- IO-engine dimension (sync vs io_uring over a real PosixBackend) ----
+// Forwards to a MemBackend, holding the first backend write (pwrite or
+// pwritev) until `ready()` holds or one second passes.
+class HoldFirstWriteBackend final : public BackendFs {
+ public:
+  explicit HoldFirstWriteBackend(std::function<bool()> ready) : ready_(std::move(ready)) {}
 
-struct EngineRunResult {
-  double mib_s = 0.0;
-  std::string active_engine;       ///< what actually ran after detection
-  std::uint64_t max_inflight = 0;  ///< crfs.io.inflight_depth histogram max
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    hold_first();
+    return inner_.pwrite(f, d, off);
+  }
+  Status pwritev(BackendFile f, std::span<const BackendIoVec> iov, std::uint64_t off) override {
+    hold_first();
+    return inner_.pwritev(f, iov, off);
+  }
+  Result<BackendFile> open_file(const std::string& p, OpenFlags fl) override {
+    return inner_.open_file(p, fl);
+  }
+  Status close_file(BackendFile f) override { return inner_.close_file(f); }
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_.pread(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_.fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_.truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_.stat(p); }
+  Status mkdir(const std::string& p) override { return inner_.mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_.rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_.unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_.rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_.list_dir(p);
+  }
+  std::string name() const override { return "hold_first(" + inner_.name() + ")"; }
+
+ private:
+  void hold_first() {
+    if (held_.exchange(true)) return;
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(1);
+    while (!ready_() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::microseconds(100));
+    }
+  }
+
+  MemBackend inner_;
+  std::function<bool()> ready_;
+  std::atomic<bool> held_{false};
 };
 
-EngineRunResult run_engine(int streams, std::size_t per_stream, const Config& cfg) {
-  // Fresh backing dir per run so each repetition starts cold.
-  char tmpl[] = "/tmp/crfs_bench_XXXXXX";
-  if (::mkdtemp(tmpl) == nullptr) {
-    std::fprintf(stderr, "mkdtemp failed\n");
-    return {};
+// One sequential stream on a single IO thread whose first backend write
+// is held until two more chunks are queued behind it; returns the mount's
+// coalesced pwrites. Unlike the timed rows this cannot race: the held
+// worker is the only consumer, so the queue must fill, and its next
+// dequeue takes adjacent chunks of one file.
+std::uint64_t coalescing_probe(Config cfg) {
+  cfg.io_threads = 1;
+  const Crfs* mounted = nullptr;
+  auto backend = std::make_shared<HoldFirstWriteBackend>(
+      [&mounted] { return mounted->queue_depth() >= 2; });
+  auto fs = Crfs::mount(backend, cfg);
+  if (!fs.ok()) {
+    std::fprintf(stderr, "mount failed: %s\n", fs.error().to_string().c_str());
+    return 0;
   }
-  const std::string root = tmpl;
-  EngineRunResult r;
-  {
-    auto posix = PosixBackend::create(root);
-    if (!posix.ok()) {
-      std::fprintf(stderr, "posix backend: %s\n", posix.error().to_string().c_str());
-      return {};
-    }
-    std::shared_ptr<BackendFs> backend = std::move(posix.value());
-    auto fs = Crfs::mount(backend, cfg);
-    if (!fs.ok()) {
-      std::fprintf(stderr, "mount failed: %s\n", fs.error().to_string().c_str());
-      return {};
-    }
-    FuseShim shim(*fs.value(), FuseOptions{});
-
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<std::thread> writers;
-    writers.reserve(static_cast<std::size_t>(streams));
-    for (int w = 0; w < streams; ++w) {
-      writers.emplace_back([&, w] {
-        auto h = shim.open("stream" + std::to_string(w),
-                           {.create = true, .truncate = true, .write = true});
-        if (!h.ok()) return;
-        std::vector<std::byte> buf(256 * KiB, std::byte{7});
-        const std::size_t wrap = 32 * MiB;  // bound on-disk file size
-        std::uint64_t off = 0;
-        for (std::size_t done = 0; done < per_stream; done += buf.size()) {
-          (void)shim.write(h.value(), buf, off);
-          off += buf.size();
-          if (off >= wrap) off = 0;
-        }
-        (void)shim.close(h.value());
-      });
-    }
-    for (auto& t : writers) t.join();
-    const double seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-
-    r.mib_s = static_cast<double>(per_stream) * streams / MiB / seconds;
-    r.active_engine = fs.value()->active_io_engine();
-    const auto snap = fs.value()->metrics().snapshot();
-    for (const auto& [name, hist] : snap.histograms) {
-      if (name == "crfs.io.inflight_depth") r.max_inflight = hist.max;
-    }
-  }  // unmount + close backend before removing the directory
-  std::error_code ec;
-  std::filesystem::remove_all(root, ec);
-  return r;
-}
-
-EngineRunResult best_of_engine(int reps, int streams, std::size_t per_stream,
-                               const Config& cfg) {
-  EngineRunResult best;
-  for (int i = 0; i < reps; ++i) {
-    EngineRunResult r = run_engine(streams, per_stream, cfg);
-    if (r.mib_s > best.mib_s) {
-      const std::uint64_t depth = std::max(best.max_inflight, r.max_inflight);
-      best = std::move(r);
-      best.max_inflight = depth;
-    } else {
-      best.max_inflight = std::max(best.max_inflight, r.max_inflight);
-    }
+  mounted = fs.value().get();
+  FuseShim shim(*fs.value(), FuseOptions{});
+  auto h = shim.open("probe", {.create = true, .truncate = true, .write = true});
+  if (!h.ok()) return 0;
+  std::vector<std::byte> buf(256 * KiB, std::byte{7});
+  const std::uint64_t total = (cfg.num_chunks() + 2) * cfg.chunk_size;
+  for (std::uint64_t off = 0; off < total; off += buf.size()) {
+    (void)shim.write(h.value(), buf, off);
   }
-  return best;
+  (void)shim.close(h.value());
+  return fs.value()->metrics().counter("crfs.io.coalesced_pwrites").value();
 }
 
 }  // namespace
@@ -235,6 +228,11 @@ int main() {
                 l.mib_s > 0 ? t.mib_s / l.mib_s : 0.0);
   }
 
+  const std::uint64_t probe_coalesced = coalescing_probe(tuned);
+  total_coalesced += probe_coalesced;
+  std::printf("coalescing probe (1 IO thread, first write held): %llu coalesced pwrites\n",
+              static_cast<unsigned long long>(probe_coalesced));
+
   std::printf("\n");
   for (const auto& [streams, r] : tuned_results) {
     std::printf("BENCH_WRITEPATH_STREAMS%d %.1f MiB/s\n", streams, r.mib_s);
@@ -258,79 +256,6 @@ int main() {
                  static_cast<unsigned long long>(total_coalesced));
     std::fclose(f);
     std::printf("wrote BENCH_WRITEPATH.json\n");
-  }
-
-  // ---- IO-engine comparison: sync vs io_uring over PosixBackend ----------
-  // Smaller chunks + modest batch produce many submissions per second, so
-  // the uring rows can actually build ring depth instead of one giant
-  // coalesced writev per batch. Both engines share the exact same shape;
-  // only Config::io_engine differs.
-  Config engine_base{};
-  engine_base.chunk_size = 1 * MiB;
-  engine_base.pool_size = 16 * MiB;
-  engine_base.io_threads = 2;
-  engine_base.io_batch = 4;
-  engine_base.uring_depth = 64;
-
-  // Disk writes are slower than MemBackend memcpys; trim the volume so the
-  // engine section stays in the same wall-clock ballpark.
-  const std::size_t engine_bytes = std::max<std::size_t>(base_bytes / 4, 8 * MiB);
-
-  std::printf("\n=== IO-engine comparison (FuseShim -> Crfs -> PosixBackend) ===\n");
-  std::printf("base: %s | per-stream volume %zu MiB | best of %d reps\n\n",
-              engine_base.describe().c_str(), engine_bytes / MiB, reps);
-
-  struct EngineRow {
-    const char* requested;
-    int streams;
-    EngineRunResult r;
-  };
-  std::vector<EngineRow> engine_rows;
-  std::string uring_active = "sync";
-  for (const IoEngineKind kind : {IoEngineKind::kSync, IoEngineKind::kUring}) {
-    Config cfg = engine_base;
-    cfg.io_engine = kind;
-    for (const int streams : stream_counts) {
-      const std::size_t per_stream = streams >= 16 ? engine_bytes / 2 : engine_bytes;
-      const EngineRunResult r = best_of_engine(reps, streams, per_stream, cfg);
-      if (kind == IoEngineKind::kUring) uring_active = r.active_engine;
-      std::printf("engine=%-5s streams=%-2d  %8.1f MiB/s  (active=%s, max ring depth %llu)\n",
-                  io_engine_name(kind), streams, r.mib_s, r.active_engine.c_str(),
-                  static_cast<unsigned long long>(r.max_inflight));
-      engine_rows.push_back({io_engine_name(kind), streams, r});
-    }
-  }
-  if (uring_active != "uring") {
-    std::printf("note: io_uring unavailable here — uring rows ran the sync fallback\n");
-  }
-
-  std::printf("\n");
-  for (const auto& row : engine_rows) {
-    // SYNC/URING name the *requested* engine; BENCH_IOENGINE.json records
-    // what actually ran, so a fallback host still emits comparable keys.
-    std::printf("BENCH_WRITEPATH_%s_STREAMS%d %.1f MiB/s\n",
-                row.requested == std::string("uring") ? "URING" : "SYNC", row.streams,
-                row.r.mib_s);
-  }
-
-  if (std::FILE* f = std::fopen("BENCH_IOENGINE.json", "w")) {
-    std::fprintf(f, "{\n  \"config\": \"%s\",\n  \"io_threads\": %u,\n",
-                 engine_base.describe().c_str(), engine_base.io_threads);
-    std::fprintf(f, "  \"uring_available\": %s,\n",
-                 uring_active == "uring" ? "true" : "false");
-    std::fprintf(f, "  \"engines\": {\n");
-    for (std::size_t i = 0; i < engine_rows.size(); ++i) {
-      const auto& row = engine_rows[i];
-      std::fprintf(f,
-                   "    \"%s_streams%d\": {\"requested\": \"%s\", \"active\": \"%s\", "
-                   "\"mib_per_s\": %.1f, \"max_inflight_depth\": %llu}%s\n",
-                   row.requested, row.streams, row.requested, row.r.active_engine.c_str(),
-                   row.r.mib_s, static_cast<unsigned long long>(row.r.max_inflight),
-                   i + 1 < engine_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "  }\n}\n");
-    std::fclose(f);
-    std::printf("wrote BENCH_IOENGINE.json\n");
   }
 
   if (total_coalesced == 0) {

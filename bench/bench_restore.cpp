@@ -1,10 +1,9 @@
 // Restore-side read pipeline benchmark (docs/PERFORMANCE.md "Read path
 // and restore"): checkpoint N rank images through CRFS, then restart
-// them through a read-throttled backend four ways — {sync, uring} read
-// engine x {readahead on, off} — plus a direct BackendSource baseline and
-// a uring restore from a real PosixBackend whose files are evicted from
-// the page cache before each pass, verifying the payload CRC every single
-// time.
+// them through a read-throttled backend with readahead on and off, plus a
+// direct BackendSource baseline and a readahead restore from a real
+// PosixBackend whose files are evicted from the page cache before each
+// pass, verifying the payload CRC every single time.
 //
 // What it proves, and how:
 //   * Correctness: every restore path must reproduce the checkpoint's
@@ -12,7 +11,7 @@
 //   * Prefetch wins structurally, not just on wall clock: with readahead
 //     on, the sequential restore scan must issue strictly fewer blocking
 //     preads (crfs.read.sync_preads) than with readahead off, and the
-//     prefetch hit count must be nonzero. On a real uring engine the
+//     prefetch hit count must be nonzero. On the cold PosixBackend the
 //     in-flight depth histogram must exceed 1. Wall-clock MiB/s is
 //     reported but only gates under CRFS_BENCH_STRICT=1 — CI runners
 //     are too noisy for timing gates (see bench_multistream.cpp).
@@ -73,7 +72,6 @@ struct ModeStats {
   std::uint64_t prefetch_wasted = 0;
   std::uint64_t sync_preads = 0;
   std::uint64_t inflight_max = 0;  // crfs.read.inflight_depth max
-  std::string engine;              // active read engine after fallback
 };
 
 std::string rank_path(unsigned r) { return "rank" + std::to_string(r) + ".ckpt"; }
@@ -106,7 +104,7 @@ int main() {
   const double throttle_bw = 512.0 * MiB;
   const auto throttle_op = std::chrono::microseconds(50);
 
-  std::printf("=== Restore read pipeline (readahead on/off x sync/uring) ===\n");
+  std::printf("=== Restore read pipeline (readahead on/off) ===\n");
   std::printf("%u ranks x %s images; read-throttled backend %.0f MiB/s + %lld us/op; "
               "best of %d reps\n\n",
               ranks, format_bytes(image_bytes).c_str(), throttle_bw / MiB,
@@ -156,14 +154,12 @@ int main() {
 
   // One CRFS restore pass; fills `out` with the mount's read telemetry.
   // `before_rep` runs ahead of each repetition, outside its clock.
-  auto restore_mode = [&](std::shared_ptr<BackendFs> backend, IoEngineKind engine,
-                          bool readahead, ModeStats& out,
+  auto restore_mode = [&](std::shared_ptr<BackendFs> backend, bool readahead, ModeStats& out,
                           const std::function<void()>& before_rep = [] {}) -> bool {
     out.seconds = -1.0;
     for (int rep = 0; rep < reps; ++rep) {
       before_rep();
       Config cfg{};
-      cfg.io_engine = engine;
       cfg.readahead = readahead;
       cfg.readahead_window = 8;
       auto fs = Crfs::mount(backend, cfg);
@@ -190,7 +186,6 @@ int main() {
       out.prefetch_wasted = m.counter("crfs.read.prefetch_wasted").value();
       out.sync_preads = m.counter("crfs.read.sync_preads").value();
       out.inflight_max = m.histogram("crfs.read.inflight_depth").snapshot().max;
-      out.engine = fs.value()->active_read_engine();
       double ttfb_sum = 0.0;
       std::uint64_t scans = 0;
       for (const auto& row : fs.value()->restore_ledger()) {
@@ -215,32 +210,24 @@ int main() {
     if (direct < 0 || secs < direct) direct = secs;
   }
 
-  std::vector<ModeStats> modes(5);
-  modes[0].name = "sync + readahead";
+  std::vector<ModeStats> modes(3);
+  modes[0].name = "readahead";
   modes[0].key = "SYNC_RA";
-  modes[1].name = "sync, no readahead";
+  modes[1].name = "no readahead";
   modes[1].key = "SYNC_NORA";
-  modes[2].name = "uring + readahead";
-  modes[2].key = "URING_RA";
-  modes[3].name = "uring, no readahead";
-  modes[3].key = "URING_NORA";
-  modes[4].name = "posix + uring readahead";
-  modes[4].key = "POSIX_URING_RA";
-  const IoEngineKind engines[] = {IoEngineKind::kSync, IoEngineKind::kSync,
-                                  IoEngineKind::kUring, IoEngineKind::kUring};
-  const bool readaheads[] = {true, false, true, false, true};
-  for (std::size_t i = 0; i < 4; ++i) {
-    if (!restore_mode(throttled, engines[i], readaheads[i], modes[i])) {
+  modes[2].name = "posix, cold, readahead";
+  modes[2].key = "POSIX_RA";
+  const bool readaheads[] = {true, false, true};
+  for (std::size_t i = 0; i < 2; ++i) {
+    if (!restore_mode(throttled, readaheads[i], modes[i])) {
       std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[i].name.c_str());
       return 1;
     }
   }
 
-  // Fifth mode: the same images on a real PosixBackend, where the read
-  // engine can drive raw io_uring (decorated backends have no raw fd, so
-  // the ring falls back to inline preads above — by design, wrapper
-  // semantics win). This is the mode whose inflight-depth histogram can
-  // legitimately exceed 1.
+  // Third mode: the same images on a real PosixBackend with a cold page
+  // cache, where every window fill is a blocking device read on an IO
+  // thread, so the inflight-depth histogram must exceed 1.
   const std::filesystem::path posix_dir =
       std::filesystem::temp_directory_path() /
       ("crfs_bench_restore_" + std::to_string(static_cast<long>(::getpid())));
@@ -248,7 +235,7 @@ int main() {
   {
     auto posix = PosixBackend::create(posix_dir.string());
     if (!posix.ok()) {
-      std::printf("posix backend unavailable, skipping POSIX_URING_RA\n");
+      std::printf("posix backend unavailable, skipping POSIX_RA\n");
     } else {
       auto posix_backend = std::shared_ptr<BackendFs>(std::move(posix.value()));
       // Replay the checkpoint files out of the mem backend byte-for-byte.
@@ -271,12 +258,12 @@ int main() {
       }
       // Resident pages pass straight through without a prefetch, so each
       // restore starts from a cold page cache: the gates below then test
-      // the ring on reads that block.
+      // the window on reads that block.
       const auto evict_ranks = [&] {
         for (unsigned r = 0; r < ranks; ++r) evict_page_cache(posix_dir / rank_path(r));
       };
-      if (!restore_mode(posix_backend, IoEngineKind::kUring, true, modes[4], evict_ranks)) {
-        std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[4].name.c_str());
+      if (!restore_mode(posix_backend, true, modes[2], evict_ranks)) {
+        std::printf("BENCH_RESTORE_CRC FAIL (%s)\n", modes[2].name.c_str());
         return 1;
       }
     }
@@ -305,13 +292,12 @@ int main() {
     char vs[32];
     // The posix mode runs unthrottled on a different device — its wall
     // clock is not comparable with the throttled direct baseline.
-    if (m.key == "POSIX_URING_RA") {
+    if (m.key == "POSIX_RA") {
       std::snprintf(vs, sizeof(vs), "n/a");
     } else {
       std::snprintf(vs, sizeof(vs), "%+.0f%%", 100.0 * (m.seconds - direct) / direct);
     }
-    table.add_row({(m.name + " [" + m.engine + "]").c_str(), buf[0], buf[1], buf[2],
-                   buf[3], buf[4], buf[5], vs});
+    table.add_row({m.name, buf[0], buf[1], buf[2], buf[3], buf[4], buf[5], vs});
   }
   std::printf("%s\n", table.render().c_str());
 
@@ -323,42 +309,35 @@ int main() {
         ? static_cast<double>(m.prefetch_hits) / static_cast<double>(m.prefetch_issued)
         : 0.0;
     std::printf("BENCH_RESTORE_%s %.1f MiB/s ttfb_ms=%.3f hit_rate=%.2f "
-                "sync_preads=%llu inflight_max=%llu engine=%s\n",
+                "sync_preads=%llu inflight_max=%llu\n",
                 m.key.c_str(), m.mib_s, m.ttfb_ms, hit_rate,
                 static_cast<unsigned long long>(m.sync_preads),
-                static_cast<unsigned long long>(m.inflight_max), m.engine.c_str());
+                static_cast<unsigned long long>(m.inflight_max));
   }
 
   // -- Structural gates ------------------------------------------------------
   const ModeStats& sync_ra = modes[0];
   const ModeStats& sync_off = modes[1];
-  const ModeStats& uring_ra = modes[2];
-  const ModeStats& uring_off = modes[3];
-  const ModeStats& posix_ra = modes[4];
+  const ModeStats& posix_ra = modes[2];
   bool ok = true;
   // Readahead must actually absorb blocking preads on a sequential scan.
   if (sync_ra.prefetch_hits == 0 || sync_ra.sync_preads >= sync_off.sync_preads) ok = false;
-  if (uring_ra.prefetch_hits == 0 || uring_ra.sync_preads >= uring_off.sync_preads) ok = false;
-  // A real ring (posix backend, raw fds, uring actually running) must
-  // keep more than one chunk read in flight.
-  if (posix_ra.seconds > 0 && posix_ra.engine == "uring" && posix_ra.inflight_max <= 1) {
+  // A cold scan on real fds must keep more than one chunk read in
+  // flight across the IO threads, and its prefetches must be consumed.
+  if (posix_ra.seconds > 0 && (posix_ra.inflight_max <= 1 || posix_ra.prefetch_hits == 0)) {
     ok = false;
   }
-  if (posix_ra.seconds > 0 && posix_ra.prefetch_hits == 0) ok = false;
   // Readahead off == pure passthrough: one backend pread per app read,
   // zero prefetch traffic (the structural <=overhead proof).
   const bool off_passthrough =
-      sync_off.prefetch_issued == 0 && sync_off.sync_preads == sync_off.ops &&
-      uring_off.prefetch_issued == 0 && uring_off.sync_preads == uring_off.ops;
+      sync_off.prefetch_issued == 0 && sync_off.sync_preads == sync_off.ops;
   if (!off_passthrough) ok = false;
   std::printf("BENCH_RESTORE_STRUCTURAL ra_hits=%llu ra_sync_preads=%llu "
-              "off_sync_preads=%llu ring_inflight_max=%llu ring_engine=%s "
-              "off_passthrough=%s verdict=%s\n",
+              "off_sync_preads=%llu posix_inflight_max=%llu off_passthrough=%s verdict=%s\n",
               static_cast<unsigned long long>(sync_ra.prefetch_hits),
               static_cast<unsigned long long>(sync_ra.sync_preads),
               static_cast<unsigned long long>(sync_off.sync_preads),
               static_cast<unsigned long long>(posix_ra.inflight_max),
-              posix_ra.seconds > 0 ? posix_ra.engine.c_str() : "skipped",
               off_passthrough ? "yes" : "no", ok ? "PASS" : "FAIL");
 
   // Wall-clock guards: informational by default, hard under STRICT.
@@ -366,11 +345,9 @@ int main() {
   const bool off_guard = off_overhead <= 5.0;
   std::printf("BENCH_RESTORE_OFF_OVERHEAD %+.1f%% (guard <=5%%: %s)\n", off_overhead,
               off_guard ? "PASS" : "SOFT-FAIL");
-  const double best_ra = std::min(sync_ra.seconds, uring_ra.seconds);
-  const double best_off = std::min(sync_off.seconds, uring_off.seconds);
   std::printf("BENCH_RESTORE_SPEEDUP %.2fx readahead vs none (wall clock, %s)\n",
-              best_off / best_ra, strict ? "gated" : "informational");
-  if (strict && (!off_guard || best_ra >= best_off)) ok = false;
+              sync_off.seconds / sync_ra.seconds, strict ? "gated" : "informational");
+  if (strict && (!off_guard || sync_ra.seconds >= sync_off.seconds)) ok = false;
 
   // -- JSON artifact ---------------------------------------------------------
   if (std::FILE* f = std::fopen("BENCH_RESTORE.json", "w")) {
@@ -389,12 +366,12 @@ int main() {
       const auto& m = modes[i];
       std::fprintf(
           f,
-          "    {\"name\": \"%s\", \"engine\": \"%s\", \"readahead\": %s,\n"
+          "    {\"name\": \"%s\", \"readahead\": %s,\n"
           "     \"seconds\": %.6f, \"mib_s\": %.1f, \"ttfb_ms\": %.3f,\n"
           "     \"ops\": %llu, \"bytes\": %llu, \"prefetch_issued\": %llu,\n"
           "     \"prefetch_hits\": %llu, \"prefetch_wasted\": %llu,\n"
           "     \"sync_preads\": %llu, \"inflight_max\": %llu}%s\n",
-          m.name.c_str(), m.engine.c_str(), readaheads[i] ? "true" : "false", m.seconds,
+          m.name.c_str(), readaheads[i] ? "true" : "false", m.seconds,
           m.mib_s, m.ttfb_ms, static_cast<unsigned long long>(m.ops),
           static_cast<unsigned long long>(m.bytes),
           static_cast<unsigned long long>(m.prefetch_issued),

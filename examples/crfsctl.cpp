@@ -423,10 +423,9 @@ int cmd_slow(int argc, char** argv) {
   }
   const obs::SlowStore& store = fs.value()->slow_store();
   const auto exemplars = store.snapshot();
-  std::printf("crfsctl slow: %u ranks x %s into %s (%s, engine=%s)\n", kRanks,
+  std::printf("crfsctl slow: %u ranks x %s into %s (%s)\n", kRanks,
               format_bytes(kPerRank).c_str(), argv[2],
-              format_mount_options(opts.value()).c_str(),
-              fs.value()->active_io_engine());
+              format_mount_options(opts.value()).c_str());
   std::printf("threshold=%llu ms captured=%llu kept=%zu/%zu\n",
               static_cast<unsigned long long>(store.threshold_ns() / 1'000'000),
               static_cast<unsigned long long>(store.captured()), exemplars.size(),
@@ -477,15 +476,7 @@ int cmd_prom(int argc, char** argv) {
   // Finalize the auto epoch the workload opened so the crfs_epoch_*
   // series cover it too.
   (void)fs.value()->epoch_end();
-  // Info-style series: the submission engine actually running after
-  // feature detection/fallback, carried as a label (value is always 1).
-  std::string engine_info =
-      "# HELP crfs_io_engine_info Active IO engine after runtime detection\n"
-      "# TYPE crfs_io_engine_info gauge\n"
-      "crfs_io_engine_info{engine=\"" +
-      obs::prometheus_label_value(fs.value()->active_io_engine()) + "\"} 1\n";
-  std::printf("%s%s%s", engine_info.c_str(),
-              obs::to_prometheus(fs.value()->metrics().snapshot()).c_str(),
+  std::printf("%s%s", obs::to_prometheus(fs.value()->metrics().snapshot()).c_str(),
               obs::epochs_to_prometheus(fs.value()->epochs()).c_str());
   return 0;
 }
@@ -593,10 +584,8 @@ int cmd_report(int argc, char** argv) {
     std::printf("%s\n", obs::epochs_to_json(records).c_str());
     return 0;
   }
-  std::printf("crfsctl report: %u epochs x %u ranks x %s into %s (%s, engine=%s)\n",
-              kEpochs, kRanks, format_bytes(kPerRank).c_str(), argv[2],
-              format_mount_options(opts.value()).c_str(),
-              fs.value()->active_io_engine());
+  std::printf("crfsctl report: %u epochs x %u ranks x %s into %s (%s)\n", kEpochs, kRanks,
+              format_bytes(kPerRank).c_str(), argv[2], format_mount_options(opts.value()).c_str());
   TextTable table({"Epoch", "Label", "Files", "Bytes", "Chunks", "Agg ratio",
                    "Eff BW", "Lag mean", "Lag max", "Drained", "Drain BW"});
   for (const auto& rec : records) {
@@ -665,7 +654,7 @@ int cmd_report(int argc, char** argv) {
   // one row per sequential scan, greppable as RESTORE lines.
   const auto restores = fs.value()->restore_ledger();
   if (!restores.empty()) {
-    std::printf("restores (read_engine=%s):\n", fs.value()->active_read_engine());
+    std::printf("restores:\n");
     TextTable rt({"Path", "Bytes", "Ops", "Issued", "Hits", "Wasted", "Sync", "TTFB"});
     for (const auto& r : restores) {
       std::printf("RESTORE path=%s bytes=%llu ops=%llu prefetch_issued=%llu "
@@ -1132,9 +1121,8 @@ int cmd_knobs(int argc, char** argv) {
     return 0;
   }
   const KnobPlane& plane = fs.value()->knob_plane();
-  std::printf("crfsctl knobs: %s (engine=%s, generation=%llu)\n",
+  std::printf("crfsctl knobs: %s (generation=%llu)\n",
               format_mount_options(opts.value()).c_str(),
-              fs.value()->active_io_engine(),
               static_cast<unsigned long long>(plane.generation()));
   const KnobSnapshot* snap = plane.snapshot();
   TextTable table({"Knob", "Value", "Min", "Max", "Unit"});
@@ -1241,9 +1229,7 @@ int cmd_controller(int argc, char** argv) {
     return 0;
   }
   const obs::Controller* ctl = fs.value()->controller();
-  std::printf("crfsctl controller: %s (engine=%s)\n",
-              format_mount_options(opts.value()).c_str(),
-              fs.value()->active_io_engine());
+  std::printf("crfsctl controller: %s\n", format_mount_options(opts.value()).c_str());
   std::printf("ticks=%llu generation=%llu decisions_total=%llu\n",
               static_cast<unsigned long long>(ctl != nullptr ? ctl->ticks() : 0),
               static_cast<unsigned long long>(fs.value()->knob_plane().generation()),
@@ -1264,10 +1250,8 @@ void render_watch_frame(const obs::Sample& s, std::uint64_t events_total, bool a
   const auto free_chunks = s.gauge("crfs.pool.free_chunks");
   const auto depth = s.gauge("crfs.queue.depth");
   const auto in_flight = s.gauge("crfs.io.in_flight");
-  // Engine-level in-flight runs (ring occupancy for uring, 0 for sync).
-  const auto ring = s.gauge("crfs.io.engine_inflight");
   std::printf("WATCH t=%.1fs io=%.1f MB/s pwrites=%.0f/s errs=%.0f/s "
-              "free_chunks=%lld queue=%lld in_flight=%lld ring=%lld events=%llu",
+              "free_chunks=%lld queue=%lld in_flight=%lld events=%llu",
               static_cast<double>(s.ts_ns) / 1e9,
               bytes != nullptr ? bytes->per_sec / 1e6 : 0.0,
               pwrites != nullptr ? pwrites->per_sec : 0.0,
@@ -1275,7 +1259,6 @@ void render_watch_frame(const obs::Sample& s, std::uint64_t events_total, bool a
               static_cast<long long>(free_chunks.value_or(-1)),
               static_cast<long long>(depth.value_or(-1)),
               static_cast<long long>(in_flight.value_or(-1)),
-              static_cast<long long>(ring.value_or(-1)),
               static_cast<unsigned long long>(events_total));
   if (!ansi) std::printf("\n");
   std::fflush(stdout);

@@ -10,7 +10,7 @@ Each baseline entry names a bench document and, per key, one check:
     "near":   {"value": V, "abs_tol": T}      (|value - V| <= T)
 
 A missing document or key is reported but never fatal (bench sets vary by
-runner: uring-less kernels skip rows, developer machines run subsets).
+runner: developer machines run subsets).
 
 Exit status: 0 unless CRFS_BENCH_STRICT=1 is set AND at least one check
 failed. CI runs the soft mode by default — runner wall-clock noise makes

@@ -88,12 +88,11 @@ class BackendFs {
     return {};
   }
 
-  /// Raw OS file descriptor behind `file` for async submission engines
-  /// (io_uring), or -1 when the backend has no kernel fd (MemBackend,
-  /// NullBackend) or deliberately hides it (decorating wrappers return -1
-  /// so injected faults / throttling keep applying — the engine then
-  /// routes that file's runs through the synchronous pwrite/pwritev
-  /// path).
+  /// Raw OS file descriptor behind `file`, for the restore read path's
+  /// page-cache pass-through (Readahead), or -1 when the backend has no
+  /// kernel fd (MemBackend, NullBackend) or deliberately hides it
+  /// (decorating wrappers return -1 so injected faults / throttling keep
+  /// applying to every read).
   virtual int raw_fd(BackendFile file) const {
     (void)file;
     return -1;

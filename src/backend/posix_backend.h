@@ -28,7 +28,8 @@ class PosixBackend final : public BackendFs {
   /// Native ::pwritev — one syscall for a whole run of adjacent chunks.
   Status pwritev(BackendFile file, std::span<const BackendIoVec> iov,
                  std::uint64_t offset) override;
-  /// BackendFile is the fd itself, so async engines can submit directly.
+  /// BackendFile is the fd itself, so the read path can probe the page
+  /// cache directly.
   int raw_fd(BackendFile file) const override { return static_cast<int>(file); }
   Result<std::size_t> pread(BackendFile file, std::span<std::byte> data,
                             std::uint64_t offset) override;

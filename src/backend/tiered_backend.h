@@ -120,8 +120,8 @@ class TieredBackend final : public BackendFs {
   Result<std::vector<std::string>> list_dir(const std::string& path) override;
   std::string name() const override;
   // raw_fd stays -1 (base default): tier routing must see every IO, so
-  // the uring engine falls back to the sync path through us — same
-  // decorator contract as FaultyBackend/ThrottledBackend.
+  // the read path never bypasses us — same decorator contract as
+  // FaultyBackend/ThrottledBackend.
 
   // -- Epoch integration ---------------------------------------------------
   /// Closes the open drain unit and labels it with `epoch_id`, making it

@@ -29,17 +29,9 @@ BufferPool::BufferPool(std::size_t pool_bytes, std::size_t chunk_bytes, std::siz
     shards_.push_back(std::make_unique<Shard>());
   }
   // Round-robin distribution; shard sizes differ by at most one chunk.
-  regions_.reserve(total);
   for (std::size_t i = 0; i < total; ++i) {
     Shard& shard = *shards_[i % n_shards];
-    auto chunk = std::make_unique<Chunk>(chunk_bytes_);
-    // pool_index links each chunk to its slot in the fixed-buffer table;
-    // pools too large for a 16-bit index leave the extras unregistered.
-    if (i < Chunk::kNoPoolIndex) {
-      chunk->set_pool_index(static_cast<std::uint16_t>(i));
-      regions_.push_back(ChunkRegion{chunk->storage_bytes().data(), chunk_bytes_});
-    }
-    shard.free.push_back(std::move(chunk));
+    shard.free.push_back(std::make_unique<Chunk>(chunk_bytes_));
     shard.count.store(static_cast<std::uint32_t>(shard.free.size()),
                       std::memory_order_relaxed);
   }
@@ -138,9 +130,6 @@ std::size_t BufferPool::resize(std::size_t target_chunks) {
   std::size_t total = total_chunks();
 
   while (total < target_chunks) {
-    // Grown chunks keep the default kNoPoolIndex: they never enter the
-    // fixed-buffer table (registered once at mount), so the uring engine
-    // submits them via WRITEV and the registration stays valid.
     auto chunk = std::make_unique<Chunk>(chunk_bytes_);
     Shard& shard = *shards_[total % shards_.size()];
     {
@@ -162,19 +151,12 @@ std::size_t BufferPool::resize(std::size_t target_chunks) {
       Shard& shard = *shard_ptr;
       std::lock_guard lock(shard.mu);
       while (!shard.free.empty() && total > target_chunks) {
-        auto chunk = std::move(shard.free.back());
         shard.free.pop_back();
         shard.count.store(static_cast<std::uint32_t>(shard.free.size()),
                           std::memory_order_release);
         free_count_.fetch_sub(1, std::memory_order_relaxed);
         total -= 1;
         total_chunks_.store(total, std::memory_order_relaxed);
-        if (chunk->pool_index() != Chunk::kNoPoolIndex) {
-          // Mount-time chunk: its storage may be registered with a ring's
-          // fixed-buffer table, so retire it instead of freeing.
-          retired_.push_back(std::move(chunk));
-          retired_count_.store(retired_.size(), std::memory_order_relaxed);
-        }
       }
     }
   }

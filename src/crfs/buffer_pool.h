@@ -26,14 +26,6 @@
 
 namespace crfs {
 
-/// One chunk's backing storage, for io_uring fixed-buffer registration.
-/// Index i in the vector returned by BufferPool::chunk_regions() is the
-/// storage of the chunk whose pool_index() is i.
-struct ChunkRegion {
-  const std::byte* data = nullptr;
-  std::size_t len = 0;
-};
-
 class BufferPool {
  public:
   /// Carves `pool_bytes / chunk_bytes` chunks up front. At least one chunk
@@ -64,23 +56,15 @@ class BufferPool {
   void shutdown();
 
   /// Runtime resize to `target_chunks` (knob plane, docs/OBSERVABILITY.md
-  /// "Control plane"). Growth allocates fresh chunks with no pool_index —
-  /// they never enter the fixed-buffer table, so io_uring falls back to
-  /// WRITEV for them and the mount-time buffer registration stays valid.
-  /// Shrink is best-effort over *free* chunks only (in-flight chunks are
-  /// never reclaimed): runtime-grown chunks are freed outright, while
-  /// mount-time chunks (registered with the ring) are retired — removed
-  /// from circulation but their storage retained so kernel-registered
-  /// buffers never dangle. Returns the achieved total, which on a shrink
-  /// may be above `target_chunks` when too few chunks were free.
+  /// "Control plane"). Growth allocates fresh chunks; shrink frees *free*
+  /// chunks only (in-flight chunks are never reclaimed). Returns the
+  /// achieved total, which on a shrink may be above `target_chunks` when
+  /// too few chunks were free.
   std::size_t resize(std::size_t target_chunks);
 
   std::size_t chunk_size() const { return chunk_bytes_; }
   std::size_t total_chunks() const { return total_chunks_.load(std::memory_order_relaxed); }
 
-  /// Mount-time chunks retired by a shrink (storage retained for the
-  /// fixed-buffer table). Occupancy gauge for crfs::obs.
-  std::size_t retired_chunks() const { return retired_count_.load(std::memory_order_relaxed); }
   std::size_t shard_count() const { return shards_.size(); }
 
   /// Free chunks across all shards. Occupancy gauge for crfs::obs; the
@@ -101,11 +85,6 @@ class BufferPool {
   /// True once shutdown() has been called.
   bool is_shutdown() const { return shutdown_.load(std::memory_order_acquire); }
 
-  /// Backing storage of every chunk, indexed by Chunk::pool_index().
-  /// Stable for the pool's lifetime (chunks are carved once at
-  /// construction); used to register fixed buffers with io_uring.
-  std::vector<ChunkRegion> chunk_regions() const { return regions_; }
-
  private:
   // One cache line per shard: the mutex and the free list it guards, plus
   // a lock-free occupancy hint so the stealing scan skips empty shards
@@ -121,18 +100,14 @@ class BufferPool {
   const std::size_t chunk_bytes_;
   std::atomic<std::size_t> total_chunks_{0};
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<ChunkRegion> regions_;  ///< immutable after construction
 
   std::atomic<std::size_t> free_count_{0};
   std::atomic<std::uint64_t> contentions_{0};
   std::atomic<bool> shutdown_{false};
 
   // Runtime resize (rare; serialized by the knob plane's writer mutex,
-  // but guarded here too so direct callers stay safe). Retired mount-time
-  // chunks keep their storage alive for the io_uring fixed-buffer table.
+  // but guarded here too so direct callers stay safe).
   std::mutex resize_mu_;
-  std::vector<std::unique_ptr<Chunk>> retired_;  ///< guarded by resize_mu_
-  std::atomic<std::size_t> retired_count_{0};
 
   // Exhaustion path only: waiters park here; release() peeks the hint and
   // grabs wait_mu_ only when someone is actually parked.

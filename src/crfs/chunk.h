@@ -35,22 +35,6 @@ class Chunk {
   /// Offset within the target file where this chunk's data begins.
   std::uint64_t file_offset() const { return file_offset_; }
 
-  /// Sentinel for chunks that are not part of a registered buffer pool
-  /// (standalone test chunks). Pool indices are 16-bit because io_uring's
-  /// SQE buf_index field is __u16.
-  static constexpr std::uint16_t kNoPoolIndex = 0xffff;
-
-  /// Index of this chunk's storage in the owning BufferPool's registered
-  /// fixed-buffer table, set once at pool carve time (kNoPoolIndex for
-  /// chunks outside a pool). Lets the uring engine use
-  /// IORING_OP_WRITE_FIXED against pre-pinned pages.
-  std::uint16_t pool_index() const { return pool_index_; }
-  void set_pool_index(std::uint16_t index) { pool_index_ = index; }
-
-  /// The whole backing allocation (not just the filled prefix), for
-  /// fixed-buffer registration at mount time.
-  std::span<const std::byte> storage_bytes() const { return {storage_, capacity_}; }
-
   /// Chunk-lifecycle ledger (docs/OBSERVABILITY.md "Durability lag"):
   /// copy-in timestamp of the first byte, stamped by the writer that
   /// acquired the chunk (reusing its existing clock read — no extra
@@ -102,7 +86,7 @@ class Chunk {
   /// application, then marks the valid prefix with set_fill().
   std::span<std::byte> mutable_storage() { return {storage_, capacity_}; }
 
-  /// Marks the first `n` bytes valid after an engine-side fill (clamped
+  /// Marks the first `n` bytes valid after a backend fill (clamped
   /// to capacity). Pairs with mutable_storage(); append() is the
   /// write-path way to advance fill.
   void set_fill(std::size_t n) { fill_ = n < capacity_ ? n : capacity_; }
@@ -115,7 +99,6 @@ class Chunk {
   std::uint64_t born_ns_ = 0;
   std::uint64_t trace_id_ = 0;
   std::uint64_t stall_ns_ = 0;
-  std::uint16_t pool_index_ = kNoPoolIndex;
 };
 
 }  // namespace crfs

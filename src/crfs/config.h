@@ -15,16 +15,6 @@
 
 namespace crfs {
 
-/// Backend-submission strategy of the IO pool (docs/PERFORMANCE.md
-/// "IO engines"). kUring is a request, not a guarantee: at mount time the
-/// pool probes io_uring and falls back to kSync silently when the kernel
-/// refuses (stats/Prometheus report the engine actually running).
-enum class IoEngineKind { kSync, kUring };
-
-inline const char* io_engine_name(IoEngineKind k) {
-  return k == IoEngineKind::kUring ? "uring" : "sync";
-}
-
 /// The mount configuration. Each mount option sets one member; its
 /// spelling, range and knob unit are its row of kMountOptionTable
 /// (crfs/mount_options.h), and its default is the member initialiser here.
@@ -60,16 +50,6 @@ struct Config {
   /// whole pool behind one coalesced write.
   unsigned io_batch = 8;
 
-  /// IO engine the workers submit through (docs/PERFORMANCE.md
-  /// "IO engines"). kSync is the paper's behaviour — one blocking
-  /// pwrite/pwritev per coalesced run. kUring keeps up to `uring_depth`
-  /// runs in flight per worker via raw io_uring, with runtime feature
-  /// detection and silent fallback to sync.
-  IoEngineKind io_engine = IoEngineKind::kSync;
-
-  /// Submission-queue depth per worker ring when io_engine=uring.
-  unsigned uring_depth = 64;
-
   /// Large-write copy bypass: an application write of at least chunk_size
   /// bytes landing exactly at the file's append point skips the
   /// buffer-pool memcpy and is issued to the backend directly (counted in
@@ -85,9 +65,8 @@ struct Config {
 
   /// Restart-side sequential readahead (docs/PERFORMANCE.md "Read path
   /// and restore"): when a file's reads form a forward scan, keep up to
-  /// `readahead_window` chunk-sized reads in flight on the IO threads
-  /// (through the same engines as the write path), parking the results
-  /// in pool-backed cache slots.
+  /// `readahead_window` chunk-sized reads in flight on the IO threads,
+  /// parking the results in pool-backed cache slots.
   bool readahead = true;
 
   /// Max chunk reads kept in flight ahead of a sequential reader (also
@@ -286,9 +265,6 @@ struct Config {
            " io_threads=" + std::to_string(io_threads) +
            (pool_shards > 0 ? " pool_shards=" + std::to_string(pool_shards) : "") +
            (io_batch != def.io_batch ? " io_batch=" + std::to_string(io_batch) : "") +
-           (io_engine == IoEngineKind::kUring
-                ? " io_engine=uring(depth=" + std::to_string(uring_depth) + ")"
-                : "") +
            (!large_write_bypass ? " no_bypass" : "") +
            (!readahead ? " no_readahead" : "") +
            (readahead_window != def.readahead_window

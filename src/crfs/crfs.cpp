@@ -84,9 +84,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   io_obs.batch_chunks = &m.histogram("crfs.io.batch_chunks");
   io_obs.coalesced_pwrites = &m.counter("crfs.io.coalesced_pwrites");
   io_obs.durability_lag_ns = &m.histogram("crfs.chunk.durability_lag_ns");
-  io_obs.engine.inflight_depth = &m.histogram("crfs.io.inflight_depth");
-  io_obs.engine.sqe_batch = &m.histogram("crfs.io.sqe_batch");
-  io_obs.engine.cqe_wait_ns = &m.histogram("crfs.io.cqe_wait_ns");
   io_obs.slow = &plane_.slow();
   io_obs.slow_captured = &m.counter("crfs.slow.captured");
   io_obs.knob_generation = [this] { return plane_.knobs().generation(); };
@@ -115,15 +112,12 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // overlapping writers with IO (docs/PERFORMANCE.md).
   const unsigned batch_cap =
       static_cast<unsigned>(std::max<std::size_t>(1, cfg_.num_chunks() / 2));
-  io_pool_ = std::make_unique<IoThreadPool>(
-      cfg_.io_threads, queue_, *pool_, *backend_, io_obs,
-      std::min(cfg_.io_batch, batch_cap),
-      IoEngineOptions{.requested = cfg_.io_engine, .uring_depth = cfg_.uring_depth},
-      pool_->chunk_regions());
+  io_pool_ = std::make_unique<IoThreadPool>(cfg_.io_threads, queue_, *pool_, *backend_, io_obs,
+                                            std::min(cfg_.io_batch, batch_cap));
 
   // Restore-side read pipeline (docs/PERFORMANCE.md "Read path and
   // restore"): window fills ride the work queue's read lane, so the IO
-  // pool's workers and engines run them — one engine set per mount.
+  // pool's workers run them.
   ReadObs read_obs;
   read_obs.ops = &m.counter("crfs.read.ops");
   read_obs.bytes = &m.counter("crfs.read.bytes");
@@ -153,7 +147,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     ex.queue_depth = queue_.depth();
     ex.free_chunks = pool_->free_chunks();
     ex.knob_generation = plane_.knobs().generation();
-    ex.engine = io_pool_->engine_name();
     plane_.slow().capture(std::move(ex));
     c_slow->add(1);
   };
@@ -177,9 +170,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   });
   m.gauge_fn("crfs.io.in_flight", [this] {
     return static_cast<std::int64_t>(io_pool_->in_flight());
-  });
-  m.gauge_fn("crfs.io.engine_inflight", [this] {
-    return static_cast<std::int64_t>(io_pool_->engine_inflight());
   });
   m.gauge_fn("crfs.files.open", [this] {
     return static_cast<std::int64_t>(table_.open_count());
@@ -288,20 +278,6 @@ void Crfs::define_knobs() {
         return true;
       });
 
-  // uring_depth: soft in-flight cap per worker ring, re-armed on the next
-  // submit window. Vetoed on the sync engine — there is no ring to re-arm.
-  knobs.define(
-      knob_def("uring_depth", cfg_), static_cast<double>(cfg_.uring_depth),
-      [this](double v, double* achieved, std::string* reason) {
-        const unsigned eff = io_pool_->set_uring_depth(static_cast<unsigned>(v));
-        if (eff == 0) {
-          *reason = "io engine '" + std::string(io_pool_->engine_name()) + "' has no ring";
-          return false;
-        }
-        *achieved = static_cast<double>(eff);
-        return true;
-      });
-
   // sample_ms: background sampler period, picked up on the next wakeup.
   knobs.define(
       knob_def("sample_ms", cfg_), static_cast<double>(cfg_.sample_ms),
@@ -337,7 +313,7 @@ void Crfs::define_knobs() {
       });
 
   // readahead_window: chunk reads kept in flight per sequential restore
-  // scan (the engine's own depth still caps it). Floor 1 gives the
+  // scan (the IO thread count still caps it). Floor 1 gives the
   // controller's shed_readahead rule a halving path that never hits 0.
   knobs.define(
       knob_def("readahead_window", cfg_), static_cast<double>(cfg_.readahead_window),
@@ -802,12 +778,9 @@ Status Crfs::close(FileHandle handle) {
 
   if (auto last = table_.release(entry->path())) {
     // Final close: drop the read-side prefetch cache (finalizing the
-    // restore-ledger row, waiting out its fills) and release the engines'
-    // registered-fd slots before the fd number can be reused by a later
-    // open. All of the file's writes have drained above, so no in-flight
-    // SQE references it.
+    // restore-ledger row, waiting out its fills) before the backend file
+    // closes. All of the file's writes have drained above.
     readahead_->evict(last.get());
-    io_pool_->forget_backend_file(last->backend_file());
     const Status close_status = backend_->close_file(last->backend_file());
     if (result.ok() && !close_status.ok()) result = close_status;
   }
@@ -841,8 +814,7 @@ Result<std::vector<std::string>> Crfs::list_dir(const std::string& path) {
 }
 
 std::string Crfs::stats_report() const {
-  std::string out = "CRFS pipeline stats (" + cfg_.describe() +
-                    ", engine=" + io_pool_->engine_name() + ")\n";
+  std::string out = "CRFS pipeline stats (" + cfg_.describe() + ")\n";
   TextTable mount({"Mount counter", "Value"});
   for (const auto& [name, counter] : mount_counters_) {
     mount.add_row({name, std::to_string(counter->value())});
@@ -931,13 +903,12 @@ std::string Crfs::stats_report() const {
 std::string Crfs::mount_json() const {
   std::string out = "{";
   for (const auto& [name, counter] : mount_counters_) {
+    if (out.size() > 1) out += ',';
     out += '"';
     out += name;
-    out += "\":" + std::to_string(counter->value()) + ",";
+    out += "\":" + std::to_string(counter->value());
   }
-  out += "\"io_engine\":\"" + std::string(io_pool_->engine_name()) + "\"";
-  out += ",\"io_engine_requested\":\"" + std::string(io_engine_name(cfg_.io_engine)) + "\"";
-  out += ",\"read_engine\":\"" + std::string(io_pool_->engine_name()) + "\"}";
+  out += '}';
   return out;
 }
 

@@ -106,14 +106,6 @@ class Crfs {
   std::size_t open_files() const { return table_.open_count(); }
   std::size_t queue_depth() const { return queue_.depth(); }
 
-  /// The IO engine actually running after mount-time feature detection —
-  /// "uring", or "sync" (either requested or fallen back to).
-  const char* active_io_engine() const { return io_pool_->engine_name(); }
-
-  /// The engine running readahead fills: the IO pool's (fills share the
-  /// write path's workers and rings), so always active_io_engine().
-  const char* active_read_engine() const { return io_pool_->engine_name(); }
-
   /// Per-restore attribution rows (docs/PERFORMANCE.md "Read path and
   /// restore"): finalized scans oldest-first, then live scans
   /// (active=true).
@@ -187,10 +179,10 @@ class Crfs {
   std::string slo_json() const { return plane_.slo_json(); }
 
   // -- Control plane (docs/OBSERVABILITY.md "Control plane") ----------------
-  /// Runtime-tunes one knob ("pool_chunks", "io_batch", "uring_depth",
-  /// "sample_ms", "slow_pwrite_ms", "readahead", "readahead_window",
-  /// "journal_fsync_ms", "drain_mbps", "drain_parallel", and the plane's
-  /// "slow_capture_ms" and "epoch_gap_ms"). Out-of-bounds
+  /// Runtime-tunes one knob ("pool_chunks", "io_batch", "sample_ms",
+  /// "slow_pwrite_ms", "readahead", "readahead_window", "journal_fsync_ms",
+  /// "drain_mbps", "drain_parallel", and the plane's "slow_capture_ms" and
+  /// "epoch_gap_ms"). Out-of-bounds
   /// requests are clamped, impossible ones vetoed; every outcome is
   /// recorded in the decision log (and thus metrics/events/postmortem)
   /// before the returned CtlDecision is handed back. `source` tags the

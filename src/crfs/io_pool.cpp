@@ -6,27 +6,42 @@
 
 namespace crfs {
 
+/// One coalesced backend write: same-file, offset-adjacent jobs whose
+/// payloads land back to back starting at `offset`.
+struct IoRun {
+  std::vector<WriteJob> jobs;
+  std::uint64_t offset = 0;  ///< file offset of the first chunk
+  std::uint64_t total = 0;   ///< sum of the chunks' fills
+};
+
+namespace {
+
+// Issues `run` through the backend: pwrite for one chunk, pwritev for a
+// coalesced run. Decorating backends (fault injection, throttling, tier
+// routing) see every write with its own call shape.
+Status backend_write_run(BackendFs& backend, const IoRun& run) {
+  const BackendFile file = run.jobs.front().file->backend_file();
+  if (run.jobs.size() == 1) {
+    return backend.pwrite(file, run.jobs.front().chunk->payload(), run.offset);
+  }
+  std::vector<BackendIoVec> iov;
+  iov.reserve(run.jobs.size());
+  for (const WriteJob& job : run.jobs) {
+    iov.push_back(BackendIoVec{job.chunk->payload().data(), job.chunk->fill()});
+  }
+  return backend.pwritev(file, iov, run.offset);
+}
+
+}  // namespace
+
 IoThreadPool::IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool,
-                           BackendFs& backend, IoPoolObs observe, unsigned batch,
-                           IoEngineOptions engine, std::vector<ChunkRegion> regions)
+                           BackendFs& backend, IoPoolObs observe, unsigned batch)
     : queue_(queue), pool_(pool), backend_(backend), obs_(std::move(observe)),
       batch_(batch == 0 ? 1 : batch) {
-  // One engine per worker: each uring worker owns its ring outright, so
-  // submission and reaping never take a cross-thread lock. Feature
-  // detection runs once per worker; a fallback on one implies fallback on
-  // all (same kernel), so engine_name() can report engines_[0].
-  auto complete = [this](IoRun run, Status status, std::uint64_t t_start,
-                         std::uint64_t t_done) {
-    complete_run(std::move(run), std::move(status), t_start, t_done);
-  };
   const unsigned n = threads == 0 ? 1 : threads;
-  engines_.reserve(n);
-  for (unsigned i = 0; i < n; ++i) {
-    engines_.push_back(make_io_engine(engine, backend_, regions, obs_.engine, complete));
-  }
   workers_.reserve(n);
   for (unsigned i = 0; i < n; ++i) {
-    workers_.emplace_back([this, i] { worker_loop(i); });
+    workers_.emplace_back([this] { worker_loop(); });
   }
 }
 
@@ -35,44 +50,18 @@ IoThreadPool::~IoThreadPool() {
   for (auto& w : workers_) w.join();
 }
 
-void IoThreadPool::worker_loop(unsigned idx) {
-  IoEngine& eng = *engines_[idx];
+void IoThreadPool::worker_loop() {
   for (;;) {
-    // Submission window: how many more chunks this worker may take on.
-    // Sync's capacity is effectively unbounded (completions are inline),
-    // so want == batch_ and the loop degenerates to the original
-    // pop/write/repeat. Uring keeps pulling work while the ring has room
-    // and reaps when it does not.
-    const std::size_t inflight = eng.inflight();
-    const std::size_t room =
-        eng.capacity() > inflight ? eng.capacity() - inflight : 0;
-    // batch_ and the engine's capacity are both re-read every iteration,
-    // so a runtime tune (set_batch / set_uring_depth) lands on the next
-    // submission window without waking anyone.
-    const std::size_t want =
-        std::min<std::size_t>(batch_.load(std::memory_order_relaxed), room);
-    if (want == 0) {
-      eng.reap(/*wait=*/true);
-      continue;
-    }
-
-    // Nothing to reap: park in the blocking pop. Shutdown is detected
-    // there — an empty pop means both lanes drained, and inflight == 0
-    // means the engine is drained too, so exiting loses nothing. With
-    // completions pending, never block on the queue: either take more
-    // work or turn the idle moment into a completion wait.
-    WorkBatch work = queue_.pop_work(want, /*wait=*/inflight == 0);
-    if (work.empty()) {
-      if (inflight == 0) return;
-      eng.reap(/*wait=*/true);
-      continue;
-    }
+    // batch_ is re-read every dequeue, so a runtime tune (set_batch)
+    // lands on the next pop without waking anyone. An empty pop means
+    // shutdown with both lanes drained, so exiting loses nothing.
+    WorkBatch work = queue_.pop_work(batch_.load(std::memory_order_relaxed), /*wait=*/true);
+    if (work.empty()) return;
     if (work.read) {
       // A readahead fill: a restoring reader waits on it, so it went ahead
       // of queued write batches. Its completion wakes that reader.
-      eng.submit_read(std::move(*work.read));
-      eng.flush();
-      eng.reap(/*wait=*/false);
+      ReadJob& job = *work.read;
+      job.done(backend_.pread(job.file, {job.dst, job.len}, job.offset));
       continue;
     }
     std::vector<WriteJob>& batch = work.writes;
@@ -80,8 +69,7 @@ void IoThreadPool::worker_loop(unsigned idx) {
     // The whole batch counts as in-flight until its last chunk is
     // released: the pool-exhaustion rescue in Crfs::acquire_chunk treats
     // in_flight() > 0 as "chunks are coming back soon", which must cover
-    // chunks parked in a worker's batch or ring, not just the one being
-    // written.
+    // chunks parked in a worker's batch, not just the run being written.
     in_flight_.fetch_add(static_cast<unsigned>(batch.size()),
                          std::memory_order_acq_rel);
     if (obs_.batch_chunks != nullptr) obs_.batch_chunks->record(batch.size());
@@ -111,20 +99,19 @@ void IoThreadPool::worker_loop(unsigned idx) {
         run.total += batch[k].chunk->fill();
         run.jobs.push_back(std::move(batch[k]));
       }
-      eng.submit(std::move(run));
+      const std::uint64_t t_start = obs::now_ns();
+      Status status = backend_write_run(backend_, run);
+      complete_run(std::move(run), std::move(status), t_start, obs::now_ns());
       i = j;
     }
-    eng.flush();
-    eng.reap(/*wait=*/false);
   }
 }
 
 void IoThreadPool::complete_run(IoRun run, Status status, std::uint64_t t_start,
                                 std::uint64_t t_done) {
-  // t_start/t_done bracket the backend IO (stamped by the engine): the
-  // single time source for the pwrite histogram, the trace span,
-  // per-chunk durability lag (copy-in -> durable, via Chunk::born_ns),
-  // and epoch attribution.
+  // t_start/t_done bracket the backend call: the single time source for
+  // the pwrite histogram, the trace span, per-chunk durability lag
+  // (copy-in -> durable, via Chunk::born_ns), and epoch attribution.
   FileEntry& file = *run.jobs.front().file;
   if (run.jobs.size() > 1 && obs_.coalesced_pwrites != nullptr) {
     obs_.coalesced_pwrites->add(1);
@@ -214,7 +201,6 @@ void IoThreadPool::complete_run(IoRun run, Status status, std::uint64_t t_start,
         ex.queue_depth = queue_.depth();
         ex.free_chunks = pool_.free_chunks();
         ex.knob_generation = obs_.knob_generation ? obs_.knob_generation() : 0;
-        ex.engine = engines_.front()->name();
         obs_.slow->capture(std::move(ex));
         if (obs_.slow_captured != nullptr) obs_.slow_captured->add(1);
       }

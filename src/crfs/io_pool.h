@@ -1,10 +1,9 @@
 // IoThreadPool: the pool of worker IO threads draining the work queue
-// (paper §IV-B). Configuring the thread count throttles the number of
-// outstanding chunk writes hitting the backend at once — unless the
-// async engine is selected, in which case each worker keeps up to
-// uring_depth coalesced runs in flight (docs/PERFORMANCE.md "IO
-// engines"). The same workers run the queue's readahead fills, ahead of
-// write batches, through the same engines.
+// (paper §IV-B). Each worker issues one blocking pwrite (pwritev for a
+// coalesced run) at a time, so the thread count throttles the number of
+// outstanding chunk writes hitting the backend at once. The same workers
+// run the queue's readahead fills, ahead of write batches, as blocking
+// preads.
 #pragma once
 
 #include <atomic>
@@ -15,7 +14,6 @@
 
 #include "backend/backend_fs.h"
 #include "crfs/buffer_pool.h"
-#include "crfs/io_engine.h"
 #include "crfs/work_queue.h"
 #include "obs/health.h"
 #include "obs/metrics.h"
@@ -23,6 +21,8 @@
 #include "obs/trace.h"
 
 namespace crfs {
+
+struct IoRun;  // one coalesced backend write (io_pool.cpp)
 
 /// Optional per-stage instrumentation for the IO workers. All pointers
 /// may be null (uninstrumented pool, the default); when set they must
@@ -50,9 +50,6 @@ struct IoPoolObs {
   /// completion stamp; chunks whose producer never stamped born_ns are
   /// skipped.
   obs::LatencyHistogram* durability_lag_ns = nullptr;
-  /// Engine-level sinks (crfs.io.inflight_depth / sqe_batch /
-  /// cqe_wait_ns); only the uring engine records into them.
-  IoEngineObs engine{};
   /// Tail-latency forensic store (docs/OBSERVABILITY.md "Slow exemplars"):
   /// a chunk whose durability lag or device time crosses the store's
   /// threshold gets its full causal chain captured here. The threshold
@@ -71,20 +68,16 @@ struct IoPoolObs {
 
 class IoThreadPool {
  public:
-  /// Starts `threads` workers, each owning one IoEngine built from
-  /// `engine` (with runtime fallback to sync — see make_io_engine). Each
-  /// worker loops: pop one readahead fill if any is queued and submit it
-  /// to its engine; otherwise pop up to `batch` already-queued chunks,
-  /// group them by file (keeping FIFO order within a file, so overlapping
-  /// writes stay in program order), submit one coalesced run of adjacent
-  /// chunks per engine submission, and reap completions that bump the
+  /// Starts `threads` workers. Each worker loops: pop one readahead fill
+  /// if any is queued and pread it; otherwise pop up to `batch`
+  /// already-queued chunks, group them by file (keeping FIFO order within
+  /// a file, so overlapping writes stay in program order), write each run
+  /// of adjacent chunks with one blocking pwrite/pwritev, then bump the
   /// owning files' complete-chunk counts and return the chunks to the
-  /// pool. With the sync engine, `batch == 1` and no fills this
-  /// reproduces the original one-chunk-per-pop behaviour exactly. `regions` is the buffer pool's
-  /// chunk storage for fixed-buffer registration (pass {} to skip).
+  /// pool. With `batch == 1` and no fills this is the paper's
+  /// one-chunk-per-pop behaviour exactly.
   IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool, BackendFs& backend,
-               IoPoolObs observe = {}, unsigned batch = 1, IoEngineOptions engine = {},
-               std::vector<ChunkRegion> regions = {});
+               IoPoolObs observe = {}, unsigned batch = 1);
 
   /// Drains the queue and joins all workers.
   ~IoThreadPool();
@@ -112,23 +105,6 @@ class IoThreadPool {
   /// Jobs currently being written by a worker (popped, not yet finished).
   unsigned in_flight() const { return in_flight_.load(std::memory_order_relaxed); }
 
-  /// The engine actually running after feature detection ("sync"/"uring").
-  const char* engine_name() const { return engines_.front()->name(); }
-
-  /// Runs currently submitted to the kernel across all workers' engines
-  /// (0 for sync, whose submissions complete inline).
-  std::size_t engine_inflight() const {
-    std::size_t n = 0;
-    for (const auto& eng : engines_) n += eng->inflight();
-    return n;
-  }
-
-  /// Invalidates engine-cached state for `file` (registered-fd slots)
-  /// before the backend closes it. Call after the file's writes drained.
-  void forget_backend_file(BackendFile file) {
-    for (const auto& eng : engines_) eng->forget_file(file);
-  }
-
   /// Runtime io_batch re-arm (knob plane): workers pick the new value up
   /// on their next dequeue. The caller pre-clamps to the half-the-pool
   /// cap (Crfs re-derives it whenever the pool or the knob moves).
@@ -137,20 +113,11 @@ class IoThreadPool {
   }
   unsigned batch() const { return batch_.load(std::memory_order_relaxed); }
 
-  /// Runtime ring re-arm: forwards to every worker's engine. Returns the
-  /// effective depth (soft cap clamped to the mount-time ring size), or 0
-  /// when the engine is sync and has no ring.
-  unsigned set_uring_depth(unsigned depth) {
-    unsigned effective = 0;
-    for (const auto& eng : engines_) effective = eng->set_depth(depth);
-    return effective;
-  }
-
  private:
-  void worker_loop(unsigned idx);
-  /// Engine completion callback: accounts one finished run (metrics,
-  /// epoch attribution, sticky error), completes and releases every
-  /// chunk. Runs on the submitting worker's thread.
+  void worker_loop();
+  /// Accounts one finished run (metrics, epoch attribution, sticky
+  /// error), completes and releases every chunk. Runs on the worker that
+  /// wrote it, right after the backend call returns.
   void complete_run(IoRun run, Status status, std::uint64_t t_start, std::uint64_t t_done);
 
   WorkQueue& queue_;
@@ -161,7 +128,6 @@ class IoThreadPool {
   std::atomic<std::uint64_t> chunks_written_{0};
   std::atomic<std::uint64_t> bytes_written_{0};
   std::atomic<unsigned> in_flight_{0};
-  std::vector<std::unique_ptr<IoEngine>> engines_;  ///< one per worker
   std::vector<std::thread> workers_;
 };
 

@@ -44,8 +44,7 @@ enum class OptionKind {
 
 /// Where an option's value lives in MountOptions.
 using OptionField =
-    std::variant<std::size_t Config::*, unsigned Config::*, bool Config::*,
-                 IoEngineKind Config::*, std::string Config::*,
+    std::variant<std::size_t Config::*, unsigned Config::*, bool Config::*, std::string Config::*,
                  std::uint64_t obs::HealthConfig::*, bool FuseOptions::*>;
 
 /// One mount option.
@@ -61,8 +60,8 @@ struct OptionRow {
   /// bounds are then option_range() (see knob_def); empty otherwise.
   std::string_view unit = {};
   std::string_view doc = {};
-  /// kEnum: the accepted values, '|'-separated. Choice i is stored as
-  /// IoEngineKind(i), or as its own text in a string field.
+  /// kEnum: the accepted values, '|'-separated, stored as their own text
+  /// in a string field.
   std::string_view choices = {};
   /// kBool: one more spelling of no_<key>.
   std::string_view alias = {};
@@ -83,10 +82,6 @@ inline constexpr auto kMountOptionTable = [] {
        .doc = "buffer-pool shards (0 = auto from the core count)"},
       {.key = "io_batch", .kind = kUint, .field = &Config::io_batch, .lo = 1,
        .unit = "chunks", .doc = "chunks an IO worker dequeues per wakeup (1 = no batching)"},
-      {.key = "io_engine", .kind = kEnum, .field = &Config::io_engine,
-       .doc = "backend submission engine; uring falls back to sync", .choices = "sync|uring"},
-      {.key = "uring_depth", .kind = kUint, .field = &Config::uring_depth, .lo = 1,
-       .hi = 4096, .unit = "sqes", .doc = "in-flight cap per io_uring worker ring"},
       {.key = "bypass", .kind = kBool, .field = &Config::large_write_bypass,
        .doc = "chunk-sized appends skip the pool memcpy"},
       {.key = "big_writes", .kind = kBool, .field = &FuseOptions::big_writes,

@@ -289,7 +289,6 @@ void Readahead::top_up(const FileEntry& entry, FileState& fs, std::uint64_t next
     job.offset = cover_end;
     job.dst = chunk->mutable_storage().data();
     job.len = slot->want;
-    job.buf_index = chunk->pool_index();
     job.done = [this, &fs, s = slot.get()](Result<std::size_t> nread) {
       complete_fill(fs, *s, std::move(nread));
     };

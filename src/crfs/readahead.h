@@ -7,12 +7,11 @@
 // recognizes the sequential scan (a per-file expected-offset streak),
 // then keeps a window of chunk-sized fills in flight on the mount's IO
 // threads: each fill is a ReadJob on the work queue's read lane, run by
-// whichever IoThreadPool worker pops it through that worker's own engine
-// (a pread on the IO thread for sync, IORING_OP_READ_FIXED into the pool's
-// registered chunk storage for uring). The rank thread never issues a
-// prefetch pread itself. Filled chunks are parked in pool-backed cache
-// slots and consumed by later reads; anything unconsumed on a seek, a
-// write, or close is counted as wasted and the chunks go back to the pool.
+// whichever IoThreadPool worker pops it, as one blocking pread on that IO
+// thread. The rank thread never issues a prefetch pread itself. Filled
+// chunks are parked in pool-backed cache slots and consumed by later
+// reads; anything unconsumed on a seek, a write, or close is counted as
+// wasted and the chunks go back to the pool.
 //
 // Residency: a read the window does not cover, on a backend with a kernel
 // fd (BackendFs::raw_fd), first takes the paper's pass-through: one

@@ -48,17 +48,13 @@ struct WriteJob {
 };
 
 /// One readahead window fill: read `len` bytes of `file` from `offset`
-/// into `dst`, a pool chunk's storage. The IO worker that pops it runs it
-/// through its own engine (a pread on the worker for sync, READ_FIXED in
-/// the worker's ring for uring).
+/// into `dst`, a pool chunk's storage. The IO worker that pops it issues
+/// one blocking backend pread.
 struct ReadJob {
   BackendFile file = 0;
   std::uint64_t offset = 0;
   std::byte* dst = nullptr;
   std::size_t len = 0;
-  /// Registered fixed-buffer index of `dst`'s chunk
-  /// (IORING_OP_READ_FIXED); Chunk::kNoPoolIndex otherwise.
-  std::uint16_t buf_index = Chunk::kNoPoolIndex;
   /// Invoked exactly once, on the IO thread, with the bytes filled (short
   /// only at EOF) or the error.
   std::function<void(Result<std::size_t>)> done;
@@ -84,8 +80,8 @@ class WorkQueue {
   /// otherwise up to `max` write jobs that are already queued — one lock
   /// acquisition for the whole batch, never waiting for stragglers. With
   /// `wait`, blocks until either lane has work and returns empty only
-  /// after shutdown once both lanes drained; without it (async engines
-  /// with completions to reap) returns at once, possibly empty. The IO
+  /// after shutdown once both lanes drained; without it returns at once,
+  /// possibly empty. The IO
   /// pool groups a write batch by file and coalesces adjacent chunks into
   /// vectored backend writes (docs/PERFORMANCE.md).
   WorkBatch pop_work(std::size_t max, bool wait);

@@ -165,8 +165,6 @@ void Controller::tick(const Sample& s) {
   const std::int64_t depth = s.gauge("crfs.queue.depth").value_or(0);
   const HistogramSnapshot* pwrite = s.histogram("crfs.io.pwrite_ns");
   const double p99 = (pwrite != nullptr && pwrite->count > 0) ? pwrite->p99() : 0.0;
-  const HistogramSnapshot* cqe = s.histogram("crfs.io.cqe_wait_ns");
-  const double cqe_p50 = (cqe != nullptr && cqe->count > 0) ? cqe->p50() : 0.0;
 
   if (have_prev_depth_ && depth > prev_depth_) {
     rising_run_ += 1;
@@ -191,10 +189,6 @@ void Controller::tick(const Sample& s) {
     const double batch = read_("io_batch", 0.0);
     if (batch > 1.0) {
       fire(s, kShed, "shed_io", "io_batch", batch / 2.0);
-    }
-    const double ring = read_("uring_depth", 0.0);
-    if (ring > 1.0) {
-      fire(s, kShed, "shed_io", "uring_depth", ring / 2.0);
     }
   }
 
@@ -245,15 +239,10 @@ void Controller::tick(const Sample& s) {
 
   // widen_io: work arriving faster than we submit, backend healthy.
   if (!shed_now && rising_run_ >= cfg_.widen_rising_samples &&
-      p99 < cfg_.widen_max_p99_ns && cqe_p50 < cfg_.widen_max_cqe_wait_ns &&
-      cooled(kWiden, s.ts_ns)) {
+      p99 < cfg_.widen_max_p99_ns && cooled(kWiden, s.ts_ns)) {
     const double batch = read_("io_batch", 0.0);
     if (batch > 0.0) {
       fire(s, kWiden, "widen_io", "io_batch", batch * 2.0);
-    }
-    const double ring = read_("uring_depth", 0.0);
-    if (ring > 0.0) {
-      fire(s, kWiden, "widen_io", "uring_depth", ring * 2.0);
     }
     rising_run_ = 0;
   }

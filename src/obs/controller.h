@@ -12,13 +12,12 @@
 //               buffer pool, bounded by the pool_chunks knob's max.
 //   widen_io    queue depth rising for >= widen_rising_samples frames
 //               while the backend looks healthy (pwrite p99 below
-//               widen_max_p99_ns and cqe_wait_ns low): chunks are
-//               arriving faster than we submit, so double io_batch and
-//               uring_depth.
+//               widen_max_p99_ns): chunks are arriving faster than we
+//               write, so double io_batch.
 //   shed_io     pwrite p99 above shed_min_p99_ns with a standing queue:
-//               the backend is the bottleneck, so halve io_batch and
-//               uring_depth — the paper's §IV insight that IO concurrency
-//               is the throttle toward the backend.
+//               the backend is the bottleneck, so halve io_batch — the
+//               paper's §IV insight that IO concurrency is the throttle
+//               toward the backend.
 //   shed_readahead
 //               read p99 (crfs.read.pread_ns) above shed_min_p99_ns while
 //               checkpoint writes also queue: restore prefetch is
@@ -127,8 +126,6 @@ struct ControllerConfig {
   unsigned widen_rising_samples = 3;
   /// Backend considered healthy (widen allowed) below this pwrite p99.
   double widen_max_p99_ns = 5e6;
-  /// Ring considered idle (widen allowed) below this cqe_wait p50.
-  double widen_max_cqe_wait_ns = 1e6;
   /// Backend considered the bottleneck (shed) above this pwrite p99...
   double shed_min_p99_ns = 50e6;
   /// ...with at least this much standing queue.

@@ -77,8 +77,8 @@ class EpochState {
   // attribution"): together with pool_stall_ns and queue_residency_ns
   // these decompose where the epoch's chunks spent their lifetime.
   std::atomic<std::uint64_t> copy_ns{0};        ///< write() minus pool wait
-  std::atomic<std::uint64_t> submit_wait_ns{0}; ///< dequeue -> engine submit
-  std::atomic<std::uint64_t> device_ns{0};      ///< engine submit -> durable
+  std::atomic<std::uint64_t> submit_wait_ns{0}; ///< dequeue -> backend write call
+  std::atomic<std::uint64_t> device_ns{0};      ///< backend write call -> durable
   std::atomic<std::uint64_t> barrier_ns{0};     ///< close/fsync drain wait
 
   /// IO-thread hook: one chunk of this epoch became durable.

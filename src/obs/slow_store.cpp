@@ -40,9 +40,7 @@ std::string SlowExemplar::to_json() const {
   append_u64(out, "queue_depth", queue_depth);
   append_u64(out, "free_chunks", free_chunks);
   append_u64(out, "knob_generation", knob_generation);
-  out += ",\"engine\":\"";
-  append_json_escaped(out, engine);
-  out += "\"}";
+  out += '}';
   return out;
 }
 

@@ -5,8 +5,8 @@
 // was *this* chunk slow". When a chunk's durability lag (copy-in ->
 // durable) or its backend write time crosses the configured threshold,
 // the IO worker captures the chunk's complete stamp chain — born,
-// enqueue, dequeue, submit (SQE build on uring / pwrite start on sync),
-// durable (CQE reap / pwrite return) — plus the pipeline state it saw
+// enqueue, dequeue, submit (pwrite start), durable (pwrite return) —
+// plus the pipeline state it saw
 // (queue depth, free chunks, knob generation) into a bounded ring.
 //
 // Cost contract: the threshold check on the completion path is one
@@ -45,8 +45,8 @@ struct SlowExemplar {
   std::uint64_t born_ns = 0;       ///< first copy-in (Chunk::born_ns)
   std::uint64_t enqueue_ns = 0;    ///< WorkQueue push
   std::uint64_t dequeue_ns = 0;    ///< worker batch pop
-  std::uint64_t submit_ns = 0;     ///< engine submit (SQE build / pwrite start)
-  std::uint64_t durable_ns = 0;    ///< completion (CQE reap / pwrite return)
+  std::uint64_t submit_ns = 0;     ///< backend write start (pwrite call)
+  std::uint64_t durable_ns = 0;    ///< backend write return
   // Derived stage durations (disjoint intervals of born..durable; the
   // fill window born->enqueue splits into pool stall + copy residency).
   std::uint64_t pool_stall_ns = 0; ///< writer blocked on the finite pool
@@ -59,7 +59,6 @@ struct SlowExemplar {
   std::uint64_t queue_depth = 0;   ///< work-queue depth the worker saw
   std::uint64_t free_chunks = 0;   ///< buffer-pool free chunks
   std::uint64_t knob_generation = 0; ///< knob-plane generation (0 = none)
-  std::string engine;              ///< io engine that carried the write
 
   std::string to_json() const;
 };

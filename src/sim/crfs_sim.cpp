@@ -21,7 +21,6 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
       fuse_station_(sim, 1),
       chunk_available_(sim),
       job_ready_(sim),
-      cqe_slot_(sim),
       plane_(config, [this] { return now_ns(); }, obs::Plane::TimeBase::kVirtual) {
   // Same registry schema as the real mount (crfs.cpp), read on virtual
   // time by an obs::Sampler via sample_loop(). The single-threaded sim
@@ -30,9 +29,6 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
   h_pwrite_ = &m.histogram("crfs.io.pwrite_ns");
   c_pwrite_bytes_ = &m.counter("crfs.io.pwrite_bytes");
   h_lag_ = &m.histogram("crfs.chunk.durability_lag_ns");
-  // Registered for both engines (schema parity with the real mount); only
-  // the uring mirror records non-trivial depths.
-  h_inflight_depth_ = &m.histogram("crfs.io.inflight_depth");
   // Restart-scan mirror: same crfs.read.* schema as the real mount, so an
   // obs::Controller's shed_readahead rule ticks unchanged on virtual time.
   h_read_ = &m.histogram("crfs.read.pread_ns");
@@ -43,8 +39,6 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
   c_prefetch_hits_ = &m.counter("crfs.read.prefetch_hits");
   c_prefetch_wasted_ = &m.counter("crfs.read.prefetch_wasted");
   c_sync_preads_ = &m.counter("crfs.read.sync_preads");
-  m.gauge_fn("crfs.io.engine_inflight",
-             [this] { return static_cast<std::int64_t>(engine_inflight_); });
   m.gauge_fn("crfs.pool.free_chunks", [this] { return static_cast<std::int64_t>(free_chunks_); });
   m.gauge_fn("crfs.queue.depth", [this] { return static_cast<std::int64_t>(queue_.size()); });
   define_knobs();
@@ -89,16 +83,6 @@ void CrfsSimNode::define_knobs() {
           *achieved = static_cast<double>(eff);
           *reason = "capped at half the pool (" + std::to_string(cap) + " chunks)";
         }
-        return true;
-      });
-  knobs.define(
-      knob_def("uring_depth", config_), static_cast<double>(config_.uring_depth),
-      [this](double v, double*, std::string* reason) {
-        if (config_.io_engine != IoEngineKind::kUring) {
-          *reason = "io engine 'sync' has no ring";
-          return false;
-        }
-        config_.uring_depth = static_cast<unsigned>(v);
         return true;
       });
   knobs.define(
@@ -244,7 +228,7 @@ Task CrfsSimNode::prefetch_read(FileId file, std::shared_ptr<ReadSlot> slot) {
 
 Task CrfsSimNode::drop_read_window(FileState& st) {
   // In-flight reads must land before their pool chunks can be released
-  // (mirror of Readahead::drop_cache_locked waiting out the engine).
+  // (mirror of Readahead::drop_cache_locked waiting out its fills).
   while (!st.read_slots.empty()) {
     auto slot = st.read_slots.front();
     while (!slot->done) co_await slot->completion->wait();
@@ -400,28 +384,15 @@ Task CrfsSimNode::io_worker(unsigned worker) {
       }
       std::vector<Job> run(batch.begin() + static_cast<std::ptrdiff_t>(i),
                            batch.begin() + static_cast<std::ptrdiff_t>(j));
-      if (config_.io_engine == IoEngineKind::kUring) {
-        // Uring mirror: the worker only *submits* — the run proceeds as
-        // its own task while the worker returns for more jobs, gated on
-        // ring capacity exactly like UringEngine::submit's depth drain.
-        while (engine_inflight_ >= config_.uring_depth) {
-          co_await cqe_slot_.wait();
-        }
-        engine_inflight_ += 1;
-        h_inflight_depth_->record(engine_inflight_);
-        sim_.spawn(write_run(std::move(run), dequeue_now, worker, /*engine_slot=*/true));
-      } else {
-        // Sync engine: the worker is the run (blocking pwrite), exactly
-        // the pre-engine pipeline.
-        co_await write_run(std::move(run), dequeue_now, worker, /*engine_slot=*/false);
-      }
+      // The worker is the run: one blocking pwrite at a time.
+      co_await write_run(std::move(run), dequeue_now, worker);
       i = j;
     }
   }
 }
 
 Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
-                            unsigned worker, bool engine_slot) {
+                            unsigned worker) {
   std::uint64_t run_len = 0;
   for (const Job& job : run) run_len += job.len;
 
@@ -499,7 +470,6 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
       ex.queue_depth = queue_.size();
       ex.free_chunks = free_chunks_;
       ex.knob_generation = plane_.knobs().generation();
-      ex.engine = io_engine_name(config_.io_engine);
       plane_.slow().capture(std::move(ex));
     }
   }
@@ -510,10 +480,6 @@ Task CrfsSimNode::write_run(std::vector<Job> run, std::uint64_t dequeue_now,
     st.completion->pulse();
     free_chunks_ += 1;
     chunk_available_.pulse();
-  }
-  if (engine_slot) {
-    engine_inflight_ -= 1;
-    cqe_slot_.pulse();
   }
 }
 

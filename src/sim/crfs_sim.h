@@ -115,9 +115,8 @@ class CrfsSimNode {
   /// Same knob names and bounds semantics as Crfs::define_knobs, applied
   /// straight to the sim state the io_worker re-reads every iteration:
   /// pool_chunks mutates the free-chunk count (and pulses waiters on
-  /// grow), io_batch/uring_depth mutate the config the worker consults;
-  /// uring_depth is vetoed on the sync engine, exactly like the real
-  /// mount. slow_capture_ms and epoch_gap_ms come from the shared plane.
+  /// grow), io_batch mutates the config the worker consults.
+  /// slow_capture_ms and epoch_gap_ms come from the shared plane.
   /// An obs::Controller wired to this plane and driven from sample_loop's
   /// ticks replays policy decisions deterministically on virtual time.
   crfs::KnobPlane& knob_plane() { return plane_.knobs(); }
@@ -171,13 +170,9 @@ class CrfsSimNode {
   void define_knobs();
   /// One coalesced run's backend write plus all per-chunk completion
   /// bookkeeping (pwrite histograms, epoch attribution, pool release).
-  /// The sync engine awaits it inline (worker blocked for the duration,
-  /// exactly the pre-engine pipeline); the uring mirror spawns it as a
-  /// concurrent task gated on engine_inflight_ < uring_depth, modelling
-  /// submission/completion decoupling in virtual time. `engine_slot` is
-  /// true for spawned runs, which release their ring slot on completion.
-  Task write_run(std::vector<Job> run, std::uint64_t dequeue_now, unsigned worker,
-                 bool engine_slot);
+  /// The worker awaits it inline, blocked for the duration like the real
+  /// pool's pwrite.
+  Task write_run(std::vector<Job> run, std::uint64_t dequeue_now, unsigned worker);
   FileState& state(FileId file);
   /// Enqueues the file's current chunk (if non-empty).
   void flush_chunk(FileState& st, FileId file);
@@ -204,11 +199,6 @@ class CrfsSimNode {
   Event chunk_available_;
   std::deque<Job> queue_;
   Event job_ready_;
-  /// Uring mirror: runs currently "in the ring" (spawned write_run tasks
-  /// not yet completed) and the event their completions pulse so a worker
-  /// blocked at full depth can submit again.
-  unsigned engine_inflight_ = 0;
-  Event cqe_slot_;
   bool stopping_ = false;
   std::uint64_t chunks_flushed_ = 0;
   std::uint64_t pool_waits_ = 0;
@@ -220,7 +210,6 @@ class CrfsSimNode {
   obs::LatencyHistogram* h_pwrite_ = nullptr;
   obs::Counter* c_pwrite_bytes_ = nullptr;
   obs::LatencyHistogram* h_lag_ = nullptr;
-  obs::LatencyHistogram* h_inflight_depth_ = nullptr;
   // Read-path mirror (same crfs.read.* schema as the real mount).
   obs::LatencyHistogram* h_read_ = nullptr;
   obs::LatencyHistogram* h_read_inflight_ = nullptr;

@@ -13,7 +13,7 @@
 // A purely linear server would null the shed benefit (Little's law: halve
 // the concurrency, double the per-call wait, same residency); the
 // interference term makes lower submission concurrency genuinely drain
-// the station faster, so a controller that sheds io_batch/uring_depth
+// the station faster, so a controller that sheds io_batch
 // measurably reduces backend residency — which is exactly what the test
 // asserts. Everything is deterministic on virtual time.
 #pragma once

@@ -199,11 +199,6 @@ TEST(CrfsTune, ComponentVetoesAreAuditedNotApplied) {
   ASSERT_TRUE(fs.ok());
   Crfs& crfs = *fs.value();
 
-  // Sync engine: no ring to re-arm.
-  const obs::CtlDecision ring = crfs.tune("uring_depth", 8.0);
-  EXPECT_EQ(ring.outcome, "vetoed");
-  EXPECT_NE(ring.reason.find("io engine 'sync' has no ring"), std::string::npos);
-
   // sample_ms=0 mount: no sampler thread to re-arm.
   const obs::CtlDecision period = crfs.tune("sample_ms", 50.0);
   EXPECT_EQ(period.outcome, "vetoed");
@@ -213,7 +208,7 @@ TEST(CrfsTune, ComponentVetoesAreAuditedNotApplied) {
   EXPECT_EQ(unknown.outcome, "vetoed");
   EXPECT_NE(unknown.reason.find("unknown knob 'warp_factor'"), std::string::npos);
 
-  EXPECT_EQ(counter_value(crfs.metrics(), "crfs.ctl.vetoed"), 3u);
+  EXPECT_EQ(counter_value(crfs.metrics(), "crfs.ctl.vetoed"), 2u);
   EXPECT_EQ(crfs.knob_plane().generation(), 0u);  // nothing moved
 }
 
@@ -237,7 +232,7 @@ TEST(CrfsTune, StatsJsonCarriesSchemaVersionAndControllerSection) {
   EXPECT_EQ((*decisions->array)[0].get("knob")->string, "pool_chunks");
   const auto* knobs = ctl->get("knob_plane")->get("knobs");
   ASSERT_TRUE(knobs != nullptr && knobs->is_array());
-  EXPECT_EQ(knobs->array->size(), 12u);
+  EXPECT_EQ(knobs->array->size(), 11u);
 }
 
 // ----------------------------------------------- .crfs_tune control file
@@ -278,9 +273,9 @@ TEST(TuneControlFile, TokensApplyAndMalformedOnesNameTheToken) {
   EXPECT_NE(unknown.error().to_string().find("unknown knob"), std::string::npos);
 
   // Vetoed knobs surface the veto reason through the same errno path.
-  auto vetoed = put("uring_depth=8");
+  auto vetoed = put("sample_ms=50");
   ASSERT_FALSE(vetoed.ok());
-  EXPECT_NE(vetoed.error().to_string().find("no ring"), std::string::npos);
+  EXPECT_NE(vetoed.error().to_string().find("sampler disabled"), std::string::npos);
 
   // Reads return EOF; the control file never reaches the backend.
   std::byte buf[16];
@@ -334,7 +329,7 @@ void expect_knob_set(const KnobPlane& plane, const std::vector<KnobDef>& want) {
   }
 }
 
-TEST(KnobPin, RealMountDefinesExactlyTwelveKnobs) {
+TEST(KnobPin, RealMountPinsItsKnobSet) {
   const Config cfg;
   auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
   ASSERT_TRUE(fs.ok());
@@ -351,11 +346,10 @@ TEST(KnobPin, RealMountDefinesExactlyTwelveKnobs) {
                    {"readahead_window", 1.0, 1024.0, "chunks"},
                    {"sample_ms", 1.0, 10000.0, "ms"},
                    {"slow_capture_ms", 0.0, 100000.0, "ms"},
-                   {"slow_pwrite_ms", 0.0, 100000.0, "ms"},
-                   {"uring_depth", 1.0, 4096.0, "sqes"}});
+                   {"slow_pwrite_ms", 0.0, 100000.0, "ms"}});
 }
 
-TEST(KnobPin, SimNodeDefinesExactlySevenKnobs) {
+TEST(KnobPin, SimNodePinsItsKnobSet) {
   sim::Simulation sim;
   sim::Calibration cal;
   sim::ThrottledBackendSim backend(sim);
@@ -368,8 +362,7 @@ TEST(KnobPin, SimNodeDefinesExactlySevenKnobs) {
                                       {"pool_chunks", 1.0, pool_max, "chunks"},
                                       {"readahead", 0.0, 1.0, "bool"},
                                       {"readahead_window", 1.0, 1024.0, "chunks"},
-                                      {"slow_capture_ms", 0.0, 100000.0, "ms"},
-                                      {"uring_depth", 1.0, 4096.0, "sqes"}});
+                                      {"slow_capture_ms", 0.0, 100000.0, "ms"}});
 }
 
 // --------------------------------- cooldown: fire, cool down, re-fire
@@ -492,15 +485,14 @@ struct ShedRun {
   std::vector<obs::CtlDecision> decisions;
   double mean_residency_s = 0.0;
   double final_io_batch = 0.0;
-  double final_uring_depth = 0.0;
   std::uint64_t shed_fired = 0;
 };
 
 // 256 MiB checkpoint stream against a backend whose effective bandwidth
-// degrades with concurrent pending calls (ThrottledBackendSim). The uring
-// mirror keeps up to uring_depth coalesced runs pending, so without
-// intervention the station is permanently crowded; the shed_io rule
-// halves io_batch/uring_depth once pwrite p99 blows past the threshold
+// degrades with concurrent pending calls (ThrottledBackendSim). Each IO
+// thread keeps one coalesced run of up to io_batch chunks pending, so
+// without intervention the station is crowded with large calls; the
+// shed_io rule halves io_batch once pwrite p99 blows past the threshold
 // with a standing queue. widen is effectively disabled so the scenario
 // isolates the shed policy.
 ShedRun run_shed_scenario(bool controlled) {
@@ -509,11 +501,9 @@ ShedRun run_shed_scenario(bool controlled) {
   sim::ThrottledBackendSim backend(sim);
   Config cfg;
   cfg.chunk_size = 1 * MiB;
-  cfg.pool_size = 128 * MiB;  // pool never binds; the ring gate does
+  cfg.pool_size = 128 * MiB;  // pool never binds; the IO threads do
   cfg.io_threads = 2;
   cfg.io_batch = 4;
-  cfg.io_engine = IoEngineKind::kUring;
-  cfg.uring_depth = 16;
   sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
 
   obs::EventBuffer events(256);
@@ -545,7 +535,6 @@ ShedRun run_shed_scenario(bool controlled) {
   out.decisions_json = obs::decisions_to_json(out.decisions);
   out.mean_residency_s = backend.mean_residency_s();
   out.final_io_batch = node.knob_plane().snapshot()->get("io_batch");
-  out.final_uring_depth = node.knob_plane().snapshot()->get("uring_depth");
   out.shed_fired = counter_value(node.metrics(), "crfs.ctl.fired.shed_io");
   return out;
 }
@@ -557,7 +546,6 @@ TEST(ControllerSim, ShedsAggregationAgainstThrottledBackend) {
   // Uncontrolled: no decisions, knobs never move.
   EXPECT_TRUE(off.decisions.empty());
   EXPECT_DOUBLE_EQ(off.final_io_batch, 4.0);
-  EXPECT_DOUBLE_EQ(off.final_uring_depth, 16.0);
 
   // Controlled: the shed rule fired and the submission knobs came down.
   EXPECT_GE(on.shed_fired, 1u);
@@ -570,7 +558,6 @@ TEST(ControllerSim, ShedsAggregationAgainstThrottledBackend) {
   }
   EXPECT_TRUE(shed_applied);
   EXPECT_LT(on.final_io_batch, 4.0);
-  EXPECT_LT(on.final_uring_depth, 16.0);
 
   // The §IV payoff: less submission concurrency against the interfering
   // station means every call queues behind a smaller, faster-draining
@@ -597,8 +584,6 @@ TEST(ControllerRules, WidenFiresOnRisingQueueWithHealthyBackend) {
   KnobPlane plane;
   plane.define(KnobDef{"io_batch", 1.0, 64.0, "chunks"}, 4.0,
                [](double, double*, std::string*) { return true; });
-  plane.define(KnobDef{"uring_depth", 1.0, 4096.0, "sqes"}, 16.0,
-               [](double, double*, std::string*) { return true; });
   obs::DecisionLog log(64, nullptr, nullptr);
   obs::Controller controller(
       obs::ControllerConfig{}, log, nullptr, nullptr,
@@ -611,18 +596,16 @@ TEST(ControllerRules, WidenFiresOnRisingQueueWithHealthyBackend) {
   obs::Sampler sampler(reg);
   sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
   // Depth strictly rising for 4 frames: widen fires on the 4th (3 rising
-  // deltas), doubling both submission knobs.
+  // deltas), doubling io_batch.
   for (std::int64_t d = 1; d <= 4; ++d) {
     depth.store(d);
     sampler.tick(static_cast<std::uint64_t>(d) * 10'000'000);
   }
   const auto decisions = log.snapshot();
-  ASSERT_EQ(decisions.size(), 2u);
+  ASSERT_EQ(decisions.size(), 1u);
   EXPECT_EQ(decisions[0].rule, "widen_io");
   EXPECT_EQ(decisions[0].knob, "io_batch");
   EXPECT_DOUBLE_EQ(decisions[0].to, 8.0);
-  EXPECT_EQ(decisions[1].knob, "uring_depth");
-  EXPECT_DOUBLE_EQ(decisions[1].to, 32.0);
 }
 
 // Prometheus exposition is a scrape endpoint: it must be readable while

@@ -82,7 +82,7 @@ TEST_F(CrfsBasic, SmallWritesCoalesceIntoOneBackendWrite) {
 TEST_F(CrfsBasic, FullChunksFlushEagerly) {
   // no_bypass: this test is about eager flushing of full aggregation
   // chunks; with the default large-write bypass a 3-chunk write goes
-  // straight to the backend instead (covered in test_io_engine.cpp).
+  // straight to the backend instead (covered in test_io_pool.cpp).
   remount(Config{.chunk_size = 4096, .pool_size = 4 * 4096, .large_write_bypass = false});
   auto h = fs_->open("full.bin", {.create = true, .truncate = true, .write = true});
   ASSERT_TRUE(h.ok());

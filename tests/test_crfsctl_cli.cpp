@@ -71,7 +71,6 @@ TEST(CrfsctlCli, StatsHumanReportMentionsPipelineStages) {
   ASSERT_EQ(res.exit_code, 0) << res.output;
   EXPECT_NE(res.output.find("app_writes"), std::string::npos);
   EXPECT_NE(res.output.find("crfs.io.pwrite_ns"), std::string::npos);
-  EXPECT_NE(res.output.find("engine="), std::string::npos);  // active IO engine
 }
 
 TEST(CrfsctlCli, TraceWritesChromeJson) {
@@ -100,12 +99,6 @@ TEST(CrfsctlCli, PromEmitsValidExposition) {
   EXPECT_NE(res.output.find("crfs_io_pwrite_bytes_total 67108864"), std::string::npos)
       << res.output;
   EXPECT_NE(res.output.find("# TYPE crfs_io_pwrite_ns histogram"), std::string::npos);
-  // Info-style engine series: active engine as a label, value 1.
-  EXPECT_NE(res.output.find("# TYPE crfs_io_engine_info gauge"), std::string::npos);
-  const bool engine_info =
-      res.output.find("crfs_io_engine_info{engine=\"sync\"} 1") != std::string::npos ||
-      res.output.find("crfs_io_engine_info{engine=\"uring\"} 1") != std::string::npos;
-  EXPECT_TRUE(engine_info) << res.output;
   // Cumulative bucket series must be monotone and +Inf must equal _count.
   double prev = 0.0, inf = -1.0, count = -1.0;
   std::size_t pos = 0;
@@ -136,7 +129,7 @@ TEST(CrfsctlCli, WatchRendersFramesAndSummary) {
   EXPECT_NE(res.output.find("MB/s"), std::string::npos);
   EXPECT_NE(res.output.find("free_chunks="), std::string::npos);
   EXPECT_NE(res.output.find("queue="), std::string::npos);
-  EXPECT_NE(res.output.find("ring="), std::string::npos);  // engine in-flight depth
+  EXPECT_NE(res.output.find("in_flight="), std::string::npos);
   EXPECT_NE(res.output.find("samples="), std::string::npos);
   // Final report follows the live frames.
   EXPECT_NE(res.output.find("app_writes"), std::string::npos);
@@ -198,10 +191,8 @@ TEST(CrfsctlCli, StatsJsonGoldenKeySet) {
   EXPECT_EQ(object_keys(*parsed->get("controller")), expected_controller);
 
   const std::vector<std::string> expected_mount = {
-      "app_bytes",     "app_writes",         "bypass_writes",
-      "chunk_steals",  "full_flushes",       "io_engine",
-      "io_engine_requested", "partial_flushes", "read_bytes",
-      "read_engine",   "reads",              "reopens"};
+      "app_bytes",      "app_writes", "bypass_writes", "chunk_steals", "full_flushes",
+      "partial_flushes", "read_bytes", "reads",        "reopens"};
   ASSERT_NE(parsed->get("mount"), nullptr);
   EXPECT_EQ(object_keys(*parsed->get("mount")), expected_mount);
 
@@ -370,7 +361,7 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   ASSERT_EQ(table.exit_code, 0) << table.output;
   EXPECT_NE(table.output.find("generation=0"), std::string::npos);
   EXPECT_NE(table.output.find("pool_chunks"), std::string::npos);
-  EXPECT_NE(table.output.find("uring_depth"), std::string::npos);
+  EXPECT_NE(table.output.find("io_batch"), std::string::npos);
   EXPECT_NE(table.output.find("journal_fsync_ms"), std::string::npos);
   EXPECT_NE(table.output.find("drain_mbps"), std::string::npos);
 
@@ -381,7 +372,7 @@ TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
   EXPECT_DOUBLE_EQ(parsed->get("generation")->number, 0.0);
   const auto* knobs = parsed->get("knobs");
   ASSERT_TRUE(knobs != nullptr && knobs->is_array());
-  EXPECT_EQ(knobs->array->size(), 12u);
+  EXPECT_EQ(knobs->array->size(), 11u);
   const std::vector<std::string> knob_keys = {"max", "min", "name", "unit", "value"};
   for (const auto& k : *knobs->array) EXPECT_EQ(object_keys(k), knob_keys);
 }
@@ -467,7 +458,7 @@ TEST(CrfsctlCli, SlowInjectCapturesExemplarsWithFullChain) {
 
   const std::vector<std::string> expected_ex = {
       "born_ns",      "dequeue_ns",   "device_ns",        "durable_ns",
-      "engine",       "enqueue_ns",   "fill_ns",          "free_chunks",
+      "enqueue_ns",   "fill_ns",          "free_chunks",
       "kind",         "knob_generation", "len",           "offset",
       "path",         "pool_stall_ns", "queue_depth",     "queue_ns",
       "submit_ns",    "submit_wait_ns", "total_lag_ns",   "trace_id"};

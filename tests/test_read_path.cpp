@@ -191,21 +191,6 @@ TEST_F(ReadPath, PreadConformanceAcrossBackends) {
   }
 }
 
-TEST_F(ReadPath, UringEnginePreadConformance) {
-  // kUring is a request: on kernels without io_uring the read engine falls
-  // back to sync and the same assertions must still hold.
-  const auto data = make_pattern(3 * kChunk + 999, /*salt=*/3);
-  auto fs = Crfs::mount(std::make_shared<MemBackend>(),
-                        Config{.chunk_size = kChunk,
-                               .pool_size = kPool,
-                               .io_engine = IoEngineKind::kUring,
-                               .uring_depth = 16});
-  ASSERT_TRUE(fs.ok());
-  write_file(*fs.value(), "uring.dat", data);
-  expect_readable(*fs.value(), "uring.dat", data);
-  EXPECT_STREQ(fs.value()->active_read_engine(), fs.value()->active_io_engine());
-}
-
 TEST_F(ReadPath, NullBackendReadsReportEof) {
   auto fs = Crfs::mount(std::make_shared<NullBackend>(),
                         Config{.chunk_size = kChunk, .pool_size = kPool});

@@ -218,70 +218,6 @@ TEST(CrfsSimNode, PoolBackpressureEngagesWithSlowBackend) {
   EXPECT_GT(node.pool_waits(), 0u);
 }
 
-// Uring queue-depth mirror (docs/PERFORMANCE.md "IO engines"): with one
-// IO worker, the sync engine serializes runs (depth effectively 1) while
-// the uring mirror keeps many runs in flight. Totals (chunks flushed,
-// close-waits-for-all) are engine-invariant — only timing changes.
-TEST(CrfsSimNode, UringMirrorSustainsDepthBeyondWorkers) {
-  auto run_engine = [](IoEngineKind kind, std::uint64_t* max_depth) {
-    Simulation sim;
-    Calibration cal;
-    cal.dirty_limit = 1;  // slow disk: depth can only build when the
-                          // backend is slower than the producers
-    Ext3Sim backend(sim, cal, 1, 1, 7);
-    crfs::Config config;
-    config.io_threads = 1;
-    config.io_batch = 8;
-    config.io_engine = kind;
-    config.uring_depth = 8;
-    CrfsSimNode node(sim, cal, backend, 0, config, crfs::FuseOptions{}, 1);
-    node.start();
-    sim.spawn([](Simulation&, CrfsSimNode& n) -> Task {
-      co_await n.app_write(1, 48 * MiB);
-      co_await n.close_file(1);
-    }(sim, node));
-    const double t = sim.run();
-    for (const auto& [name, hist] : node.metrics().snapshot().histograms) {
-      if (name == "crfs.io.inflight_depth") *max_depth = hist.max;
-    }
-    EXPECT_EQ(node.chunks_flushed(), 12u);  // 48M / 4M chunks, both engines
-    return t;
-  };
-
-  std::uint64_t sync_depth = 0, uring_depth = 0;
-  run_engine(IoEngineKind::kSync, &sync_depth);
-  run_engine(IoEngineKind::kUring, &uring_depth);
-  EXPECT_EQ(sync_depth, 0u);   // sync engine never records ring depth
-  EXPECT_GT(uring_depth, 1u);  // one worker, many runs in flight
-}
-
-TEST(CrfsSimNode, UringMirrorRespectsDepthCap) {
-  Simulation sim;
-  Calibration cal;
-  cal.dirty_limit = 1;  // slow disk: submissions outpace completions
-  Ext3Sim backend(sim, cal, 1, 1, 7);
-  crfs::Config config;
-  config.io_threads = 2;
-  config.io_batch = 8;
-  config.io_engine = IoEngineKind::kUring;
-  config.uring_depth = 3;
-  config.pool_size = 64 * MiB;  // deep pool so the queue can back up
-  CrfsSimNode node(sim, cal, backend, 0, config, crfs::FuseOptions{}, 1);
-  node.start();
-  sim.spawn([](Simulation&, CrfsSimNode& n) -> Task {
-    co_await n.app_write(1, 96 * MiB);
-    co_await n.close_file(1);
-  }(sim, node));
-  sim.run();
-  std::uint64_t max_depth = 0;
-  for (const auto& [name, hist] : node.metrics().snapshot().histograms) {
-    if (name == "crfs.io.inflight_depth") max_depth = hist.max;
-  }
-  EXPECT_GT(max_depth, 1u);
-  EXPECT_LE(max_depth, 3u);  // never exceeds uring_depth
-  EXPECT_EQ(node.chunks_flushed(), 24u);
-}
-
 TEST(CrfsSimNode, CloseWaitsForAllChunks) {
   Simulation sim;
   Calibration cal;
