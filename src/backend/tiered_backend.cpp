@@ -1,10 +1,13 @@
 #include "backend/tiered_backend.h"
 
+#include <sys/mman.h>
 #include <sys/stat.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <cerrno>
 #include <cstdio>
+#include <optional>
 #include <vector>
 
 #include "backend/mem_backend.h"
@@ -15,7 +18,64 @@ namespace crfs {
 
 namespace {
 
-constexpr std::size_t kBounceBytes = 4 * 1024 * 1024;
+/// Bytes per drain step: one stage read (or mapping) and one remote pwrite.
+constexpr std::size_t kStepBytes = 4 * 1024 * 1024;
+
+/// A read-only mapping of staged bytes, straight from the stage's page
+/// cache. Empty when mmap fails; the caller then falls back to pread.
+class StageMap {
+ public:
+  StageMap(int fd, std::uint64_t offset, std::size_t len) {
+    static const std::uint64_t page = static_cast<std::uint64_t>(::sysconf(_SC_PAGESIZE));
+    const std::uint64_t base = offset - offset % page;
+    map_len_ = static_cast<std::size_t>(offset - base) + len;
+    void* p = ::mmap(nullptr, map_len_, PROT_READ, MAP_SHARED | MAP_POPULATE, fd,
+                     static_cast<off_t>(base));
+    if (p == MAP_FAILED) return;
+    map_ = p;
+    view_ = {static_cast<const std::byte*>(p) + (offset - base), len};
+  }
+  ~StageMap() {
+    if (map_ != nullptr) ::munmap(map_, map_len_);
+  }
+  StageMap(const StageMap&) = delete;
+  StageMap& operator=(const StageMap&) = delete;
+
+  std::span<const std::byte> view() const { return view_; }
+
+ private:
+  void* map_ = nullptr;
+  std::size_t map_len_ = 0;
+  std::span<const std::byte> view_;
+};
+
+/// Merges adjacent exact runs of one file into one run (fewer remote calls).
+template <typename Run>
+std::vector<Run> merge_adjacent(const std::vector<Run>& exact) {
+  std::vector<Run> merged;
+  for (const Run& run : exact) {
+    if (!merged.empty() && merged.back().file == run.file &&
+        merged.back().offset + merged.back().len == run.offset) {
+      merged.back().len += run.len;
+    } else {
+      merged.push_back(run);
+    }
+  }
+  return merged;
+}
+
+/// True when every byte of [offset, offset+len) lies in some extent.
+template <typename Extents>
+bool covered(const Extents& extents, std::uint64_t offset, std::uint64_t len) {
+  std::uint64_t cur = offset;
+  const std::uint64_t end = offset + len;
+  auto it = extents.upper_bound(offset);
+  if (it == extents.begin()) return len == 0;
+  for (--it; it != extents.end() && it->first <= cur && cur < end; ++it) {
+    cur = std::max(cur, it->first + it->second.len);
+  }
+  return cur >= end;
+}
 
 /// "a/b/c" with no leading slash; "" for the root. Matches MemBackend's
 /// normalization closely enough for the staged-name union in list_dir.
@@ -166,12 +226,17 @@ std::uint64_t TieredBackend::trim_extents_locked(FileState& fs, std::uint64_t of
     const Extent e = it->second;
     const std::uint64_t e_end = e_off + e.len;
     it = fs.extents.erase(it);
-    // Keep the non-overlapped head/tail pieces (same unit tag).
+    // Keep the non-overlapped head/tail pieces (same unit, write id and
+    // copied bit: their bytes did not change).
     if (e_off < offset) {
-      fs.extents.emplace(e_off, Extent{offset - e_off, e.unit});
+      Extent head = e;
+      head.len = offset - e_off;
+      fs.extents.emplace(e_off, head);
     }
     if (e_end > end) {
-      it = fs.extents.emplace(end, Extent{e_end - end, e.unit}).first;
+      Extent tail = e;
+      tail.len = e_end - end;
+      it = fs.extents.emplace(end, tail).first;
       ++it;
     }
     const std::uint64_t cut =
@@ -185,9 +250,14 @@ std::uint64_t TieredBackend::trim_extents_locked(FileState& fs, std::uint64_t of
 
 void TieredBackend::seal_locked(std::uint64_t epoch_id, std::uint64_t now_ns) {
   if (open_unit_bytes_ == 0) return;
-  sealed_.push_back(DrainUnit{open_unit_seq_, epoch_id, open_unit_bytes_, now_ns});
+  sealed_.push_back(DrainUnit{open_unit_seq_, epoch_id, open_unit_bytes_, now_ns,
+                              open_unit_first_copy_ns_});
   open_unit_seq_ = next_unit_seq_++;
   open_unit_bytes_ = 0;
+  open_unit_first_copy_ns_ = 0;
+  // The sealed unit's drain copies whatever the eager pass did not.
+  eager_.clear();
+  eager_stopped_ = false;
   t_units_sealed_.fetch_add(1, std::memory_order_relaxed);
   drain_cv_.notify_all();
 }
@@ -208,7 +278,23 @@ void TieredBackend::release_file_locked(const std::shared_ptr<FileState>& fs) {
     (void)remote_->close_file(fs->remote_read);
     fs->remote_read_open = false;
   }
-  files_.erase(fs->path);
+  auto it = files_.find(fs->path);
+  if (it != files_.end() && it->second == fs) files_.erase(it);
+}
+
+Result<BackendFile> TieredBackend::remote_writer_locked(const FileState& fs) {
+  auto wit = remote_write_.find(fs.path);
+  if (wit != remote_write_.end()) return wit->second;
+  auto opened =
+      remote_->open_file(fs.path, {.create = true, .truncate = false, .write = true});
+  if (!opened.ok()) return opened.error();
+  remote_write_.emplace(fs.path, opened.value());
+  return opened.value();
+}
+
+void TieredBackend::wait_drain_io_locked(std::unique_lock<std::mutex>& lock,
+                                         const FileState& fs) {
+  copy_cv_.wait(lock, [&] { return fs.drain_io == 0; });
 }
 
 Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags flags) {
@@ -217,7 +303,9 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
   bool exists = existing != files_.end() && !existing->second->unlinked;
   std::uint64_t remote_size = 0;
   bool remote_exists = false;
-  if (!exists || !flags.write) {
+  // O_TRUNC must see the remote copy even of a path still staged here,
+  // or the remote keeps its old tail.
+  if (!exists || !flags.write || flags.truncate) {
     lock.unlock();
     auto st = remote_->stat(path);
     lock.lock();
@@ -240,14 +328,15 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
   if (flags.write) {
     CRFS_RETURN_IF_ERROR(ensure_stage_open_locked(*fs));
     if (flags.truncate) {
+      // Both tiers shrink under the lock, after in-flight drain IO: no copy
+      // can then write truncated bytes back (see truncate()).
+      wait_drain_io_locked(lock, *fs);
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       (void)stage_->truncate(fs->stage_file, 0);
       if (remote_exists) {
-        lock.unlock();
-        auto rw = remote_->open_file(path, {.create = false, .truncate = true, .write = true});
-        if (rw.ok()) (void)remote_->close_file(rw.value());
-        lock.lock();
+        auto rw = remote_writer_locked(*fs);
+        if (rw.ok()) (void)remote_->truncate(rw.value(), 0);
       }
       space_cv_.notify_all();
     }
@@ -300,20 +389,11 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
       if (in_open_unit) seal_locked(0, obs::now_ns());
       idle_cv_.wait(lock);
     }
-    BackendFile rw = 0;
-    auto wit = remote_write_.find(fs->path);
-    if (wit != remote_write_.end()) {
-      rw = wit->second;
-    } else {
-      auto opened =
-          remote_->open_file(fs->path, {.create = true, .truncate = false, .write = true});
-      if (!opened.ok()) return opened.error();
-      rw = opened.value();
-      remote_write_.emplace(fs->path, rw);
-    }
+    auto rw = remote_writer_locked(*fs);
+    if (!rw.ok()) return rw.error();
     fs->size = std::max(fs->size, offset + len);
     lock.unlock();
-    CRFS_RETURN_IF_ERROR(remote_->pwrite(rw, data, offset));
+    CRFS_RETURN_IF_ERROR(remote_->pwrite(rw.value(), data, offset));
     t_spill_bytes_.fetch_add(len, std::memory_order_relaxed);
     if (c_spill_bytes_ != nullptr) c_spill_bytes_->add(len);
     return {};
@@ -365,10 +445,14 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
   fs->inflight -= 1;
   if (!wrote.ok()) return wrote;
   trim_extents_locked(*fs, offset, len);
-  fs->extents.emplace(offset, Extent{len, open_unit_seq_});
+  const std::uint64_t write_id = next_write_id_++;
+  fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
   fs->size = std::max(fs->size, offset + len);
   stage_used_ += len;
   open_unit_bytes_ += len;
+  // Copy early: queue the write for the drain's eager pass.
+  eager_.push_back(DrainRun{fs, offset, len, write_id});
+  if (eager_.size() == 1 && !eager_stopped_) drain_cv_.notify_all();
   t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
   if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
   return {};
@@ -487,33 +571,19 @@ Status TieredBackend::truncate(BackendFile file, std::uint64_t size) {
   if (!handle.value().writable) return Error{EBADF, "truncate on read-only tiered handle"};
   auto fs = handle.value().file;
 
+  // Wait out in-flight drain IO, then shrink both tiers under the lock: a
+  // copy that read the old bytes can no longer land after the remote
+  // truncate, and no mapped stage page vanishes under a copy (SIGBUS).
   std::unique_lock<std::mutex> lock(mu_);
+  wait_drain_io_locked(lock, *fs);
   if (size < fs->size) {
     trim_extents_locked(*fs, size, ~std::uint64_t{0} - size);
     space_cv_.notify_all();
   }
   fs->size = size;
-  BackendFile sf = 0;
-  const bool have_stage = fs->stage_open;
-  if (have_stage) sf = fs->stage_file;
-  BackendFile rw = 0;
-  bool have_remote = false;
-  auto wit = remote_write_.find(fs->path);
-  if (wit != remote_write_.end()) {
-    rw = wit->second;
-    have_remote = true;
-  } else {
-    auto opened =
-        remote_->open_file(fs->path, {.create = true, .truncate = false, .write = true});
-    if (opened.ok()) {
-      rw = opened.value();
-      remote_write_.emplace(fs->path, rw);
-      have_remote = true;
-    }
-  }
-  lock.unlock();
-  if (have_stage) CRFS_RETURN_IF_ERROR(stage_->truncate(sf, size));
-  if (have_remote) CRFS_RETURN_IF_ERROR(remote_->truncate(rw, size));
+  if (fs->stage_open) CRFS_RETURN_IF_ERROR(stage_->truncate(fs->stage_file, size));
+  auto rw = remote_writer_locked(*fs);
+  if (rw.ok()) CRFS_RETURN_IF_ERROR(remote_->truncate(rw.value(), size));
   return {};
 }
 
@@ -551,6 +621,7 @@ Status TieredBackend::unlink(const std::string& path) {
     if (it != files_.end()) {
       had_state = true;
       auto fs = it->second;
+      wait_drain_io_locked(lock, *fs);
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       fs->unlinked = true;
@@ -571,26 +642,55 @@ Status TieredBackend::unlink(const std::string& path) {
 }
 
 Status TieredBackend::rename(const std::string& from, const std::string& to) {
-  bool had_state = false;
-  {
-    std::unique_lock<std::mutex> lock(mu_);
-    auto it = files_.find(from);
-    if (it != files_.end()) {
-      had_state = true;
-      auto fs = it->second;
-      files_.erase(it);
-      fs->path = to;
-      files_[to] = fs;
+  // Staged state follows the rename: the path itself or, for a directory,
+  // every staged descendant is re-keyed (files_ and the drain's remote
+  // handles), so undrained bytes land under the new name. In-flight drain
+  // IO finishes first, and both tiers rename under the lock, so no copy
+  // opens a remote path that is mid-rename.
+  const auto moves = [&](const std::string& p) {
+    return p == from || (p.size() > from.size() && p.compare(0, from.size(), from) == 0 &&
+                         p[from.size()] == '/');
+  };
+  const auto renamed = [&](const std::string& p) { return to + p.substr(from.size()); };
+  std::unique_lock<std::mutex> lock(mu_);
+  copy_cv_.wait(lock, [&] {
+    for (const auto& [p, fs] : files_) {
+      if (moves(p) && fs->drain_io > 0) return false;
     }
-    auto wit = remote_write_.find(from);
-    if (wit != remote_write_.end()) {
-      (void)remote_->close_file(wit->second);
-      remote_write_.erase(wit);
+    return true;
+  });
+  std::vector<std::shared_ptr<FileState>> moved;
+  for (auto it = files_.begin(); it != files_.end();) {
+    if (moves(it->first)) {
+      moved.push_back(it->second);
+      it = files_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (auto& fs : moved) {
+    fs->path = renamed(fs->path);
+    files_[fs->path] = fs;
+  }
+  std::vector<std::pair<std::string, BackendFile>> handles;
+  for (auto it = remote_write_.begin(); it != remote_write_.end();) {
+    if (moves(it->first)) {
+      handles.emplace_back(renamed(it->first), it->second);
+      it = remote_write_.erase(it);
+    } else {
+      ++it;
+    }
+  }
+  for (auto& [path, handle] : handles) {
+    auto [it, inserted] = remote_write_.emplace(path, handle);
+    if (!inserted) {  // the rename replaces that file
+      (void)remote_->close_file(it->second);
+      it->second = handle;
     }
   }
   (void)stage_->rename(from, to);
   auto remote = remote_->rename(from, to);
-  if (!remote.ok() && had_state) return {};
+  if (!remote.ok() && !moved.empty()) return {};  // never drained: only staged
   return remote;
 }
 
@@ -645,142 +745,215 @@ void TieredBackend::throttle(std::uint64_t bytes) {
   std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
 }
 
-Status TieredBackend::copy_run_to_remote(const DrainRun& run) {
+Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce) {
+  FileState& fs = *run.file;
   BackendFile sf = 0;
   BackendFile rw = 0;
   {
-    std::unique_lock<std::mutex> lock(mu_);
-    if (!run.file->stage_open) {
-      return Error{ESTALE, "staged data gone (unlinked mid-drain)"};
+    // The run must still be staged; registering as drain IO then holds
+    // off truncate/unlink/rename until the copy is done.
+    std::lock_guard<std::mutex> lock(mu_);
+    if (!fs.stage_open || !covered(fs.extents, run.offset, run.len)) {
+      return Error{ESTALE, "staged bytes gone (truncated or unlinked mid-drain)"};
     }
-    sf = run.file->stage_file;
-    auto wit = remote_write_.find(run.file->path);
-    if (wit != remote_write_.end()) {
-      rw = wit->second;
-    } else {
-      auto opened = remote_->open_file(run.file->path,
-                                       {.create = true, .truncate = false, .write = true});
-      if (!opened.ok()) return opened.error();
-      rw = opened.value();
-      remote_write_.emplace(run.file->path, rw);
-    }
+    auto opened = remote_writer_locked(fs);
+    if (!opened.ok()) return opened.error();
+    sf = fs.stage_file;
+    rw = opened.value();
+    fs.drain_io += 1;
   }
-  std::vector<std::byte> bounce(
-      static_cast<std::size_t>(std::min<std::uint64_t>(run.len, kBounceBytes)));
-  std::uint64_t done = 0;
-  while (done < run.len) {
-    const std::size_t step = static_cast<std::size_t>(
-        std::min<std::uint64_t>(run.len - done, bounce.size()));
-    std::span<std::byte> buf(bounce.data(), step);
-    auto got = stage_->pread(sf, buf, run.offset + done);
-    if (!got.ok()) return got.error();
-    if (got.value() < step) {
-      // Staged extent shorter than recorded: superseded by a concurrent
-      // truncate — the re-snapshot after retry sees the trimmed map.
-      return Error{ESTALE, "staged extent truncated mid-drain"};
+  const int fd = stage_->raw_fd(sf);
+  Status result;
+  for (std::uint64_t done = 0; done < run.len;) {
+    const std::uint64_t at = run.offset + done;
+    const std::size_t step =
+        static_cast<std::size_t>(std::min<std::uint64_t>(run.len - done, kStepBytes));
+    // Zero-copy: the remote reads the stage's page cache through a mapping.
+    std::optional<StageMap> map;
+    std::span<const std::byte> src;
+    if (fd >= 0) {
+      map.emplace(fd, at, step);
+      src = map->view();
+    }
+    if (src.empty()) {
+      if (bounce.size() < kStepBytes) bounce.resize(kStepBytes);
+      auto got = stage_->pread(sf, {bounce.data(), step}, at);
+      if (!got.ok()) {
+        result = got.error();
+        break;
+      }
+      if (got.value() < step) {
+        result = Error{ESTALE, "staged extent truncated mid-drain"};
+        break;
+      }
+      src = {bounce.data(), step};
     }
     const std::uint64_t t0 = obs::now_ns();
-    const Status wrote = remote_->pwrite(rw, {bounce.data(), step}, run.offset + done);
-    const std::uint64_t dt = obs::now_ns() - t0;
-    if (h_drain_pwrite_ != nullptr) h_drain_pwrite_->record(dt);
-    if (!wrote.ok()) return wrote;
+    result = remote_->pwrite(rw, src, at);
+    if (h_drain_pwrite_ != nullptr) h_drain_pwrite_->record(obs::now_ns() - t0);
+    map.reset();
+    if (!result.ok()) break;
     t_drained_bytes_.fetch_add(step, std::memory_order_relaxed);
     if (c_drained_bytes_ != nullptr) c_drained_bytes_->add(step);
     throttle(step);
     done += step;
   }
+  std::lock_guard<std::mutex> lock(mu_);
+  if (--fs.drain_io == 0) copy_cv_.notify_all();
+  return result;
+}
+
+Status TieredBackend::copy_runs(const std::vector<DrainRun>& runs) {
+  const unsigned workers =
+      std::min<unsigned>(drain_parallel_.load(std::memory_order_relaxed),
+                         static_cast<unsigned>(runs.empty() ? 1 : runs.size()));
+  if (workers <= 1) {
+    for (const DrainRun& run : runs) CRFS_RETURN_IF_ERROR(copy_run_to_remote(run, bounce_));
+    return {};
+  }
+  std::vector<Status> statuses(workers);
+  std::vector<std::thread> helpers;
+  helpers.reserve(workers - 1);
+  auto work = [&](unsigned w) {
+    std::vector<std::byte> own;
+    std::vector<std::byte>& bounce = w == 0 ? bounce_ : own;
+    for (std::size_t i = w; i < runs.size(); i += workers) {
+      statuses[w] = copy_run_to_remote(runs[i], bounce);
+      if (!statuses[w].ok()) return;
+    }
+  };
+  for (unsigned w = 1; w < workers; ++w) helpers.emplace_back(work, w);
+  work(0);
+  for (auto& t : helpers) t.join();
+  for (Status& st : statuses) {
+    if (!st.ok()) return std::move(st);
+  }
   return {};
 }
 
-bool TieredBackend::drain_unit(const DrainUnit& unit) {
-  // Snapshot this unit's extents (exact eviction keys) and the merged
-  // adjacent runs (fewer remote calls) under the lock; copy outside it.
+void TieredBackend::mark_copied_locked(const std::vector<DrainRun>& exact, std::uint64_t unit) {
+  for (const DrainRun& run : exact) {
+    auto it = run.file->extents.find(run.offset);
+    if (it != run.file->extents.end() && it->second.len == run.len &&
+        it->second.unit == unit && it->second.write_id == run.write_id) {
+      it->second.copied = true;
+    }
+  }
+}
+
+void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
+                                        std::uint64_t bytes) {
+  // ESTALE means the staged bytes vanished legitimately (unlink or
+  // truncate won the race); a re-snapshot resolves it. Anything else is
+  // the remote tier failing: raise the health event once per episode.
+  if (error.code == ESTALE || remote_down_) return;
+  remote_down_ = true;
+  if (events_ == nullptr) return;
+  obs::Event ev;
+  ev.severity = obs::Severity::kWarning;
+  ev.rule = "tier_remote_down";
+  ev.message = "drain to remote failed: " + error.to_string() + " (unit " +
+               std::to_string(unit) + ", stage retains data)";
+  ev.value = static_cast<double>(bytes);
+  ev.ts_ns = obs::now_ns();
+  events_->push(std::move(ev));
+}
+
+void TieredBackend::copy_open_unit(std::unique_lock<std::mutex>& lock) {
+  // One batch: consecutive, contiguous writes to one file, up to a step.
+  // Only the pieces still carrying the write's id and still uncopied go.
+  const std::uint64_t unit = open_unit_seq_;
+  const std::shared_ptr<FileState> fs = eager_.front().file;
   std::vector<DrainRun> exact;
-  std::vector<DrainRun> merged;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    for (auto& [path, fs] : files_) {
-      DrainRun open_run;
-      for (auto& [off, ext] : fs->extents) {
-        if (ext.unit != unit.seq) continue;
-        exact.push_back(DrainRun{fs, off, ext.len});
-        if (open_run.file != nullptr && open_run.offset + open_run.len == off) {
-          open_run.len += ext.len;
-        } else {
-          if (open_run.file != nullptr) merged.push_back(open_run);
-          open_run = DrainRun{fs, off, ext.len};
-        }
+  std::uint64_t batch = 0;
+  std::uint64_t next = eager_.front().offset;
+  while (!eager_.empty() && eager_.front().file == fs && eager_.front().offset == next &&
+         batch < kStepBytes) {
+    const DrainRun w = eager_.front();
+    eager_.pop_front();
+    batch += w.len;
+    next = w.offset + w.len;
+    auto it = fs->extents.upper_bound(w.offset);
+    if (it != fs->extents.begin()) --it;
+    for (; it != fs->extents.end() && it->first < w.offset + w.len; ++it) {
+      const Extent& e = it->second;
+      if (it->first + e.len > w.offset && e.write_id == w.write_id && e.unit == unit &&
+          !e.copied) {
+        exact.push_back(DrainRun{fs, it->first, e.len, e.write_id});
       }
-      if (open_run.file != nullptr) merged.push_back(open_run);
     }
   }
-
-  const std::uint64_t drain_start = obs::now_ns();
+  if (exact.empty()) return;
+  if (open_unit_first_copy_ns_ == 0) open_unit_first_copy_ns_ = obs::now_ns();
+  const std::vector<DrainRun> runs = merge_adjacent(exact);
+  lock.unlock();
   Status result;
-  const unsigned workers =
-      std::min<unsigned>(drain_parallel_.load(std::memory_order_relaxed),
-                         static_cast<unsigned>(merged.empty() ? 1 : merged.size()));
-  if (workers <= 1) {
-    for (const DrainRun& run : merged) {
-      result = copy_run_to_remote(run);
-      if (!result.ok()) break;
-    }
-  } else {
-    std::vector<Status> statuses(workers);
-    std::vector<std::thread> helpers;
-    helpers.reserve(workers - 1);
-    auto work = [&](unsigned w) {
-      for (std::size_t i = w; i < merged.size(); i += workers) {
-        statuses[w] = copy_run_to_remote(merged[i]);
-        if (!statuses[w].ok()) return;
-      }
-    };
-    for (unsigned w = 1; w < workers; ++w) helpers.emplace_back(work, w);
-    work(0);
-    for (auto& t : helpers) t.join();
-    for (Status& st : statuses) {
-      if (!st.ok()) {
-        result = std::move(st);
-        break;
-      }
-    }
+  for (const DrainRun& run : runs) {
+    result = copy_run_to_remote(run, bounce_);
+    if (!result.ok()) break;
   }
-
-  // Eviction gate: the whole unit must be durable at the remote before a
-  // single staged byte is released.
+  if (!result.ok()) note_remote_failure(result.error(), unit, batch);
+  lock.lock();
   if (result.ok()) {
-    std::vector<std::pair<std::string, BackendFile>> to_sync;
+    mark_copied_locked(exact, unit);
+  } else if (result.error().code != ESTALE) {
+    // Do not spin on a failing remote: the sealed unit's retry loop,
+    // with its backoff, owns these bytes from the seal on.
+    eager_stopped_ = true;
+  }
+}
+
+bool TieredBackend::drain_unit(const DrainUnit& unit) {
+  // Copy what the eager pass has not. Snapshot the unit's uncopied extents
+  // (exact, for the copied bit) and their merged runs under the lock; copy
+  // outside it. An overwrite that splits an extent mid-copy leaves
+  // uncopied pieces, so repeat until none remain.
+  Status result;
+  for (;;) {
+    std::vector<DrainRun> exact;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (const DrainRun& run : merged) {
-        auto wit = remote_write_.find(run.file->path);
-        if (wit != remote_write_.end()) to_sync.emplace_back(wit->first, wit->second);
+      for (auto& [path, fs] : files_) {
+        for (auto& [off, ext] : fs->extents) {
+          if (ext.unit == unit.seq && !ext.copied) {
+            exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
+          }
+        }
       }
     }
-    std::sort(to_sync.begin(), to_sync.end());
-    to_sync.erase(std::unique(to_sync.begin(), to_sync.end()), to_sync.end());
-    for (const auto& [path, rf] : to_sync) {
-      result = remote_->fsync(rf);
-      if (!result.ok()) break;
+    if (exact.empty()) break;
+    result = copy_runs(merge_adjacent(exact));
+    if (!result.ok()) break;
+    std::lock_guard<std::mutex> lock(mu_);
+    mark_copied_locked(exact, unit.seq);
+  }
+
+  // Eviction gate: every remote file of the unit is fsynced before a
+  // single staged byte is released.
+  if (result.ok()) {
+    std::vector<std::pair<std::shared_ptr<FileState>, BackendFile>> to_sync;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      for (auto& [path, fs] : files_) {
+        const bool in_unit = std::any_of(fs->extents.begin(), fs->extents.end(),
+                                         [&](const auto& e) { return e.second.unit == unit.seq; });
+        auto wit = remote_write_.find(path);
+        if (!in_unit || wit == remote_write_.end()) continue;
+        fs->drain_io += 1;
+        to_sync.emplace_back(fs, wit->second);
+      }
+    }
+    for (const auto& [fs, rf] : to_sync) {
+      if (result.ok()) result = remote_->fsync(rf);
+    }
+    std::lock_guard<std::mutex> lock(mu_);
+    for (const auto& [fs, rf] : to_sync) {
+      if (--fs->drain_io == 0) copy_cv_.notify_all();
     }
   }
 
   if (!result.ok()) {
-    // ESTALE means the staged bytes vanished legitimately (unlink or
-    // truncate won the race); re-snapshotting on retry resolves it.
-    // Anything else is the remote tier failing: raise the health event
-    // once per episode (the caller counts retries).
-    if (result.error().code != ESTALE && events_ != nullptr && !remote_down_) {
-      obs::Event ev;
-      ev.severity = obs::Severity::kWarning;
-      ev.rule = "tier_remote_down";
-      ev.message = "drain to remote failed: " + result.error().to_string() +
-                   " (unit " + std::to_string(unit.seq) + ", stage retains data)";
-      ev.value = static_cast<double>(unit.bytes);
-      ev.ts_ns = obs::now_ns();
-      events_->push(std::move(ev));
-      remote_down_ = true;
-    }
+    note_remote_failure(result.error(), unit.seq, unit.bytes);
     return false;
   }
 
@@ -795,27 +968,33 @@ bool TieredBackend::drain_unit(const DrainUnit& unit) {
   }
   remote_down_ = false;
 
-  // Evict: remove exactly the extents we drained, and only those still
-  // tagged to this unit (an overwrite re-tagged fresher bytes — keep them).
+  // Evict every extent still tagged to this unit: all are copied and
+  // fsynced (an overwrite re-tagged fresher bytes to the open unit — they
+  // stay).
   std::uint64_t evicted = 0;
   DrainListener listener;
   {
     std::lock_guard<std::mutex> lock(mu_);
-    for (const DrainRun& run : exact) {
-      auto it = run.file->extents.find(run.offset);
-      if (it == run.file->extents.end() || it->second.unit != unit.seq ||
-          it->second.len != run.len) {
-        continue;
-      }
-      run.file->extents.erase(it);
-      evicted += run.len;
-      if (run.file->extents.empty() && run.file->inflight == 0) {
-        if (run.file->open_count == 0) {
-          release_file_locked(run.file);
-        } else if (run.file->stage_open) {
-          // Still open but fully drained: reclaim the staged bytes now.
-          (void)stage_->truncate(run.file->stage_file, 0);
+    std::vector<std::shared_ptr<FileState>> drained;
+    for (auto& [path, fs] : files_) {
+      const std::uint64_t before = evicted;
+      for (auto it = fs->extents.begin(); it != fs->extents.end();) {
+        if (it->second.unit == unit.seq) {
+          evicted += it->second.len;
+          it = fs->extents.erase(it);
+        } else {
+          ++it;
         }
+      }
+      if (evicted != before && fs->extents.empty()) drained.push_back(fs);
+    }
+    for (const auto& fs : drained) {
+      if (fs->inflight != 0 || fs->drain_io != 0) continue;
+      if (fs->open_count == 0) {
+        release_file_locked(fs);
+      } else if (fs->stage_open) {
+        // Still open but fully drained: reclaim the staged bytes now.
+        (void)stage_->truncate(fs->stage_file, 0);
       }
     }
     stage_used_ -= std::min(stage_used_, evicted);
@@ -826,7 +1005,7 @@ bool TieredBackend::drain_unit(const DrainUnit& unit) {
   space_cv_.notify_all();
   idle_cv_.notify_all();
   if (listener) {
-    listener(unit.epoch_id, evicted, drain_end - drain_start, drain_end);
+    listener(unit.epoch_id, evicted, drain_end - unit.first_copy_ns, drain_end);
   }
   return true;
 }
@@ -835,11 +1014,17 @@ void TieredBackend::drain_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   auto backoff = opts_.retry_backoff;
   for (;;) {
-    drain_cv_.wait(lock, [&] { return shutdown_ || !sealed_.empty(); });
+    drain_cv_.wait(lock, [&] {
+      return shutdown_ || !sealed_.empty() || (!eager_stopped_ && !eager_.empty());
+    });
     if (sealed_.empty()) {
       if (shutdown_) return;
+      // Copy early: nothing sealed waits, so stream the open unit.
+      copy_open_unit(lock);
       continue;
     }
+    // drain_ns runs from the unit's first copy, eager or not.
+    if (sealed_.front().first_copy_ns == 0) sealed_.front().first_copy_ns = obs::now_ns();
     const DrainUnit unit = sealed_.front();
     lock.unlock();
     const bool ok = drain_unit(unit);

@@ -14,10 +14,32 @@
 // mount seals the open unit whenever the epoch ledger finalizes an epoch
 // (EpochTracker finalize listener -> seal_epoch), so a unit IS a
 // checkpoint. Sealed units drain oldest-first — whole checkpoints at a
-// time — and staged data is evicted only once its entire unit is durable
-// (pwritten AND fsynced) at the remote. A crash mid-drain therefore never
-// leaves the remote with a half-valid newest checkpoint while the stage
-// already dropped the bytes.
+// time.
+//
+// Copy early, evict late. While no sealed unit waits, the drain thread
+// copies the OPEN unit's extents to the remote as they land, so the
+// remote streams during the burst instead of idling until its seal. Each
+// extent carries the id of the write that staged it and a `copied` bit;
+// a copy marks its extent copied only if offset, length, unit and write
+// id all still match afterwards, so bytes overwritten mid-copy are copied
+// again (last-writer-wins). At seal the drain copies only what is still
+// uncopied, fsyncs every remote file of the unit, and only then evicts:
+// staged data is released only once its entire unit is durable (pwritten
+// AND fsynced) at the remote, so a crash mid-drain never leaves the
+// remote with a half-valid newest checkpoint while the stage already
+// dropped the bytes. One thread does all of this, so at drain_parallel=1
+// the remote sees a single write stream. A failed eager copy stops eager
+// copying until the seal; the sealed unit's retry loop then owns it.
+//
+// Stage reads. When the stage exposes a kernel fd (PosixBackend), each
+// drain step maps the staged range read-only (MAP_SHARED|MAP_POPULATE)
+// and hands the mapping straight to the remote pwrite: no bounce copy.
+// Fd-less stages (MemBackend, decorators) go through a per-thread bounce
+// buffer. Stage files are private to the tier: nothing else may truncate
+// them, since touching a mapped page past EOF raises SIGBUS. Inside the
+// tier, truncate, open(O_TRUNC), unlink and rename first wait for the
+// file's in-flight drain IO, so no copy reads a range a size op removed
+// and no late copy resurrects truncated bytes on the remote.
 //
 // Coherence: the extent map tracks exactly which byte ranges are staged;
 // an overwrite trims older extents (last-writer-wins), so a read serves
@@ -47,8 +69,10 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "backend/backend_fs.h"
 #include "obs/health.h"
@@ -165,9 +189,13 @@ class TieredBackend final : public BackendFs {
  private:
   /// One staged byte range of a file; `unit` tags the drain unit that
   /// owns it (last writer wins — an overwrite re-tags to the open unit).
+  /// `write_id` names the pwrite that staged it; `copied` says its bytes
+  /// are on the remote (not yet fsynced). Split pieces keep all four.
   struct Extent {
     std::uint64_t len = 0;
     std::uint64_t unit = 0;
+    std::uint64_t write_id = 0;
+    bool copied = false;
   };
 
   /// Per-path tier state. Extents are non-overlapping, keyed by offset.
@@ -183,14 +211,19 @@ class TieredBackend final : public BackendFs {
     /// Stage pwrites in flight outside the lock: eviction must not close
     /// or truncate the stage file underneath one.
     int inflight = 0;
+    /// Drain copies and remote fsyncs in flight outside the lock: size
+    /// and namespace ops wait for 0 (copy_cv_).
+    int drain_io = 0;
     bool unlinked = false;
   };
 
   /// One drained byte range, snapshotted under the lock, copied outside.
+  /// `write_id` matters only for exact extents (the copied-bit check).
   struct DrainRun {
     std::shared_ptr<FileState> file;
     std::uint64_t offset = 0;
     std::uint64_t len = 0;
+    std::uint64_t write_id = 0;
   };
 
   /// A sealed group of extents: the drain ordering + eviction unit.
@@ -199,6 +232,7 @@ class TieredBackend final : public BackendFs {
     std::uint64_t epoch_id = 0;  ///< ledger epoch label; 0 = unlabelled
     std::uint64_t bytes = 0;     ///< staged bytes tagged to this unit
     std::uint64_t seal_ns = 0;   ///< when it became drain-eligible
+    std::uint64_t first_copy_ns = 0;  ///< first byte copy (drain_ns start)
   };
 
   struct OpenHandle {
@@ -216,10 +250,23 @@ class TieredBackend final : public BackendFs {
                                     std::uint64_t len);
   void seal_locked(std::uint64_t epoch_id, std::uint64_t now_ns);
   void release_file_locked(const std::shared_ptr<FileState>& fs);
+  /// The drain's remote write handle for `fs`, opened on first use.
+  Result<BackendFile> remote_writer_locked(const FileState& fs);
+  /// Blocks until no drain copy or fsync of `fs` is in flight.
+  void wait_drain_io_locked(std::unique_lock<std::mutex>& lock, const FileState& fs);
   void drain_loop();
+  /// Copies one batch of the open unit's uncopied extents (eager copy).
+  void copy_open_unit(std::unique_lock<std::mutex>& lock);
+  /// Sets `copied` on each exact run whose extent still matches it.
+  void mark_copied_locked(const std::vector<DrainRun>& exact, std::uint64_t unit);
   /// Drains one unit to the remote; true on success (unit evicted).
   bool drain_unit(const DrainUnit& unit);
-  Status copy_run_to_remote(const DrainRun& run);
+  Status copy_runs(const std::vector<DrainRun>& runs);
+  /// Copies one run in kStepBytes steps; `bounce` is the calling thread's
+  /// buffer for fd-less stages.
+  Status copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce);
+  /// Raises tier_remote_down once per failure episode.
+  void note_remote_failure(const Error& error, std::uint64_t unit, std::uint64_t bytes);
   void throttle(std::uint64_t bytes);
   std::uint64_t oldest_pending_seal_ns_locked() const;
 
@@ -232,8 +279,9 @@ class TieredBackend final : public BackendFs {
 
   mutable std::mutex mu_;
   std::condition_variable space_cv_;   ///< eviction freed stage bytes
-  std::condition_variable drain_cv_;   ///< new sealed unit / shutdown
+  std::condition_variable drain_cv_;   ///< sealed unit / eager work / shutdown
   std::condition_variable idle_cv_;    ///< a unit finished (flush/fsync waiters)
+  std::condition_variable copy_cv_;    ///< a file's drain IO finished (fence waiters)
   bool shutdown_ = false;
 
   std::unordered_map<std::string, std::shared_ptr<FileState>> files_;
@@ -245,6 +293,12 @@ class TieredBackend final : public BackendFs {
   std::uint64_t next_unit_seq_ = 2;
   std::uint64_t open_unit_bytes_ = 0;
   std::deque<DrainUnit> sealed_;  ///< oldest-first drain queue
+  /// Open-unit pwrites, oldest first, queued for the eager copy.
+  std::deque<DrainRun> eager_;
+  bool eager_stopped_ = false;  ///< an eager copy failed; wait for the seal
+  std::uint64_t next_write_id_ = 1;
+  std::uint64_t open_unit_first_copy_ns_ = 0;
+
   // Remote writer handles are owned by the drain side only (single
   // logical writer toward the remote), keyed by path.
   std::unordered_map<std::string, BackendFile> remote_write_;
@@ -275,6 +329,8 @@ class TieredBackend final : public BackendFs {
   /// Drain-thread-private: tracks the failure episode so tier_remote_down
   /// fires once per outage, not once per retry.
   bool remote_down_ = false;
+  /// Drain-thread-private bounce buffer for fd-less stages.
+  std::vector<std::byte> bounce_;
 
   std::thread drain_thread_;
 };

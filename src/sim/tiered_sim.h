@@ -3,7 +3,9 @@
 // Writes land on a fast staging station and complete at staging speed; a
 // background drain coroutine consumes sealed epochs oldest-first and
 // copies their bytes to a slow remote station, evicting staged bytes only
-// once the whole epoch is remote-durable. When the stage is capped,
+// once the whole epoch is remote-durable. Like the real drain it copies
+// early: while no sealed epoch waits, it streams the open epoch's landed
+// bytes, so at seal only the uncopied remainder is left. When the stage is capped,
 // writers block until the drain frees enough occupancy — the same
 // backpressure regime the real TieredBackend applies with space_cv_.
 //
@@ -43,7 +45,7 @@ class TieredBackendSim : public BackendSim {
         opts_(opts),
         stage_station_(sim, 1),
         remote_station_(sim, 1),
-        sealed_cv_(sim),
+        work_cv_(sim),
         space_cv_(sim) {
     sim_.spawn(drain_loop());
   }
@@ -59,11 +61,18 @@ class TieredBackendSim : public BackendSim {
     }
     stage_used_ += len;
     open_bytes_ += len;
+    const std::uint64_t unit = units_sealed_;
     co_await stage_station_.acquire();
     co_await sim_.delay(opts_.per_call + static_cast<double>(len) / opts_.stage_bw);
     stage_station_.release();
     staged_bytes_ += len;
     writes_ += 1;
+    // Landed bytes of a still-open unit become eligible for the eager copy
+    // (a unit sealed meanwhile copies them at seal instead).
+    if (unit == units_sealed_) {
+      open_landed_ += len;
+      work_cv_.pulse();
+    }
   }
 
   Task close_file(unsigned, FileId, bool) override { co_return; }
@@ -81,16 +90,18 @@ class TieredBackendSim : public BackendSim {
   /// analogue of EpochTracker's finalize listener calling seal_epoch().
   void seal_epoch(std::uint64_t epoch_id) {
     if (open_bytes_ == 0) return;
-    sealed_.push_back(Unit{epoch_id, open_bytes_, sim_.now()});
+    sealed_.push_back(Unit{epoch_id, open_bytes_, open_copied_, sim_.now()});
     open_bytes_ = 0;
+    open_landed_ = 0;
+    open_copied_ = 0;
     units_sealed_ += 1;
-    sealed_cv_.pulse();
+    work_cv_.pulse();
   }
 
   /// Lets run() terminate: the drain exits once the sealed queue empties.
   void stop() override {
     stopping_ = true;
-    sealed_cv_.pulse();
+    work_cv_.pulse();
     space_cv_.pulse();
   }
 
@@ -111,29 +122,44 @@ class TieredBackendSim : public BackendSim {
   struct Unit {
     std::uint64_t epoch_id;
     std::uint64_t bytes;
+    std::uint64_t copied;  ///< bytes the eager copy already moved
     double seal_s;
   };
+
+  /// One drain step: `bytes` to the remote station.
+  Task copy_step(std::uint64_t bytes) {
+    co_await remote_station_.acquire();
+    co_await sim_.delay(opts_.per_call + static_cast<double>(bytes) / opts_.remote_bw);
+    remote_station_.release();
+    drained_bytes_ += bytes;
+  }
 
   Task drain_loop() {
     for (;;) {
       while (sealed_.empty()) {
         if (stopping_) co_return;
-        co_await sealed_cv_.wait();
+        if (open_landed_ > open_copied_) break;
+        co_await work_cv_.wait();
+      }
+      if (sealed_.empty()) {
+        // Copy early: nothing sealed waits, so stream the open unit. The
+        // step is claimed first, so a seal mid-step counts it as copied.
+        const std::uint64_t avail = open_landed_ - open_copied_;
+        const std::uint64_t step = avail < opts_.drain_chunk ? avail : opts_.drain_chunk;
+        open_copied_ += step;
+        co_await copy_step(step);
+        continue;
       }
       const Unit unit = sealed_.front();
       sealed_.pop_front();
-      // Copy the unit to the remote in drain_chunk steps; eviction (the
+      // Copy the uncopied rest in drain_chunk steps; eviction (the
       // stage_used_ release) happens only after the WHOLE unit is
       // remote-durable, mirroring drain_unit()'s pwrite-all-then-fsync
       // ordering in the real backend.
-      std::uint64_t left = unit.bytes;
+      std::uint64_t left = unit.bytes - unit.copied;
       while (left > 0) {
         const std::uint64_t step = left < opts_.drain_chunk ? left : opts_.drain_chunk;
-        co_await remote_station_.acquire();
-        co_await sim_.delay(opts_.per_call +
-                            static_cast<double>(step) / opts_.remote_bw);
-        remote_station_.release();
-        drained_bytes_ += step;
+        co_await copy_step(step);
         left -= step;
       }
       if (stage_used_ > stage_peak_) stage_peak_ = stage_used_;
@@ -150,7 +176,7 @@ class TieredBackendSim : public BackendSim {
   const Options opts_;
   Resource stage_station_;
   Resource remote_station_;
-  Event sealed_cv_;
+  Event work_cv_;  ///< a unit sealed, open bytes landed, or stop
   Event space_cv_;
   bool stopping_ = false;
 
@@ -158,6 +184,8 @@ class TieredBackendSim : public BackendSim {
   std::uint64_t stage_used_ = 0;
   std::uint64_t stage_peak_ = 0;
   std::uint64_t open_bytes_ = 0;
+  std::uint64_t open_landed_ = 0;  ///< open-unit bytes on the stage
+  std::uint64_t open_copied_ = 0;  ///< of those, claimed by the eager copy
 
   std::uint64_t writes_ = 0;
   std::uint64_t staged_bytes_ = 0;

@@ -1,20 +1,30 @@
 // Tiered burst-buffer backend tests: epoch-aware drain correctness
-// (eviction only after remote durability), fault injection (remote tier
-// down mid-drain, stage-full backpressure), restore coherence across
-// tiers with readahead on/off, the shed_drain controller rule, and the
-// DES mirror's deterministic replay + bandwidth-decoupling structure.
+// (eviction only after remote durability), the eager copy of the open
+// unit (overwrites mid-copy, one remote write stream, no spinning on a
+// dead remote), size and namespace ops fenced against in-flight drain
+// copies, fault injection (remote tier down mid-drain, stage-full
+// backpressure), restore coherence across tiers with readahead on/off,
+// the shed_drain controller rule, and the DES mirror's deterministic
+// replay + bandwidth-decoupling structure.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
 #include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <future>
+#include <mutex>
 #include <thread>
 #include <vector>
 
 #include "backend/mem_backend.h"
+#include "backend/posix_backend.h"
 #include "backend/tiered_backend.h"
 #include "backend/wrappers.h"
+#include "blcr/checkpoint_set.h"
 #include "blcr/checkpoint_writer.h"
 #include "blcr/process_image.h"
 #include "blcr/restart_reader.h"
@@ -76,6 +86,120 @@ std::vector<std::byte> backend_read(BackendFs& b, const std::string& path,
   return out;
 }
 
+/// Forwards to `inner`, counting pwrites (attempts, and the most in flight
+/// at once) and, when armed, parking the next pwrite until release().
+class ProbeBackend final : public BackendFs {
+ public:
+  explicit ProbeBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+
+  void hold_next_write() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_ = true;
+  }
+  /// True once a held pwrite is parked.
+  bool wait_parked(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, limit, [&] { return parked_; });
+  }
+  void release() {
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_ = false;
+    released_ = true;
+    cv_.notify_all();
+  }
+  void set_write_delay(std::chrono::microseconds d) { delay_ = d; }
+  int attempts() const { return attempts_.load(); }
+  int max_in_flight() const { return max_in_flight_.load(); }
+
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    return inner_->open_file(path, flags);
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    attempts_.fetch_add(1);
+    const int now = in_flight_.fetch_add(1) + 1;
+    int seen = max_in_flight_.load();
+    while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
+    }
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (hold_) {
+        hold_ = false;
+        parked_ = true;
+        cv_.notify_all();
+        cv_.wait(lock, [&] { return released_; });
+      }
+    }
+    if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    const Status st = inner_->pwrite(f, d, off);
+    in_flight_.fetch_sub(1);
+    return st;
+  }
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_->pread(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override { return inner_->unlink(p); }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  std::string name() const override { return "probe(" + inner_->name() + ")"; }
+
+ private:
+  std::shared_ptr<BackendFs> inner_;
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool hold_ = false;
+  bool parked_ = false;
+  bool released_ = false;
+  std::chrono::microseconds delay_{0};
+  std::atomic<int> attempts_{0};
+  std::atomic<int> in_flight_{0};
+  std::atomic<int> max_in_flight_{0};
+};
+
+/// Runs tier->flush() on its own thread: false unless it returned ok within
+/// `limit`. On a timeout the thread, which keeps the tier alive, is left
+/// behind, so a hang fails the test instead of hanging the suite.
+bool flush_within(const std::shared_ptr<TieredBackend>& tier, std::chrono::seconds limit) {
+  auto done = std::make_shared<std::promise<bool>>();
+  auto result = done->get_future();
+  std::thread flusher([tier, done] { done->set_value(tier->flush().ok()); });
+  if (result.wait_for(limit) != std::future_status::ready) {
+    flusher.detach();
+    return false;
+  }
+  flusher.join();
+  return result.get();
+}
+
+/// A PosixBackend stage in a fresh temp directory (the mmap drain path).
+class PosixStage {
+ public:
+  explicit PosixStage(const std::string& tag)
+      : dir_(std::filesystem::temp_directory_path() /
+             ("crfs_tier_stage_" + tag + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(dir_);
+    std::filesystem::create_directories(dir_);
+    auto created = PosixBackend::create(dir_.string());
+    EXPECT_TRUE(created.ok());
+    if (created.ok()) backend_ = std::move(created).value();
+  }
+  ~PosixStage() { std::filesystem::remove_all(dir_); }
+  std::shared_ptr<BackendFs> backend() const { return backend_; }
+
+ private:
+  std::filesystem::path dir_;
+  std::shared_ptr<BackendFs> backend_;
+};
+
 // -- Drain-unit correctness ---------------------------------------------------
 
 TEST(TieredBackendTest, StagedDataIsReadableThenDrainsByteIdentical) {
@@ -86,8 +210,9 @@ TEST(TieredBackendTest, StagedDataIsReadableThenDrainsByteIdentical) {
   const auto data = make_pattern(3 * MiB, 5);
   backend_write(tier, "ckpt.img", data);
 
-  // Still staged: nothing sealed, remote has no bytes, reads come back
-  // bit-identical from the stage.
+  // Still staged: nothing sealed, nothing evicted (the eager copy may
+  // already have put bytes on the remote), reads come back bit-identical
+  // from the stage.
   EXPECT_EQ(tier.tier_stats().units_evicted, 0u);
   EXPECT_EQ(backend_read(tier, "ckpt.img", data.size()), data);
 
@@ -146,6 +271,311 @@ TEST(TieredBackendTest, OverwriteAfterSealDrainsBothVersionsInOrder) {
   ASSERT_TRUE(remote_data.ok());
   EXPECT_EQ(remote_data.value(), v2);
   EXPECT_EQ(backend_read(tier, "a.img", v2.size()), v2);
+}
+
+// -- Copy early: the open unit streams to the remote -------------------------
+
+TEST(TieredEager, OpenUnitCopiesBeforeSealAndEvictsOnlyAfterIt) {
+  auto stage = std::make_shared<MemBackend>();
+  auto remote = std::make_shared<MemBackend>();
+  TieredBackend tier(stage, remote, TieredOptions{});
+
+  const auto data = make_pattern(2 * MiB, 4);
+  backend_write(tier, "early.img", data);
+  // No seal yet: the drain copies the open unit anyway, but evicts nothing.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier.tier_stats().drained_bytes < data.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  TierStats st = tier.tier_stats();
+  EXPECT_EQ(st.drained_bytes, data.size());
+  EXPECT_EQ(st.units_evicted, 0u);
+  EXPECT_EQ(st.stage_used, data.size());
+
+  // The seal copies nothing again: it fsyncs and evicts.
+  tier.seal_epoch(1);
+  ASSERT_TRUE(tier.flush().ok());
+  st = tier.tier_stats();
+  EXPECT_EQ(st.drained_bytes, data.size());
+  EXPECT_EQ(st.units_evicted, 1u);
+  EXPECT_EQ(st.stage_used, 0u);
+  auto remote_data = remote->contents("early.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), data);
+}
+
+TEST(TieredEager, OverwriteDuringEagerCopyLandsTheNewerBytes) {
+  auto stage = std::make_shared<MemBackend>();
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  TieredBackend tier(stage, probe, TieredOptions{});
+
+  const auto v1 = make_pattern(256 * KiB, 1);
+  const auto v2 = make_pattern(256 * KiB, 2);
+  probe->hold_next_write();
+  auto f = tier.open_file("ow.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(tier.pwrite(f.value(), v1, 0).ok());
+  // The eager copy of v1 is parked in the remote pwrite; overwrite it.
+  if (!probe->wait_parked(std::chrono::seconds(5))) {
+    probe->release();
+    FAIL() << "the open unit was never copied";
+  }
+  ASSERT_TRUE(tier.pwrite(f.value(), v2, 0).ok());
+  probe->release();
+  ASSERT_TRUE(tier.close_file(f.value()).ok());
+
+  // v1 landed after the overwrite, so its extent must not count as
+  // copied: v2 is copied again and wins on the remote.
+  ASSERT_TRUE(tier.flush().ok());
+  auto remote_data = remote_mem->contents("ow.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), v2);
+  EXPECT_EQ(backend_read(tier, "ow.img", v2.size()), v2);
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
+}
+
+TEST(TieredEager, DefaultDrainKeepsOneRemoteWriteStream) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  probe->set_write_delay(std::chrono::microseconds(500));
+  TieredBackend tier(std::make_shared<MemBackend>(), probe, TieredOptions{});
+  ASSERT_EQ(tier.drain_parallel(), 1u);
+
+  // Two writers stage while both the eager copy and sealed units drain.
+  const auto data = make_pattern(1 * MiB, 6);
+  std::vector<std::thread> writers;
+  for (int w = 0; w < 2; ++w) {
+    writers.emplace_back([&, w] {
+      for (int epoch = 0; epoch < 3; ++epoch) {
+        char path[32];
+        std::snprintf(path, sizeof(path), "w%d_%d", w, epoch);
+        auto f = tier.open_file(path, {.create = true, .truncate = true, .write = true});
+        ASSERT_TRUE(f.ok());
+        for (std::size_t off = 0; off < data.size(); off += 64 * KiB) {
+          ASSERT_TRUE(
+              tier.pwrite(f.value(), std::span(data).subspan(off, 64 * KiB), off).ok());
+        }
+        ASSERT_TRUE(tier.close_file(f.value()).ok());
+        tier.seal_epoch(0);
+      }
+    });
+  }
+  for (auto& t : writers) t.join();
+  ASSERT_TRUE(tier.flush().ok());
+
+  EXPECT_GT(probe->attempts(), 1);
+  EXPECT_EQ(probe->max_in_flight(), 1);
+  EXPECT_EQ(tier.tier_stats().drained_bytes, 6 * data.size());
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
+}
+
+std::string file_name(int i) {
+  char name[16];
+  std::snprintf(name, sizeof(name), "f%d", i);
+  return name;
+}
+
+TEST(TieredEager, FailedEagerCopyDoesNotSpinWhileTheUnitIsOpen) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(remote_mem);
+  auto probe = std::make_shared<ProbeBackend>(faulty);
+  TieredOptions opts;
+  opts.retry_backoff = std::chrono::milliseconds(1);
+  opts.retry_backoff_max = std::chrono::milliseconds(8);
+  TieredBackend tier(std::make_shared<MemBackend>(), probe, opts);
+  obs::Registry reg;
+  obs::EventBuffer events;
+  tier.bind_obs(&reg, &events);
+
+  faulty->fail_writes_after(0);  // remote tier is down
+  const auto data = make_pattern(256 * KiB, 8);
+  for (int i = 0; i < 4; ++i) backend_write(tier, file_name(i), data);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe->attempts() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  // More writes and time pass with the unit still open: the first failed
+  // copy stopped eager copying, so the remote sees no further attempts.
+  for (int i = 4; i < 8; ++i) backend_write(tier, file_name(i), data);
+  std::this_thread::sleep_for(std::chrono::milliseconds(100));
+  EXPECT_EQ(probe->attempts(), 1);
+  EXPECT_EQ(tier.tier_stats().retries, 0u);
+  int down_events = 0;
+  for (const auto& ev : events.snapshot()) down_events += ev.rule == "tier_remote_down";
+  EXPECT_EQ(down_events, 1);
+
+  // The seal hands the unit to the retry loop; once healed it lands whole.
+  tier.seal_epoch(1);
+  faulty->fail_writes_after(-1);
+  ASSERT_TRUE(tier.flush().ok());
+  for (int i = 0; i < 8; ++i) {
+    auto remote_data = remote_mem->contents(file_name(i));
+    ASSERT_TRUE(remote_data.ok());
+    EXPECT_EQ(remote_data.value(), data);
+  }
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
+  down_events = 0;
+  for (const auto& ev : events.snapshot()) down_events += ev.rule == "tier_remote_down";
+  EXPECT_EQ(down_events, 1);
+}
+
+// -- Size and namespace ops fenced against in-flight drain copies -------------
+
+// A drain copy parked in its remote pwrite must not land after a truncate
+// through the tier: truncate waits for it, so the truncated bytes never
+// come back (on the remote, or through stat).
+void truncate_waits_for_parked_copy(std::shared_ptr<BackendFs> stage) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  probe->hold_next_write();
+  TieredBackend tier(std::move(stage), probe, TieredOptions{});
+
+  auto f = tier.open_file("t.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(tier.pwrite(f.value(), make_pattern(1 * MiB, 3), 0).ok());
+  if (!probe->wait_parked(std::chrono::seconds(5))) {
+    probe->release();
+    FAIL() << "the drain never copied";
+  }
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    probe->release();
+  });
+  const Status truncated = tier.truncate(f.value(), 0);
+  releaser.join();
+  ASSERT_TRUE(truncated.ok());
+  ASSERT_TRUE(tier.flush().ok());
+
+  auto st = tier.stat("t.img");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, 0u);
+  auto remote_st = remote_mem->stat("t.img");
+  ASSERT_TRUE(remote_st.ok());
+  EXPECT_EQ(remote_st.value().size, 0u);
+  ASSERT_TRUE(tier.close_file(f.value()).ok());
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
+}
+
+TEST(TieredFence, TruncateWaitsForInFlightDrainCopyMemStage) {
+  truncate_waits_for_parked_copy(std::make_shared<MemBackend>());
+}
+
+TEST(TieredFence, TruncateWaitsForInFlightDrainCopyPosixStage) {
+  PosixStage stage("truncate");
+  ASSERT_NE(stage.backend(), nullptr);
+  truncate_waits_for_parked_copy(stage.backend());
+}
+
+TEST(TieredFence, TruncatingOpenOfATrackedPathTruncatesTheRemote) {
+  auto remote = std::make_shared<MemBackend>();
+  TieredBackend tier(std::make_shared<MemBackend>(), remote, TieredOptions{});
+  const auto big = make_pattern(2 * MiB, 14);
+  const auto small = make_pattern(1 * MiB, 15);
+  auto first = tier.open_file("x.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(first.ok());
+  ASSERT_TRUE(tier.pwrite(first.value(), big, 0).ok());
+  ASSERT_TRUE(tier.flush().ok());
+
+  // `first` stays open, so the tier still tracks the path when it is
+  // re-opened with O_TRUNC: the remote's 2 MiB must go too.
+  auto second = tier.open_file("x.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(tier.pwrite(second.value(), small, 0).ok());
+  ASSERT_TRUE(tier.close_file(second.value()).ok());
+  ASSERT_TRUE(tier.close_file(first.value()).ok());
+  ASSERT_TRUE(tier.flush().ok());
+
+  auto remote_data = remote->contents("x.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), small);
+  auto st = tier.stat("x.img");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, small.size());
+}
+
+TEST(TieredFence, PosixStageDrainsByteIdenticalThroughTheMapping) {
+  PosixStage stage_dir("mmap");
+  ASSERT_NE(stage_dir.backend(), nullptr);
+  auto remote = std::make_shared<MemBackend>();
+  TieredBackend tier(stage_dir.backend(), remote, TieredOptions{});
+
+  // Unaligned offsets and a run longer than one drain step.
+  const auto data = make_pattern(9 * MiB + 123, 12);
+  backend_write(tier, "m.img", data, 4097);
+  tier.seal_epoch(1);
+  ASSERT_TRUE(tier.flush().ok());
+  auto remote_data = remote->contents("m.img");
+  ASSERT_TRUE(remote_data.ok());
+  ASSERT_EQ(remote_data.value().size(), 4097 + data.size());
+  EXPECT_TRUE(std::equal(data.begin(), data.end(), remote_data.value().begin() + 4097));
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
+}
+
+TEST(TieredNamespace, DirectoryRenameReKeysStagedDescendants) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(remote_mem);
+  TieredOptions opts;
+  opts.retry_backoff = std::chrono::milliseconds(1);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), faulty, opts);
+
+  // Stage ep.tmp/rank0 with the remote refusing writes, so nothing has
+  // drained when the directory is renamed.
+  faulty->fail_writes_after(0);
+  ASSERT_TRUE(tier->mkdir("ep.tmp").ok());
+  const auto data = make_pattern(1 * MiB, 13);
+  backend_write(*tier, "ep.tmp/rank0", data);
+  ASSERT_TRUE(tier->rename("ep.tmp", "ep").ok());
+  faulty->fail_writes_after(-1);
+  tier->seal_epoch(1);
+
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)))
+      << "flush() did not return: staged descendants kept the old name";
+  auto remote_data = remote_mem->contents("ep/rank0");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), data);
+  EXPECT_FALSE(remote_mem->stat("ep.tmp/rank0").ok());
+  EXPECT_EQ(backend_read(*tier, "ep/rank0", data.size()), data);
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredNamespace, CheckpointSetCommitOnTieredMountVerifiesAndDrains) {
+  auto remote = std::make_shared<MemBackend>();
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), remote,
+                                              TieredOptions{});
+  {
+    auto fs = Crfs::mount(tier, Config{.chunk_size = 256 * KiB, .pool_size = 2 * MiB});
+    ASSERT_TRUE(fs.ok());
+    FuseShim shim(*fs.value(), FuseOptions{});
+    auto set = blcr::CheckpointSet::open(shim, "ckpts");
+    ASSERT_TRUE(set.ok());
+    auto writer = set.value().begin_epoch(2);
+    ASSERT_TRUE(writer.ok());
+    for (unsigned r = 0; r < 2; ++r) {
+      const auto image = blcr::ProcessImage::synthesize(r, 1 * MiB, 40 + r);
+      auto file = writer.value().open_rank(r);
+      ASSERT_TRUE(file.ok());
+      blcr::CrfsFileSink sink(file.value());
+      auto crc = blcr::CheckpointWriter::write_image(image, sink);
+      ASSERT_TRUE(crc.ok());
+      ASSERT_TRUE(file.value().close().ok());
+      writer.value().record(r, image.content_bytes(), crc.value());
+    }
+    // The commit renames the staging directory while its files may still
+    // be staged: they must drain under the published name.
+    ASSERT_TRUE(writer.value().commit().ok());
+    EXPECT_TRUE(set.value().verify(0).ok());
+    tier->seal_epoch(0);
+    if (!flush_within(tier, std::chrono::seconds(5))) {
+      (void)fs.value().release();  // its unmount would wait on the same drain
+      FAIL() << "flush() did not return after the publish rename";
+    }
+    EXPECT_TRUE(set.value().verify(0).ok());
+  }
+  EXPECT_TRUE(remote->contents("ckpts/epoch_000000/MANIFEST").ok());
+  EXPECT_TRUE(remote->contents("ckpts/epoch_000000/rank_1.ckpt").ok());
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
 }
 
 // -- Fault injection: remote down mid-drain ----------------------------------
@@ -293,6 +723,43 @@ TEST(TieredMount, EpochFinalizeSealsAndLedgerGainsDrainColumns) {
             std::string::npos);
   EXPECT_GE(counter_value(fs.value()->metrics(), "crfs.tier.drained_bytes"),
             data.size());
+}
+
+TEST(TieredMount, LedgerDrainTimeStartsAtTheFirstCopy) {
+  auto remote = std::make_shared<ThrottledBackend>(std::make_shared<MemBackend>(),
+                                                   64.0 * MiB);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), remote,
+                                              TieredOptions{});
+  auto fs = Crfs::mount(tier, Config{.chunk_size = 256 * KiB, .pool_size = 2 * MiB});
+  ASSERT_TRUE(fs.ok());
+
+  ASSERT_TRUE(fs.value()->epoch_begin("ckpt-0").ok());
+  FuseShim shim(*fs.value(), FuseOptions{});
+  const auto data = make_pattern(1 * MiB, 22);
+  auto h = shim.open("rank0.ckpt", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(shim.write(h.value(), data, 0).ok());
+  ASSERT_TRUE(shim.close(h.value()).ok());
+  // The eager copy moves bytes before the epoch ends and seals the unit.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier->tier_stats().drained_bytes == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const std::uint64_t copying_seen_ns = obs::now_ns();
+  ASSERT_GT(tier->tier_stats().drained_bytes, 0u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(30));
+  ASSERT_TRUE(fs.value()->epoch_end().ok());
+  ASSERT_TRUE(tier->flush().ok());
+
+  // drain_ns spans first copy to durable, not seal to durable: a drain
+  // rate computed from it cannot exceed the rate the remote really gave.
+  const auto records = fs.value()->epochs();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].drained_bytes, data.size());
+  ASSERT_GT(records[0].drain_ns, 0u);
+  EXPECT_LE(records[0].drain_end_ns - records[0].drain_ns, copying_seen_ns);
+  EXPECT_GT(records[0].drain_end_ns, records[0].end_ns);
 }
 
 // -- Restore coherence: staged vs drained-and-evicted -------------------------
@@ -534,6 +1001,45 @@ TEST(TieredSim, StageCapBoundsOccupancyAndStallsWriters) {
   EXPECT_GT(tier->stalls(), 0u);
   EXPECT_EQ(tier->drained_bytes(), 128u * MiB);
   EXPECT_EQ(tier->units_evicted(), 8u);
+}
+
+struct EagerSimRun {
+  double write_done_s = 0.0;
+  double seal_to_durable_s = 0.0;
+  std::uint64_t drained = 0;
+};
+
+EagerSimRun run_eager_sim(sim::TieredBackendSim::Options opts, std::uint64_t bytes) {
+  sim::Simulation s;
+  sim::TieredBackendSim tier(s, opts);
+  SimRun run;
+  s.spawn(sim_burst(s, tier, bytes, &run));
+  s.run();
+  return EagerSimRun{run.write_done_s, tier.max_drain_lag_s(), tier.drained_bytes()};
+}
+
+TEST(TieredSim, EagerDrainShrinksSealToDurableLagByTheAbsorbTime) {
+  sim::TieredBackendSim::Options opts;
+  opts.stage_bw = 1024.0 * MiB;
+  opts.remote_bw = 64.0 * MiB;
+  const std::uint64_t bytes = 256 * MiB;
+  const EagerSimRun a = run_eager_sim(opts, bytes);
+  EXPECT_EQ(a.drained, bytes);
+
+  // Seal-then-drain would start at the seal and copy every step after it.
+  const double steps = static_cast<double>(bytes / opts.drain_chunk);
+  const double seal_then_drain_s =
+      steps * (opts.per_call + static_cast<double>(opts.drain_chunk) / opts.remote_bw);
+  // The eager drain starts when the first 4 MiB record lands, so the lag
+  // shrinks by the absorb time less that one record.
+  const double first_record_s = opts.per_call + static_cast<double>(4 * MiB) / opts.stage_bw;
+  EXPECT_LT(a.seal_to_durable_s, seal_then_drain_s);
+  EXPECT_NEAR(seal_then_drain_s - a.seal_to_durable_s, a.write_done_s - first_record_s, 1e-9);
+
+  // Deterministic on virtual time.
+  const EagerSimRun b = run_eager_sim(opts, bytes);
+  EXPECT_EQ(a.seal_to_durable_s, b.seal_to_durable_s);
+  EXPECT_EQ(a.write_done_s, b.write_done_s);
 }
 
 }  // namespace
