@@ -255,8 +255,9 @@ void TieredBackend::seal_locked(std::uint64_t epoch_id, std::uint64_t now_ns) {
   open_unit_seq_ = next_unit_seq_++;
   open_unit_bytes_ = 0;
   open_unit_first_copy_ns_ = 0;
-  // The sealed unit's drain copies whatever the eager pass did not.
-  eager_.clear();
+  // The sealed unit's drain copies whatever the eager pass did not; the
+  // new open unit holds nothing yet.
+  eager_pending_ = false;
   eager_stopped_ = false;
   t_units_sealed_.fetch_add(1, std::memory_order_relaxed);
   drain_cv_.notify_all();
@@ -269,17 +270,19 @@ void TieredBackend::seal_epoch(std::uint64_t epoch_id) {
 
 void TieredBackend::release_file_locked(const std::shared_ptr<FileState>& fs) {
   if (fs->open_count > 0 || !fs->extents.empty()) return;
+  // A file that a rename replaced no longer owns its path on either tier.
+  auto it = files_.find(fs->path);
+  const bool owner = it != files_.end() && it->second == fs;
   if (fs->stage_open) {
     (void)stage_->close_file(fs->stage_file);
     fs->stage_open = false;
-    (void)stage_->unlink(fs->path);  // reclaim staged bytes
+    if (owner) (void)stage_->unlink(fs->path);  // reclaim staged bytes
   }
   if (fs->remote_read_open) {
     (void)remote_->close_file(fs->remote_read);
     fs->remote_read_open = false;
   }
-  auto it = files_.find(fs->path);
-  if (it != files_.end() && it->second == fs) files_.erase(it);
+  if (owner) files_.erase(it);
 }
 
 Result<BackendFile> TieredBackend::remote_writer_locked(const FileState& fs) {
@@ -334,7 +337,9 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       (void)stage_->truncate(fs->stage_file, 0);
-      if (remote_exists) {
+      // The stat above ran unlocked, before the fence: a drain copy may
+      // have created the remote file since, so its writer counts too.
+      if (remote_exists || remote_write_.count(fs->path) != 0) {
         auto rw = remote_writer_locked(*fs);
         if (rw.ok()) (void)remote_->truncate(rw.value(), 0);
       }
@@ -450,9 +455,11 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
   fs->size = std::max(fs->size, offset + len);
   stage_used_ += len;
   open_unit_bytes_ += len;
-  // Copy early: queue the write for the drain's eager pass.
-  eager_.push_back(DrainRun{fs, offset, len, write_id});
-  if (eager_.size() == 1 && !eager_stopped_) drain_cv_.notify_all();
+  // Copy early: wake the drain's eager pass.
+  if (!eager_pending_) {
+    eager_pending_ = true;
+    if (!eager_stopped_) drain_cv_.notify_all();
+  }
   t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
   if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
   return {};
@@ -644,8 +651,9 @@ Status TieredBackend::unlink(const std::string& path) {
 Status TieredBackend::rename(const std::string& from, const std::string& to) {
   // Staged state follows the rename: the path itself or, for a directory,
   // every staged descendant is re-keyed (files_ and the drain's remote
-  // handles), so undrained bytes land under the new name. In-flight drain
-  // IO finishes first, and both tiers rename under the lock, so no copy
+  // handles), so undrained bytes land under the new name. A staged file
+  // the rename replaces is retired like an unlink. In-flight drain IO of
+  // both finishes first, and both tiers rename under the lock, so no copy
   // opens a remote path that is mid-rename.
   const auto moves = [&](const std::string& p) {
     return p == from || (p.size() > from.size() && p.compare(0, from.size(), from) == 0 &&
@@ -653,16 +661,39 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
   };
   const auto renamed = [&](const std::string& p) { return to + p.substr(from.size()); };
   std::unique_lock<std::mutex> lock(mu_);
+  std::vector<std::shared_ptr<FileState>> moved;
+  std::vector<std::shared_ptr<FileState>> replaced;
   copy_cv_.wait(lock, [&] {
+    moved.clear();
+    replaced.clear();
     for (const auto& [p, fs] : files_) {
-      if (moves(p) && fs->drain_io > 0) return false;
+      if (!moves(p)) continue;
+      moved.push_back(fs);
+      auto target = files_.find(renamed(p));
+      if (target != files_.end() && !moves(target->first)) replaced.push_back(target->second);
+    }
+    for (const auto* group : {&moved, &replaced}) {
+      for (const auto& fs : *group) {
+        if (fs->drain_io > 0) return false;
+      }
     }
     return true;
   });
-  std::vector<std::shared_ptr<FileState>> moved;
+  for (const auto& fs : replaced) {
+    trim_extents_locked(*fs, 0, ~std::uint64_t{0});
+    fs->size = 0;
+    fs->unlinked = true;
+    files_.erase(fs->path);
+    release_file_locked(fs);  // closes its handles; the path is the mover's now
+  }
+  if (!replaced.empty()) {
+    space_cv_.notify_all();
+    idle_cv_.notify_all();
+  }
+  std::vector<std::string> targets;
   for (auto it = files_.begin(); it != files_.end();) {
     if (moves(it->first)) {
-      moved.push_back(it->second);
+      targets.push_back(renamed(it->first));
       it = files_.erase(it);
     } else {
       ++it;
@@ -675,22 +706,30 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
   std::vector<std::pair<std::string, BackendFile>> handles;
   for (auto it = remote_write_.begin(); it != remote_write_.end();) {
     if (moves(it->first)) {
-      handles.emplace_back(renamed(it->first), it->second);
+      targets.push_back(renamed(it->first));
+      handles.emplace_back(targets.back(), it->second);
       it = remote_write_.erase(it);
     } else {
       ++it;
     }
   }
-  for (auto& [path, handle] : handles) {
-    auto [it, inserted] = remote_write_.emplace(path, handle);
-    if (!inserted) {  // the rename replaces that file
-      (void)remote_->close_file(it->second);
-      it->second = handle;
-    }
+  // A writer still open on a replaced path points at the replaced remote
+  // file: drop it before the movers' writers take the path.
+  for (const std::string& path : targets) {
+    auto wit = remote_write_.find(path);
+    if (wit == remote_write_.end()) continue;
+    (void)remote_->close_file(wit->second);
+    remote_write_.erase(wit);
   }
+  for (auto& [path, handle] : handles) remote_write_.emplace(path, handle);
   (void)stage_->rename(from, to);
   auto remote = remote_->rename(from, to);
-  if (!remote.ok() && !moved.empty()) return {};  // never drained: only staged
+  if (!remote.ok() && !moved.empty()) {
+    // Never drained: only staged. The remote's old `to` is still replaced,
+    // or its tail would outlive the staged bytes drained over it.
+    if (remote.error().code == ENOENT) (void)remote_->unlink(to);
+    return {};
+  }
   return remote;
 }
 
@@ -750,10 +789,13 @@ Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::b
   BackendFile sf = 0;
   BackendFile rw = 0;
   {
-    // The run must still be staged; registering as drain IO then holds
-    // off truncate/unlink/rename until the copy is done.
+    // The run must still be staged under its path (a rename may have
+    // replaced the file); registering as drain IO then holds off
+    // truncate/unlink/rename until the copy is done.
     std::lock_guard<std::mutex> lock(mu_);
-    if (!fs.stage_open || !covered(fs.extents, run.offset, run.len)) {
+    auto owner = files_.find(fs.path);
+    if (owner == files_.end() || owner->second != run.file || !fs.stage_open ||
+        !covered(fs.extents, run.offset, run.len)) {
       return Error{ESTALE, "staged bytes gone (truncated or unlinked mid-drain)"};
     }
     auto opened = remote_writer_locked(fs);
@@ -831,7 +873,27 @@ Status TieredBackend::copy_runs(const std::vector<DrainRun>& runs) {
   return {};
 }
 
-void TieredBackend::mark_copied_locked(const std::vector<DrainRun>& exact, std::uint64_t unit) {
+std::vector<TieredBackend::DrainRun> TieredBackend::uncopied_locked(std::uint64_t unit,
+                                                                   std::uint64_t limit) const {
+  std::vector<DrainRun> exact;
+  std::uint64_t bytes = 0;
+  for (const auto& [path, fs] : files_) {
+    for (const auto& [off, ext] : fs->extents) {
+      if (ext.unit != unit || ext.copied) continue;
+      exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
+      bytes += ext.len;
+      if (bytes >= limit) return exact;
+    }
+  }
+  return exact;
+}
+
+Status TieredBackend::copy_exact(const std::vector<DrainRun>& exact, std::uint64_t unit) {
+  CRFS_RETURN_IF_ERROR(copy_runs(merge_adjacent(exact)));
+  // Copied counts only for an extent that is still exactly the one copied:
+  // an overwrite mid-copy changed its write id (or split it), so those
+  // bytes stay uncopied and go again.
+  std::lock_guard<std::mutex> lock(mu_);
   for (const DrainRun& run : exact) {
     auto it = run.file->extents.find(run.offset);
     if (it != run.file->extents.end() && it->second.len == run.len &&
@@ -839,6 +901,7 @@ void TieredBackend::mark_copied_locked(const std::vector<DrainRun>& exact, std::
       it->second.copied = true;
     }
   }
+  return {};
 }
 
 void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
@@ -860,45 +923,25 @@ void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
 }
 
 void TieredBackend::copy_open_unit(std::unique_lock<std::mutex>& lock) {
-  // One batch: consecutive, contiguous writes to one file, up to a step.
-  // Only the pieces still carrying the write's id and still uncopied go.
   const std::uint64_t unit = open_unit_seq_;
-  const std::shared_ptr<FileState> fs = eager_.front().file;
-  std::vector<DrainRun> exact;
-  std::uint64_t batch = 0;
-  std::uint64_t next = eager_.front().offset;
-  while (!eager_.empty() && eager_.front().file == fs && eager_.front().offset == next &&
-         batch < kStepBytes) {
-    const DrainRun w = eager_.front();
-    eager_.pop_front();
-    batch += w.len;
-    next = w.offset + w.len;
-    auto it = fs->extents.upper_bound(w.offset);
-    if (it != fs->extents.begin()) --it;
-    for (; it != fs->extents.end() && it->first < w.offset + w.len; ++it) {
-      const Extent& e = it->second;
-      if (it->first + e.len > w.offset && e.write_id == w.write_id && e.unit == unit &&
-          !e.copied) {
-        exact.push_back(DrainRun{fs, it->first, e.len, e.write_id});
-      }
-    }
+  const std::vector<DrainRun> exact = uncopied_locked(unit, kStepBytes);
+  if (exact.empty()) {
+    eager_pending_ = false;  // the next pwrite wakes the pass again
+    return;
   }
-  if (exact.empty()) return;
   if (open_unit_first_copy_ns_ == 0) open_unit_first_copy_ns_ = obs::now_ns();
-  const std::vector<DrainRun> runs = merge_adjacent(exact);
   lock.unlock();
-  Status result;
-  for (const DrainRun& run : runs) {
-    result = copy_run_to_remote(run, bounce_);
-    if (!result.ok()) break;
+  const Status result = copy_exact(exact, unit);
+  if (!result.ok()) {
+    std::uint64_t bytes = 0;
+    for (const DrainRun& run : exact) bytes += run.len;
+    note_remote_failure(result.error(), unit, bytes);
   }
-  if (!result.ok()) note_remote_failure(result.error(), unit, batch);
   lock.lock();
-  if (result.ok()) {
-    mark_copied_locked(exact, unit);
-  } else if (result.error().code != ESTALE) {
-    // Do not spin on a failing remote: the sealed unit's retry loop,
-    // with its backoff, owns these bytes from the seal on.
+  // Do not spin on a failing remote: the sealed unit's retry loop, with
+  // its backoff, owns these bytes from the seal on. A seal that landed
+  // meanwhile already handed them over; the new open unit copies on.
+  if (!result.ok() && result.error().code != ESTALE && unit == open_unit_seq_) {
     eager_stopped_ = true;
   }
 }
@@ -913,19 +956,11 @@ bool TieredBackend::drain_unit(const DrainUnit& unit) {
     std::vector<DrainRun> exact;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [path, fs] : files_) {
-        for (auto& [off, ext] : fs->extents) {
-          if (ext.unit == unit.seq && !ext.copied) {
-            exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
-          }
-        }
-      }
+      exact = uncopied_locked(unit.seq, ~std::uint64_t{0});
     }
     if (exact.empty()) break;
-    result = copy_runs(merge_adjacent(exact));
+    result = copy_exact(exact, unit.seq);
     if (!result.ok()) break;
-    std::lock_guard<std::mutex> lock(mu_);
-    mark_copied_locked(exact, unit.seq);
   }
 
   // Eviction gate: every remote file of the unit is fsynced before a
@@ -1015,7 +1050,7 @@ void TieredBackend::drain_loop() {
   auto backoff = opts_.retry_backoff;
   for (;;) {
     drain_cv_.wait(lock, [&] {
-      return shutdown_ || !sealed_.empty() || (!eager_stopped_ && !eager_.empty());
+      return shutdown_ || !sealed_.empty() || (eager_pending_ && !eager_stopped_);
     });
     if (sealed_.empty()) {
       if (shutdown_) return;

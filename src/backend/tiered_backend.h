@@ -17,8 +17,10 @@
 // time.
 //
 // Copy early, evict late. While no sealed unit waits, the drain thread
-// copies the OPEN unit's extents to the remote as they land, so the
-// remote streams during the burst instead of idling until its seal. Each
+// copies the OPEN unit's extents to the remote as they land, one step at
+// a time, so the remote streams during the burst instead of idling until
+// its seal. The eager and the sealed drain pick what to copy from the
+// extent map alone, through one snapshot-and-copy path. Each
 // extent carries the id of the write that staged it and a `copied` bit;
 // a copy marks its extent copied only if offset, length, unit and write
 // id all still match afterwards, so bytes overwritten mid-copy are copied
@@ -39,7 +41,9 @@
 // them, since touching a mapped page past EOF raises SIGBUS. Inside the
 // tier, truncate, open(O_TRUNC), unlink and rename first wait for the
 // file's in-flight drain IO, so no copy reads a range a size op removed
-// and no late copy resurrects truncated bytes on the remote.
+// and no late copy resurrects truncated bytes on the remote. A rename
+// onto a staged file retires the replaced file like an unlink. These ops
+// then call the stage and remote under the tier lock.
 //
 // Coherence: the extent map tracks exactly which byte ranges are staged;
 // an overwrite trims older extents (last-writer-wins), so a read serves
@@ -255,10 +259,14 @@ class TieredBackend final : public BackendFs {
   /// Blocks until no drain copy or fsync of `fs` is in flight.
   void wait_drain_io_locked(std::unique_lock<std::mutex>& lock, const FileState& fs);
   void drain_loop();
-  /// Copies one batch of the open unit's uncopied extents (eager copy).
+  /// Snapshots `unit`'s uncopied extents, whole and file by file, until
+  /// they add up to at least `limit` bytes.
+  std::vector<DrainRun> uncopied_locked(std::uint64_t unit, std::uint64_t limit) const;
+  /// Copies a snapshot of `unit`'s extents, then marks copied every one
+  /// that still matches it. The one copy path of eager and sealed drains.
+  Status copy_exact(const std::vector<DrainRun>& exact, std::uint64_t unit);
+  /// Copies at most one step of the open unit's uncopied extents (eager copy).
   void copy_open_unit(std::unique_lock<std::mutex>& lock);
-  /// Sets `copied` on each exact run whose extent still matches it.
-  void mark_copied_locked(const std::vector<DrainRun>& exact, std::uint64_t unit);
   /// Drains one unit to the remote; true on success (unit evicted).
   bool drain_unit(const DrainUnit& unit);
   Status copy_runs(const std::vector<DrainRun>& runs);
@@ -293,8 +301,9 @@ class TieredBackend final : public BackendFs {
   std::uint64_t next_unit_seq_ = 2;
   std::uint64_t open_unit_bytes_ = 0;
   std::deque<DrainUnit> sealed_;  ///< oldest-first drain queue
-  /// Open-unit pwrites, oldest first, queued for the eager copy.
-  std::deque<DrainRun> eager_;
+  /// The open unit may hold uncopied extents (set by pwrite, cleared by
+  /// an eager pass that finds none): wakes the drain for the eager copy.
+  bool eager_pending_ = false;
   bool eager_stopped_ = false;  ///< an eager copy failed; wait for the seal
   std::uint64_t next_write_id_ = 1;
   std::uint64_t open_unit_first_copy_ns_ = 0;

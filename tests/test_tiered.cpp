@@ -15,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <functional>
 #include <future>
 #include <mutex>
 #include <thread>
@@ -87,7 +88,8 @@ std::vector<std::byte> backend_read(BackendFs& b, const std::string& path,
 }
 
 /// Forwards to `inner`, counting pwrites (attempts, and the most in flight
-/// at once) and, when armed, parking the next pwrite until release().
+/// at once) and, when armed, parking the next pwrite until release() or
+/// running a hook inside the next stat.
 class ProbeBackend final : public BackendFs {
  public:
   explicit ProbeBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
@@ -108,6 +110,11 @@ class ProbeBackend final : public BackendFs {
     cv_.notify_all();
   }
   void set_write_delay(std::chrono::microseconds d) { delay_ = d; }
+  /// Runs `fn` inside the next stat, after the inner stat has answered.
+  void on_next_stat(std::function<void()> fn) {
+    std::lock_guard<std::mutex> lock(mu_);
+    stat_hook_ = std::move(fn);
+  }
   int attempts() const { return attempts_.load(); }
   int max_in_flight() const { return max_in_flight_.load(); }
 
@@ -140,7 +147,16 @@ class ProbeBackend final : public BackendFs {
   }
   Status fsync(BackendFile f) override { return inner_->fsync(f); }
   Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
-  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Result<BackendStat> stat(const std::string& p) override {
+    auto st = inner_->stat(p);
+    std::function<void()> hook;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      hook.swap(stat_hook_);
+    }
+    if (hook) hook();
+    return st;
+  }
   Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
   Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
   Status unlink(const std::string& p) override { return inner_->unlink(p); }
@@ -160,6 +176,7 @@ class ProbeBackend final : public BackendFs {
   bool parked_ = false;
   bool released_ = false;
   std::chrono::microseconds delay_{0};
+  std::function<void()> stat_hook_;
   std::atomic<int> attempts_{0};
   std::atomic<int> in_flight_{0};
   std::atomic<int> max_in_flight_{0};
@@ -421,6 +438,50 @@ TEST(TieredEager, FailedEagerCopyDoesNotSpinWhileTheUnitIsOpen) {
   EXPECT_EQ(down_events, 1);
 }
 
+TEST(TieredEager, SealDuringAFailingEagerCopyKeepsTheNextUnitEager) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(remote_mem);
+  auto probe = std::make_shared<ProbeBackend>(faulty);
+  TieredOptions opts;
+  opts.retry_backoff = std::chrono::milliseconds(1);
+  opts.retry_backoff_max = std::chrono::milliseconds(8);
+  TieredBackend tier(std::make_shared<MemBackend>(), probe, opts);
+
+  // An eager copy is parked when the remote goes down and the unit seals.
+  faulty->fail_writes_after(0);
+  probe->hold_next_write();
+  const auto data = make_pattern(256 * KiB, 17);
+  backend_write(tier, "first.img", data);
+  if (!probe->wait_parked(std::chrono::seconds(5))) {
+    probe->release();
+    FAIL() << "the open unit was never copied";
+  }
+  tier.seal_epoch(1);
+  probe->release();  // the parked copy now fails, after the seal
+  // The sealed unit's first retry comes after that failure.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier.tier_stats().retries == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(tier.tier_stats().retries, 0u);
+
+  // The failure belonged to the sealed unit: once the remote heals, the
+  // next open unit still streams before its own seal.
+  faulty->fail_writes_after(-1);
+  backend_write(tier, "second.img", data);
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier.tier_stats().drained_bytes < 2 * data.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tier.tier_stats().drained_bytes, 2 * data.size());
+  EXPECT_EQ(tier.tier_stats().units_sealed, 1u);
+  ASSERT_TRUE(tier.flush().ok());
+  auto remote_data = remote_mem->contents("second.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), data);
+}
+
 // -- Size and namespace ops fenced against in-flight drain copies -------------
 
 // A drain copy parked in its remote pwrite must not land after a truncate
@@ -495,6 +556,40 @@ TEST(TieredFence, TruncatingOpenOfATrackedPathTruncatesTheRemote) {
   EXPECT_EQ(st.value().size, small.size());
 }
 
+TEST(TieredFence, TruncatingOpenRacingTheFirstCopyTruncatesTheRemote) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  TieredBackend tier(std::make_shared<MemBackend>(), probe, TieredOptions{});
+  const auto data = make_pattern(1 * MiB, 16);
+  auto first = tier.open_file("r.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(first.ok());
+
+  // The O_TRUNC re-open stats the remote while the file is not there yet;
+  // before the open goes on, the first eager copy creates it and lands
+  // the old bytes.
+  probe->on_next_stat([&] {
+    ASSERT_TRUE(tier.pwrite(first.value(), data, 0).ok());
+    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+    while (tier.tier_stats().drained_bytes < data.size() &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    ASSERT_EQ(tier.tier_stats().drained_bytes, data.size());
+  });
+  auto second = tier.open_file("r.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(second.ok());
+  ASSERT_TRUE(tier.close_file(second.value()).ok());
+  ASSERT_TRUE(tier.close_file(first.value()).ok());
+  ASSERT_TRUE(tier.flush().ok());
+
+  auto remote_st = remote_mem->stat("r.img");
+  ASSERT_TRUE(remote_st.ok());
+  EXPECT_EQ(remote_st.value().size, 0u);
+  auto st = tier.stat("r.img");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, 0u);
+}
+
 TEST(TieredFence, PosixStageDrainsByteIdenticalThroughTheMapping) {
   PosixStage stage_dir("mmap");
   ASSERT_NE(stage_dir.backend(), nullptr);
@@ -537,6 +632,79 @@ TEST(TieredNamespace, DirectoryRenameReKeysStagedDescendants) {
   EXPECT_EQ(remote_data.value(), data);
   EXPECT_FALSE(remote_mem->stat("ep.tmp/rank0").ok());
   EXPECT_EQ(backend_read(*tier, "ep/rank0", data.size()), data);
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredNamespace, RenameOntoAStagedFileRetiresTheReplacedFile) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe,
+                                              TieredOptions{});
+  const auto a = make_pattern(1 * MiB, 18);
+  const auto b = make_pattern(2 * MiB, 19);
+
+  // Stage a and b with the drain parked in a's first copy, so b is still
+  // waiting to be copied when a replaces it.
+  probe->hold_next_write();
+  backend_write(*tier, "a.img", a);
+  if (!probe->wait_parked(std::chrono::seconds(5))) {
+    probe->release();
+    FAIL() << "the open unit was never copied";
+  }
+  backend_write(*tier, "b.img", b);
+  std::thread releaser([&] {
+    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    probe->release();
+  });
+  const Status renamed = tier->rename("a.img", "b.img");
+  releaser.join();
+  ASSERT_TRUE(renamed.ok());
+
+  // The replaced b's bytes are dropped, not drained over the new b.
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  auto remote_data = remote_mem->contents("b.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), a);
+  EXPECT_FALSE(remote_mem->stat("a.img").ok());
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+  auto st = tier->stat("b.img");
+  ASSERT_TRUE(st.ok());
+  EXPECT_EQ(st.value().size, a.size());
+  EXPECT_EQ(backend_read(*tier, "b.img", b.size()), a);
+}
+
+TEST(TieredNamespace, RenameOfAnUndrainedFileOntoADrainedOneLeavesNoOldTail) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto faulty = std::make_shared<FaultyBackend>(remote_mem);
+  auto probe = std::make_shared<ProbeBackend>(faulty);
+  TieredOptions opts;
+  opts.retry_backoff = std::chrono::milliseconds(1);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe, opts);
+  const auto old_b = make_pattern(2 * MiB, 20);
+  const auto a = make_pattern(1 * MiB, 21);
+
+  // b is fully drained and released; the tier keeps its remote writer.
+  backend_write(*tier, "b.img", old_b);
+  ASSERT_TRUE(tier->flush().ok());
+
+  // A failed eager copy stops eager copying, so nothing of a reaches the
+  // remote before the rename: the remote has no a to rename.
+  faulty->fail_writes_after(0);
+  const int before = probe->attempts();
+  backend_write(*tier, "z.img", a);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe->attempts() == before && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  backend_write(*tier, "a.img", a);
+  ASSERT_FALSE(remote_mem->stat("a.img").ok());
+  ASSERT_TRUE(tier->rename("a.img", "b.img").ok());
+  faulty->fail_writes_after(-1);
+
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  auto remote_data = remote_mem->contents("b.img");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), a);
   EXPECT_EQ(tier->tier_stats().stage_used, 0u);
 }
 
