@@ -54,7 +54,7 @@ void BM_WorkQueuePushPop(benchmark::State& state) {
     auto chunk = std::make_unique<Chunk>(4096);
     chunk->reset(0);
     queue.push(WriteJob{entry, std::move(chunk)});
-    auto work = queue.pop_work(1, /*wait=*/true);
+    auto work = queue.pop_work(1);
     benchmark::DoNotOptimize(work);
   }
 }

@@ -4,9 +4,11 @@
 # snapshot), test_crfs_concurrency (full pipeline under contention),
 # test_epoch_ledger (EpochState handoff through WriteJobs while explicit
 # epochs rotate under concurrent writers, flight-recorder refresh from IO
-# threads), test_io_pool (last-writer-wins across two IO threads, write
-# errors completing on IO threads, large-write bypass racing queued
-# chunks), and
+# threads), test_work_queue (write batches owning their file while
+# other threads pop, ownership released from another thread),
+# test_io_pool (last-writer-wins across two IO threads, one backend
+# writer per file, write errors completing on IO threads, large-write
+# bypass racing queued chunks), and
 # test_control (knob-plane snapshot publication racing tunes, the
 # controller ticking on a real sampler thread while other threads read
 # the decision log), test_read_path (readahead fills completing on IO
@@ -28,7 +30,7 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 JOBS=${JOBS:-2}
 
 cmake -B "$BUILD_DIR" -S . -DCRFS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS" --target test_obs test_crfs_concurrency test_epoch_ledger test_io_pool test_control test_read_path test_journal test_tiered
+cmake --build "$BUILD_DIR" -j "$JOBS" --target test_obs test_crfs_concurrency test_epoch_ledger test_work_queue test_io_pool test_control test_read_path test_journal test_tiered
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_obs
@@ -36,6 +38,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # Death tests fork; TSan and fork-heavy gtest styles don't mix, so the
 # postmortem death test is skipped here (it runs in the plain ctest job).
 "$BUILD_DIR"/tests/test_epoch_ledger --gtest_filter='-PostmortemDeathTest.*'
+"$BUILD_DIR"/tests/test_work_queue
 "$BUILD_DIR"/tests/test_io_pool
 "$BUILD_DIR"/tests/test_control
 "$BUILD_DIR"/tests/test_read_path

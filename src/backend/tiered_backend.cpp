@@ -269,8 +269,13 @@ void TieredBackend::seal_epoch(std::uint64_t epoch_id) {
 }
 
 void TieredBackend::release_file_locked(const std::shared_ptr<FileState>& fs) {
-  if (fs->open_count > 0 || !fs->extents.empty()) return;
-  // A file that a rename replaced no longer owns its path on either tier.
+  if (fs->open_count > 0) return;
+  // What was written through a retired file's handles goes with the last.
+  if (fs->unlinked && trim_extents_locked(*fs, 0, ~std::uint64_t{0}) > 0) {
+    space_cv_.notify_all();
+  }
+  if (!fs->extents.empty()) return;
+  // A retired file no longer owns its path on either tier.
   auto it = files_.find(fs->path);
   const bool owner = it != files_.end() && it->second == fs;
   if (fs->stage_open) {
@@ -303,7 +308,7 @@ void TieredBackend::wait_drain_io_locked(std::unique_lock<std::mutex>& lock,
 Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags flags) {
   std::unique_lock<std::mutex> lock(mu_);
   auto existing = files_.find(path);
-  bool exists = existing != files_.end() && !existing->second->unlinked;
+  bool exists = existing != files_.end();
   std::uint64_t remote_size = 0;
   bool remote_exists = false;
   // O_TRUNC must see the remote copy even of a path still staged here,
@@ -317,14 +322,13 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
       remote_size = st.value().size;
     }
     existing = files_.find(path);
-    exists = (existing != files_.end() && !existing->second->unlinked) || remote_exists;
+    exists = existing != files_.end() || remote_exists;
   }
   if (!exists && !(flags.write && flags.create)) {
     return Error{ENOENT, "tiered open: no such file: " + path};
   }
 
   auto fs = file_for(path, lock);
-  fs->unlinked = false;
   if (remote_exists && fs->extents.empty() && fs->open_count == 0) {
     fs->size = std::max(fs->size, remote_size);
   }
@@ -374,10 +378,16 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
 
   std::unique_lock<std::mutex> lock(mu_);
 
+  // A retired file (unlinked, or replaced by a rename) keeps what is
+  // written through its open handles to itself: staged so those handles
+  // read it back, never drained, dropped at the last close. It takes no
+  // part in spill-through or the stage_cap wait, since only its own
+  // handles can free its bytes.
+
   // Spill-through: a single write larger than the whole cap can never be
   // staged. Wait out any staged overlap (so the drain cannot later clobber
   // the fresher remote bytes), then write directly to the remote.
-  if (opts_.stage_cap > 0 && len > opts_.stage_cap) {
+  if (!fs->unlinked && opts_.stage_cap > 0 && len > opts_.stage_cap) {
     for (;;) {
       std::uint64_t overlap = 0;
       bool in_open_unit = false;
@@ -390,25 +400,27 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
         overlap += it->second.len;
         in_open_unit |= it->second.unit == open_unit_seq_;
       }
-      if (overlap == 0 || shutdown_) break;
+      if (overlap == 0 || shutdown_ || fs->unlinked) break;
       if (in_open_unit) seal_locked(0, obs::now_ns());
       idle_cv_.wait(lock);
     }
-    auto rw = remote_writer_locked(*fs);
-    if (!rw.ok()) return rw.error();
-    fs->size = std::max(fs->size, offset + len);
-    lock.unlock();
-    CRFS_RETURN_IF_ERROR(remote_->pwrite(rw.value(), data, offset));
-    t_spill_bytes_.fetch_add(len, std::memory_order_relaxed);
-    if (c_spill_bytes_ != nullptr) c_spill_bytes_->add(len);
-    return {};
+    if (!fs->unlinked) {  // else retired while waiting: staged below
+      auto rw = remote_writer_locked(*fs);
+      if (!rw.ok()) return rw.error();
+      fs->size = std::max(fs->size, offset + len);
+      lock.unlock();
+      CRFS_RETURN_IF_ERROR(remote_->pwrite(rw.value(), data, offset));
+      t_spill_bytes_.fetch_add(len, std::memory_order_relaxed);
+      if (c_spill_bytes_ != nullptr) c_spill_bytes_->add(len);
+      return {};
+    }
   }
 
   // Backpressure: block until eviction frees room for the net new bytes.
-  if (opts_.stage_cap > 0) {
+  if (!fs->unlinked && opts_.stage_cap > 0) {
     bool stalled = false;
     std::uint64_t stall_start = 0;
-    for (;;) {
+    while (!fs->unlinked) {
       std::uint64_t replaced = 0;
       auto it = fs->extents.lower_bound(offset);
       if (it != fs->extents.begin()) {
@@ -450,18 +462,22 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
   fs->inflight -= 1;
   if (!wrote.ok()) return wrote;
   trim_extents_locked(*fs, offset, len);
-  const std::uint64_t write_id = next_write_id_++;
-  fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
   fs->size = std::max(fs->size, offset + len);
   stage_used_ += len;
+  t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
+  if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
+  if (fs->unlinked) {  // retired, maybe while this write ran
+    fs->extents.emplace(offset, Extent{len, kRetiredUnit, 0, false});
+    return {};
+  }
+  const std::uint64_t write_id = next_write_id_++;
+  fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
   open_unit_bytes_ += len;
   // Copy early: wake the drain's eager pass.
   if (!eager_pending_) {
     eager_pending_ = true;
     if (!eager_stopped_) drain_cv_.notify_all();
   }
-  t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
-  if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
   return {};
 }
 
@@ -524,9 +540,11 @@ Result<std::size_t> TieredBackend::pread(BackendFile file, std::span<std::byte> 
           stage_file = fs->stage_file;
         }
       }
-      if (want_remote) {
-        // A gap can also be a never-written hole; remote open may fail
-        // with ENOENT when nothing drained yet — the zero-fill covers it.
+      // A retired file's remote path is gone or another file's now: its
+      // gaps read as zeroes. A gap can also be a never-written hole; remote
+      // open may fail with ENOENT when nothing drained yet — the zero-fill
+      // covers it.
+      if (want_remote && !fs->unlinked) {
         if (ensure_remote_read_locked(*fs).ok()) remote_file = fs->remote_read;
       }
     }
@@ -554,7 +572,8 @@ Status TieredBackend::fsync(BackendFile file) {
   if (!handle.ok()) return handle.error();
   auto fs = handle.value().file;
 
-  if (opts_.fsync_mode == TierFsyncMode::kStage) {
+  // A retired file's bytes never reach the remote: the stage is all there is.
+  if (opts_.fsync_mode == TierFsyncMode::kStage || fs->unlinked) {
     std::unique_lock<std::mutex> lock(mu_);
     if (!fs->stage_open) return {};
     const BackendFile sf = fs->stage_file;
@@ -589,6 +608,7 @@ Status TieredBackend::truncate(BackendFile file, std::uint64_t size) {
   }
   fs->size = size;
   if (fs->stage_open) CRFS_RETURN_IF_ERROR(stage_->truncate(fs->stage_file, size));
+  if (fs->unlinked) return {};  // retired: its remote path is not its own
   auto rw = remote_writer_locked(*fs);
   if (rw.ok()) CRFS_RETURN_IF_ERROR(remote_->truncate(rw.value(), size));
   return {};
@@ -598,7 +618,7 @@ Result<BackendStat> TieredBackend::stat(const std::string& path) {
   {
     std::lock_guard<std::mutex> lock(mu_);
     auto it = files_.find(path);
-    if (it != files_.end() && !it->second->unlinked) {
+    if (it != files_.end()) {
       BackendStat st;
       st.size = it->second->size;
       st.is_dir = false;
@@ -632,9 +652,13 @@ Status TieredBackend::unlink(const std::string& path) {
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       fs->unlinked = true;
+      // A later open of the path is a new file. The wait above dropped the
+      // lock, so `it` may be stale.
+      auto cur = files_.find(path);
+      if (cur != files_.end() && cur->second == fs) files_.erase(cur);
       space_cv_.notify_all();
       idle_cv_.notify_all();
-      release_file_locked(fs);  // no-op while handles are open
+      release_file_locked(fs);  // closes its tier handles once none is open
     }
     auto wit = remote_write_.find(path);
     if (wit != remote_write_.end()) {
@@ -741,7 +765,6 @@ Result<std::vector<std::string>> TieredBackend::list_dir(const std::string& path
   {
     std::lock_guard<std::mutex> lock(mu_);
     for (const auto& [p, fs] : files_) {
-      if (fs->unlinked) continue;
       const std::string norm = normalize(p);
       std::string rest;
       if (prefix.empty()) {

@@ -43,7 +43,10 @@
 // file's in-flight drain IO, so no copy reads a range a size op removed
 // and no late copy resurrects truncated bytes on the remote. A rename
 // onto a staged file retires the replaced file like an unlink. These ops
-// then call the stage and remote under the tier lock.
+// then call the stage and remote under the tier lock. Bytes written
+// through a handle still open on a retired file stay on the stage, read
+// back through that handle only, and go at its last close: they never
+// reach the remote.
 //
 // Coherence: the extent map tracks exactly which byte ranges are staged;
 // an overwrite trims older extents (last-writer-wins), so a read serves
@@ -201,6 +204,10 @@ class TieredBackend final : public BackendFs {
     std::uint64_t write_id = 0;
     bool copied = false;
   };
+  /// The unit of bytes written through a retired file's handles. No drain
+  /// unit has it, so they are never copied, and only the file's last
+  /// close drops them.
+  static constexpr std::uint64_t kRetiredUnit = 0;
 
   /// Per-path tier state. Extents are non-overlapping, keyed by offset.
   struct FileState {
@@ -218,6 +225,8 @@ class TieredBackend final : public BackendFs {
     /// Drain copies and remote fsyncs in flight outside the lock: size
     /// and namespace ops wait for 0 (copy_cv_).
     int drain_io = 0;
+    /// Retired: unlinked, or replaced by a rename. Out of files_, so a
+    /// later open of the path is a new file; kept alive by open handles.
     bool unlinked = false;
   };
 

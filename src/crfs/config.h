@@ -42,10 +42,10 @@ struct Config {
   std::size_t pool_shards = 0;
 
   /// Max chunks an IO worker drains from the work queue per lock
-  /// acquisition (docs/PERFORMANCE.md). Batches are grouped by file
-  /// (FIFO order kept within a file) and adjacent chunks coalesce into
-  /// one vectored backend write. 1 disables batching (one pop, one
-  /// pwrite — the pre-batching behaviour). The effective batch is capped
+  /// acquisition (docs/PERFORMANCE.md). A batch holds one file's jobs in
+  /// FIFO order, and adjacent chunks coalesce into one vectored backend
+  /// write. 1 disables batching (one pop, one pwrite — the pre-batching
+  /// behaviour). The effective batch is capped
   /// at half the pool's chunk count so a single batch can never park the
   /// whole pool behind one coalesced write.
   unsigned io_batch = 8;

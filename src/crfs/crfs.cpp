@@ -514,6 +514,8 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
   // advanced under agg_mu): every buffered, queued, or in-flight chunk
   // lies entirely below it, so the direct write cannot race a chunk write
   // for the same byte range — ordering is irrelevant for disjoint ranges.
+  // It is the one backend write of a file made outside the IO pool's
+  // one-writer-per-file rule, so it may overlap that file's IO worker.
   // current == nullptr keeps the common partial-chunk stream on the
   // aggregation path (a parked chunk may end exactly at `offset`, and
   // flushing it here just to bypass would cost more than the memcpy).
@@ -561,15 +563,10 @@ Status Crfs::write(FileHandle handle, std::span<const std::byte> data, std::uint
       flush_current_locked(entry_sp, /*partial=*/true);
     }
     if (entry.current == nullptr) {
-      // Last writer wins across IO threads: the IO pool keeps FIFO order
-      // only within one batch, so a chunk that may overlap bytes still in
-      // flight must not be queued until they land. Only an overwrite
-      // (offset below the high-water mark) can overlap; checkpoint streams
-      // never take this wait. IO threads never take agg_mu, so it cannot
-      // deadlock.
-      if (offset < entry.size_seen.load(std::memory_order_relaxed)) {
-        entry.wait_for_completion(entry.write_chunks.load(std::memory_order_acquire));
-      }
+      // An overwrite needs no wait for the chunks it overlaps: they are
+      // queued ahead of it, and one IO thread at a time writes a file's
+      // chunks in queue order (WorkQueue::pop_work), so the newer bytes
+      // land last.
       const std::uint64_t wait_before = pool_wait_ns;
       entry.current = acquire_chunk(entry, offset, &pool_wait_ns);
       if (entry.current == nullptr) return Error{EIO, "CRFS shutting down"};

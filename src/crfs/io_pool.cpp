@@ -1,7 +1,5 @@
 #include "crfs/io_pool.h"
 
-#include <algorithm>
-
 #include "crfs/file_table.h"
 
 namespace crfs {
@@ -55,7 +53,7 @@ void IoThreadPool::worker_loop() {
     // batch_ is re-read every dequeue, so a runtime tune (set_batch)
     // lands on the next pop without waking anyone. An empty pop means
     // shutdown with both lanes drained, so exiting loses nothing.
-    WorkBatch work = queue_.pop_work(batch_.load(std::memory_order_relaxed), /*wait=*/true);
+    WorkBatch work = queue_.pop_work(batch_.load(std::memory_order_relaxed));
     if (work.empty()) return;
     if (work.read) {
       // A readahead fill: a restoring reader waits on it, so it went ahead
@@ -74,21 +72,14 @@ void IoThreadPool::worker_loop() {
                          std::memory_order_acq_rel);
     if (obs_.batch_chunks != nullptr) obs_.batch_chunks->record(batch.size());
 
-    // Group by file so interleaved streams don't break up each other's
-    // runs — but stable: FIFO order is preserved WITHIN each file, so two
-    // overlapping chunks of one file (an overwrite) are still written in
-    // program order. Sorting by offset instead would silently invert
-    // last-writer-wins for overlaps. A sequential stream enqueues its
-    // chunks in ascending offset order anyway, so the common case still
-    // forms maximal adjacent runs.
-    std::stable_sort(batch.begin(), batch.end(),
-                     [](const WriteJob& a, const WriteJob& b) {
-                       return a.file.get() < b.file.get();
-                     });
+    // One file, FIFO order, and no other worker writes this file until
+    // `work` is destroyed: overlapping chunks (an overwrite) land in
+    // program order, and a sequential stream's chunks arrive in ascending
+    // offset order, so adjacent ones form maximal runs.
     std::size_t i = 0;
     while (i < batch.size()) {
       std::size_t j = i + 1;
-      while (j < batch.size() && batch[j].file.get() == batch[i].file.get() &&
+      while (j < batch.size() &&
              batch[j - 1].chunk->append_point() == batch[j].chunk->file_offset()) {
         ++j;
       }

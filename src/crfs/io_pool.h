@@ -1,9 +1,12 @@
 // IoThreadPool: the pool of worker IO threads draining the work queue
 // (paper §IV-B). Each worker issues one blocking pwrite (pwritev for a
 // coalesced run) at a time, so the thread count throttles the number of
-// outstanding chunk writes hitting the backend at once. The same workers
-// run the queue's readahead fills, ahead of write batches, as blocking
-// preads.
+// outstanding chunk writes hitting the backend at once. A worker's write
+// batch is one file's queued chunks, and no other worker writes that file
+// until the batch is done: a buffered write holds the backend file's
+// inode lock, so a second writer to the same file adds CPU, not
+// throughput. The same workers run the queue's readahead fills, ahead of
+// write batches, as blocking preads.
 #pragma once
 
 #include <atomic>
@@ -70,12 +73,12 @@ class IoThreadPool {
  public:
   /// Starts `threads` workers. Each worker loops: pop one readahead fill
   /// if any is queued and pread it; otherwise pop up to `batch`
-  /// already-queued chunks, group them by file (keeping FIFO order within
-  /// a file, so overlapping writes stay in program order), write each run
-  /// of adjacent chunks with one blocking pwrite/pwritev, then bump the
-  /// owning files' complete-chunk counts and return the chunks to the
-  /// pool. With `batch == 1` and no fills this is the paper's
-  /// one-chunk-per-pop behaviour exactly.
+  /// already-queued chunks of one file that no other worker is writing
+  /// (WorkQueue::pop_work), write each run of adjacent chunks with one
+  /// blocking pwrite/pwritev in FIFO order, so overlapping writes land in
+  /// program order, then bump the file's complete-chunk count and return
+  /// the chunks to the pool. With `batch == 1` and no fills this is the
+  /// paper's one-chunk-per-pop behaviour, with one writer per file.
   IoThreadPool(unsigned threads, WorkQueue& queue, BufferPool& pool, BackendFs& backend,
                IoPoolObs observe = {}, unsigned batch = 1);
 

@@ -1,5 +1,7 @@
 #include "crfs/work_queue.h"
 
+#include <algorithm>
+
 namespace crfs {
 
 void WorkQueue::push(WriteJob job) {
@@ -23,28 +25,61 @@ void WorkQueue::push_read(ReadJob job) {
   ready_.notify_one();
 }
 
-WorkBatch WorkQueue::pop_work(std::size_t max, bool wait) {
+WorkBatch::~WorkBatch() {
+  if (queue_ != nullptr) queue_->release(file_.get());
+}
+
+std::deque<WriteJob>::iterator WorkQueue::first_unowned_locked() {
+  return std::find_if(jobs_.begin(), jobs_.end(), [&](const WriteJob& job) {
+    return std::find(owned_.begin(), owned_.end(), job.file.get()) == owned_.end();
+  });
+}
+
+WorkBatch WorkQueue::pop_work(std::size_t max) {
   if (max == 0) max = 1;
   WorkBatch out;
   {
     std::unique_lock lock(mu_);
-    if (wait) {
-      ready_.wait(lock, [&] { return !jobs_.empty() || !reads_.empty() || shutdown_; });
-    }
+    auto next = jobs_.end();
+    ready_.wait(lock, [&] {
+      if (!reads_.empty()) return true;
+      next = first_unowned_locked();
+      return next != jobs_.end() || (shutdown_ && jobs_.empty());
+    });
     if (!reads_.empty()) {
       out.read = std::move(reads_.front());
       reads_.pop_front();
       return out;
     }
-    const std::size_t n = jobs_.size() < max ? jobs_.size() : max;
-    out.writes.reserve(n);
-    for (std::size_t i = 0; i < n; ++i) {
-      out.writes.push_back(std::move(jobs_.front()));
-      jobs_.pop_front();
+    if (next == jobs_.end()) return out;  // shutdown, write lane drained
+    out.file_ = next->file;
+    out.queue_ = this;
+    owned_.push_back(out.file_.get());
+    for (auto it = next; it != jobs_.end() && out.writes.size() < max;) {
+      if (it->file == out.file_) {
+        out.writes.push_back(std::move(*it));
+        it = jobs_.erase(it);
+      } else {
+        ++it;
+      }
     }
+    // Waiters blocked on other files' jobs exit once the lane is empty.
+    if (shutdown_ && jobs_.empty()) ready_.notify_all();
   }
-  if (!out.writes.empty()) stamp_dequeued(out.writes);
+  stamp_dequeued(out.writes);
   return out;
+}
+
+void WorkQueue::release(const FileEntry* file) {
+  bool queued = false;
+  {
+    std::lock_guard lock(mu_);
+    owned_.erase(std::find(owned_.begin(), owned_.end(), file));
+    queued = std::any_of(jobs_.begin(), jobs_.end(),
+                         [&](const WriteJob& job) { return job.file.get() == file; });
+  }
+  // The file's later jobs are now poppable: wake one waiter for them.
+  if (queued) ready_.notify_one();
 }
 
 void WorkQueue::stamp_dequeued(std::vector<WriteJob>& batch) {

@@ -9,6 +9,8 @@
 // slot, so enqueue cannot block and close() cannot deadlock against a full
 // queue. Both lanes hold pool chunks, so the read lane is bounded by the
 // pool too; workers take fills first because a reader is blocked on them.
+// A write batch holds one file's jobs and owns that file until it is
+// dropped: one backend writer per file at a time.
 #pragma once
 
 #include <condition_variable>
@@ -17,6 +19,7 @@
 #include <memory>
 #include <mutex>
 #include <optional>
+#include <utility>
 #include <vector>
 
 #include "backend/backend_fs.h"
@@ -60,12 +63,31 @@ struct ReadJob {
   std::function<void(Result<std::size_t>)> done;
 };
 
+class WorkQueue;
+
 /// What one dequeue hands a worker: a single read fill, or a batch of
-/// write jobs (never both).
+/// write jobs of ONE file, in FIFO order (never both). A write batch owns
+/// its file until the batch is destroyed: meanwhile no other worker is
+/// handed that file's queued jobs, so a file has at most one backend
+/// writer at a time. Move-only; ownership goes with the object, so a
+/// dropped batch can never leave its file owned.
 struct WorkBatch {
   std::optional<ReadJob> read;
   std::vector<WriteJob> writes;
+
+  WorkBatch() = default;
+  WorkBatch(WorkBatch&& other) noexcept
+      : read(std::move(other.read)), writes(std::move(other.writes)),
+        queue_(std::exchange(other.queue_, nullptr)), file_(std::move(other.file_)) {}
+  WorkBatch& operator=(WorkBatch&&) = delete;
+  ~WorkBatch();
+
   bool empty() const { return !read && writes.empty(); }
+
+ private:
+  friend class WorkQueue;
+  WorkQueue* queue_ = nullptr;        ///< set while the batch owns `file_`
+  std::shared_ptr<FileEntry> file_;   ///< the owned file (kept alive until release)
 };
 
 class WorkQueue {
@@ -76,17 +98,20 @@ class WorkQueue {
   /// Appends a fill to the read lane and wakes one IO thread.
   void push_read(ReadJob job);
 
-  /// The IO workers' dequeue: one read fill when the read lane has any,
-  /// otherwise up to `max` write jobs that are already queued — one lock
-  /// acquisition for the whole batch, never waiting for stragglers. With
-  /// `wait`, blocks until either lane has work and returns empty only
-  /// after shutdown once both lanes drained; without it returns at once,
-  /// possibly empty. The IO
-  /// pool groups a write batch by file and coalesces adjacent chunks into
-  /// vectored backend writes (docs/PERFORMANCE.md).
-  WorkBatch pop_work(std::size_t max, bool wait);
+  /// The IO workers' dequeue. Blocks until a fill is queued, a write job
+  /// of a file no batch owns is queued, or shutdown has come with the
+  /// write lane empty (then returns empty). A fill goes first: one per
+  /// pop, a reader waits on it. Otherwise the batch is the oldest queued
+  /// job whose file no other batch owns plus that file's later queued
+  /// jobs, FIFO, up to `max` — one lock acquisition, never waiting for
+  /// stragglers. The batch owns the file until it is destroyed, so the
+  /// file's jobs are written by one worker at a time, in program order:
+  /// last-writer-wins holds without any wait on the producer side, and
+  /// buffered writes stop contending for the backend file's inode lock
+  /// (docs/PERFORMANCE.md).
+  WorkBatch pop_work(std::size_t max);
 
-  /// Lets a waiting pop_work() return empty once both lanes are empty.
+  /// Lets a waiting pop_work() return empty once the write lane is empty.
   /// Already-queued jobs and fills are still handed out so teardown never
   /// loses buffered data.
   void shutdown();
@@ -101,12 +126,19 @@ class WorkQueue {
   std::uint64_t total_pushed() const;
 
  private:
+  friend struct WorkBatch;
+  /// Ends a batch's ownership of `file` (WorkBatch's destructor).
+  void release(const FileEntry* file);
+  /// The oldest queued job whose file no batch owns, or jobs_.end().
+  std::deque<WriteJob>::iterator first_unowned_locked();
   void stamp_dequeued(std::vector<WriteJob>& batch);
 
   mutable std::mutex mu_;
   std::condition_variable ready_;
   std::deque<WriteJob> jobs_;
   std::deque<ReadJob> reads_;
+  /// Files owned by a live write batch: at most one per IO thread.
+  std::vector<const FileEntry*> owned_;
   std::uint64_t pushed_ = 0;
   bool shutdown_ = false;
   obs::LatencyHistogram* wait_hist_ = nullptr;

@@ -353,11 +353,13 @@ Task CrfsSimNode::io_worker(unsigned worker) {
       if (stopping_) co_return;
       co_await job_ready_.wait();
     }
-    // Mirror of IoThreadPool's batch dequeue (docs/PERFORMANCE.md): drain
-    // up to io_batch already-queued jobs, group them by file (stable —
-    // FIFO order preserved within a file, like the real pool), and issue
-    // one backend call per run of adjacent chunks. Per-chunk bookkeeping
-    // cost survives coalescing; the backend call does not.
+    // Batch dequeue (docs/PERFORMANCE.md): drain up to io_batch
+    // already-queued jobs, group them by file (stable — FIFO order
+    // preserved within a file), and issue one backend call per run of
+    // adjacent chunks. Per-chunk bookkeeping cost survives coalescing;
+    // the backend call does not. The real pool instead hands a worker one
+    // file no other worker is writing; the device models here have no
+    // inode lock for that to matter (DESIGN.md §6).
     std::vector<Job> batch;
     // Same half-the-pool batch cap as Crfs::mount: a batch's chunks stay
     // out of the pool until the coalesced write lands, so an uncapped

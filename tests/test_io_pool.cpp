@@ -1,14 +1,18 @@
 // IO pool tests: mount-option plumbing, backend write errors through the
-// sticky FileEntry error, the large-write copy bypass, and last-writer-wins
-// when an overwrite races the chunk it overwrites across IO threads.
+// sticky FileEntry error, the large-write copy bypass, last-writer-wins
+// when an overwrite races the chunk it overwrites across IO threads, and
+// one backend writer per file.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cerrno>
 #include <condition_variable>
+#include <latch>
 #include <map>
 #include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/mem_backend.h"
@@ -68,18 +72,16 @@ TEST(IoEngineOptions, DescribeShowsEngineAndBypass) {
 
 // ------------------------------------------------ last writer wins
 
-// Holds a file's first chunk write (pwrite or pwritev) until another
-// write to that file has finished, or 200 ms pass: the schedule in which a
-// second IO thread lands a newer chunk before an older one.
-class HoldFirstWriteBackend final : public BackendFs {
+// Forwards every call to `inner`; subclasses wrap pwrite/pwritev.
+class ForwardingBackend : public BackendFs {
  public:
-  explicit HoldFirstWriteBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+  explicit ForwardingBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
 
   Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
-    return held(f, [&] { return inner_->pwrite(f, d, off); });
+    return inner_->pwrite(f, d, off);
   }
   Status pwritev(BackendFile f, std::span<const BackendIoVec> iov, std::uint64_t off) override {
-    return held(f, [&] { return inner_->pwritev(f, iov, off); });
+    return inner_->pwritev(f, iov, off);
   }
   Result<BackendFile> open_file(const std::string& p, OpenFlags fl) override {
     return inner_->open_file(p, fl);
@@ -100,7 +102,25 @@ class HoldFirstWriteBackend final : public BackendFs {
   Result<std::vector<std::string>> list_dir(const std::string& p) override {
     return inner_->list_dir(p);
   }
-  std::string name() const override { return "hold_first(" + inner_->name() + ")"; }
+  std::string name() const override { return "forward(" + inner_->name() + ")"; }
+
+ protected:
+  std::shared_ptr<BackendFs> inner_;
+};
+
+// Holds a file's first chunk write (pwrite or pwritev) until another
+// write to that file has finished, or 200 ms pass: the schedule in which a
+// second IO thread lands a newer chunk before an older one.
+class HoldFirstWriteBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    return held(f, [&] { return inner_->pwrite(f, d, off); });
+  }
+  Status pwritev(BackendFile f, std::span<const BackendIoVec> iov, std::uint64_t off) override {
+    return held(f, [&] { return inner_->pwritev(f, iov, off); });
+  }
 
  private:
   template <typename Write>
@@ -117,7 +137,6 @@ class HoldFirstWriteBackend final : public BackendFs {
     return st;
   }
 
-  std::shared_ptr<BackendFs> inner_;
   std::mutex mu_;
   std::condition_variable cv_;
   std::set<BackendFile> started_;
@@ -148,6 +167,86 @@ TEST(LastWriterWins, OverwriteNeverLandsBeforeTheChunkItOverwrites) {
   EXPECT_EQ(std::string(reinterpret_cast<const char*>(content.value().data()),
                         content.value().size()),
             newer);
+}
+
+// ------------------------------------------------- one writer per file
+
+// Counts backend writes in flight, per file and in total. Each write
+// waits up to 100 ms for a second write to be in flight, so two files'
+// writes overlap whenever the IO pool lets them.
+class CountingWritesBackend final : public ForwardingBackend {
+ public:
+  using ForwardingBackend::ForwardingBackend;
+
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    return counted(f, [&] { return inner_->pwrite(f, d, off); });
+  }
+  Status pwritev(BackendFile f, std::span<const BackendIoVec> iov, std::uint64_t off) override {
+    return counted(f, [&] { return inner_->pwritev(f, iov, off); });
+  }
+
+  int max_per_file() const {
+    std::lock_guard lock(mu_);
+    return max_per_file_;
+  }
+  int max_total() const {
+    std::lock_guard lock(mu_);
+    return max_total_;
+  }
+
+ private:
+  template <typename Write>
+  Status counted(BackendFile f, Write write) {
+    std::unique_lock lock(mu_);
+    max_per_file_ = std::max(max_per_file_, ++per_file_[f]);
+    max_total_ = std::max(max_total_, ++total_);
+    cv_.notify_all();
+    cv_.wait_for(lock, std::chrono::milliseconds(100), [&] { return total_ > 1; });
+    lock.unlock();
+    const Status st = write();
+    lock.lock();
+    per_file_[f] -= 1;
+    total_ -= 1;
+    return st;
+  }
+
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::map<BackendFile, int> per_file_;
+  int total_ = 0;
+  int max_per_file_ = 0;
+  int max_total_ = 0;
+};
+
+// Two writers stream into two files through 4 IO threads: each file has
+// at most one backend write in flight, while the two files' writes do
+// run at the same time.
+TEST(IoPool, OneBackendWriterPerFileWhileFilesWriteInParallel) {
+  auto counting = std::make_shared<CountingWritesBackend>(std::make_shared<MemBackend>());
+  Config cfg;
+  cfg.chunk_size = 64 * KiB;
+  cfg.pool_size = 32 * 64 * KiB;
+  cfg.io_threads = 4;
+  cfg.large_write_bypass = false;
+  auto fs = Crfs::mount(counting, cfg);
+  ASSERT_TRUE(fs.ok());
+  const std::string piece(16 * KiB, 'w');
+  std::latch start(2);  // both streams queue chunks from the same moment
+  std::vector<std::thread> writers;
+  for (const char* path : {"a.bin", "b.bin"}) {
+    writers.emplace_back([&, path] {
+      auto h = fs.value()->open(path, {.create = true, .truncate = true, .write = true});
+      start.arrive_and_wait();
+      ASSERT_TRUE(h.ok());
+      for (std::uint64_t off = 0; off < 2 * MiB; off += piece.size()) {
+        ASSERT_TRUE(fs.value()->write(h.value(), as_bytes(piece), off).ok());
+      }
+      ASSERT_TRUE(fs.value()->close(h.value()).ok());
+    });
+  }
+  for (auto& w : writers) w.join();
+  EXPECT_EQ(counting->max_per_file(), 1);
+  EXPECT_GT(counting->max_total(), 1);
 }
 
 // ------------------------------------------------------ write errors

@@ -2,7 +2,8 @@
 // (eviction only after remote durability), the eager copy of the open
 // unit (overwrites mid-copy, one remote write stream, no spinning on a
 // dead remote), size and namespace ops fenced against in-flight drain
-// copies, fault injection (remote tier down mid-drain, stage-full
+// copies, writes through handles of unlinked or rename-replaced files,
+// fault injection (remote tier down mid-drain, stage-full
 // backpressure), restore coherence across tiers with readahead on/off,
 // the shed_drain controller rule, and the DES mirror's deterministic
 // replay + bandwidth-decoupling structure.
@@ -182,19 +183,23 @@ class ProbeBackend final : public BackendFs {
   std::atomic<int> max_in_flight_{0};
 };
 
-/// Runs tier->flush() on its own thread: false unless it returned ok within
-/// `limit`. On a timeout the thread, which keeps the tier alive, is left
-/// behind, so a hang fails the test instead of hanging the suite.
-bool flush_within(const std::shared_ptr<TieredBackend>& tier, std::chrono::seconds limit) {
+/// Runs `op` on its own thread: false unless it returned ok within
+/// `limit`. On a timeout the thread, which keeps what `op` captured alive,
+/// is left behind, so a hang fails the test instead of hanging the suite.
+bool ok_within(std::function<Status()> op, std::chrono::seconds limit) {
   auto done = std::make_shared<std::promise<bool>>();
   auto result = done->get_future();
-  std::thread flusher([tier, done] { done->set_value(tier->flush().ok()); });
+  std::thread runner([op = std::move(op), done] { done->set_value(op().ok()); });
   if (result.wait_for(limit) != std::future_status::ready) {
-    flusher.detach();
+    runner.detach();
     return false;
   }
-  flusher.join();
+  runner.join();
   return result.get();
+}
+
+bool flush_within(const std::shared_ptr<TieredBackend>& tier, std::chrono::seconds limit) {
+  return ok_within([tier] { return tier->flush(); }, limit);
 }
 
 /// A PosixBackend stage in a fresh temp directory (the mmap drain path).
@@ -706,6 +711,76 @@ TEST(TieredNamespace, RenameOfAnUndrainedFileOntoADrainedOneLeavesNoOldTail) {
   ASSERT_TRUE(remote_data.ok());
   EXPECT_EQ(remote_data.value(), a);
   EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+// A write through a handle still open on an unlinked file stays with
+// that handle: readable through it, never drained (the file does not come
+// back), its stage space returned at the last close.
+TEST(TieredRetired, WriteThroughAnUnlinkedFilesHandleNeverReachesTheRemote) {
+  auto remote = std::make_shared<MemBackend>();
+  TieredOptions opts;
+  opts.fsync_mode = TierFsyncMode::kRemote;
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), remote, opts);
+  const auto first = make_pattern(1 * MiB, 30);
+  const auto late = make_pattern(1 * MiB, 31);
+  auto h = tier->open_file("u.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(tier->pwrite(h.value(), first, 0).ok());
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  ASSERT_TRUE(tier->unlink("u.img").ok());
+
+  ASSERT_TRUE(tier->pwrite(h.value(), late, 0).ok());
+  const BackendFile handle = h.value();
+  ASSERT_TRUE(ok_within([tier, handle] { return tier->fsync(handle); },
+                        std::chrono::seconds(5)));
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  EXPECT_FALSE(remote->stat("u.img").ok());
+  EXPECT_FALSE(tier->stat("u.img").ok());
+  std::vector<std::byte> back(late.size());
+  auto got = tier->pread(h.value(), back, 0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), late.size());
+  EXPECT_EQ(back, late);
+  EXPECT_EQ(tier->tier_stats().stage_used, late.size());
+
+  ASSERT_TRUE(tier->close_file(h.value()).ok());
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  EXPECT_FALSE(remote->stat("u.img").ok());
+  EXPECT_FALSE(tier->stat("u.img").ok());
+}
+
+// The same for a handle still open on a file that a rename replaced: the
+// late bytes are read back through it, the new file is untouched, and the
+// stage space comes back at the last close.
+TEST(TieredRetired, WriteThroughARenameReplacedFilesHandleFreesItsStageAtClose) {
+  auto remote = std::make_shared<MemBackend>();
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), remote,
+                                              TieredOptions{});
+  const auto a = make_pattern(1 * MiB, 32);
+  const auto b = make_pattern(1 * MiB, 33);
+  const auto late = make_pattern(1 * MiB, 34);
+  backend_write(*tier, "a.img", a);
+  auto hb = tier->open_file("b.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(hb.ok());
+  ASSERT_TRUE(tier->pwrite(hb.value(), b, 0).ok());
+  ASSERT_TRUE(tier->rename("a.img", "b.img").ok());
+
+  ASSERT_TRUE(tier->pwrite(hb.value(), late, 0).ok());
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  std::vector<std::byte> back(late.size());
+  auto got = tier->pread(hb.value(), back, 0);
+  ASSERT_TRUE(got.ok());
+  EXPECT_EQ(got.value(), late.size());
+  EXPECT_EQ(back, late);
+  EXPECT_EQ(tier->tier_stats().stage_used, late.size());
+
+  ASSERT_TRUE(tier->close_file(hb.value()).ok());
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+  auto remote_b = remote->contents("b.img");
+  ASSERT_TRUE(remote_b.ok());
+  EXPECT_EQ(remote_b.value(), a);
+  EXPECT_EQ(backend_read(*tier, "b.img", a.size()), a);
 }
 
 TEST(TieredNamespace, CheckpointSetCommitOnTieredMountVerifiesAndDrains) {

@@ -1,6 +1,7 @@
 // Unit tests for WorkQueue and IoThreadPool.
 #include <gtest/gtest.h>
 
+#include <future>
 #include <thread>
 
 #include "backend/mem_backend.h"
@@ -22,8 +23,9 @@ WriteJob make_job(std::shared_ptr<FileEntry> file, std::size_t chunk_size,
 }
 
 // The IO workers' dequeue, seen through the write lane these tests fill.
-std::vector<WriteJob> pop_writes(WorkQueue& q, std::size_t max, bool wait = true) {
-  return q.pop_work(max, wait).writes;
+// The batch is dropped here, so its file is free again for the next pop.
+std::vector<WriteJob> pop_writes(WorkQueue& q, std::size_t max) {
+  return q.pop_work(max).writes;
 }
 
 TEST(WorkQueue, FifoOrder) {
@@ -110,24 +112,6 @@ TEST(WorkQueue, PopBatchReturnsEmptyAfterShutdownDrained) {
   EXPECT_TRUE(pop_writes(q, 8).empty());   // then closed
 }
 
-TEST(WorkQueue, TryPopBatchNeverBlocks) {
-  WorkQueue q;
-  EXPECT_TRUE(pop_writes(q, 4, /*wait=*/false).empty());  // empty queue: immediate return
-
-  auto entry = std::make_shared<FileEntry>("f", 1);
-  for (int i = 0; i < 3; ++i) {
-    q.push(make_job(entry, 64, static_cast<std::uint64_t>(i), 'a', 1));
-  }
-  auto batch = pop_writes(q, 2, /*wait=*/false);  // caps at max, FIFO order
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0].chunk->file_offset(), 0u);
-  EXPECT_EQ(batch[1].chunk->file_offset(), 1u);
-  EXPECT_EQ(pop_writes(q, 8, /*wait=*/false).size(), 1u);
-
-  q.shutdown();
-  EXPECT_TRUE(pop_writes(q, 8, /*wait=*/false).empty());  // drained + closed: still empty
-}
-
 TEST(WorkQueue, PopWorkTakesFillsBeforeWrites) {
   WorkQueue q;
   auto entry = std::make_shared<FileEntry>("f", 1);
@@ -143,32 +127,138 @@ TEST(WorkQueue, PopWorkTakesFillsBeforeWrites) {
 
   // One fill per pop, oldest first, ahead of the earlier writes.
   for (std::uint64_t off : {100u, 200u}) {
-    WorkBatch work = q.pop_work(8, /*wait=*/false);
+    WorkBatch work = q.pop_work(8);
     ASSERT_TRUE(work.read.has_value());
     EXPECT_EQ(work.read->offset, off);
     EXPECT_TRUE(work.writes.empty());
   }
-  WorkBatch work = q.pop_work(8, /*wait=*/false);
-  EXPECT_FALSE(work.read.has_value());
-  EXPECT_EQ(work.writes.size(), 2u);
-  EXPECT_TRUE(q.pop_work(8, /*wait=*/false).empty());
+  {
+    WorkBatch work = q.pop_work(8);
+    EXPECT_FALSE(work.read.has_value());
+    EXPECT_EQ(work.writes.size(), 2u);
+  }
+  EXPECT_EQ(q.depth(), 0u);
 
-  // After shutdown a queued fill is still handed out, then the blocking
-  // pop returns empty.
+  // After shutdown a queued fill is still handed out, then the pop
+  // returns empty.
   q.push_read(fill(300));
   q.shutdown();
-  EXPECT_TRUE(q.pop_work(8, /*wait=*/true).read.has_value());
-  EXPECT_TRUE(q.pop_work(8, /*wait=*/true).empty());
+  EXPECT_TRUE(q.pop_work(8).read.has_value());
+  EXPECT_TRUE(q.pop_work(8).empty());
 }
 
-TEST(WorkQueue, TryPopBatchStampsDequeueTimes) {
+TEST(WorkQueue, PopBatchStampsDequeueTimes) {
   WorkQueue q;
   auto entry = std::make_shared<FileEntry>("f", 1);
   q.push(make_job(entry, 64, 0, 'a', 1));
-  auto batch = pop_writes(q, 1, /*wait=*/false);
+  auto batch = pop_writes(q, 1);
   ASSERT_EQ(batch.size(), 1u);
   EXPECT_GT(batch[0].enqueue_ns, 0u);
   EXPECT_GE(batch[0].dequeue_ns, batch[0].enqueue_ns);
+}
+
+TEST(WorkQueue, PopBatchHoldsOneFileInFifoOrder) {
+  WorkQueue q;
+  auto f = std::make_shared<FileEntry>("f", 1);
+  auto g = std::make_shared<FileEntry>("g", 2);
+  q.push(make_job(f, 64, 0, 'a', 1));
+  q.push(make_job(g, 64, 0, 'b', 1));
+  q.push(make_job(f, 64, 1, 'c', 1));
+  q.push(make_job(g, 64, 1, 'd', 1));
+  q.push(make_job(f, 64, 2, 'e', 1));
+
+  // The oldest job's file, then that file's later jobs up to max.
+  auto first = pop_writes(q, 2);
+  ASSERT_EQ(first.size(), 2u);
+  EXPECT_EQ(first[0].file, f);
+  EXPECT_EQ(first[0].chunk->file_offset(), 0u);
+  EXPECT_EQ(first[1].file, f);
+  EXPECT_EQ(first[1].chunk->file_offset(), 1u);
+  auto second = pop_writes(q, 8);
+  ASSERT_EQ(second.size(), 2u);
+  EXPECT_EQ(second[0].file, g);
+  EXPECT_EQ(second[1].file, g);
+  EXPECT_EQ(second[1].chunk->file_offset(), 1u);
+  auto third = pop_writes(q, 8);
+  ASSERT_EQ(third.size(), 1u);
+  EXPECT_EQ(third[0].chunk->file_offset(), 2u);
+  EXPECT_EQ(q.depth(), 0u);
+}
+
+// One blocking pop on its own thread, which shares the queue. A pop that
+// has not returned when the test ends is left behind rather than joined,
+// so it fails the test's bounded wait instead of hanging the suite.
+class PendingPop {
+ public:
+  explicit PendingPop(std::shared_ptr<WorkQueue> q) {
+    auto popped = std::make_shared<std::promise<std::vector<WriteJob>>>();
+    jobs_ = popped->get_future();
+    thread_ = std::thread([q, popped] { popped->set_value(pop_writes(*q, 8)); });
+  }
+  PendingPop(const PendingPop&) = delete;
+  PendingPop& operator=(const PendingPop&) = delete;
+  ~PendingPop() {
+    if (thread_.joinable()) thread_.detach();
+  }
+
+  bool returned_within(std::chrono::milliseconds limit) {
+    if (jobs_.wait_for(limit) != std::future_status::ready) return false;
+    if (thread_.joinable()) thread_.join();
+    return true;
+  }
+  std::vector<WriteJob> jobs() { return jobs_.get(); }
+
+ private:
+  std::future<std::vector<WriteJob>> jobs_;
+  std::thread thread_;
+};
+
+// While a batch of file f is held, a pop skips f's later job and takes
+// g's; a pop with only f's job left blocks until f's batch is dropped.
+TEST(WorkQueue, HeldBatchOwnsItsFileUntilDropped) {
+  auto q = std::make_shared<WorkQueue>();
+  auto f = std::make_shared<FileEntry>("f", 1);
+  auto g = std::make_shared<FileEntry>("g", 2);
+  q->push(make_job(f, 64, 0, 'a', 1));
+  q->push(make_job(f, 64, 1, 'b', 1));
+  q->push(make_job(g, 64, 0, 'c', 1));
+
+  auto held = std::make_unique<WorkBatch>(q->pop_work(1));
+  ASSERT_EQ(held->writes.size(), 1u);
+  EXPECT_EQ(held->writes[0].file, f);
+  EXPECT_EQ(held->writes[0].chunk->file_offset(), 0u);
+
+  WorkBatch second = q->pop_work(8);
+  ASSERT_EQ(second.writes.size(), 1u);
+  EXPECT_EQ(second.writes[0].file, g);
+
+  PendingPop third(q);
+  EXPECT_FALSE(third.returned_within(std::chrono::milliseconds(50)))
+      << "f's later job was handed out while f's batch was held";
+  held.reset();
+  ASSERT_TRUE(third.returned_within(std::chrono::seconds(5)))
+      << "dropping f's batch did not release f";
+  auto jobs = third.jobs();
+  ASSERT_EQ(jobs.size(), 1u);
+  EXPECT_EQ(jobs[0].file, f);
+  EXPECT_EQ(jobs[0].chunk->file_offset(), 1u);
+}
+
+// After shutdown a pop still waits for an owned file's queued job rather
+// than returning empty, so teardown writes it.
+TEST(WorkQueue, ShutdownStillHandsOutAnOwnedFilesJobs) {
+  auto q = std::make_shared<WorkQueue>();
+  auto f = std::make_shared<FileEntry>("f", 1);
+  q->push(make_job(f, 64, 0, 'a', 1));
+  q->push(make_job(f, 64, 1, 'b', 1));
+  auto held = std::make_unique<WorkBatch>(q->pop_work(1));
+  q->shutdown();
+  PendingPop pending(q);
+  EXPECT_FALSE(pending.returned_within(std::chrono::milliseconds(30)));
+  held.reset();
+  ASSERT_TRUE(pending.returned_within(std::chrono::seconds(5)));
+  EXPECT_EQ(pending.jobs().size(), 1u);
+  EXPECT_TRUE(pop_writes(*q, 8).empty());
 }
 
 // --------------------------------------------------------- IoThreadPool
@@ -312,8 +402,8 @@ TEST_F(IoPoolTest, BatchedWorkerPreservesFifoOrderForOverlappingChunks) {
 TEST_F(IoPoolTest, BatchedWorkerGroupsByFileAcrossInterleavedStreams) {
   auto a = open_entry("a.bin");
   auto b = open_entry("b.bin");
-  // Two streams interleaved in the queue: grouping by file must still
-  // coalesce each stream's adjacent chunks into one write per file.
+  // Two streams interleaved in the queue: a batch takes one file's jobs,
+  // so each stream's adjacent chunks still coalesce into one write.
   queue_.push(pool_job(a, 0, "AAAA"));
   queue_.push(pool_job(b, 0, "1111"));
   queue_.push(pool_job(a, 4, "BBBB"));
