@@ -19,8 +19,10 @@
 # appends, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
-# stall on backpressure, and read across tiers; drain-failure retry
-# racing the healing remote).
+# stall on backpressure, and read across tiers; the persistent drain
+# workers copying one step per file of each round beside the drain
+# thread, the rounds' hand-off and copied marks, and the shared
+# drain_mbps budget; drain-failure retry racing the healing remote).
 # Any data-race report fails the run (TSan exits non-zero).
 set -euo pipefail
 

@@ -112,6 +112,12 @@ TieredBackend::~TieredBackend() {
   space_cv_.notify_all();
   idle_cv_.notify_all();
   if (drain_thread_.joinable()) drain_thread_.join();
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    workers_stop_ = true;
+  }
+  step_cv_.notify_all();
+  for (auto& worker : workers_) worker.join();
 
   std::unique_lock<std::mutex> lock(mu_);
   for (auto& [path, fs] : files_) {
@@ -798,13 +804,22 @@ Status TieredBackend::flush() {
   return {};
 }
 
-void TieredBackend::throttle(std::uint64_t bytes) {
+std::chrono::steady_clock::time_point TieredBackend::book_budget(std::uint64_t bytes) {
+  const auto now = std::chrono::steady_clock::now();
   const double mbps = drain_mbps_cap_.load(std::memory_order_relaxed);
-  if (mbps <= 0.0) return;
-  const unsigned workers = drain_parallel_.load(std::memory_order_relaxed);
-  const double per_worker = mbps / static_cast<double>(workers == 0 ? 1 : workers);
-  const double seconds = static_cast<double>(bytes) / (per_worker * 1e6);
-  std::this_thread::sleep_for(std::chrono::duration<double>(seconds));
+  if (mbps <= 0.0) return now;
+  // An idle budget banks nothing: the slot starts now at the earliest.
+  std::chrono::steady_clock::time_point start;
+  std::chrono::steady_clock::time_point end;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    start = std::max(budget_end_, now);
+    end = start + std::chrono::duration_cast<std::chrono::steady_clock::duration>(
+                      std::chrono::duration<double>(static_cast<double>(bytes) / (mbps * 1e6)));
+    budget_end_ = end;
+  }
+  std::this_thread::sleep_until(start);
+  return end;
 }
 
 Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce) {
@@ -853,6 +868,7 @@ Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::b
       }
       src = {bounce.data(), step};
     }
+    const auto slot_end = book_budget(step);
     const std::uint64_t t0 = obs::now_ns();
     result = remote_->pwrite(rw, src, at);
     if (h_drain_pwrite_ != nullptr) h_drain_pwrite_->record(obs::now_ns() - t0);
@@ -860,7 +876,7 @@ Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::b
     if (!result.ok()) break;
     t_drained_bytes_.fetch_add(step, std::memory_order_relaxed);
     if (c_drained_bytes_ != nullptr) c_drained_bytes_->add(step);
-    throttle(step);
+    std::this_thread::sleep_until(slot_end);
     done += step;
   }
   std::lock_guard<std::mutex> lock(mu_);
@@ -868,63 +884,83 @@ Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::b
   return result;
 }
 
-Status TieredBackend::copy_runs(const std::vector<DrainRun>& runs) {
-  const unsigned workers =
-      std::min<unsigned>(drain_parallel_.load(std::memory_order_relaxed),
-                         static_cast<unsigned>(runs.empty() ? 1 : runs.size()));
-  if (workers <= 1) {
-    for (const DrainRun& run : runs) CRFS_RETURN_IF_ERROR(copy_run_to_remote(run, bounce_));
-    return {};
-  }
-  std::vector<Status> statuses(workers);
-  std::vector<std::thread> helpers;
-  helpers.reserve(workers - 1);
-  auto work = [&](unsigned w) {
-    std::vector<std::byte> own;
-    std::vector<std::byte>& bounce = w == 0 ? bounce_ : own;
-    for (std::size_t i = w; i < runs.size(); i += workers) {
-      statuses[w] = copy_run_to_remote(runs[i], bounce);
-      if (!statuses[w].ok()) return;
+void TieredBackend::copy_steps_locked(std::unique_lock<std::mutex>& lock,
+                                      std::vector<std::byte>& bounce) {
+  while (round_ != nullptr && round_next_ < round_->size()) {
+    DrainStep& step = (*round_)[round_next_++];
+    lock.unlock();
+    for (const DrainRun& run : merge_adjacent(step.exact)) {
+      step.result = copy_run_to_remote(run, bounce);
+      if (!step.result.ok()) break;
     }
-  };
-  for (unsigned w = 1; w < workers; ++w) helpers.emplace_back(work, w);
-  work(0);
-  for (auto& t : helpers) t.join();
-  for (Status& st : statuses) {
-    if (!st.ok()) return std::move(st);
+    lock.lock();
+    if (--round_left_ == 0) round_cv_.notify_all();
   }
-  return {};
 }
 
-std::vector<TieredBackend::DrainRun> TieredBackend::uncopied_locked(std::uint64_t unit,
-                                                                   std::uint64_t limit) const {
-  std::vector<DrainRun> exact;
-  std::uint64_t bytes = 0;
+void TieredBackend::worker_loop() {
+  std::vector<std::byte> bounce;
+  std::unique_lock<std::mutex> lock(mu_);
+  for (;;) {
+    step_cv_.wait(lock, [&] {
+      return workers_stop_ || (round_ != nullptr && round_next_ < round_->size());
+    });
+    if (workers_stop_) return;
+    copy_steps_locked(lock, bounce);
+  }
+}
+
+std::vector<TieredBackend::DrainStep> TieredBackend::next_round_locked(
+    std::uint64_t unit) const {
+  const unsigned width = drain_parallel_.load(std::memory_order_relaxed);
+  std::vector<DrainStep> round;
   for (const auto& [path, fs] : files_) {
+    DrainStep step;
+    std::uint64_t bytes = 0;
     for (const auto& [off, ext] : fs->extents) {
       if (ext.unit != unit || ext.copied) continue;
-      exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
+      step.exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
       bytes += ext.len;
-      if (bytes >= limit) return exact;
+      if (bytes >= kStepBytes) break;
     }
+    if (step.exact.empty()) continue;
+    round.push_back(std::move(step));
+    if (round.size() >= width) break;
   }
-  return exact;
+  return round;
 }
 
-Status TieredBackend::copy_exact(const std::vector<DrainRun>& exact, std::uint64_t unit) {
-  CRFS_RETURN_IF_ERROR(copy_runs(merge_adjacent(exact)));
+Status TieredBackend::copy_round(std::vector<DrainStep>& round, std::uint64_t unit) {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (workers_.size() + 1 < round.size()) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+  round_ = &round;
+  round_next_ = 0;
+  round_left_ = round.size();
+  if (round.size() > 1) step_cv_.notify_all();
+  copy_steps_locked(lock, bounce_);
+  round_cv_.wait(lock, [&] { return round_left_ == 0; });
+  round_ = nullptr;
+
   // Copied counts only for an extent that is still exactly the one copied:
   // an overwrite mid-copy changed its write id (or split it), so those
   // bytes stay uncopied and go again.
-  std::lock_guard<std::mutex> lock(mu_);
-  for (const DrainRun& run : exact) {
-    auto it = run.file->extents.find(run.offset);
-    if (it != run.file->extents.end() && it->second.len == run.len &&
-        it->second.unit == unit && it->second.write_id == run.write_id) {
-      it->second.copied = true;
+  Status result;
+  for (const DrainStep& step : round) {
+    if (!step.result.ok()) {
+      if (result.ok() || result.error().code == ESTALE) result = step.result;
+      continue;
+    }
+    for (const DrainRun& run : step.exact) {
+      auto it = run.file->extents.find(run.offset);
+      if (it != run.file->extents.end() && it->second.len == run.len &&
+          it->second.unit == unit && it->second.write_id == run.write_id) {
+        it->second.copied = true;
+      }
     }
   }
-  return {};
+  return result;
 }
 
 void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
@@ -947,17 +983,19 @@ void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
 
 void TieredBackend::copy_open_unit(std::unique_lock<std::mutex>& lock) {
   const std::uint64_t unit = open_unit_seq_;
-  const std::vector<DrainRun> exact = uncopied_locked(unit, kStepBytes);
-  if (exact.empty()) {
+  std::vector<DrainStep> round = next_round_locked(unit);
+  if (round.empty()) {
     eager_pending_ = false;  // the next pwrite wakes the pass again
     return;
   }
   if (open_unit_first_copy_ns_ == 0) open_unit_first_copy_ns_ = obs::now_ns();
   lock.unlock();
-  const Status result = copy_exact(exact, unit);
+  const Status result = copy_round(round, unit);
   if (!result.ok()) {
     std::uint64_t bytes = 0;
-    for (const DrainRun& run : exact) bytes += run.len;
+    for (const DrainStep& step : round) {
+      for (const DrainRun& run : step.exact) bytes += run.len;
+    }
     note_remote_failure(result.error(), unit, bytes);
   }
   lock.lock();
@@ -970,19 +1008,18 @@ void TieredBackend::copy_open_unit(std::unique_lock<std::mutex>& lock) {
 }
 
 bool TieredBackend::drain_unit(const DrainUnit& unit) {
-  // Copy what the eager pass has not. Snapshot the unit's uncopied extents
-  // (exact, for the copied bit) and their merged runs under the lock; copy
-  // outside it. An overwrite that splits an extent mid-copy leaves
-  // uncopied pieces, so repeat until none remain.
+  // Copy what the eager pass has not, a round at a time, until no
+  // uncopied extent of the unit remains (an overwrite that splits an
+  // extent mid-copy leaves uncopied pieces for a later round).
   Status result;
   for (;;) {
-    std::vector<DrainRun> exact;
+    std::vector<DrainStep> round;
     {
       std::lock_guard<std::mutex> lock(mu_);
-      exact = uncopied_locked(unit.seq, ~std::uint64_t{0});
+      round = next_round_locked(unit.seq);
     }
-    if (exact.empty()) break;
-    result = copy_exact(exact, unit.seq);
+    if (round.empty()) break;
+    result = copy_round(round, unit.seq);
     if (!result.ok()) break;
   }
 

@@ -16,22 +16,33 @@
 // checkpoint. Sealed units drain oldest-first — whole checkpoints at a
 // time.
 //
-// Copy early, evict late. While no sealed unit waits, the drain thread
-// copies the OPEN unit's extents to the remote as they land, one step at
-// a time, so the remote streams during the burst instead of idling until
-// its seal. The eager and the sealed drain pick what to copy from the
-// extent map alone, through one snapshot-and-copy path. Each
-// extent carries the id of the write that staged it and a `copied` bit;
-// a copy marks its extent copied only if offset, length, unit and write
-// id all still match afterwards, so bytes overwritten mid-copy are copied
-// again (last-writer-wins). At seal the drain copies only what is still
-// uncopied, fsyncs every remote file of the unit, and only then evicts:
-// staged data is released only once its entire unit is durable (pwritten
-// AND fsynced) at the remote, so a crash mid-drain never leaves the
-// remote with a half-valid newest checkpoint while the stage already
-// dropped the bytes. One thread does all of this, so at drain_parallel=1
-// the remote sees a single write stream. A failed eager copy stops eager
-// copying until the seal; the sealed unit's retry loop then owns it.
+// Copy early, evict late. While no sealed unit waits, the drain copies
+// the OPEN unit's extents to the remote as they land, so the remote
+// streams during the burst instead of idling until its seal. The eager
+// and the sealed drain pick what to copy from the extent map alone,
+// through one round-based copy path. Each extent carries the id of the
+// write that staged it and a `copied` bit; a copy marks its extent copied
+// only if offset, length, unit and write id all still match afterwards,
+// so bytes overwritten mid-copy are copied again (last-writer-wins). At
+// seal the drain copies only what is still uncopied, fsyncs every remote
+// file of the unit, and only then evicts: staged data is released only
+// once its entire unit is durable (pwritten AND fsynced) at the remote,
+// so a crash mid-drain never leaves the remote with a half-valid newest
+// checkpoint while the stage already dropped the bytes. A failed eager
+// copy stops eager copying until the seal; the sealed unit's retry loop
+// then owns it.
+//
+// One drain stream per file. The drain thread is the coordinator: each
+// round it takes at most one step (about kStepBytes) from each of up to
+// `drain_parallel` files of the oldest unit (the sealed front, or the
+// open unit while nothing is sealed), copies those steps together with
+// persistent drain workers, one stream per step, waits for all of them,
+// and then marks what landed copied. A file has at most one remote write in
+// flight, as WorkQueue gives the IO pool one writer per file, while
+// files drain side by side, so the tier reaches the remote with the
+// concurrency the mount uses when it writes there directly. At
+// drain_parallel=1 the remote sees a single write stream. `drain_mbps`
+// is one budget that the steps of all streams book in turn.
 //
 // Stage reads. When the stage exposes a kernel fd (PosixBackend), each
 // drain step maps the staged range read-only (MAP_SHARED|MAP_POPULATE)
@@ -99,9 +110,9 @@ struct TieredOptions {
   /// Drain bandwidth cap toward the remote, MB/s (0 = unthrottled).
   /// Runtime-tunable via the `drain_mbps` knob.
   double drain_mbps = 0.0;
-  /// Helper threads splitting one unit's runs (>= 1). Runtime-tunable via
-  /// the `drain_parallel` knob.
-  unsigned drain_parallel = 1;
+  /// Max remote write streams, one per file (>= 1): how many files the
+  /// drain copies at once. Runtime-tunable via the `drain_parallel` knob.
+  unsigned drain_parallel = 4;
   TierFsyncMode fsync_mode = TierFsyncMode::kStage;
   /// Remote-failure retry backoff: initial, doubling to the max.
   std::chrono::milliseconds retry_backoff{10};
@@ -123,7 +134,7 @@ struct TierStats {
   std::uint64_t retries = 0;           ///< remote-failure drain retries
   std::uint64_t drain_lag_ns = 0;      ///< age of the oldest undrained unit
   double drain_mbps = 0.0;             ///< current drain throttle
-  unsigned drain_parallel = 1;         ///< current drain concurrency
+  unsigned drain_parallel = 1;         ///< max remote write streams, one per file
 };
 
 class TieredBackend final : public BackendFs {
@@ -239,6 +250,14 @@ class TieredBackend final : public BackendFs {
     std::uint64_t write_id = 0;
   };
 
+  /// One file's share of a drain round, copied by one stream: its
+  /// uncopied extents (exact, for the copied bit), whole, up to about
+  /// kStepBytes.
+  struct DrainStep {
+    std::vector<DrainRun> exact;
+    Status result;
+  };
+
   /// A sealed group of extents: the drain ordering + eviction unit.
   struct DrainUnit {
     std::uint64_t seq = 0;       ///< internal, monotonically increasing
@@ -268,23 +287,29 @@ class TieredBackend final : public BackendFs {
   /// Blocks until no drain copy or fsync of `fs` is in flight.
   void wait_drain_io_locked(std::unique_lock<std::mutex>& lock, const FileState& fs);
   void drain_loop();
-  /// Snapshots `unit`'s uncopied extents, whole and file by file, until
-  /// they add up to at least `limit` bytes.
-  std::vector<DrainRun> uncopied_locked(std::uint64_t unit, std::uint64_t limit) const;
-  /// Copies a snapshot of `unit`'s extents, then marks copied every one
-  /// that still matches it. The one copy path of eager and sealed drains.
-  Status copy_exact(const std::vector<DrainRun>& exact, std::uint64_t unit);
-  /// Copies at most one step of the open unit's uncopied extents (eager copy).
+  void worker_loop();
+  /// Snapshots the next round of `unit`: one step from each of up to
+  /// drain_parallel files that still hold uncopied extents of it.
+  std::vector<DrainStep> next_round_locked(std::uint64_t unit) const;
+  /// Copies a round, one stream per step, then marks copied every extent
+  /// that still matches its snapshot. The one copy path of eager and
+  /// sealed drains; returns the first failure, a remote one before ESTALE.
+  Status copy_round(std::vector<DrainStep>& round, std::uint64_t unit);
+  /// Copies steps of the current round until none is left to take.
+  void copy_steps_locked(std::unique_lock<std::mutex>& lock, std::vector<std::byte>& bounce);
+  /// Copies one round of the open unit's uncopied extents (eager copy).
   void copy_open_unit(std::unique_lock<std::mutex>& lock);
   /// Drains one unit to the remote; true on success (unit evicted).
   bool drain_unit(const DrainUnit& unit);
-  Status copy_runs(const std::vector<DrainRun>& runs);
   /// Copies one run in kStepBytes steps; `bounce` is the calling thread's
   /// buffer for fd-less stages.
   Status copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce);
   /// Raises tier_remote_down once per failure episode.
   void note_remote_failure(const Error& error, std::uint64_t unit, std::uint64_t bytes);
-  void throttle(std::uint64_t bytes);
+  /// Books the next `bytes` of the drain_mbps budget that all streams
+  /// share and waits for the slot to open. Returns when it closes, which
+  /// the caller waits for after its write.
+  std::chrono::steady_clock::time_point book_budget(std::uint64_t bytes);
   std::uint64_t oldest_pending_seal_ns_locked() const;
 
   const std::shared_ptr<BackendFs> stage_;
@@ -317,9 +342,23 @@ class TieredBackend final : public BackendFs {
   std::uint64_t next_write_id_ = 1;
   std::uint64_t open_unit_first_copy_ns_ = 0;
 
-  // Remote writer handles are owned by the drain side only (single
-  // logical writer toward the remote), keyed by path.
+  // Remote writer handles, one per path, used by the drain side only. A
+  // file's drain steps never overlap, so each has one writer at a time.
   std::unordered_map<std::string, BackendFile> remote_write_;
+
+  // The round being copied. The coordinator owns the steps; it and the
+  // workers take them in order under mu_.
+  std::vector<DrainStep>* round_ = nullptr;
+  std::size_t round_next_ = 0;        ///< next step to take
+  std::size_t round_left_ = 0;        ///< steps not yet finished
+  std::condition_variable step_cv_;   ///< a round has steps to take, or stop
+  std::condition_variable round_cv_;  ///< the round's last step finished
+  bool workers_stop_ = false;
+  /// Persistent drain workers, started as rounds first need them: one
+  /// fewer than the widest round so far, as the coordinator is a stream too.
+  std::vector<std::thread> workers_;
+  /// The drain_mbps budget is booked up to here.
+  std::chrono::steady_clock::time_point budget_end_{};
 
   // Lifetime totals mirrored into the (optional) registry.
   std::atomic<std::uint64_t> t_staged_bytes_{0};

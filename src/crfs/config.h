@@ -227,8 +227,8 @@ struct Config {
   /// Drain bandwidth cap toward the remote tier, MB/s (0 = unthrottled).
   unsigned drain_mbps = 0;
 
-  /// Drain helper threads splitting one unit's runs.
-  unsigned drain_parallel = 1;
+  /// Max remote write streams of the tier drain, one per file.
+  unsigned drain_parallel = 4;
 
   /// What fsync() promises under tiering: "stage" (fast, default) or
   /// "remote" (block until this file's staged bytes are remote-durable).

@@ -351,8 +351,8 @@ void Crfs::define_knobs() {
         return true;
       });
 
-  // drain_parallel: helper threads splitting one drain unit's runs.
-  // Picked up by the next unit drained.
+  // drain_parallel: how many files the drain copies to the remote at
+  // once, one write stream each. Picked up by the next drain round.
   knobs.define(
       knob_def("drain_parallel", cfg_),
       tier_ != nullptr ? static_cast<double>(tier_->drain_parallel())

@@ -149,7 +149,7 @@ inline constexpr auto kMountOptionTable = [] {
       {.key = "drain_mbps", .kind = kUint, .field = &Config::drain_mbps, .hi = 1'000'000,
        .unit = "MB/s", .doc = "drain bandwidth cap toward the remote (0 = unthrottled)"},
       {.key = "drain_parallel", .kind = kUint, .field = &Config::drain_parallel, .lo = 1,
-       .hi = 64, .unit = "threads", .doc = "drain helper threads per unit"},
+       .hi = 64, .unit = "threads", .doc = "max remote write streams, one per file"},
       {.key = "fsync_mode", .kind = kEnum, .field = &Config::fsync_mode,
        .doc = "what fsync() promises on a tiered mount", .choices = "stage|remote"},
   });

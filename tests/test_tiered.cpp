@@ -1,15 +1,17 @@
 // Tiered burst-buffer backend tests: epoch-aware drain correctness
 // (eviction only after remote durability), the eager copy of the open
 // unit (overwrites mid-copy, one remote write stream, no spinning on a
-// dead remote), size and namespace ops fenced against in-flight drain
-// copies, writes through handles of unlinked or rename-replaced files,
-// fault injection (remote tier down mid-drain, stage-full
-// backpressure), restore coherence across tiers with readahead on/off,
-// the shed_drain controller rule, and the DES mirror's deterministic
-// replay + bandwidth-decoupling structure.
+// dead remote), one drain stream per file with files draining side by
+// side under one drain_mbps budget, size and namespace ops fenced
+// against in-flight drain copies, writes through handles of unlinked or
+// rename-replaced files, fault injection (remote tier down mid-drain,
+// stage-full backpressure), restore coherence across tiers with
+// readahead on/off, the shed_drain controller rule, and the DES mirror's
+// deterministic replay + bandwidth-decoupling structure.
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -19,7 +21,9 @@
 #include <functional>
 #include <future>
 #include <mutex>
+#include <string>
 #include <thread>
+#include <unordered_map>
 #include <vector>
 
 #include "backend/mem_backend.h"
@@ -89,8 +93,9 @@ std::vector<std::byte> backend_read(BackendFs& b, const std::string& path,
 }
 
 /// Forwards to `inner`, counting pwrites (attempts, and the most in flight
-/// at once) and, when armed, parking the next pwrite until release() or
-/// running a hook inside the next stat.
+/// at once, overall and to any one path) and, when armed, parking the next
+/// pwrite until release(), failing every pwrite to one path, or running a
+/// hook inside the next stat.
 class ProbeBackend final : public BackendFs {
  public:
   explicit ProbeBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
@@ -98,6 +103,8 @@ class ProbeBackend final : public BackendFs {
   void hold_next_write() {
     std::lock_guard<std::mutex> lock(mu_);
     hold_ = true;
+    parked_ = false;
+    released_ = false;
   }
   /// True once a held pwrite is parked.
   bool wait_parked(std::chrono::milliseconds limit) {
@@ -116,11 +123,36 @@ class ProbeBackend final : public BackendFs {
     std::lock_guard<std::mutex> lock(mu_);
     stat_hook_ = std::move(fn);
   }
+  /// Fails every pwrite to `path` with EIO until heal().
+  void fail_writes_to(std::string path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    failing_path_ = std::move(path);
+  }
+  void heal() { fail_writes_to(""); }
   int attempts() const { return attempts_.load(); }
+  int attempts_to(const std::string& path) {
+    std::lock_guard<std::mutex> lock(mu_);
+    return path_attempts_[path];
+  }
   int max_in_flight() const { return max_in_flight_.load(); }
+  int max_in_flight_per_file() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return max_per_file_;
+  }
+  /// Restarts both in-flight peaks from zero.
+  void reset_peaks() {
+    std::lock_guard<std::mutex> lock(mu_);
+    max_in_flight_.store(0);
+    max_per_file_ = 0;
+  }
 
   Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
-    return inner_->open_file(path, flags);
+    auto opened = inner_->open_file(path, flags);
+    if (opened.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      paths_[opened.value()] = path;
+    }
+    return opened;
   }
   Status close_file(BackendFile f) override { return inner_->close_file(f); }
   Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
@@ -129,8 +161,14 @@ class ProbeBackend final : public BackendFs {
     int seen = max_in_flight_.load();
     while (now > seen && !max_in_flight_.compare_exchange_weak(seen, now)) {
     }
+    std::string path;
+    bool fail = false;
     {
       std::unique_lock<std::mutex> lock(mu_);
+      path = paths_[f];
+      path_attempts_[path] += 1;
+      max_per_file_ = std::max(max_per_file_, ++path_in_flight_[path]);
+      fail = !failing_path_.empty() && path == failing_path_;
       if (hold_) {
         hold_ = false;
         parked_ = true;
@@ -139,7 +177,12 @@ class ProbeBackend final : public BackendFs {
       }
     }
     if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
-    const Status st = inner_->pwrite(f, d, off);
+    const Status st =
+        fail ? Status(Error{EIO, "probe: injected write failure"}) : inner_->pwrite(f, d, off);
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      path_in_flight_[path] -= 1;
+    }
     in_flight_.fetch_sub(1);
     return st;
   }
@@ -178,6 +221,11 @@ class ProbeBackend final : public BackendFs {
   bool released_ = false;
   std::chrono::microseconds delay_{0};
   std::function<void()> stat_hook_;
+  std::string failing_path_;
+  std::unordered_map<BackendFile, std::string> paths_;
+  std::unordered_map<std::string, int> path_attempts_;
+  std::unordered_map<std::string, int> path_in_flight_;
+  int max_per_file_ = 0;
   std::atomic<int> attempts_{0};
   std::atomic<int> in_flight_{0};
   std::atomic<int> max_in_flight_{0};
@@ -358,11 +406,12 @@ TEST(TieredEager, OverwriteDuringEagerCopyLandsTheNewerBytes) {
   EXPECT_EQ(tier.tier_stats().stage_used, 0u);
 }
 
-TEST(TieredEager, DefaultDrainKeepsOneRemoteWriteStream) {
+TEST(TieredEager, SingleDrainStreamKeepsOneRemoteWriteStream) {
   auto remote_mem = std::make_shared<MemBackend>();
   auto probe = std::make_shared<ProbeBackend>(remote_mem);
   probe->set_write_delay(std::chrono::microseconds(500));
-  TieredBackend tier(std::make_shared<MemBackend>(), probe, TieredOptions{});
+  TieredBackend tier(std::make_shared<MemBackend>(), probe,
+                     TieredOptions{.drain_parallel = 1});
   ASSERT_EQ(tier.drain_parallel(), 1u);
 
   // Two writers stage while both the eager copy and sealed units drain.
@@ -406,6 +455,10 @@ TEST(TieredEager, FailedEagerCopyDoesNotSpinWhileTheUnitIsOpen) {
   TieredOptions opts;
   opts.retry_backoff = std::chrono::milliseconds(1);
   opts.retry_backoff_max = std::chrono::milliseconds(8);
+  // One stream, so the one failed copy is one attempt. At the default
+  // width each file's stream fails once instead (see
+  // TieredDrain.OneFailingStreamHoldsItsUnitUntilItHeals).
+  opts.drain_parallel = 1;
   TieredBackend tier(std::make_shared<MemBackend>(), probe, opts);
   obs::Registry reg;
   obs::EventBuffer events;
@@ -485,6 +538,155 @@ TEST(TieredEager, SealDuringAFailingEagerCopyKeepsTheNextUnitEager) {
   auto remote_data = remote_mem->contents("second.img");
   ASSERT_TRUE(remote_data.ok());
   EXPECT_EQ(remote_data.value(), data);
+}
+
+// -- One drain stream per file ------------------------------------------------
+
+/// Stages `files` files of `bytes` each in 1 MiB pwrites while the eager
+/// drain's first remote write is parked, so later rounds find every file
+/// with bytes left to copy. `before_release` runs with the write still
+/// parked.
+void stage_behind_a_parked_copy(TieredBackend& tier, ProbeBackend& probe, int files,
+                                const std::vector<std::byte>& data,
+                                const std::function<void()>& before_release = {}) {
+  probe.hold_next_write();
+  for (int i = 0; i < files; ++i) {
+    auto f = tier.open_file(file_name(i), {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(f.ok());
+    for (std::size_t off = 0; off < data.size(); off += 1 * MiB) {
+      ASSERT_TRUE(tier.pwrite(f.value(), std::span(data).subspan(off, 1 * MiB), off).ok());
+    }
+    ASSERT_TRUE(tier.close_file(f.value()).ok());
+    if (i == 0 && !probe.wait_parked(std::chrono::seconds(5))) {
+      probe.release();
+      FAIL() << "the open unit was never copied";
+    }
+  }
+  if (before_release) before_release();
+  probe.release();
+}
+
+TEST(TieredDrain, OneRemoteWriterPerFileWhileFilesDrainInParallel) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  probe->set_write_delay(std::chrono::milliseconds(5));
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe,
+                                              TieredOptions{});
+  ASSERT_GT(tier->drain_parallel(), 1u);
+  constexpr int kFiles = 3;
+
+  // Eager phase: the open unit's files stream side by side, one writer each.
+  const auto v1 = make_pattern(8 * MiB, 21);
+  stage_behind_a_parked_copy(*tier, *probe, kFiles, v1);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (tier->tier_stats().drained_bytes < kFiles * v1.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(tier->tier_stats().drained_bytes, kFiles * v1.size());
+  EXPECT_EQ(tier->tier_stats().units_evicted, 0u);
+  EXPECT_EQ(probe->max_in_flight_per_file(), 1);
+  EXPECT_GT(probe->max_in_flight(), 1);
+  tier->seal_epoch(1);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+
+  // Sealed phase: the seal lands while the first copy is parked, so every
+  // later round drains the sealed unit.
+  const auto v2 = make_pattern(8 * MiB, 22);
+  stage_behind_a_parked_copy(*tier, *probe, kFiles, v2, [&] {
+    probe->reset_peaks();
+    tier->seal_epoch(2);
+  });
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+  EXPECT_EQ(probe->max_in_flight_per_file(), 1);
+  EXPECT_GT(probe->max_in_flight(), 1);
+
+  for (int i = 0; i < kFiles; ++i) {
+    auto remote_data = remote_mem->contents(file_name(i));
+    ASSERT_TRUE(remote_data.ok());
+    EXPECT_EQ(remote_data.value(), v2) << file_name(i);
+  }
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredDrain, OneFailingStreamHoldsItsUnitUntilItHeals) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  TieredOptions opts;
+  opts.retry_backoff = std::chrono::milliseconds(1);
+  opts.retry_backoff_max = std::chrono::milliseconds(8);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe, opts);
+  constexpr int kFiles = 3;
+
+  // One file's remote stream fails; the other files copy eagerly.
+  probe->fail_writes_to(file_name(1));
+  const auto data = make_pattern(1 * MiB, 23);
+  stage_behind_a_parked_copy(*tier, *probe, kFiles, data);
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe->attempts_to(file_name(1)) == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(50));
+  // The failed stream stopped the eager pass: one attempt while open.
+  EXPECT_EQ(probe->attempts_to(file_name(1)), 1);
+
+  // Sealed, the unit retries; none of it is evicted while one file fails,
+  // not even the files already on the remote.
+  tier->seal_epoch(1);
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier->tier_stats().retries < 3 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  TierStats st = tier->tier_stats();
+  ASSERT_GE(st.retries, 3u);
+  EXPECT_EQ(st.units_evicted, 0u);
+  EXPECT_EQ(st.stage_used, kFiles * data.size());
+
+  probe->heal();
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+  st = tier->tier_stats();
+  EXPECT_EQ(st.units_evicted, 1u);
+  EXPECT_EQ(st.stage_used, 0u);
+  for (int i = 0; i < kFiles; ++i) {
+    auto remote_data = remote_mem->contents(file_name(i));
+    ASSERT_TRUE(remote_data.ok());
+    EXPECT_EQ(remote_data.value(), data) << file_name(i);
+  }
+}
+
+TEST(TieredDrain, DrainMbpsIsOneBudgetAcrossStreams) {
+  // Low enough that a 4 MiB step copies well inside its slot (131 ms),
+  // even in sanitizer builds.
+  constexpr double kMbps = 32.0;
+  auto remote = std::make_shared<MemBackend>();
+  TieredOptions opts;
+  opts.drain_mbps = kMbps;
+  opts.drain_parallel = 4;
+  TieredBackend tier(std::make_shared<MemBackend>(), remote, opts);
+  std::mutex mu;
+  std::uint64_t drained = 0;
+  std::uint64_t drain_ns = 0;
+  tier.set_drain_listener([&](std::uint64_t, std::uint64_t bytes, std::uint64_t ns, std::uint64_t) {
+    std::lock_guard<std::mutex> lock(mu);
+    drained = bytes;
+    drain_ns = ns;
+  });
+
+  // One stream alone runs at the whole cap; four streams share it.
+  const auto data = make_pattern(16 * MiB, 24);
+  for (const int files : {1, 4}) {
+    for (int i = 0; i < files; ++i) {
+      backend_write(tier, file_name(i),
+                    std::vector<std::byte>(data.begin(), data.begin() + data.size() / files));
+    }
+    tier.seal_epoch(0);
+    ASSERT_TRUE(tier.flush().ok());
+    std::lock_guard<std::mutex> lock(mu);
+    ASSERT_EQ(drained, data.size());
+    const double mbps = static_cast<double>(drained) * 1e3 / static_cast<double>(drain_ns);
+    EXPECT_GT(mbps, 0.75 * kMbps) << files << " file(s)";
+    EXPECT_LT(mbps, 1.05 * kMbps) << files << " file(s)";
+  }
 }
 
 // -- Size and namespace ops fenced against in-flight drain copies -------------
