@@ -411,75 +411,6 @@ bool report_journal_overhead() {
   return pass;
 }
 
-// Controller idle-overhead guard: the same fixed multi-writer checkpoint
-// with the sampler on (10 ms) and the feedback controller off vs on. On
-// a healthy MemBackend pipeline the conservative rule thresholds never
-// trip, so this measures the *quiescent* loop — per-tick rule evaluation
-// on the sampler thread, zero decisions — which is the cost every
-// controller=on mount pays. Printed as BENCH_CONTROL_* lines with a
-// PASS/FAIL verdict against the <= 5% budget and written to
-// BENCH_CONTROL.json for CI to archive.
-double time_control_checkpoint_s(bool controller) {
-  Config cfg;
-  cfg.chunk_size = 1 * MiB;
-  cfg.pool_size = 8 * MiB;
-  cfg.io_threads = 2;
-  cfg.sample_ms = 10;
-  cfg.controller = controller;
-  auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
-  if (!fs.ok()) return 0.0;
-  FuseShim shim(*fs.value(), FuseOptions{});
-
-  constexpr int kWriters = 4;
-  constexpr std::size_t kPerWriter = 32 * MiB;
-  const auto t0 = std::chrono::steady_clock::now();
-  std::vector<std::thread> writers;
-  for (int w = 0; w < kWriters; ++w) {
-    writers.emplace_back([&, w] {
-      auto h = shim.open("bench_control_rank" + std::to_string(w),
-                         {.create = true, .truncate = true, .write = true});
-      if (!h.ok()) return;
-      std::vector<std::byte> buf(128 * KiB, std::byte{9});
-      for (std::size_t off = 0; off < kPerWriter; off += buf.size()) {
-        (void)shim.write(h.value(), buf, off);
-      }
-      (void)shim.fsync(h.value());
-      (void)shim.close(h.value());
-    });
-  }
-  for (auto& t : writers) t.join();
-  return std::chrono::duration<double>(std::chrono::steady_clock::now() - t0).count();
-}
-
-bool report_control_overhead() {
-  constexpr int kReps = 5;
-  constexpr double kBudgetPct = 5.0;
-  double best_off = 1e30, best_on = 1e30;
-  for (int i = 0; i < kReps; ++i) {
-    best_off = std::min(best_off, time_control_checkpoint_s(false));
-    best_on = std::min(best_on, time_control_checkpoint_s(true));
-  }
-  const double overhead_pct = best_off > 0 ? 100.0 * (best_on - best_off) / best_off : 0.0;
-  const bool pass = overhead_pct <= kBudgetPct;
-  std::printf("\n-- quiescent controller overhead (best of %d, 4 writers x 32 MiB) --\n",
-              kReps);
-  std::printf("BENCH_CONTROL_OFF %.4f s\n", best_off);
-  std::printf("BENCH_CONTROL_ON  %.4f s\n", best_on);
-  std::printf("BENCH_CONTROL_OVERHEAD %.2f %% (budget <= %.0f%%)\n", overhead_pct,
-              kBudgetPct);
-  std::printf("BENCH_CONTROL_GUARD %s\n", pass ? "PASS" : "FAIL");
-  if (std::FILE* f = std::fopen("BENCH_CONTROL.json", "w")) {
-    std::fprintf(f,
-                 "{\"control_off_s\":%.6f,\"control_on_s\":%.6f,"
-                 "\"control_overhead_pct\":%.3f,\"budget_pct\":%.1f,"
-                 "\"guard\":\"%s\"}\n",
-                 best_off, best_on, overhead_pct, kBudgetPct, pass ? "PASS" : "FAIL");
-    std::fclose(f);
-    std::printf("wrote BENCH_CONTROL.json\n");
-  }
-  return pass;
-}
-
 // Causal-tracing overhead guard: the same fixed multi-writer checkpoint
 // with enable_tracing off vs on. Tracing on means every write carries a
 // span + trace id, every chunk a causal chain, and the IO workers
@@ -559,11 +490,9 @@ int main(int argc, char** argv) {
   crfs::report_stage_latencies();
   crfs::report_sampler_overhead();
   // The guards' verdicts are advisory on developer machines (wall-clock
-  // noise); CI greps BENCH_OBS_LEDGER_GUARD / BENCH_CONTROL_GUARD and
-  // archives BENCH_OBS.json / BENCH_CONTROL.json.
+  // noise); CI greps BENCH_OBS_LEDGER_GUARD and archives BENCH_OBS.json.
   (void)crfs::report_ledger_overhead();
   (void)crfs::report_journal_overhead();
-  (void)crfs::report_control_overhead();
   (void)crfs::report_trace_overhead();
   return 0;
 }

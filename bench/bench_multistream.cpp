@@ -8,9 +8,10 @@
 // numbers instead of being hidden behind a free discard.
 //
 // Two configurations per stream count:
-//   * tuned   — mount defaults (sharded pool, io_batch=8, pwritev runs)
-//   * legacy  — pool_shards=1, io_batch=1: the pre-scaling pipeline shape
-//     (single pool lock, one pop and one pwrite per chunk)
+//   * tuned   — mount defaults (io_batch=8, pwritev runs)
+//   * legacy  — io_batch=1: one pop and one pwrite per chunk. It differs
+//     from the defaults only in batching; both arms share the one-lock
+//     pool and the handle map.
 //
 // Output: one BENCH_WRITEPATH_STREAMS<N> line per tuned stream count (the
 // CI smoke greps these), a BENCH_WRITEPATH_COALESCED_PWRITES line proving
@@ -198,11 +199,10 @@ int main() {
     reps = std::max(1, std::atoi(env));
   }
 
-  Config tuned{};  // mount defaults: auto shards, io_batch=8
+  Config tuned{};  // mount defaults: io_batch=8
   if (const char* env = std::getenv("CRFS_BENCH_BATCH")) tuned.io_batch = static_cast<unsigned>(std::atoi(env));
   if (const char* env = std::getenv("CRFS_BENCH_POOL")) { if (auto p = parse_bytes(env)) tuned.pool_size = *p; }
   Config legacy{};
-  legacy.pool_shards = 1;
   legacy.io_batch = 1;
 
   std::printf("=== Multistream write-path throughput (FuseShim -> Crfs -> MemBackend) ===\n");

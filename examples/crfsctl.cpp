@@ -49,10 +49,6 @@
 //                                         .crfs_tune control file and
 //                                         print the resulting audited
 //                                         decisions
-//   crfsctl controller <dir> [mount-options] [--json]
-//                                         run the workload with the
-//                                         feedback controller enabled;
-//                                         print the decision log
 //   crfsctl timeline <dir> [--since=SEC] [--json]
 //                                         read a mount's durable telemetry
 //                                         journal (the directory itself or
@@ -106,7 +102,6 @@
 #include "crfs/mount_options.h"
 #include "crfs/posix_api.h"
 #include "obs/chrome_trace.h"
-#include "obs/controller.h"
 #include "obs/epoch.h"
 #include "obs/journal.h"
 #include "obs/json_lite.h"
@@ -141,7 +136,6 @@ int usage() {
                "       crfsctl knobs <dir> [mount-options] [--json]\n"
                "       crfsctl tune <dir> <knob=value[,knob=value...]> "
                "[mount-options] [--json]\n"
-               "       crfsctl controller <dir> [mount-options] [--json]\n"
                "       crfsctl timeline <dir> [--since=SEC] [--json]\n"
                "       crfsctl slo <dir> [--json]\n"
                "       crfsctl epochs <dir> <set>\n"
@@ -1067,7 +1061,7 @@ int cmd_slo(int argc, char** argv) {
   return 0;
 }
 
-// Decision-log table shared by `crfsctl tune` and `crfsctl controller`.
+// Decision-log table printed by `crfsctl tune`.
 void print_decisions(const std::vector<obs::CtlDecision>& decisions) {
   if (decisions.empty()) {
     std::printf("no decisions recorded\n");
@@ -1194,48 +1188,6 @@ int cmd_tune(int argc, char** argv) {
     print_decisions(decisions);
   }
   return rc;
-}
-
-// `crfsctl controller`: the full telemetry loop — run the instrumented
-// workload with the sampler and feedback controller on, then print the
-// controller state: knob generation, tick count, and the decision audit
-// trail (empty when the pipeline stayed healthy, which is the expected
-// outcome on a fast local disk).
-int cmd_controller(int argc, char** argv) {
-  if (argc < 3) return usage();
-  bool as_json = false;
-  const char* optstr = "";
-  for (int i = 3; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) {
-      as_json = true;
-    } else {
-      optstr = argv[i];
-    }
-  }
-  auto opts = parse_mount_options(optstr);
-  if (!opts.ok()) {
-    std::fprintf(stderr, "error: %s\n", opts.error().to_string().c_str());
-    return kExitBadArgs;
-  }
-  if (opts.value().config.sample_ms == 0) opts.value().config.sample_ms = 10;
-  opts.value().config.controller = true;
-  auto fs = run_instrumented_workload(argv[2], opts.value());
-  if (!fs.ok()) {
-    std::fprintf(stderr, "error: %s\n", fs.error().to_string().c_str());
-    return kExitUnreachable;
-  }
-  if (as_json) {
-    std::printf("%s\n", fs.value()->controller_json().c_str());
-    return 0;
-  }
-  const obs::Controller* ctl = fs.value()->controller();
-  std::printf("crfsctl controller: %s\n", format_mount_options(opts.value()).c_str());
-  std::printf("ticks=%llu generation=%llu decisions_total=%llu\n",
-              static_cast<unsigned long long>(ctl != nullptr ? ctl->ticks() : 0),
-              static_cast<unsigned long long>(fs.value()->knob_plane().generation()),
-              static_cast<unsigned long long>(fs.value()->decision_log().total()));
-  print_decisions(fs.value()->decision_log().snapshot());
-  return 0;
 }
 
 // One refresh frame of `crfsctl watch`: windowed rates from the latest
@@ -1535,7 +1487,6 @@ int main(int argc, char** argv) {
   if (std::strcmp(argv[1], "postmortem") == 0) return cmd_postmortem(argc, argv);
   if (std::strcmp(argv[1], "knobs") == 0) return cmd_knobs(argc, argv);
   if (std::strcmp(argv[1], "tune") == 0) return cmd_tune(argc, argv);
-  if (std::strcmp(argv[1], "controller") == 0) return cmd_controller(argc, argv);
   if (std::strcmp(argv[1], "timeline") == 0) return cmd_timeline(argc, argv);
   if (std::strcmp(argv[1], "slo") == 0) return cmd_slo(argc, argv);
   if (std::strcmp(argv[1], "epochs") == 0) return cmd_epochs(argc, argv);

@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
 # Builds the ThreadSanitizer preset and runs the concurrency-sensitive
-# tests: test_obs (lock-free histograms, TraceRing wrap under racing
+# tests: test_buffer_pool (the one-lock pool's park/notify path under
+# churn, waiters woken by release, resize and shutdown), test_obs
+# (lock-free histograms, TraceRing wrap under racing
 # snapshot), test_crfs_concurrency (full pipeline under contention),
 # test_epoch_ledger (EpochState handoff through WriteJobs while explicit
 # epochs rotate under concurrent writers, flight-recorder refresh from IO
@@ -9,9 +11,8 @@
 # test_io_pool (last-writer-wins across two IO threads, one backend
 # writer per file, write errors completing on IO threads, large-write
 # bypass racing queued chunks), and
-# test_control (knob-plane snapshot publication racing tunes, the
-# controller ticking on a real sampler thread while other threads read
-# the decision log), test_read_path (readahead fills completing on IO
+# test_control (knob-plane snapshot publication racing tunes and a
+# Prometheus scrape while the sampler ticks), test_read_path (readahead fills completing on IO
 # threads while their readers wait and copy out of slots; concurrent
 # scans sharing the pool; unmount with fills in flight; the prefetcher
 # racing appending writers, flush-before-read barriers under concurrent
@@ -32,9 +33,10 @@ BUILD_DIR=${BUILD_DIR:-build-tsan}
 JOBS=${JOBS:-2}
 
 cmake -B "$BUILD_DIR" -S . -DCRFS_SANITIZE=thread -DCMAKE_BUILD_TYPE=RelWithDebInfo
-cmake --build "$BUILD_DIR" -j "$JOBS" --target test_obs test_crfs_concurrency test_epoch_ledger test_work_queue test_io_pool test_control test_read_path test_journal test_tiered
+cmake --build "$BUILD_DIR" -j "$JOBS" --target test_buffer_pool test_obs test_crfs_concurrency test_epoch_ledger test_work_queue test_io_pool test_control test_read_path test_journal test_tiered
 
 export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
+"$BUILD_DIR"/tests/test_buffer_pool
 "$BUILD_DIR"/tests/test_obs
 "$BUILD_DIR"/tests/test_crfs_concurrency
 # Death tests fork; TSan and fork-heavy gtest styles don't mix, so the

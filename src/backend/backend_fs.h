@@ -26,6 +26,8 @@
 
 namespace crfs {
 
+class TieredBackend;
+
 /// Opaque backend file handle. 64-bit so PosixBackend can store an fd and
 /// MemBackend an index without heap indirection.
 using BackendFile = std::uint64_t;
@@ -138,6 +140,12 @@ class BackendFs {
 
   /// Human-readable backend name for mount banners and reports.
   virtual std::string name() const = 0;
+
+  /// The TieredBackend this backend is or wraps, or nullptr. TieredBackend
+  /// returns itself and decorators forward to what they wrap, so a mount
+  /// finds its tier (epoch sealing, drain telemetry, drain knobs) through
+  /// any stack of wrappers.
+  virtual TieredBackend* tiered() { return nullptr; }
 };
 
 }  // namespace crfs

@@ -98,10 +98,11 @@
 
 namespace crfs {
 
-/// What fsync() promises: kStage = data durable on the staging tier
-/// (fast, the default — restart can re-read from the stage); kRemote =
-/// seal the open unit and block until this file's staged bytes are
-/// durable at the remote (the paper's backend-durability semantics).
+/// What fsync() promises: kStage = the bytes are on the stage device
+/// (fast, the default), but a new mount does not recover them yet: a
+/// restart sees only what had drained to the remote (ROADMAP item 14).
+/// kRemote = seal the open unit and block until this file's staged bytes
+/// are durable at the remote (the paper's backend-durability semantics).
 enum class TierFsyncMode { kStage, kRemote };
 
 struct TieredOptions {
@@ -161,6 +162,7 @@ class TieredBackend final : public BackendFs {
   Status rename(const std::string& from, const std::string& to) override;
   Result<std::vector<std::string>> list_dir(const std::string& path) override;
   std::string name() const override;
+  TieredBackend* tiered() override { return this; }
   // raw_fd stays -1 (base default): tier routing must see every IO, so
   // the read path never bypasses us — same decorator contract as
   // FaultyBackend/ThrottledBackend.
@@ -180,7 +182,7 @@ class TieredBackend final : public BackendFs {
   void set_drain_listener(DrainListener fn);
 
   /// Attaches the tier's crfs.tier.* metrics and health events. Call
-  /// before concurrent IO (Crfs::mount does, via dynamic_cast).
+  /// before concurrent IO (Crfs::mount does, via BackendFs::tiered()).
   void bind_obs(obs::Registry* registry, obs::EventBuffer* events);
 
   // -- Runtime knobs (drain_mbps / drain_parallel) -------------------------

@@ -71,6 +71,7 @@ class FaultyBackend final : public BackendFs {
     return inner_->list_dir(p);
   }
   std::string name() const override { return "faulty(" + inner_->name() + ")"; }
+  TieredBackend* tiered() override { return inner_->tiered(); }
 
  private:
   std::shared_ptr<BackendFs> inner_;
@@ -123,6 +124,7 @@ class ThrottledBackend final : public BackendFs {
     return inner_->list_dir(p);
   }
   std::string name() const override { return "throttled(" + inner_->name() + ")"; }
+  TieredBackend* tiered() override { return inner_->tiered(); }
 
  private:
   void delay(std::size_t bytes) {

@@ -5,13 +5,8 @@
 // exactly why a larger pool raises aggregation bandwidth in Fig 5 until
 // the pipeline is deep enough to flatten.
 //
-// The free list is sharded (docs/PERFORMANCE.md): each shard has its own
-// mutex so concurrent checkpoint streams acquire and release chunks
-// without rendezvousing on one lock. A thread has a home shard (assigned
-// round-robin at first use); when the home shard is empty the acquire
-// scans the other shards (work stealing) before concluding the pool is
-// exhausted. Blocking waiters park on a single condition variable that is
-// only touched on the exhaustion path, so the fast path never sees it.
+// One mutex guards the free list, and blocked acquirers park on one
+// condition variable that release() and a growing resize() signal.
 #pragma once
 
 #include <atomic>
@@ -30,29 +25,26 @@ class BufferPool {
  public:
   /// Carves `pool_bytes / chunk_bytes` chunks up front. At least one chunk
   /// is always created so a misconfigured pool cannot deadlock the mount.
-  /// `shards` = 0 picks an automatic shard count (bounded by the number of
-  /// chunks); explicit values are clamped to [1, total_chunks].
-  BufferPool(std::size_t pool_bytes, std::size_t chunk_bytes, std::size_t shards = 0);
+  BufferPool(std::size_t pool_bytes, std::size_t chunk_bytes);
 
   ~BufferPool();
 
   BufferPool(const BufferPool&) = delete;
   BufferPool& operator=(const BufferPool&) = delete;
 
-  /// Non-blocking acquire; nullptr when every shard is empty. Starts at
-  /// the caller's home shard and steals from the others before giving up.
+  /// Non-blocking acquire; nullptr when the pool is empty.
   std::unique_ptr<Chunk> try_acquire(std::uint64_t file_offset);
 
   /// Blocking acquire with a deadline; nullptr on timeout or shutdown.
   std::unique_ptr<Chunk> acquire_for(std::uint64_t file_offset,
                                      std::chrono::milliseconds timeout);
 
-  /// Returns a chunk to the caller's home shard and wakes one blocked
-  /// acquirer (if any are parked on the exhaustion path).
+  /// Returns a chunk to the pool and wakes one blocked acquirer.
   void release(std::unique_ptr<Chunk> chunk);
 
-  /// Unblocks all waiters; subsequent acquires return nullptr. Used when
-  /// tearing down a mount.
+  /// Unblocks all waiters: blocked and later acquire_for calls that find
+  /// the pool empty return nullptr at once, and released chunks are
+  /// dropped. Used when tearing down a mount.
   void shutdown();
 
   /// Runtime resize to `target_chunks` (knob plane, docs/OBSERVABILITY.md
@@ -65,18 +57,16 @@ class BufferPool {
   std::size_t chunk_size() const { return chunk_bytes_; }
   std::size_t total_chunks() const { return total_chunks_.load(std::memory_order_relaxed); }
 
-  std::size_t shard_count() const { return shards_.size(); }
-
-  /// Free chunks across all shards. Occupancy gauge for crfs::obs; the
-  /// exhaustion rescue re-polls it in a loop, so a momentarily stale value
-  /// is retried, never trusted.
+  /// Free chunks. Occupancy gauge for crfs::obs, readable without the
+  /// lock; the exhaustion rescue re-polls it in a loop, so a momentarily
+  /// stale value is retried, never trusted.
   std::size_t free_chunks() const { return free_count_.load(std::memory_order_relaxed); }
 
   /// Chunks currently out of the pool: parked as some file's current
   /// chunk, queued, or being written. Occupancy gauge for crfs::obs.
   std::size_t in_use_chunks() const { return total_chunks() - free_chunks(); }
 
-  /// Number of acquires that found the whole pool empty and had to block
+  /// Number of acquires that found the pool empty and had to block
   /// (backpressure events).
   std::uint64_t contention_count() const {
     return contentions_.load(std::memory_order_relaxed);
@@ -86,35 +76,20 @@ class BufferPool {
   bool is_shutdown() const { return shutdown_.load(std::memory_order_acquire); }
 
  private:
-  // One cache line per shard: the mutex and the free list it guards, plus
-  // a lock-free occupancy hint so the stealing scan skips empty shards
-  // without taking their locks.
-  struct alignas(64) Shard {
-    std::mutex mu;
-    std::vector<std::unique_ptr<Chunk>> free;
-    std::atomic<std::uint32_t> count{0};  ///< == free.size(), scan hint
-  };
-
-  std::size_t home_shard() const;
+  /// Pops a free chunk; nullptr when none. Caller holds mu_.
+  std::unique_ptr<Chunk> pop_locked();
 
   const std::size_t chunk_bytes_;
-  std::atomic<std::size_t> total_chunks_{0};
-  std::vector<std::unique_ptr<Shard>> shards_;
 
+  std::mutex mu_;
+  std::condition_variable available_;
+  std::vector<std::unique_ptr<Chunk>> free_;  ///< guarded by mu_
+
+  // Gauges, written under mu_ and read lock-free.
+  std::atomic<std::size_t> total_chunks_{0};
   std::atomic<std::size_t> free_count_{0};
   std::atomic<std::uint64_t> contentions_{0};
   std::atomic<bool> shutdown_{false};
-
-  // Runtime resize (rare; serialized by the knob plane's writer mutex,
-  // but guarded here too so direct callers stay safe).
-  std::mutex resize_mu_;
-
-  // Exhaustion path only: waiters park here; release() peeks the hint and
-  // grabs wait_mu_ only when someone is actually parked.
-  mutable std::mutex wait_mu_;
-  std::condition_variable available_;
-  std::size_t waiters_ = 0;  ///< guarded by wait_mu_
-  std::atomic<std::size_t> waiters_hint_{0};
 };
 
 }  // namespace crfs

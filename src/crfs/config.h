@@ -34,13 +34,6 @@ struct Config {
   /// yields the best throughput".
   unsigned io_threads = 4;
 
-  /// Buffer-pool shard count (docs/PERFORMANCE.md). The free list is
-  /// split into this many independently locked shards so concurrent
-  /// streams acquire/release chunks without a global pool lock. 0 (the
-  /// default) auto-sizes from hardware concurrency, capped at 8; the
-  /// effective count never exceeds the number of chunks.
-  std::size_t pool_shards = 0;
-
   /// Max chunks an IO worker drains from the work queue per lock
   /// acquisition (docs/PERFORMANCE.md). A batch holds one file's jobs in
   /// FIFO order, and adjacent chunks coalesce into one vectored backend
@@ -144,16 +137,6 @@ struct Config {
   /// Reserved bytes per flight-recorder buffer (two are kept). A rendered
   /// document larger than this is dropped, keeping the previous one.
   std::size_t postmortem_buffer = 512 * 1024;
-
-  /// Feedback controller (docs/OBSERVABILITY.md "Control plane"): when
-  /// true, an obs::Controller runs on the Sampler's tick path and retunes
-  /// the knob plane under pipeline pathology (grow the pool on
-  /// starvation, widen submission when the queue rises against a healthy
-  /// backend, shed toward the paper's §IV throttling when the backend is
-  /// the bottleneck). Every decision — applied, clamped, or vetoed — is
-  /// audited in the decision log, crfs.ctl.* metrics, stats_json, and the
-  /// postmortem. Requires sample_ms > 0.
-  bool controller = false;
 
   /// Upper bound (bytes) for runtime buffer-pool growth via the knob
   /// plane; requests above it are clamped. 0 auto-sizes to 4x pool_size.
@@ -263,7 +246,6 @@ struct Config {
     const Config def{};
     return "chunk=" + format_bytes(chunk_size) + " pool=" + format_bytes(pool_size) +
            " io_threads=" + std::to_string(io_threads) +
-           (pool_shards > 0 ? " pool_shards=" + std::to_string(pool_shards) : "") +
            (io_batch != def.io_batch ? " io_batch=" + std::to_string(io_batch) : "") +
            (!large_write_bypass ? " no_bypass" : "") +
            (!readahead ? " no_readahead" : "") +
@@ -275,7 +257,6 @@ struct Config {
            (slow_capture_ms != def.slow_capture_ms
                 ? " slow_capture_ms=" + std::to_string(slow_capture_ms)
                 : "") +
-           (controller ? " controller=on" : "") +
            (!epoch_tracking ? " epochs=off" : "") +
            (!postmortem_path.empty() ? " postmortem=" + postmortem_path : "") +
            (!journal_dir.empty() ? " journal=" + journal_dir : "") +

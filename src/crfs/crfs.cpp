@@ -26,7 +26,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       trace_(cfg.trace_ring_events) {
   trace_.set_enabled(cfg_.enable_tracing);
   obs::Registry& m = plane_.metrics();
-  pool_ = std::make_unique<BufferPool>(cfg_.pool_size, cfg_.chunk_size, cfg_.pool_shards);
+  pool_ = std::make_unique<BufferPool>(cfg_.pool_size, cfg_.chunk_size);
 
   // Resolve every hot-path metric once, before any worker thread exists;
   // after this point the registry is only touched through these handles
@@ -57,12 +57,12 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   queue_.set_wait_histogram(&m.histogram("crfs.queue.wait_ns"));
 
   // Tiered staging (docs/PERFORMANCE.md "Tiered staging"): when the
-  // backend is a TieredBackend, bind its crfs.tier.* telemetry and wire
-  // the epoch ledger to the drain — a finalized epoch seals its drain
-  // unit, and a remote-durable unit reports back into the ledger row.
+  // backend is or wraps a TieredBackend, bind its crfs.tier.* telemetry
+  // and wire the epoch ledger to the drain — a finalized epoch seals its
+  // drain unit, and a remote-durable unit reports back into the ledger row.
   // Both listeners fire outside the respective locks (epoch.h/tier
   // contracts), so neither callback can deadlock against the other plane.
-  tier_ = dynamic_cast<TieredBackend*>(backend_.get());
+  tier_ = backend_->tiered();
   if (tier_ != nullptr) {
     tier_->bind_obs(&m, &plane_.events());
     if (obs::EpochTracker* epochs = plane_.epochs()) {
@@ -184,8 +184,8 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   });
 
   // Live telemetry: background sampler + health rules. Construction only
-  // here — the thread starts below, after the control plane is wired, so
-  // the first tick already sees the tick observer.
+  // here — the thread starts below, after the knob plane is wired, so the
+  // first tick already sees the tick observer.
   if (cfg_.sample_ms > 0) {
     health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, plane_.events());
     sampler_ = std::make_unique<obs::Sampler>(
@@ -195,8 +195,7 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   }
 
   // Control plane (docs/OBSERVABILITY.md "Control plane"): the knob plane
-  // and decision log always exist (crfsctl tune works on any mount); the
-  // feedback controller only with controller=on.
+  // and decision log always exist (crfsctl tune works on any mount).
   define_knobs();
   decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &m, &plane_.events());
   if (flight_ != nullptr) {
@@ -212,25 +211,9 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       return static_cast<std::int64_t>(plane_.knobs().snapshot()->get(name, 0.0));
     });
   }
-  if (cfg_.controller) {
-    // validate() guarantees sample_ms > 0 here, so sampler_ exists.
-    controller_ = std::make_unique<obs::Controller>(
-        obs::ControllerConfig{}, *decisions_, &plane_.events(), &m,
-        [this](std::string_view name, double fallback) {
-          return plane_.knobs().snapshot()->get(name, fallback);
-        },
-        [this](std::string_view name, double requested) {
-          const TuneResult r = plane_.knobs().tune(name, requested);
-          return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-        });
-  }
-  // The tick observer is a single slot: the controller decides first, then
-  // the plane observes the same sample (SLO burn rates, journal frames).
+  // The plane observes every sample (SLO burn rates, journal frames).
   if (sampler_ != nullptr) {
-    sampler_->set_tick_observer([this](const obs::Sample& s) {
-      if (controller_ != nullptr) controller_->tick(s);
-      plane_.on_sample(s);
-    });
+    sampler_->set_tick_observer([this](const obs::Sample& s) { plane_.on_sample(s); });
     sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
   }
 
@@ -313,8 +296,7 @@ void Crfs::define_knobs() {
       });
 
   // readahead_window: chunk reads kept in flight per sequential restore
-  // scan (the IO thread count still caps it). Floor 1 gives the
-  // controller's shed_readahead rule a halving path that never hits 0.
+  // scan (the IO thread count still caps it); floor 1.
   knobs.define(
       knob_def("readahead_window", cfg_), static_cast<double>(cfg_.readahead_window),
       [this](double v, double*, std::string*) {
@@ -336,9 +318,8 @@ void Crfs::define_knobs() {
       });
 
   // drain_mbps: the tier's drain throttle toward the remote; 0 removes
-  // the cap. One relaxed store, picked up by the next drain chunk. The
-  // controller's shed_drain rule halves/restores this under remote
-  // saturation. Vetoed on non-tiered mounts.
+  // the cap. One relaxed store, picked up by the next drain chunk.
+  // Vetoed on non-tiered mounts.
   knobs.define(
       knob_def("drain_mbps", cfg_),
       tier_ != nullptr ? tier_->drain_mbps() : static_cast<double>(cfg_.drain_mbps),
@@ -912,8 +893,9 @@ std::string Crfs::mount_json() const {
 std::string Crfs::stats_json() const {
   // schema_version counts breaking shape changes of this document (and of
   // the postmortem, which embeds the same sections): 2 = control plane,
-  // 3 = durable journal + SLO burn rates.
-  std::string out = "{\"schema_version\":3,\"mount\":" + mount_json();
+  // 3 = durable journal + SLO burn rates, 4 = the "controller" section
+  // without its enabled/ticks fields (the feedback controller is gone).
+  std::string out = "{\"schema_version\":4,\"mount\":" + mount_json();
   out += ",\"pipeline\":" + metrics().snapshot().to_json();
   out += ",\"restores\":[";
   {
@@ -1050,10 +1032,7 @@ Status Crfs::handle_tune_marker(std::span<const std::byte> data) {
 }
 
 std::string Crfs::controller_json() const {
-  std::string out = "{\"enabled\":";
-  out += controller_ != nullptr ? "true" : "false";
-  out += ",\"generation\":" + std::to_string(plane_.knobs().generation());
-  out += ",\"ticks\":" + std::to_string(controller_ != nullptr ? controller_->ticks() : 0);
+  std::string out = "{\"generation\":" + std::to_string(plane_.knobs().generation());
   out += ",\"knob_plane\":" + plane_.knobs().to_json();
   out += ",\"decisions\":" + decisions_->to_json();
   out += ",\"decisions_total\":" + std::to_string(decisions_->total());
@@ -1085,7 +1064,7 @@ void Crfs::refresh_flight(bool force) {
 
 std::string Crfs::render_postmortem() const {
   std::string out = "{\"crfs_postmortem\":1";
-  out += ",\"schema_version\":3";
+  out += ",\"schema_version\":4";
   out += ",\"rendered_ns\":" + std::to_string(obs::now_ns());
   out += ",\"config\":\"";
   obs::append_json_escaped(out, cfg_.describe());

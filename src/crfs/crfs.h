@@ -23,11 +23,9 @@
 #include "crfs/buffer_pool.h"
 #include "crfs/config.h"
 #include "crfs/file_table.h"
-#include "crfs/handle_table.h"
 #include "crfs/io_pool.h"
 #include "crfs/readahead.h"
 #include "crfs/work_queue.h"
-#include "obs/controller.h"
 #include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/knobs.h"
@@ -90,7 +88,8 @@ class Crfs {
 
   // -- Tiered staging (docs/PERFORMANCE.md "Tiered staging") ----------------
   /// The TieredBackend this mount runs over, or nullptr when the backend
-  /// is not tiered. Detected at mount via dynamic_cast; when present the
+  /// is not tiered. Found at mount through BackendFs::tiered(), so
+  /// decorators around the tier keep it visible; when present the
   /// mount wires epoch finalize -> seal_epoch, drain completion ->
   /// EpochTracker::attach_drain, binds crfs.tier.* metrics, and registers
   /// the drain_mbps/drain_parallel knobs against it.
@@ -186,8 +185,7 @@ class Crfs {
   /// requests are clamped, impossible ones vetoed; every outcome is
   /// recorded in the decision log (and thus metrics/events/postmortem)
   /// before the returned CtlDecision is handed back. `source` tags the
-  /// audit trail: "manual" (API/crfsctl), "ctlfile" (.crfs_tune), or
-  /// "controller".
+  /// audit trail: "manual" (API/crfsctl) or "ctlfile" (.crfs_tune).
   obs::CtlDecision tune(std::string_view knob, double value,
                         std::string source = "manual");
 
@@ -199,14 +197,11 @@ class Crfs {
   obs::DecisionLog& decision_log() { return *decisions_; }
   const obs::DecisionLog& decision_log() const { return *decisions_; }
 
-  /// Feedback controller; nullptr unless Config::controller.
-  obs::Controller* controller() { return controller_.get(); }
-
   /// {"generation":...,"knobs":[{name,value,min,max,unit},...]}.
   std::string knobs_json() const { return plane_.knobs().to_json(); }
 
-  /// Controller/knob-plane state as one JSON object: enabled flag, knob
-  /// generation, knob table, decision ring, decision total, tick count.
+  /// The stats_json "controller" section: knob generation, knob table,
+  /// decision ring and decision total.
   std::string controller_json() const;
 
   // -- Flight recorder (docs/OBSERVABILITY.md "Postmortem") -----------------
@@ -277,7 +272,7 @@ class Crfs {
   void refresh_flight(bool force);
 
   std::shared_ptr<BackendFs> backend_;
-  /// backend_ as a TieredBackend when it is one (nullptr otherwise);
+  /// backend_->tiered(): the tier backend_ is or wraps (nullptr otherwise);
   /// never owns — same lifetime as backend_.
   TieredBackend* tier_ = nullptr;
   Config cfg_;
@@ -309,10 +304,8 @@ class Crfs {
   std::unique_ptr<obs::HealthMonitor> health_;
   std::unique_ptr<obs::Sampler> sampler_;
 
-  // Control plane: the controller ticks from the sampler thread (which
-  // ~Crfs stops before anything here is destroyed).
+  // Control plane: audit trail of every knob change.
   std::unique_ptr<obs::DecisionLog> decisions_;
-  std::unique_ptr<obs::Controller> controller_;
 
   // Hot-path metric handles, resolved once at mount (see obs::Registry).
   obs::LatencyHistogram* h_write_copy_ = nullptr;
@@ -342,9 +335,8 @@ class Crfs {
   /// "unattributed".
   std::atomic<std::uint64_t> next_trace_id_{1};
 
-  /// Open-handle registry: per-slot locking, entry resolved once at open()
-  /// — the write() hot path does no global lock and no hash lookup.
-  HandleTable handles_;
+  /// Open handles; the entry is resolved once at open().
+  HandleMap handles_;
 };
 
 }  // namespace crfs

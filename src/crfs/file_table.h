@@ -1,4 +1,5 @@
-// FileEntry + FileTable: CRFS's hash table of opened files (paper §IV-A).
+// FileEntry + FileTable: CRFS's hash table of opened files (paper §IV-A),
+// and HandleMap: the open handles that name them.
 //
 // Each opened path has exactly one FileEntry holding the aggregation
 // state the paper enumerates: the current buffer chunk, the append point,
@@ -184,6 +185,68 @@ class FileTable {
  private:
   mutable std::mutex mu_;
   std::unordered_map<std::string, std::shared_ptr<FileEntry>> entries_;
+};
+
+/// Per-open-handle state, resolved once at open() and cached: the file's
+/// table entry plus the writable bit from the open flags.
+struct HandleState {
+  std::shared_ptr<FileEntry> entry;
+  bool writable = false;
+  /// Epoch control-file handle (Config::epoch_marker_path): writes carry
+  /// "begin [label]" / "end" commands for the EpochTracker and nothing
+  /// reaches the backend. The entry is a detached dummy (not in the
+  /// FileTable).
+  bool epoch_marker = false;
+  /// Tune control-file handle (Config::tune_marker_path): writes carry
+  /// "knob=value" tokens for the KnobPlane; same detached-dummy scheme.
+  bool tune_marker = false;
+};
+
+/// Open handles: one map under one mutex. Handles come from a 64-bit
+/// counter and are never reused, so a closed handle misses (EBADF) even
+/// after later opens, with no generation tag.
+class HandleMap {
+ public:
+  using Handle = std::uint64_t;
+
+  Handle insert(HandleState state) {
+    std::lock_guard lock(mu_);
+    const Handle h = next_++;
+    handles_.emplace(h, std::move(state));
+    return h;
+  }
+
+  /// Copies out the handle's state; nullopt for unknown or closed handles.
+  std::optional<HandleState> get(Handle h) const {
+    std::lock_guard lock(mu_);
+    auto it = handles_.find(h);
+    if (it == handles_.end()) return std::nullopt;
+    return it->second;
+  }
+
+  /// Unregisters the handle, returning its state (nullopt if unknown).
+  std::optional<HandleState> remove(Handle h) {
+    std::lock_guard lock(mu_);
+    auto it = handles_.find(h);
+    if (it == handles_.end()) return std::nullopt;
+    HandleState state = std::move(it->second);
+    handles_.erase(it);
+    return state;
+  }
+
+  /// All live handle states (unmount sweep for leaked handles).
+  std::vector<HandleState> snapshot() const {
+    std::lock_guard lock(mu_);
+    std::vector<HandleState> out;
+    out.reserve(handles_.size());
+    for (const auto& [h, state] : handles_) out.push_back(state);
+    return out;
+  }
+
+ private:
+  mutable std::mutex mu_;
+  std::unordered_map<Handle, HandleState> handles_;
+  Handle next_ = 1;
 };
 
 }  // namespace crfs

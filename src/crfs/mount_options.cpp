@@ -187,8 +187,8 @@ Status Config::validate() const {
   if (tune_pool_max != 0 && tune_pool_max < pool_size) {
     return Error{EINVAL, "tune_pool_max must be >= pool_size"};
   }
-  if ((controller || slo_enabled()) && sample_ms == 0) {
-    return Error{EINVAL, "controller and slo_* targets run on the sampler: need sample_ms > 0"};
+  if (slo_enabled() && sample_ms == 0) {
+    return Error{EINVAL, "slo_* targets run on the sampler: need sample_ms > 0"};
   }
   if (slo_long_s < slo_short_s) {
     return Error{EINVAL, "slo windows need slo_short_s <= slo_long_s"};

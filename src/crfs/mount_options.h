@@ -78,8 +78,6 @@ inline constexpr auto kMountOptionTable = [] {
        .doc = "buffer-pool capacity; pool/chunk chunks are carved at mount"},
       {.key = "threads", .kind = kUint, .field = &Config::io_threads, .lo = 1, .hi = 256,
        .doc = "IO worker threads"},
-      {.key = "pool_shards", .kind = kUint, .field = &Config::pool_shards,
-       .doc = "buffer-pool shards (0 = auto from the core count)"},
       {.key = "io_batch", .kind = kUint, .field = &Config::io_batch, .lo = 1,
        .unit = "chunks", .doc = "chunks an IO worker dequeues per wakeup (1 = no batching)"},
       {.key = "bypass", .kind = kBool, .field = &Config::large_write_bypass,
@@ -116,8 +114,6 @@ inline constexpr auto kMountOptionTable = [] {
        .hi = 100000, .unit = "ms", .doc = "slow-exemplar capture threshold (0 = off)"},
       {.key = "slow_exemplars", .kind = kUint, .field = &Config::slow_exemplars, .lo = 1,
        .doc = "slow exemplars kept"},
-      {.key = "controller", .kind = kBool, .field = &Config::controller,
-       .doc = "feedback controller on the sampler tick (needs sample_ms)"},
       {.key = "tune_pool_max", .kind = kSize, .field = &Config::tune_pool_max,
        .doc = "runtime pool-growth ceiling (0 = 4x pool)"},
       {.key = "tune_io_batch_max", .kind = kUint, .field = &Config::tune_io_batch_max,

@@ -53,7 +53,7 @@ namespace crfs::obs {
 enum class FrameType : std::uint16_t {
   kMeta = 0,    ///< mount identity + config + SLO targets (head of every segment)
   kSample = 1,  ///< compact per-tick telemetry frame (journal_sample_json)
-  kEvent = 2,   ///< health/controller Event::to_json
+  kEvent = 2,   ///< health/SLO/knob-decision Event::to_json
   kEpoch = 3,   ///< finalized EpochRecord::to_json
   kSlow = 4,    ///< SlowExemplar::to_json
 };

@@ -1,6 +1,7 @@
 #include "obs/knobs.h"
 
 #include <algorithm>
+#include <cstdio>
 
 #include "obs/json_out.h"
 
@@ -131,4 +132,99 @@ std::string KnobPlane::to_json() const {
   return out;
 }
 
+namespace obs {
+
+std::string CtlDecision::to_json() const {
+  std::string out = "{\"seq\":";
+  append_num(out, static_cast<double>(seq));
+  out += ",\"ts_ns\":";
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%llu", static_cast<unsigned long long>(ts_ns));
+  out += buf;
+  out += ",\"source\":\"";
+  append_json_escaped(out, source);
+  out += "\",\"rule\":\"";
+  append_json_escaped(out, rule);
+  out += "\",\"knob\":\"";
+  append_json_escaped(out, knob);
+  out += "\",\"requested\":";
+  append_num(out, requested);
+  out += ",\"from\":";
+  append_num(out, from);
+  out += ",\"to\":";
+  append_num(out, to);
+  out += ",\"outcome\":\"";
+  append_json_escaped(out, outcome);
+  out += "\",\"reason\":\"";
+  append_json_escaped(out, reason);
+  out += "\",\"generation\":";
+  append_num(out, static_cast<double>(generation));
+  out += "}";
+  return out;
+}
+
+std::string decisions_to_json(const std::vector<CtlDecision>& decisions) {
+  std::string out = "[";
+  for (std::size_t i = 0; i < decisions.size(); ++i) {
+    if (i > 0) out += ',';
+    out += decisions[i].to_json();
+  }
+  out += "]";
+  return out;
+}
+
+DecisionLog::DecisionLog(std::size_t capacity, Registry* metrics, EventBuffer* events)
+    : capacity_(capacity == 0 ? 1 : capacity), metrics_(metrics), events_(events) {}
+
+std::uint64_t DecisionLog::record(CtlDecision d) {
+  CtlDecision copy;
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    total_ += 1;
+    d.seq = total_;
+    ring_.push_back(d);
+    while (ring_.size() > capacity_) ring_.pop_front();
+    copy = d;
+  }
+  if (metrics_ != nullptr) {
+    metrics_->counter("crfs.ctl.decisions").add(1);
+    if (copy.outcome == "applied") {
+      metrics_->counter("crfs.ctl.applied").add(1);
+    } else if (copy.outcome == "clamped") {
+      metrics_->counter("crfs.ctl.clamped").add(1);
+    } else {
+      metrics_->counter("crfs.ctl.vetoed").add(1);
+    }
+  }
+  if (events_ != nullptr) {
+    Event ev;
+    ev.severity = Severity::kInfo;
+    ev.rule = "ctl." + copy.rule;
+    ev.message = copy.source + " " + copy.knob + " ";
+    append_num(ev.message, copy.from);
+    ev.message += " -> ";
+    append_num(ev.message, copy.to);
+    ev.message += " (" + copy.outcome + (copy.reason.empty() ? "" : ": " + copy.reason) + ")";
+    ev.value = copy.to;
+    ev.threshold = copy.from;
+    ev.ts_ns = copy.ts_ns;
+    events_->push(std::move(ev));
+  }
+  if (listener_) listener_(copy);
+  return copy.seq;
+}
+
+std::vector<CtlDecision> DecisionLog::snapshot() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return {ring_.begin(), ring_.end()};
+}
+
+std::uint64_t DecisionLog::total() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return total_;
+}
+
+std::string DecisionLog::to_json() const { return decisions_to_json(snapshot()); }
+
+}  // namespace obs
 }  // namespace crfs

@@ -9,20 +9,21 @@
 //     resize, io_batch re-clamp, ring re-arm, sampler period, ...);
 //   * each successful tune publishes a fresh immutable KnobSnapshot via an
 //     atomic pointer swap, with a monotonically increasing generation
-//     counter — readers (stats_json, the feedback controller, the write
-//     path) take an acquire load and never block a writer;
+//     counter — readers (stats_json, the write path) take an acquire load
+//     and never block a writer;
 //   * out-of-bounds requests are clamped, unknown knobs and apply-refusals
 //     are vetoed, and every outcome is reported in a TuneResult the caller
-//     records in the decision log.
+//     records in the DecisionLog below.
 //
 // Snapshots are tiny (a generation plus one double per knob) and tunes
-// are rare (human operators or a cooled-down controller), so superseded
+// are rare (human operators and the .crfs_tune control file), so superseded
 // snapshots are simply retained for the mount's lifetime — that is what
 // makes the reader side lock-free without a reclamation protocol.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <functional>
 #include <memory>
 #include <mutex>
@@ -30,6 +31,9 @@
 #include <string_view>
 #include <utility>
 #include <vector>
+
+#include "obs/health.h"
+#include "obs/metrics.h"
 
 namespace crfs {
 
@@ -115,4 +119,67 @@ class KnobPlane {
   KnobSnapshot empty_{};
 };
 
+namespace obs {
+
+/// One audited knob-change decision (applied, clamped, or vetoed).
+struct CtlDecision {
+  std::uint64_t seq = 0;    ///< 1-based, assigned by the DecisionLog
+  std::uint64_t ts_ns = 0;  ///< when the tune was requested (monotonic ns)
+  std::string source;       ///< "manual" | "ctlfile"
+  std::string rule;         ///< "tune"
+  std::string knob;
+  double requested = 0.0;
+  double from = 0.0;
+  double to = 0.0;
+  std::string outcome;  ///< "applied" | "clamped" | "vetoed"
+  std::string reason;   ///< clamp/veto detail; empty for a plain apply
+  std::uint64_t generation = 0;  ///< knob-plane generation after the tune
+
+  std::string to_json() const;
+};
+
+/// JSON array of decisions, oldest-first.
+std::string decisions_to_json(const std::vector<CtlDecision>& decisions);
+
+/// Bounded, thread-safe audit trail of knob-change decisions. Every
+/// record lands in three places at once: the ring here, the crfs.ctl.*
+/// counters in the Registry, and (as an info-severity Event) in the
+/// EventBuffer — so the decision history survives into stats_json,
+/// Prometheus, and the flight-recorder postmortem without extra plumbing.
+class DecisionLog {
+ public:
+  DecisionLog(std::size_t capacity, Registry* metrics, EventBuffer* events);
+
+  /// Assigns the sequence number, stores the decision, bumps metrics,
+  /// mirrors it into the EventBuffer, then invokes the listener (if any)
+  /// outside the lock. Returns the assigned sequence number.
+  std::uint64_t record(CtlDecision d);
+
+  /// Current contents, oldest-first.
+  std::vector<CtlDecision> snapshot() const;
+
+  /// Decisions ever recorded (>= size()).
+  std::uint64_t total() const;
+
+  /// JSON array of the current contents.
+  std::string to_json() const;
+
+  /// Notification hook, invoked after each record OUTSIDE the log lock
+  /// (e.g. the mount refreshing its flight recorder). Install before any
+  /// recorder thread runs; the pointer is read unsynchronized after.
+  void set_listener(std::function<void(const CtlDecision&)> listener) {
+    listener_ = std::move(listener);
+  }
+
+ private:
+  const std::size_t capacity_;
+  Registry* metrics_;  // may be null (bare unit tests)
+  EventBuffer* events_;  // may be null
+  mutable std::mutex mu_;
+  std::deque<CtlDecision> ring_;
+  std::uint64_t total_ = 0;
+  std::function<void(const CtlDecision&)> listener_;
+};
+
+}  // namespace obs
 }  // namespace crfs

@@ -95,9 +95,9 @@ class Sampler {
   void set_health_monitor(HealthMonitor* hm) { health_ = hm; }
 
   /// Per-tick hook invoked after the HealthMonitor, with the fresh frame
-  /// (the feedback controller's drive point — same call site whether the
-  /// driver is the real thread or the sim coroutine). Attach before the
-  /// first tick; read unsynchronized after.
+  /// (where the plane's SLO monitor and journal observe samples — same
+  /// call site whether the driver is the real thread or the sim
+  /// coroutine). Attach before the first tick; read unsynchronized after.
   void set_tick_observer(std::function<void(const Sample&)> observer) {
     tick_observer_ = std::move(observer);
   }

@@ -29,8 +29,8 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
   h_pwrite_ = &m.histogram("crfs.io.pwrite_ns");
   c_pwrite_bytes_ = &m.counter("crfs.io.pwrite_bytes");
   h_lag_ = &m.histogram("crfs.chunk.durability_lag_ns");
-  // Restart-scan mirror: same crfs.read.* schema as the real mount, so an
-  // obs::Controller's shed_readahead rule ticks unchanged on virtual time.
+  // Restart-scan mirror: same crfs.read.* schema as the real mount, so the
+  // sampler reads the same series on virtual time.
   h_read_ = &m.histogram("crfs.read.pread_ns");
   h_read_inflight_ = &m.histogram("crfs.read.inflight_depth");
   c_read_ops_ = &m.counter("crfs.read.ops");

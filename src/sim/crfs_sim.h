@@ -117,8 +117,6 @@ class CrfsSimNode {
   /// pool_chunks mutates the free-chunk count (and pulses waiters on
   /// grow), io_batch mutates the config the worker consults.
   /// slow_capture_ms and epoch_gap_ms come from the shared plane.
-  /// An obs::Controller wired to this plane and driven from sample_loop's
-  /// ticks replays policy decisions deterministically on virtual time.
   crfs::KnobPlane& knob_plane() { return plane_.knobs(); }
 
  private:

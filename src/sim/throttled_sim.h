@@ -1,21 +1,19 @@
 // ThrottledBackendSim: a deliberately concurrency-sensitive backend for
-// feedback-controller policy tests (tests/test_control.cpp).
+// DES tests of the knob plane, the readahead window and SLO burn rates.
 //
 // The production backend models (ext3/Lustre/NFS) are faithful but heavy;
-// this one isolates the single effect the shed_io policy exists for — the
-// paper's §IV observation that pushing more concurrent IO at a saturated
-// backend makes every call slower. Service is one FCFS station whose
-// effective bandwidth at service start degrades with the number of calls
-// concurrently pending:
+// this one isolates one effect — the paper's §IV observation that pushing
+// more concurrent IO at a saturated backend makes every call slower.
+// Service is one FCFS station whose effective bandwidth at service start
+// degrades with the number of calls concurrently pending:
 //
 //   bw_eff = bw / (1 + alpha * (pending - 1))
 //
-// A purely linear server would null the shed benefit (Little's law: halve
-// the concurrency, double the per-call wait, same residency); the
-// interference term makes lower submission concurrency genuinely drain
-// the station faster, so a controller that sheds io_batch
-// measurably reduces backend residency — which is exactly what the test
-// asserts. Everything is deterministic on virtual time.
+// A purely linear server would make submission concurrency irrelevant to
+// residency (Little's law: halve the concurrency, double the per-call
+// wait, same residency); the interference term makes lower submission
+// concurrency genuinely drain the station faster. Everything is
+// deterministic on virtual time.
 #pragma once
 
 #include <cstdint>

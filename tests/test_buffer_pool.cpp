@@ -143,54 +143,70 @@ TEST(BufferPool, ManyThreadsChurnWithoutLoss) {
   EXPECT_EQ(pool.free_chunks(), 16u);  // nothing leaked
 }
 
-// ------------------------------------------------------------- sharding
+// ------------------------------------------------------------- resize
 
-TEST(BufferPool, ShardCountClampedToChunkCount) {
-  BufferPool pool(4 * 4096, 4096, /*shards=*/64);
-  EXPECT_EQ(pool.total_chunks(), 4u);
-  EXPECT_LE(pool.shard_count(), 4u);
-  EXPECT_GE(pool.shard_count(), 1u);
+TEST(BufferPool, ResizeGrowWakesParkedAcquirer) {
+  BufferPool pool(4096, 4096);  // exactly one chunk
+  auto held = pool.try_acquire(0);
+  ASSERT_NE(held, nullptr);
+
+  // The waiter's own deadline is far beyond the bound below, so returning
+  // a chunk within the bound means the grow woke it, not the timeout.
+  constexpr auto kWaiterDeadline = std::chrono::seconds(30);
+  constexpr auto kBound = std::chrono::seconds(5);
+  std::atomic<bool> acquired{false};
+  std::atomic<std::int64_t> waited_ms{-1};
+  std::thread waiter([&] {
+    const auto start = std::chrono::steady_clock::now();
+    auto c = pool.acquire_for(7, kWaiterDeadline);
+    waited_ms.store(std::chrono::duration_cast<std::chrono::milliseconds>(
+                        std::chrono::steady_clock::now() - start)
+                        .count());
+    acquired.store(c != nullptr && c->file_offset() == 7);
+    pool.release(std::move(c));
+  });
+
+  // Bounded wait for the waiter to park on the empty pool.
+  const auto park_deadline = std::chrono::steady_clock::now() + kBound;
+  while (pool.contention_count() == 0 && std::chrono::steady_clock::now() < park_deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(pool.contention_count(), 1u);
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_FALSE(acquired.load());
+
+  EXPECT_EQ(pool.resize(2), 2u);
+  waiter.join();
+  EXPECT_TRUE(acquired.load());
+  EXPECT_LT(waited_ms.load(), std::chrono::milliseconds(kBound).count());
+  pool.release(std::move(held));
+  EXPECT_EQ(pool.total_chunks(), 2u);
+  EXPECT_EQ(pool.free_chunks(), 2u);
 }
 
-TEST(BufferPool, AutoShardingPicksAtLeastOneShard) {
-  BufferPool pool(16 * MiB, 4 * MiB);  // shards = 0 -> auto
-  EXPECT_GE(pool.shard_count(), 1u);
-  EXPECT_LE(pool.shard_count(), pool.total_chunks());
-}
-
-TEST(BufferPool, OneThreadCanDrainEveryShard) {
-  // Work stealing: a single thread's home shard holds only a fraction of
-  // the chunks, but try_acquire must find the rest in the other shards.
-  BufferPool pool(8 * 4096, 4096, /*shards=*/8);
+TEST(BufferPool, ResizeShrinkTakesOnlyFreeChunks) {
+  BufferPool pool(4 * 4096, 4096);
   std::vector<std::unique_ptr<Chunk>> held;
-  for (int i = 0; i < 8; ++i) {
-    auto c = pool.try_acquire(static_cast<std::uint64_t>(i));
-    ASSERT_NE(c, nullptr) << "chunk " << i << " not found via shard scan";
-    held.push_back(std::move(c));
+  for (int i = 0; i < 3; ++i) {
+    held.push_back(pool.try_acquire(static_cast<std::uint64_t>(i)));
+    ASSERT_NE(held.back(), nullptr);
   }
-  EXPECT_EQ(pool.free_chunks(), 0u);
-  EXPECT_EQ(pool.try_acquire(0), nullptr);
-  for (auto& c : held) pool.release(std::move(c));
-  EXPECT_EQ(pool.free_chunks(), 8u);
-}
 
-TEST(BufferPool, ShardedChurnKeepsCountsConsistent) {
-  BufferPool pool(8 * 4096, 4096, /*shards=*/4);
-  constexpr int kThreads = 8;
-  constexpr int kIters = 300;
-  std::vector<std::thread> threads;
-  threads.reserve(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&] {
-      for (int i = 0; i < kIters; ++i) {
-        auto c = pool.acquire_for(static_cast<std::uint64_t>(i), std::chrono::seconds(10));
-        ASSERT_NE(c, nullptr);
-        pool.release(std::move(c));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-  EXPECT_EQ(pool.free_chunks(), 8u);
+  // Only one chunk is free, so a shrink to one can remove just that one:
+  // the three held chunks are never reclaimed from under their holders.
+  EXPECT_EQ(pool.resize(1), 3u);
+  EXPECT_EQ(pool.total_chunks(), 3u);
+  EXPECT_EQ(pool.free_chunks(), 0u);
+  const auto start = std::chrono::steady_clock::now();
+  EXPECT_EQ(pool.acquire_for(0, std::chrono::milliseconds(50)), nullptr);
+  EXPECT_LT(std::chrono::steady_clock::now() - start, std::chrono::seconds(5));
+
+  // Released chunks rejoin the smaller pool; a second shrink then lands.
+  for (auto& c : held) pool.release(std::move(c));
+  EXPECT_EQ(pool.free_chunks(), 3u);
+  EXPECT_EQ(pool.resize(1), 1u);
+  EXPECT_EQ(pool.total_chunks(), 1u);
+  EXPECT_EQ(pool.free_chunks(), 1u);
   EXPECT_EQ(pool.in_use_chunks(), 0u);
 }
 

@@ -1,13 +1,8 @@
-// Control-plane tests: KnobPlane bounds/veto/generation semantics, the
+// Control-plane tests: KnobPlane bounds/veto/generation semantics and the
 // Crfs tune plumbing (API, .crfs_tune control file, audit trail in
-// metrics/stats_json), the Controller's rule edges and cooldown (exactly
-// two decisions across fire -> cooldown -> re-fire, under both a real
-// Sampler thread and manual virtual-time ticks), and the DES policy
-// scenario: against a concurrency-sensitive backend the shed_io rule
-// observably lowers submission aggregation and backend residency, and
-// identical replays produce byte-identical decision logs. The knob sets
-// of the mount and the DES node are pinned, and a control byte in an
-// audited knob name stays escaped in every JSON document.
+// metrics/stats_json). The knob sets of the mount and the DES node are
+// pinned, and a control byte in an audited knob name stays escaped in
+// every JSON document.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -22,13 +17,10 @@
 #include "common/units.h"
 #include "crfs/crfs.h"
 #include "crfs/fuse_shim.h"
-#include "obs/controller.h"
-#include "obs/health.h"
 #include "obs/json_lite.h"
 #include "obs/knobs.h"
 #include "obs/metrics.h"
 #include "obs/prom.h"
-#include "obs/sampler.h"
 #include "sim/crfs_sim.h"
 #include "sim/engine.h"
 #include "sim/throttled_sim.h"
@@ -220,10 +212,9 @@ TEST(CrfsTune, StatsJsonCarriesSchemaVersionAndControllerSection) {
   auto doc = obs::json::parse(fs.value()->stats_json());
   ASSERT_TRUE(doc.has_value());
   ASSERT_TRUE(doc->get("schema_version") != nullptr);
-  EXPECT_DOUBLE_EQ(doc->get("schema_version")->number, 3.0);
+  EXPECT_DOUBLE_EQ(doc->get("schema_version")->number, 4.0);
   const auto* ctl = doc->get("controller");
   ASSERT_TRUE(ctl != nullptr && ctl->is_object());
-  EXPECT_FALSE(ctl->get("enabled")->boolean);
   EXPECT_DOUBLE_EQ(ctl->get("generation")->number, 1.0);
   EXPECT_DOUBLE_EQ(ctl->get("decisions_total")->number, 1.0);
   const auto* decisions = ctl->get("decisions");
@@ -315,8 +306,8 @@ TEST(TuneControlFile, ControlBytesInVetoedKnobNamesStayEscaped) {
 
 // ------------------------------------------------------- knob-set pins
 
-// The knob sets are part of the control-plane contract (crfsctl tune, the
-// controller's rules, .crfs_tune): a refactor that adds, drops or rebounds
+// The knob sets are part of the control-plane contract (crfsctl tune,
+// .crfs_tune): a refactor that adds, drops or rebounds
 // one must fail here first.
 void expect_knob_set(const KnobPlane& plane, const std::vector<KnobDef>& want) {
   const std::vector<KnobDef> got = plane.defs();
@@ -365,251 +356,8 @@ TEST(KnobPin, SimNodePinsItsKnobSet) {
                                       {"slow_capture_ms", 0.0, 100000.0, "ms"}});
 }
 
-// --------------------------------- cooldown: fire, cool down, re-fire
-
-// Standalone control loop: a settable free-chunk gauge drives the
-// HealthMonitor's pool_starvation rule, which the grow_pool policy acts
-// on. The knob plane is a bare one-knob plane so the test observes pure
-// rule/cooldown behaviour.
-struct LoopParts {
-  obs::Registry reg;
-  std::atomic<std::int64_t> free{0};
-  obs::EventBuffer events{64};
-  obs::HealthMonitor monitor;
-  KnobPlane plane;
-  obs::DecisionLog log{64, nullptr, nullptr};
-  obs::Controller controller;
-
-  explicit LoopParts(std::uint64_t cooldown_ns)
-      : monitor(obs::HealthConfig{.starvation_samples = 1}, events),
-        controller(
-            obs::ControllerConfig{.cooldown_ns = cooldown_ns}, log, &events, nullptr,
-            [this](std::string_view name, double fb) {
-              return plane.snapshot()->get(name, fb);
-            },
-            [this](std::string_view name, double requested) {
-              const TuneResult r = plane.tune(name, requested);
-              return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-            }) {
-    reg.gauge_fn("crfs.pool.free_chunks", [this] { return free.load(); });
-    plane.define(KnobDef{"pool_chunks", 1.0, 64.0, "chunks"}, 4.0,
-                 [](double, double*, std::string*) { return true; });
-  }
-};
-
-TEST(ControllerCooldown, ExactlyTwoDecisionsOnVirtualTimeTicks) {
-  const auto run = [] {
-    LoopParts parts(/*cooldown_ns=*/1'000'000'000);
-    obs::Sampler sampler(parts.reg);
-    sampler.set_health_monitor(&parts.monitor);
-    sampler.set_tick_observer(
-        [&](const obs::Sample& s) { parts.controller.tick(s); });
-
-    const auto step = [&](std::int64_t free, std::uint64_t ts_ms) {
-      parts.free.store(free);
-      sampler.tick(ts_ms * 1'000'000);
-    };
-    step(0, 10);    // starvation edge -> grow_pool fires (decision 1)
-    step(8, 20);    // clears; health rule re-arms
-    step(0, 30);    // new edge, but inside the 1 s cooldown: no decision
-    step(8, 40);    // clears again
-    step(0, 1500);  // new edge, cooldown elapsed -> re-fires (decision 2)
-    step(16, 1600);
-    return parts.log.snapshot();
-  };
-
-  const auto decisions = run();
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_EQ(decisions[0].rule, "grow_pool");
-  EXPECT_DOUBLE_EQ(decisions[0].from, 4.0);
-  EXPECT_DOUBLE_EQ(decisions[0].to, 8.0);
-  EXPECT_EQ(decisions[0].ts_ns, 10u * 1'000'000);
-  EXPECT_EQ(decisions[1].rule, "grow_pool");
-  EXPECT_DOUBLE_EQ(decisions[1].from, 8.0);
-  EXPECT_DOUBLE_EQ(decisions[1].to, 16.0);
-  EXPECT_EQ(decisions[1].ts_ns, 1500u * 1'000'000);
-
-  // Virtual-time decisions replay byte-identically.
-  EXPECT_EQ(obs::decisions_to_json(run()), obs::decisions_to_json(decisions));
-}
-
-TEST(ControllerCooldown, ExactlyTwoDecisionsOnRealSamplerThread) {
-  LoopParts parts(/*cooldown_ns=*/150'000'000);  // 150 ms
-  obs::Sampler sampler(parts.reg);
-  sampler.set_health_monitor(&parts.monitor);
-  sampler.set_tick_observer([&](const obs::Sample& s) { parts.controller.tick(s); });
-
-  const auto wait_for_total = [&](std::uint64_t want) {
-    const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (parts.log.total() < want && std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(1));
-    }
-    return parts.log.total();
-  };
-
-  parts.free.store(0);
-  sampler.start(std::chrono::milliseconds(1));
-  EXPECT_EQ(wait_for_total(1), 1u);  // first starvation -> decision 1
-
-  // Clear the condition and sit out the cooldown: the health rule re-arms
-  // but nothing new fires.
-  parts.free.store(8);
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  EXPECT_EQ(parts.log.total(), 1u);
-
-  parts.free.store(0);  // re-starve after the cooldown -> decision 2
-  EXPECT_EQ(wait_for_total(2), 2u);
-
-  parts.free.store(16);
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  sampler.stop();
-  EXPECT_EQ(parts.log.total(), 2u);  // exactly two, not three
-
-  const auto decisions = parts.log.snapshot();
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_EQ(decisions[0].rule, "grow_pool");
-  EXPECT_DOUBLE_EQ(decisions[0].to, 8.0);
-  EXPECT_DOUBLE_EQ(decisions[1].to, 16.0);
-}
-
-// ------------------------------------------------- DES policy scenario
-
-sim::Task drive_shed_stream(sim::CrfsSimNode& node, std::uint64_t bytes) {
-  co_await node.app_write(0, bytes);
-  co_await node.close_file(0);
-  node.stop();
-}
-
-struct ShedRun {
-  std::string decisions_json;
-  std::vector<obs::CtlDecision> decisions;
-  double mean_residency_s = 0.0;
-  double final_io_batch = 0.0;
-  std::uint64_t shed_fired = 0;
-};
-
-// 256 MiB checkpoint stream against a backend whose effective bandwidth
-// degrades with concurrent pending calls (ThrottledBackendSim). Each IO
-// thread keeps one coalesced run of up to io_batch chunks pending, so
-// without intervention the station is crowded with large calls; the
-// shed_io rule halves io_batch once pwrite p99 blows past the threshold
-// with a standing queue. widen is effectively disabled so the scenario
-// isolates the shed policy.
-ShedRun run_shed_scenario(bool controlled) {
-  sim::Simulation sim;
-  sim::Calibration cal;
-  sim::ThrottledBackendSim backend(sim);
-  Config cfg;
-  cfg.chunk_size = 1 * MiB;
-  cfg.pool_size = 128 * MiB;  // pool never binds; the IO threads do
-  cfg.io_threads = 2;
-  cfg.io_batch = 4;
-  sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
-
-  obs::EventBuffer events(256);
-  obs::DecisionLog log(256, &node.metrics(), &events);
-  obs::ControllerConfig ctl_cfg;
-  ctl_cfg.widen_rising_samples = 1'000'000;  // isolate shed_io
-  obs::Controller controller(
-      ctl_cfg, log, &events, &node.metrics(),
-      [&](std::string_view name, double fb) {
-        return node.knob_plane().snapshot()->get(name, fb);
-      },
-      [&](std::string_view name, double requested) {
-        const TuneResult r = node.knob_plane().tune(name, requested);
-        return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-      });
-
-  obs::Sampler sampler(node.metrics());
-  if (controlled) {
-    sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
-  }
-
-  node.start();
-  sim.spawn(node.sample_loop(sampler, 0.010));
-  sim.spawn(drive_shed_stream(node, 256 * MiB));
-  sim.run();
-
-  ShedRun out;
-  out.decisions = log.snapshot();
-  out.decisions_json = obs::decisions_to_json(out.decisions);
-  out.mean_residency_s = backend.mean_residency_s();
-  out.final_io_batch = node.knob_plane().snapshot()->get("io_batch");
-  out.shed_fired = counter_value(node.metrics(), "crfs.ctl.fired.shed_io");
-  return out;
-}
-
-TEST(ControllerSim, ShedsAggregationAgainstThrottledBackend) {
-  const ShedRun off = run_shed_scenario(false);
-  const ShedRun on = run_shed_scenario(true);
-
-  // Uncontrolled: no decisions, knobs never move.
-  EXPECT_TRUE(off.decisions.empty());
-  EXPECT_DOUBLE_EQ(off.final_io_batch, 4.0);
-
-  // Controlled: the shed rule fired and the submission knobs came down.
-  EXPECT_GE(on.shed_fired, 1u);
-  ASSERT_FALSE(on.decisions.empty());
-  bool shed_applied = false;
-  for (const auto& d : on.decisions) {
-    EXPECT_EQ(d.rule, "shed_io");
-    EXPECT_EQ(d.source, "controller");
-    if (d.outcome == "applied" && d.to < d.from) shed_applied = true;
-  }
-  EXPECT_TRUE(shed_applied);
-  EXPECT_LT(on.final_io_batch, 4.0);
-
-  // The §IV payoff: less submission concurrency against the interfering
-  // station means every call queues behind a smaller, faster-draining
-  // crowd — backend residency drops.
-  EXPECT_LT(on.mean_residency_s, off.mean_residency_s);
-}
-
-TEST(ControllerSim, IdenticalReplaysYieldByteIdenticalDecisionLogs) {
-  const ShedRun a = run_shed_scenario(true);
-  const ShedRun b = run_shed_scenario(true);
-  ASSERT_FALSE(a.decisions.empty());
-  EXPECT_EQ(a.decisions_json, b.decisions_json);
-}
-
-// ------------------------------------------------------------ widen_io
-
-TEST(ControllerRules, WidenFiresOnRisingQueueWithHealthyBackend) {
-  obs::Registry reg;
-  std::atomic<std::int64_t> depth{0};
-  reg.gauge_fn("crfs.queue.depth", [&] { return depth.load(); });
-  auto& pwrite = reg.histogram("crfs.io.pwrite_ns");
-  pwrite.record(100'000);  // 0.1 ms: comfortably healthy
-
-  KnobPlane plane;
-  plane.define(KnobDef{"io_batch", 1.0, 64.0, "chunks"}, 4.0,
-               [](double, double*, std::string*) { return true; });
-  obs::DecisionLog log(64, nullptr, nullptr);
-  obs::Controller controller(
-      obs::ControllerConfig{}, log, nullptr, nullptr,
-      [&](std::string_view name, double fb) { return plane.snapshot()->get(name, fb); },
-      [&](std::string_view name, double requested) {
-        const TuneResult r = plane.tune(name, requested);
-        return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-      });
-
-  obs::Sampler sampler(reg);
-  sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
-  // Depth strictly rising for 4 frames: widen fires on the 4th (3 rising
-  // deltas), doubling io_batch.
-  for (std::int64_t d = 1; d <= 4; ++d) {
-    depth.store(d);
-    sampler.tick(static_cast<std::uint64_t>(d) * 10'000'000);
-  }
-  const auto decisions = log.snapshot();
-  ASSERT_EQ(decisions.size(), 1u);
-  EXPECT_EQ(decisions[0].rule, "widen_io");
-  EXPECT_EQ(decisions[0].knob, "io_batch");
-  EXPECT_DOUBLE_EQ(decisions[0].to, 8.0);
-}
-
 // Prometheus exposition is a scrape endpoint: it must be readable while
-// the controller (or an operator) retunes knobs and the pipeline writes.
+// an operator retunes knobs and the pipeline writes.
 // Runs under the TSan CI job — any knob-plane/registry/exposition data
 // race fails the suite there.
 TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {

@@ -312,6 +312,64 @@ TEST_F(CrfsBasic, DoubleCloseFails) {
   EXPECT_FALSE(fs_->close(h.value()).ok());
 }
 
+TEST_F(CrfsBasic, ClosedHandleStaysInvalidAfterReopen) {
+  auto h1 = fs_->open("first.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h1.ok());
+  ASSERT_TRUE(fs_->write(h1.value(), as_bytes("first"), 0).ok());
+  ASSERT_TRUE(fs_->close(h1.value()).ok());
+
+  // A second open must not bring the closed handle back to life, whatever
+  // value the new handle takes.
+  auto h2 = fs_->open("second.bin", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h2.ok());
+  ASSERT_TRUE(fs_->write(h2.value(), as_bytes("second"), 0).ok());
+
+  const auto expect_ebadf = [](const Status& st) {
+    ASSERT_FALSE(st.ok());
+    EXPECT_EQ(st.error().code, EBADF);
+  };
+  expect_ebadf(fs_->write(h1.value(), as_bytes("stale"), 0));
+  std::vector<std::byte> buf(8);
+  auto r = fs_->read(h1.value(), buf, 0);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code, EBADF);
+  expect_ebadf(fs_->fsync(h1.value()));
+  expect_ebadf(fs_->close(h1.value()));
+
+  ASSERT_TRUE(fs_->close(h2.value()).ok());
+  EXPECT_EQ(backend_content("first.bin"), "first");
+  EXPECT_EQ(backend_content("second.bin"), "second");
+}
+
+TEST_F(CrfsBasic, MoreThan1024HandlesOpenAtOnce) {
+  constexpr int kHandles = 1100;
+  // A chunk per file: with fewer, each write past the pool would wait out
+  // the exhaustion rescue's 10 ms poll before stealing a chunk.
+  remount(Config{.chunk_size = 4096, .pool_size = 2048 * 4096});
+  std::vector<Crfs::FileHandle> handles;
+  handles.reserve(kHandles);
+  for (int i = 0; i < kHandles; ++i) {
+    auto h = fs_->open("many_" + std::to_string(i),
+                       {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(h.ok()) << i;
+    handles.push_back(h.value());
+  }
+  for (int i = 0; i < kHandles; ++i) {
+    ASSERT_TRUE(fs_->write(handles[i], as_bytes("file " + std::to_string(i)), 0).ok()) << i;
+  }
+  for (int i = 0; i < kHandles; ++i) {
+    const std::string want = "file " + std::to_string(i);
+    std::vector<std::byte> buf(want.size());
+    auto r = fs_->read(handles[i], buf, 0);
+    ASSERT_TRUE(r.ok()) << i;
+    ASSERT_EQ(r.value(), want.size()) << i;
+    EXPECT_EQ(std::memcmp(buf.data(), want.data(), want.size()), 0) << i;
+  }
+  for (int i = 0; i < kHandles; ++i) ASSERT_TRUE(fs_->close(handles[i]).ok()) << i;
+  EXPECT_EQ(backend_content("many_0"), "file 0");
+  EXPECT_EQ(backend_content("many_1099"), "file 1099");
+}
+
 TEST_F(CrfsBasic, UnmountFlushesLeakedHandles) {
   auto h = fs_->open("leak.bin", {.create = true, .truncate = true, .write = true});
   ASSERT_TRUE(h.ok());

@@ -318,21 +318,19 @@ TEST(CrfsConcurrency, MoreOpenFilesThanChunksDoesNotDeadlock) {
 }
 
 // Stress: N writer threads × M files over a pool far smaller than the
-// working set, with the sharded pool and batched/coalescing IO path at
-// non-default settings. Every interleaving must land byte-exact content;
+// working set, with the batched/coalescing IO path at non-default
+// settings. Every interleaving must land byte-exact content;
 // the tiny pool guarantees constant exhaustion (and with more parked
 // files than chunks, the rescue/steal path engages too). Runs under the
 // TSan preset via scripts/check_tsan.sh.
 TEST(CrfsConcurrency, ManyWritersManyFilesTinyPoolByteExact) {
   auto mem = std::make_shared<MemBackend>();
-  // 4 chunks total; pool_shards asks for 8 and must clamp to the chunk
-  // count. io_batch=4 exceeds the half-the-pool cap, so the effective
+  // 4 chunks total. io_batch=4 exceeds the half-the-pool cap, so the effective
   // batch is 2 — the batched/coalescing dequeue runs while the pool
   // stays under constant exhaustion.
   auto fs = Crfs::mount(mem, Config{.chunk_size = 8 * 1024,
                                     .pool_size = 32 * 1024,
                                     .io_threads = 2,
-                                    .pool_shards = 8,
                                     .io_batch = 4});
   ASSERT_TRUE(fs.ok());
 

@@ -381,7 +381,7 @@ TEST(JournalMount, ThrottledBackendDrivesVisibleSloBreach) {
   const std::string stats = fs_->stats_json();
   auto doc = obs::json::parse(stats);
   ASSERT_TRUE(doc.has_value()) << stats;
-  EXPECT_DOUBLE_EQ(doc->get("schema_version")->number, 3.0);
+  EXPECT_DOUBLE_EQ(doc->get("schema_version")->number, 4.0);
   const auto* slo = doc->get("slo");
   ASSERT_TRUE(slo != nullptr && slo->is_object()) << stats;
   EXPECT_TRUE(slo->get("enabled")->boolean);

@@ -62,7 +62,6 @@ TEST(MountOptions, EveryBoolTakesEachSpelling) {
   for (const OptionRow& row : kMountOptionTable) {
     if (row.kind != OptionKind::kBool) continue;
     const std::string key(row.key);
-    // controller needs a sampler; the others ignore it.
     const std::pair<std::string, std::uint64_t> spellings[] = {
         {key, 1}, {key + "=on", 1}, {key + "=off", 0}, {"no_" + key, 0}};
     for (const auto& [spelling, want] : spellings) {

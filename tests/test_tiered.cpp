@@ -6,7 +6,7 @@
 // against in-flight drain copies, writes through handles of unlinked or
 // rename-replaced files, fault injection (remote tier down mid-drain,
 // stage-full backpressure), restore coherence across tiers with
-// readahead on/off, the shed_drain controller rule, and the DES mirror's
+// readahead on/off, the drain knobs, and the DES mirror's
 // deterministic replay + bandwidth-decoupling structure.
 #include <gtest/gtest.h>
 #include <unistd.h>
@@ -40,9 +40,6 @@
 #include "crfs/file.h"
 #include "crfs/fuse_shim.h"
 #include "crfs/mount_options.h"
-#include "obs/controller.h"
-#include "obs/knobs.h"
-#include "obs/sampler.h"
 #include "sim/tiered_sim.h"
 
 namespace crfs {
@@ -1170,6 +1167,40 @@ TEST(TieredMount, EpochFinalizeSealsAndLedgerGainsDrainColumns) {
             data.size());
 }
 
+TEST(TieredMount, DecoratorAroundTheTierKeepsEpochSealing) {
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(),
+                                              std::make_shared<MemBackend>(),
+                                              TieredOptions{});
+  auto faulty = std::make_shared<FaultyBackend>(tier);  // no faults armed
+  auto fs = Crfs::mount(faulty, Config{.chunk_size = 256 * KiB, .pool_size = 2 * MiB});
+  ASSERT_TRUE(fs.ok());
+  ASSERT_EQ(fs.value()->tiered_backend(), tier.get());
+
+  ASSERT_TRUE(fs.value()->epoch_begin("ckpt-0").ok());
+  FuseShim shim(*fs.value(), FuseOptions{});
+  const auto data = make_pattern(1 * MiB, 23);
+  auto h = shim.open("rank0.ckpt", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(h.ok());
+  ASSERT_TRUE(shim.write(h.value(), data, 0).ok());
+  ASSERT_TRUE(shim.close(h.value()).ok());
+  ASSERT_TRUE(fs.value()->epoch_end().ok());
+
+  // The finalized epoch sealed its unit through the decorator (flush()
+  // would seal an open unit itself, so look before calling it); the drain
+  // then evicts the unit and reports back into the ledger row.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier->tier_stats().units_sealed == 0 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_EQ(tier->tier_stats().units_sealed, 1u);
+  ASSERT_TRUE(tier->flush().ok());
+  EXPECT_EQ(tier->tier_stats().units_evicted, 1u);
+  const auto records = fs.value()->epochs();
+  ASSERT_EQ(records.size(), 1u);
+  EXPECT_EQ(records[0].drained_bytes, data.size());
+}
+
 TEST(TieredMount, LedgerDrainTimeStartsAtTheFirstCopy) {
   auto remote = std::make_shared<ThrottledBackend>(std::make_shared<MemBackend>(),
                                                    64.0 * MiB);
@@ -1257,56 +1288,7 @@ TEST(TieredRestore, BitIdenticalFromStageAndFromRemoteWithReadaheadOnOff) {
   restore_and_check("evicted/readahead-on");
 }
 
-// -- shed_drain controller rule ----------------------------------------------
-
-TEST(TieredControl, ShedDrainHalvesThenRestoresOnEpochFinalize) {
-  obs::Registry reg;
-  std::atomic<std::int64_t> depth{4};
-  reg.gauge_fn("crfs.queue.depth", [&] { return depth.load(); });
-  auto& drain_hist = reg.histogram("crfs.tier.drain_pwrite_ns");
-  drain_hist.record(100'000'000);  // 100 ms: remote saturated
-  auto& epochs_done = reg.counter("crfs.epoch.completed");
-
-  KnobPlane plane;
-  plane.define(KnobDef{"drain_mbps", 0.0, 1e6, "MB/s"}, 200.0,
-               [](double, double*, std::string*) { return true; });
-  obs::DecisionLog log(64, nullptr, nullptr);
-  obs::Controller controller(
-      obs::ControllerConfig{}, log, nullptr, nullptr,
-      [&](std::string_view name, double fb) { return plane.snapshot()->get(name, fb); },
-      [&](std::string_view name, double requested) {
-        const TuneResult r = plane.tune(name, requested);
-        return obs::TuneOutcome{r.outcome, r.from, r.to, r.reason, r.generation};
-      });
-  obs::Sampler sampler(reg);
-  sampler.set_tick_observer([&](const obs::Sample& s) { controller.tick(s); });
-
-  // Saturated remote + standing queue: shed_drain halves drain_mbps.
-  sampler.tick(1'000'000'000);
-  {
-    const auto decisions = log.snapshot();
-    ASSERT_EQ(decisions.size(), 1u);
-    EXPECT_EQ(decisions[0].rule, "shed_drain");
-    EXPECT_EQ(decisions[0].knob, "drain_mbps");
-    EXPECT_DOUBLE_EQ(decisions[0].from, 200.0);
-    EXPECT_DOUBLE_EQ(decisions[0].to, 100.0);
-  }
-
-  // Still shed, no epoch finalized yet: nothing further fires (the rule
-  // is a one-shot episode, not a repeated halving).
-  sampler.tick(2'000'000'000);
-  EXPECT_EQ(log.snapshot().size(), 1u);
-
-  // The burst epoch finalizes: the rule restores the pre-shed value
-  // immediately, cooldown notwithstanding.
-  epochs_done.add(1);
-  sampler.tick(2'500'000'000);
-  const auto decisions = log.snapshot();
-  ASSERT_EQ(decisions.size(), 2u);
-  EXPECT_EQ(decisions[1].rule, "shed_drain");
-  EXPECT_DOUBLE_EQ(decisions[1].to, 200.0);
-  EXPECT_DOUBLE_EQ(plane.snapshot()->get("drain_mbps", 0.0), 200.0);
-}
+// -- Drain knobs ---------------------------------------------------------------
 
 TEST(TieredControl, DrainKnobsVetoedWithoutTieredBackend) {
   auto fs = Crfs::mount(std::make_shared<MemBackend>(),
