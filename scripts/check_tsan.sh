@@ -20,10 +20,13 @@
 # appends, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
-# stall on backpressure, and read across tiers; the persistent drain
-# workers copying one step per file of each round beside the drain
-# thread, the rounds' hand-off and copied marks, and the shared
-# drain_mbps budget; drain-failure retry racing the healing remote).
+# stall on backpressure, and read across tiers; drain workers claiming
+# and releasing files under the tier lock, with no round barrier, while
+# writers stage, size and namespace ops wait on a file's stream and the
+# drain thread waits for every file of the sealed unit; copied marks,
+# per-file remote fsyncs and the shared drain_mbps budget; drain-failure
+# retry racing the healing remote). The drain suites then run 5 more
+# times, since those hand-offs race differently on each run.
 # Any data-race report fails the run (TSan exits non-zero).
 set -euo pipefail
 
@@ -50,5 +53,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 # JournalCrash suite is skipped here (it runs in the plain ctest job).
 "$BUILD_DIR"/tests/test_journal --gtest_filter='-JournalCrash.*'
 "$BUILD_DIR"/tests/test_tiered
+"$BUILD_DIR"/tests/test_tiered \
+  --gtest_filter='TieredDrain.*:TieredEager.*:TieredFence.*:TieredNamespace.*' --gtest_repeat=5
 
 echo "TSan: clean"

@@ -49,34 +49,6 @@ class StageMap {
   std::span<const std::byte> view_;
 };
 
-/// Merges adjacent exact runs of one file into one run (fewer remote calls).
-template <typename Run>
-std::vector<Run> merge_adjacent(const std::vector<Run>& exact) {
-  std::vector<Run> merged;
-  for (const Run& run : exact) {
-    if (!merged.empty() && merged.back().file == run.file &&
-        merged.back().offset + merged.back().len == run.offset) {
-      merged.back().len += run.len;
-    } else {
-      merged.push_back(run);
-    }
-  }
-  return merged;
-}
-
-/// True when every byte of [offset, offset+len) lies in some extent.
-template <typename Extents>
-bool covered(const Extents& extents, std::uint64_t offset, std::uint64_t len) {
-  std::uint64_t cur = offset;
-  const std::uint64_t end = offset + len;
-  auto it = extents.upper_bound(offset);
-  if (it == extents.begin()) return len == 0;
-  for (--it; it != extents.end() && it->first <= cur && cur < end; ++it) {
-    cur = std::max(cur, it->first + it->second.len);
-  }
-  return cur >= end;
-}
-
 /// "a/b/c" with no leading slash; "" for the root. Matches MemBackend's
 /// normalization closely enough for the staged-name union in list_dir.
 std::string normalize(const std::string& path) {
@@ -116,7 +88,7 @@ TieredBackend::~TieredBackend() {
     std::lock_guard<std::mutex> lock(mu_);
     workers_stop_ = true;
   }
-  step_cv_.notify_all();
+  work_cv_.notify_all();
   for (auto& worker : workers_) worker.join();
 
   std::unique_lock<std::mutex> lock(mu_);
@@ -170,7 +142,10 @@ void TieredBackend::set_drain_mbps(double mbps) {
 }
 
 void TieredBackend::set_drain_parallel(unsigned n) {
+  std::lock_guard<std::mutex> lock(mu_);
   drain_parallel_.store(n == 0 ? 1 : n, std::memory_order_relaxed);
+  // A wider drain starts its new streams on work already waiting.
+  if (!workers_.empty()) wake_streams_locked(true);
 }
 
 std::uint64_t TieredBackend::oldest_pending_seal_ns_locked() const {
@@ -249,6 +224,16 @@ std::uint64_t TieredBackend::trim_extents_locked(FileState& fs, std::uint64_t of
         std::min(e_end, end) - std::max(e_off, offset);
     freed += cut;
     if (e.unit == open_unit_seq_ && open_unit_bytes_ >= cut) open_unit_bytes_ -= cut;
+    auto share = fs.units.find(e.unit);
+    if (share != fs.units.end()) {
+      share->second.staged -= cut;
+      if (!e.copied) share->second.uncopied -= cut;
+      if (share->second.staged == 0) {
+        fs.units.erase(share);
+        // The sealed front may be durable now, with no stream turn left.
+        if (e.unit != open_unit_seq_) drain_cv_.notify_all();
+      }
+    }
   }
   stage_used_ -= std::min(stage_used_, freed);
   return freed;
@@ -261,9 +246,8 @@ void TieredBackend::seal_locked(std::uint64_t epoch_id, std::uint64_t now_ns) {
   open_unit_seq_ = next_unit_seq_++;
   open_unit_bytes_ = 0;
   open_unit_first_copy_ns_ = 0;
-  // The sealed unit's drain copies whatever the eager pass did not; the
+  // The sealed unit's streams copy whatever the eager pass did not; the
   // new open unit holds nothing yet.
-  eager_pending_ = false;
   eager_stopped_ = false;
   t_units_sealed_.fetch_add(1, std::memory_order_relaxed);
   drain_cv_.notify_all();
@@ -307,8 +291,10 @@ Result<BackendFile> TieredBackend::remote_writer_locked(const FileState& fs) {
 }
 
 void TieredBackend::wait_drain_io_locked(std::unique_lock<std::mutex>& lock,
-                                         const FileState& fs) {
-  copy_cv_.wait(lock, [&] { return fs.drain_io == 0; });
+                                         const std::function<bool()>& quiet) {
+  fence_waiters_ += 1;
+  copy_cv_.wait(lock, quiet);
+  if (--fence_waiters_ == 0) work_cv_.notify_all();
 }
 
 Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags flags) {
@@ -343,7 +329,7 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
     if (flags.truncate) {
       // Both tiers shrink under the lock, after in-flight drain IO: no copy
       // can then write truncated bytes back (see truncate()).
-      wait_drain_io_locked(lock, *fs);
+      wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       (void)stage_->truncate(fs->stage_file, 0);
@@ -478,11 +464,15 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
   }
   const std::uint64_t write_id = next_write_id_++;
   fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
+  UnitShare& share = fs->units[open_unit_seq_];
+  share.staged += len;
+  share.uncopied += len;
   open_unit_bytes_ += len;
-  // Copy early: wake the drain's eager pass.
-  if (!eager_pending_) {
-    eager_pending_ = true;
-    if (!eager_stopped_) drain_cv_.notify_all();
+  // Copy early: an idle stream claims the file (its own stream, if it has
+  // one, claims it again after its step).
+  if (sealed_.empty() && !eager_stopped_ && !fs->drain_io &&
+      streams_ < drain_parallel_.load(std::memory_order_relaxed)) {
+    wake_streams_locked(false);
   }
   return {};
 }
@@ -607,7 +597,7 @@ Status TieredBackend::truncate(BackendFile file, std::uint64_t size) {
   // copy that read the old bytes can no longer land after the remote
   // truncate, and no mapped stage page vanishes under a copy (SIGBUS).
   std::unique_lock<std::mutex> lock(mu_);
-  wait_drain_io_locked(lock, *fs);
+  wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
   if (size < fs->size) {
     trim_extents_locked(*fs, size, ~std::uint64_t{0} - size);
     space_cv_.notify_all();
@@ -654,7 +644,7 @@ Status TieredBackend::unlink(const std::string& path) {
     if (it != files_.end()) {
       had_state = true;
       auto fs = it->second;
-      wait_drain_io_locked(lock, *fs);
+      wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
       trim_extents_locked(*fs, 0, ~std::uint64_t{0});
       fs->size = 0;
       fs->unlinked = true;
@@ -693,7 +683,7 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
   std::unique_lock<std::mutex> lock(mu_);
   std::vector<std::shared_ptr<FileState>> moved;
   std::vector<std::shared_ptr<FileState>> replaced;
-  copy_cv_.wait(lock, [&] {
+  wait_drain_io_locked(lock, [&] {
     moved.clear();
     replaced.clear();
     for (const auto& [p, fs] : files_) {
@@ -704,7 +694,7 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
     }
     for (const auto* group : {&moved, &replaced}) {
       for (const auto& fs : *group) {
-        if (fs->drain_io > 0) return false;
+        if (fs->drain_io) return false;
       }
     }
     return true;
@@ -822,154 +812,188 @@ std::chrono::steady_clock::time_point TieredBackend::book_budget(std::uint64_t b
   return end;
 }
 
-Status TieredBackend::copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce) {
-  FileState& fs = *run.file;
-  BackendFile sf = 0;
-  BackendFile rw = 0;
-  {
-    // The run must still be staged under its path (a rename may have
-    // replaced the file); registering as drain IO then holds off
-    // truncate/unlink/rename until the copy is done.
-    std::lock_guard<std::mutex> lock(mu_);
-    auto owner = files_.find(fs.path);
-    if (owner == files_.end() || owner->second != run.file || !fs.stage_open ||
-        !covered(fs.extents, run.offset, run.len)) {
-      return Error{ESTALE, "staged bytes gone (truncated or unlinked mid-drain)"};
+void TieredBackend::wake_streams_locked(bool all) {
+  if (idle_workers_ == 0) {
+    // Claims start more workers while work is left (claim_locked).
+    if (workers_.size() < drain_parallel_.load(std::memory_order_relaxed)) {
+      workers_.emplace_back([this] { worker_loop(); });
     }
-    auto opened = remote_writer_locked(fs);
-    if (!opened.ok()) return opened.error();
-    sf = fs.stage_file;
-    rw = opened.value();
-    fs.drain_io += 1;
+  } else if (all) {
+    work_cv_.notify_all();
+  } else {
+    work_cv_.notify_one();
   }
-  const int fd = stage_->raw_fd(sf);
-  Status result;
-  for (std::uint64_t done = 0; done < run.len;) {
-    const std::uint64_t at = run.offset + done;
-    const std::size_t step =
-        static_cast<std::size_t>(std::min<std::uint64_t>(run.len - done, kStepBytes));
+}
+
+std::optional<TieredBackend::StreamClaim> TieredBackend::claim_locked(
+    const std::shared_ptr<FileState>& prefer) {
+  const unsigned width = drain_parallel_.load(std::memory_order_relaxed);
+  if (fence_waiters_ > 0 || streams_ >= width) return std::nullopt;
+  // The oldest unit: the sealed front, or the open unit while nothing is
+  // sealed and eager copy is on.
+  const bool sealed = !sealed_.empty();
+  if (sealed ? front_error_.has_value() : eager_stopped_) return std::nullopt;
+  const std::uint64_t unit = sealed ? sealed_.front().seq : open_unit_seq_;
+  const auto has_work = [&](const FileState& fs) {
+    if (fs.drain_io) return false;
+    auto share = fs.units.find(unit);
+    // Open, a share has work while it holds uncopied bytes; sealed, until
+    // its fsync.
+    return share != fs.units.end() && (sealed || share->second.uncopied > 0);
+  };
+  // A file with a share is in files_ (retiring a file trims its shares).
+  std::shared_ptr<FileState> fs = prefer != nullptr && has_work(*prefer) ? prefer : nullptr;
+  for (auto it = files_.begin(); fs == nullptr && it != files_.end(); ++it) {
+    if (has_work(*it->second)) fs = it->second;
+  }
+  if (fs == nullptr) return std::nullopt;
+
+  StreamClaim out{fs, unit, {}, fs->stage_file, 0, {}};
+  auto rw = remote_writer_locked(*fs);
+  if (rw.ok()) {
+    out.remote_file = rw.value();
+    const std::uint64_t want =
+        std::min<std::uint64_t>(fs->units[unit].uncopied, kStepBytes);
+    std::uint64_t bytes = 0;
+    for (auto it = fs->extents.begin(); it != fs->extents.end() && bytes < want; ++it) {
+      Extent& e = it->second;
+      if (e.unit != unit || e.copied) continue;
+      if (bytes + e.len > kStepBytes) {
+        if (bytes > 0) break;
+        // Split the extent at the step's end; the tail keeps its unit,
+        // write id and copied bit for a later step.
+        Extent tail = e;
+        tail.len = e.len - kStepBytes;
+        e.len = kStepBytes;
+        fs->extents.emplace(it->first + kStepBytes, tail);
+      }
+      out.runs.push_back(DrainRun{it->first, e.len, e.write_id});
+      bytes += e.len;
+    }
+  } else {
+    out.opened = rw.error();
+  }
+  if (!sealed && open_unit_first_copy_ns_ == 0) open_unit_first_copy_ns_ = obs::now_ns();
+  fs->drain_io = true;
+  streams_ += 1;
+  // One worker per concurrent stream: start another only while work is
+  // left that no idle worker can take.
+  if (idle_workers_ == 0 && streams_ < width && workers_.size() < width &&
+      std::any_of(files_.begin(), files_.end(),
+                  [&](const auto& entry) { return has_work(*entry.second); })) {
+    workers_.emplace_back([this] { worker_loop(); });
+  }
+  return out;
+}
+
+Status TieredBackend::copy_claim(const StreamClaim& claim, std::vector<std::byte>& bounce) {
+  // Adjacent runs go as one remote write; the step is at most kStepBytes.
+  std::vector<DrainRun> merged;
+  for (const DrainRun& run : claim.runs) {
+    if (!merged.empty() && merged.back().offset + merged.back().len == run.offset) {
+      merged.back().len += run.len;
+    } else {
+      merged.push_back(run);
+    }
+  }
+  const int fd = stage_->raw_fd(claim.stage_file);
+  for (const DrainRun& run : merged) {
+    const std::size_t len = static_cast<std::size_t>(run.len);
     // Zero-copy: the remote reads the stage's page cache through a mapping.
     std::optional<StageMap> map;
     std::span<const std::byte> src;
     if (fd >= 0) {
-      map.emplace(fd, at, step);
+      map.emplace(fd, run.offset, len);
       src = map->view();
     }
     if (src.empty()) {
       if (bounce.size() < kStepBytes) bounce.resize(kStepBytes);
-      auto got = stage_->pread(sf, {bounce.data(), step}, at);
-      if (!got.ok()) {
-        result = got.error();
-        break;
-      }
-      if (got.value() < step) {
-        result = Error{ESTALE, "staged extent truncated mid-drain"};
-        break;
-      }
-      src = {bounce.data(), step};
+      auto got = stage_->pread(claim.stage_file, {bounce.data(), len}, run.offset);
+      if (!got.ok()) return got.error();
+      if (got.value() < len) return Error{ESTALE, "staged extent truncated mid-drain"};
+      src = {bounce.data(), len};
     }
-    const auto slot_end = book_budget(step);
+    const auto slot_end = book_budget(len);
     const std::uint64_t t0 = obs::now_ns();
-    result = remote_->pwrite(rw, src, at);
+    const Status wrote = remote_->pwrite(claim.remote_file, src, run.offset);
     if (h_drain_pwrite_ != nullptr) h_drain_pwrite_->record(obs::now_ns() - t0);
     map.reset();
-    if (!result.ok()) break;
-    t_drained_bytes_.fetch_add(step, std::memory_order_relaxed);
-    if (c_drained_bytes_ != nullptr) c_drained_bytes_->add(step);
+    if (!wrote.ok()) return wrote;
+    t_drained_bytes_.fetch_add(len, std::memory_order_relaxed);
+    if (c_drained_bytes_ != nullptr) c_drained_bytes_->add(len);
     std::this_thread::sleep_until(slot_end);
-    done += step;
   }
-  std::lock_guard<std::mutex> lock(mu_);
-  if (--fs.drain_io == 0) copy_cv_.notify_all();
-  return result;
+  return {};
 }
 
-void TieredBackend::copy_steps_locked(std::unique_lock<std::mutex>& lock,
-                                      std::vector<std::byte>& bounce) {
-  while (round_ != nullptr && round_next_ < round_->size()) {
-    DrainStep& step = (*round_)[round_next_++];
-    lock.unlock();
-    for (const DrainRun& run : merge_adjacent(step.exact)) {
-      step.result = copy_run_to_remote(run, bounce);
-      if (!step.result.ok()) break;
+void TieredBackend::finish_claim_locked(const StreamClaim& claim, const Status& result) {
+  FileState& fs = *claim.file;
+  fs.drain_io = false;
+  streams_ -= 1;
+  copy_cv_.notify_all();
+  const bool open = claim.unit == open_unit_seq_;
+  if (!result.ok()) {
+    if (open) {
+      // Do not spin on a failing remote: the sealed unit's retry loop, with
+      // its backoff, owns these bytes from the seal on.
+      eager_stopped_ = true;
+    } else if (!front_error_.has_value() || front_error_->code == ESTALE) {
+      front_error_ = result.error();
     }
-    lock.lock();
-    if (--round_left_ == 0) round_cv_.notify_all();
+  } else if (claim.runs.empty()) {
+    fs.units.erase(claim.unit);  // fsynced: the share is remote-durable
+  } else {
+    // Copied counts only for an extent that is still exactly the one
+    // copied: an overwrite mid-copy changed its write id (or split it), so
+    // those bytes stay uncopied and go again.
+    for (const DrainRun& run : claim.runs) {
+      auto it = fs.extents.find(run.offset);
+      if (it == fs.extents.end() || it->second.len != run.len ||
+          it->second.unit != claim.unit || it->second.write_id != run.write_id) {
+        continue;
+      }
+      it->second.copied = true;
+      auto share = fs.units.find(claim.unit);
+      if (share != fs.units.end()) share->second.uncopied -= run.len;
+    }
   }
+  if (!open) drain_cv_.notify_all();
 }
 
 void TieredBackend::worker_loop() {
   std::vector<std::byte> bounce;
+  std::shared_ptr<FileState> last;
   std::unique_lock<std::mutex> lock(mu_);
   for (;;) {
-    step_cv_.wait(lock, [&] {
-      return workers_stop_ || (round_ != nullptr && round_next_ < round_->size());
-    });
-    if (workers_stop_) return;
-    copy_steps_locked(lock, bounce);
-  }
-}
-
-std::vector<TieredBackend::DrainStep> TieredBackend::next_round_locked(
-    std::uint64_t unit) const {
-  const unsigned width = drain_parallel_.load(std::memory_order_relaxed);
-  std::vector<DrainStep> round;
-  for (const auto& [path, fs] : files_) {
-    DrainStep step;
-    std::uint64_t bytes = 0;
-    for (const auto& [off, ext] : fs->extents) {
-      if (ext.unit != unit || ext.copied) continue;
-      step.exact.push_back(DrainRun{fs, off, ext.len, ext.write_id});
-      bytes += ext.len;
-      if (bytes >= kStepBytes) break;
+    std::optional<StreamClaim> claim;
+    while (!workers_stop_ && !(claim = claim_locked(last))) {
+      idle_workers_ += 1;
+      work_cv_.wait(lock);
+      idle_workers_ -= 1;
     }
-    if (step.exact.empty()) continue;
-    round.push_back(std::move(step));
-    if (round.size() >= width) break;
-  }
-  return round;
-}
-
-Status TieredBackend::copy_round(std::vector<DrainStep>& round, std::uint64_t unit) {
-  std::unique_lock<std::mutex> lock(mu_);
-  while (workers_.size() + 1 < round.size()) {
-    workers_.emplace_back([this] { worker_loop(); });
-  }
-  round_ = &round;
-  round_next_ = 0;
-  round_left_ = round.size();
-  if (round.size() > 1) step_cv_.notify_all();
-  copy_steps_locked(lock, bounce_);
-  round_cv_.wait(lock, [&] { return round_left_ == 0; });
-  round_ = nullptr;
-
-  // Copied counts only for an extent that is still exactly the one copied:
-  // an overwrite mid-copy changed its write id (or split it), so those
-  // bytes stay uncopied and go again.
-  Status result;
-  for (const DrainStep& step : round) {
-    if (!step.result.ok()) {
-      if (result.ok() || result.error().code == ESTALE) result = step.result;
-      continue;
+    if (!claim) return;
+    lock.unlock();
+    Status result = claim->opened;
+    if (result.ok()) {
+      result = claim->runs.empty() ? remote_->fsync(claim->remote_file) : copy_claim(*claim, bounce);
     }
-    for (const DrainRun& run : step.exact) {
-      auto it = run.file->extents.find(run.offset);
-      if (it != run.file->extents.end() && it->second.len == run.len &&
-          it->second.unit == unit && it->second.write_id == run.write_id) {
-        it->second.copied = true;
-      }
+    if (!result.ok()) {
+      std::uint64_t bytes = 0;
+      for (const DrainRun& run : claim->runs) bytes += run.len;
+      note_remote_failure(result.error(), claim->unit, bytes);
     }
+    lock.lock();
+    finish_claim_locked(*claim, result);
+    last = claim->file;
   }
-  return result;
 }
 
 void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
                                         std::uint64_t bytes) {
-  // ESTALE means the staged bytes vanished legitimately (unlink or
-  // truncate won the race); a re-snapshot resolves it. Anything else is
-  // the remote tier failing: raise the health event once per episode.
-  if (error.code == ESTALE || remote_down_) return;
-  remote_down_ = true;
+  // ESTALE means the staged bytes vanished underneath the copy; a later
+  // claim re-snapshots. Anything else is the remote tier failing: raise
+  // the health event once per episode.
+  if (error.code == ESTALE || remote_down_.exchange(true)) return;
   if (events_ == nullptr) return;
   obs::Event ev;
   ev.severity = obs::Severity::kWarning;
@@ -981,175 +1005,108 @@ void TieredBackend::note_remote_failure(const Error& error, std::uint64_t unit,
   events_->push(std::move(ev));
 }
 
-void TieredBackend::copy_open_unit(std::unique_lock<std::mutex>& lock) {
-  const std::uint64_t unit = open_unit_seq_;
-  std::vector<DrainStep> round = next_round_locked(unit);
-  if (round.empty()) {
-    eager_pending_ = false;  // the next pwrite wakes the pass again
-    return;
-  }
-  if (open_unit_first_copy_ns_ == 0) open_unit_first_copy_ns_ = obs::now_ns();
-  lock.unlock();
-  const Status result = copy_round(round, unit);
-  if (!result.ok()) {
-    std::uint64_t bytes = 0;
-    for (const DrainStep& step : round) {
-      for (const DrainRun& run : step.exact) bytes += run.len;
-    }
-    note_remote_failure(result.error(), unit, bytes);
-  }
-  lock.lock();
-  // Do not spin on a failing remote: the sealed unit's retry loop, with
-  // its backoff, owns these bytes from the seal on. A seal that landed
-  // meanwhile already handed them over; the new open unit copies on.
-  if (!result.ok() && result.error().code != ESTALE && unit == open_unit_seq_) {
-    eager_stopped_ = true;
-  }
+bool TieredBackend::unit_durable_locked(std::uint64_t unit) const {
+  return std::none_of(files_.begin(), files_.end(),
+                      [&](const auto& entry) { return entry.second->units.count(unit) != 0; });
 }
 
-bool TieredBackend::drain_unit(const DrainUnit& unit) {
-  // Copy what the eager pass has not, a round at a time, until no
-  // uncopied extent of the unit remains (an overwrite that splits an
-  // extent mid-copy leaves uncopied pieces for a later round).
-  Status result;
-  for (;;) {
-    std::vector<DrainStep> round;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      round = next_round_locked(unit.seq);
-    }
-    if (round.empty()) break;
-    result = copy_round(round, unit.seq);
-    if (!result.ok()) break;
-  }
-
-  // Eviction gate: every remote file of the unit is fsynced before a
-  // single staged byte is released.
-  if (result.ok()) {
-    std::vector<std::pair<std::shared_ptr<FileState>, BackendFile>> to_sync;
-    {
-      std::lock_guard<std::mutex> lock(mu_);
-      for (auto& [path, fs] : files_) {
-        const bool in_unit = std::any_of(fs->extents.begin(), fs->extents.end(),
-                                         [&](const auto& e) { return e.second.unit == unit.seq; });
-        auto wit = remote_write_.find(path);
-        if (!in_unit || wit == remote_write_.end()) continue;
-        fs->drain_io += 1;
-        to_sync.emplace_back(fs, wit->second);
-      }
-    }
-    for (const auto& [fs, rf] : to_sync) {
-      if (result.ok()) result = remote_->fsync(rf);
-    }
-    std::lock_guard<std::mutex> lock(mu_);
-    for (const auto& [fs, rf] : to_sync) {
-      if (--fs->drain_io == 0) copy_cv_.notify_all();
-    }
-  }
-
-  if (!result.ok()) {
-    note_remote_failure(result.error(), unit.seq, unit.bytes);
-    return false;
-  }
-
-  const std::uint64_t drain_end = obs::now_ns();
-  if (remote_down_ && events_ != nullptr) {
-    obs::Event ev;
-    ev.severity = obs::Severity::kInfo;
-    ev.rule = "tier_remote_recovered";
-    ev.message = "drain to remote resumed (unit " + std::to_string(unit.seq) + ")";
-    ev.ts_ns = drain_end;
-    events_->push(std::move(ev));
-  }
-  remote_down_ = false;
-
-  // Evict every extent still tagged to this unit: all are copied and
-  // fsynced (an overwrite re-tagged fresher bytes to the open unit — they
-  // stay).
+std::uint64_t TieredBackend::evict_locked(std::uint64_t unit) {
+  // Every extent still tagged to this unit is copied and fsynced (an
+  // overwrite re-tagged fresher bytes to the open unit — they stay).
   std::uint64_t evicted = 0;
-  DrainListener listener;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    std::vector<std::shared_ptr<FileState>> drained;
-    for (auto& [path, fs] : files_) {
-      const std::uint64_t before = evicted;
-      for (auto it = fs->extents.begin(); it != fs->extents.end();) {
-        if (it->second.unit == unit.seq) {
-          evicted += it->second.len;
-          it = fs->extents.erase(it);
-        } else {
-          ++it;
-        }
-      }
-      if (evicted != before && fs->extents.empty()) drained.push_back(fs);
-    }
-    for (const auto& fs : drained) {
-      if (fs->inflight != 0 || fs->drain_io != 0) continue;
-      if (fs->open_count == 0) {
-        release_file_locked(fs);
-      } else if (fs->stage_open) {
-        // Still open but fully drained: reclaim the staged bytes now.
-        (void)stage_->truncate(fs->stage_file, 0);
+  std::vector<std::shared_ptr<FileState>> drained;
+  for (auto& [path, fs] : files_) {
+    const std::uint64_t before = evicted;
+    for (auto it = fs->extents.begin(); it != fs->extents.end();) {
+      if (it->second.unit == unit) {
+        evicted += it->second.len;
+        it = fs->extents.erase(it);
+      } else {
+        ++it;
       }
     }
-    stage_used_ -= std::min(stage_used_, evicted);
-    t_units_evicted_.fetch_add(1, std::memory_order_relaxed);
-    if (c_evictions_ != nullptr) c_evictions_->add(1);
-    listener = drain_listener_;
+    if (evicted != before && fs->extents.empty()) drained.push_back(fs);
   }
-  space_cv_.notify_all();
-  idle_cv_.notify_all();
-  if (listener) {
-    listener(unit.epoch_id, evicted, drain_end - unit.first_copy_ns, drain_end);
+  for (const auto& fs : drained) {
+    if (fs->inflight != 0 || fs->drain_io) continue;
+    if (fs->open_count == 0) {
+      release_file_locked(fs);
+    } else if (fs->stage_open) {
+      // Still open but fully drained: reclaim the staged bytes now.
+      (void)stage_->truncate(fs->stage_file, 0);
+    }
   }
-  return true;
+  stage_used_ -= std::min(stage_used_, evicted);
+  t_units_evicted_.fetch_add(1, std::memory_order_relaxed);
+  if (c_evictions_ != nullptr) c_evictions_->add(1);
+  return evicted;
 }
 
 void TieredBackend::drain_loop() {
   std::unique_lock<std::mutex> lock(mu_);
   auto backoff = opts_.retry_backoff;
   for (;;) {
-    drain_cv_.wait(lock, [&] {
-      return shutdown_ || !sealed_.empty() || (eager_pending_ && !eager_stopped_);
-    });
-    if (sealed_.empty()) {
-      if (shutdown_) return;
-      // Copy early: nothing sealed waits, so stream the open unit.
-      copy_open_unit(lock);
-      continue;
-    }
+    drain_cv_.wait(lock, [&] { return shutdown_ || !sealed_.empty(); });
+    if (sealed_.empty()) return;
     // drain_ns runs from the unit's first copy, eager or not.
     if (sealed_.front().first_copy_ns == 0) sealed_.front().first_copy_ns = obs::now_ns();
     const DrainUnit unit = sealed_.front();
-    lock.unlock();
-    const bool ok = drain_unit(unit);
-    lock.lock();
-    if (ok) {
-      if (!sealed_.empty() && sealed_.front().seq == unit.seq) sealed_.pop_front();
-      backoff = opts_.retry_backoff;
-      if (sealed_.empty()) {
+    // The streams copy what the eager pass has not and fsync each file as
+    // its last step lands. Wait for every file of the unit, or for a failed
+    // stream and the others to stop.
+    front_error_.reset();
+    wake_streams_locked(true);
+    drain_cv_.wait(lock, [&] {
+      return streams_ == 0 && (front_error_.has_value() || unit_durable_locked(unit.seq));
+    });
+
+    if (front_error_.has_value()) {
+      // Remote down (or staged bytes moved underneath us): retry the unit
+      // with exponential backoff. The stage retains every byte meanwhile.
+      t_retries_.fetch_add(1, std::memory_order_relaxed);
+      if (c_retries_ != nullptr) c_retries_->add(1);
+      if (shutdown_ && backoff >= opts_.retry_backoff_max) {
+        // Teardown with a dead remote: abandon the unit (bytes stay staged;
+        // nothing is evicted, so nothing is lost silently).
+        sealed_.pop_front();
         idle_cv_.notify_all();
-        // A writer that stalled while this (already-drained) unit still sat
-        // in sealed_ skipped its auto-seal; now that the queue is empty it
-        // must re-check, or its open bytes never seal and nothing wakes it.
-        space_cv_.notify_all();
+        if (sealed_.empty()) space_cv_.notify_all();
+        continue;
       }
+      drain_cv_.wait_for(lock, backoff, [&] { return shutdown_; });
+      backoff = std::min(backoff * 2, opts_.retry_backoff_max);
       continue;
     }
-    // Remote down (or staged bytes moved underneath us): retry the unit
-    // with exponential backoff. The stage retains every byte meanwhile.
-    t_retries_.fetch_add(1, std::memory_order_relaxed);
-    if (c_retries_ != nullptr) c_retries_->add(1);
-    if (shutdown_ && backoff >= opts_.retry_backoff_max) {
-      // Teardown with a dead remote: abandon the unit (bytes stay staged;
-      // nothing is evicted, so nothing is lost silently).
-      sealed_.pop_front();
+
+    const std::uint64_t drain_end = obs::now_ns();
+    const std::uint64_t evicted = evict_locked(unit.seq);
+    const DrainListener listener = drain_listener_;
+    lock.unlock();
+    if (remote_down_.exchange(false) && events_ != nullptr) {
+      obs::Event ev;
+      ev.severity = obs::Severity::kInfo;
+      ev.rule = "tier_remote_recovered";
+      ev.message = "drain to remote resumed (unit " + std::to_string(unit.seq) + ")";
+      ev.ts_ns = drain_end;
+      events_->push(std::move(ev));
+    }
+    space_cv_.notify_all();
+    idle_cv_.notify_all();
+    if (listener) {
+      listener(unit.epoch_id, evicted, drain_end - unit.first_copy_ns, drain_end);
+    }
+    lock.lock();
+    sealed_.pop_front();
+    backoff = opts_.retry_backoff;
+    if (sealed_.empty()) {
       idle_cv_.notify_all();
-      if (sealed_.empty()) space_cv_.notify_all();
-      continue;
+      // A writer that stalled while this (already-drained) unit still sat
+      // in sealed_ skipped its auto-seal; now that the queue is empty it
+      // must re-check, or its open bytes never seal and nothing wakes it.
+      space_cv_.notify_all();
+      // The open unit's eager copy resumes.
+      wake_streams_locked(true);
     }
-    drain_cv_.wait_for(lock, backoff, [&] { return shutdown_; });
-    backoff = std::min(backoff * 2, opts_.retry_backoff_max);
   }
 }
 

@@ -6,8 +6,8 @@
 // backend, so sustained checkpoint absorption is capped at backend speed.
 // TieredBackend adds the burst-buffer bandwidth multiple: every write
 // lands on a fast staging tier (MemBackend, or a PosixBackend on
-// NVMe-class local storage) and a background drain thread copies it to
-// the slow remote tier asynchronously, so the application absorbs
+// NVMe-class local storage) and background drain workers copy it to the
+// slow remote tier asynchronously, so the application absorbs
 // checkpoints at staging speed while the remote catches up.
 //
 // Drain is epoch-aware. Staged bytes are grouped into drain units; the
@@ -20,29 +20,33 @@
 // the OPEN unit's extents to the remote as they land, so the remote
 // streams during the burst instead of idling until its seal. The eager
 // and the sealed drain pick what to copy from the extent map alone,
-// through one round-based copy path. Each extent carries the id of the
-// write that staged it and a `copied` bit; a copy marks its extent copied
-// only if offset, length, unit and write id all still match afterwards,
-// so bytes overwritten mid-copy are copied again (last-writer-wins). At
-// seal the drain copies only what is still uncopied, fsyncs every remote
-// file of the unit, and only then evicts: staged data is released only
-// once its entire unit is durable (pwritten AND fsynced) at the remote,
-// so a crash mid-drain never leaves the remote with a half-valid newest
-// checkpoint while the stage already dropped the bytes. A failed eager
-// copy stops eager copying until the seal; the sealed unit's retry loop
-// then owns it.
+// through one stream path. Each extent carries the id of the write that
+// staged it and a `copied` bit; a copy marks its extent copied only if
+// offset, length, unit and write id all still match afterwards, so bytes
+// overwritten mid-copy are copied again (last-writer-wins). After the
+// seal each file's stream copies only what is still uncopied and fsyncs
+// the file's remote copy as soon as none of its extents in the unit is
+// left uncopied; the unit is evicted only once every file of it is
+// fsynced: staged data is released only once its entire unit is durable
+// (pwritten AND fsynced) at the remote, so a crash mid-drain never leaves
+// the remote with a half-valid newest checkpoint while the stage already
+// dropped the bytes. A failed eager copy stops eager copying until the
+// seal; the sealed unit's retry loop then owns it.
 //
-// One drain stream per file. The drain thread is the coordinator: each
-// round it takes at most one step (about kStepBytes) from each of up to
-// `drain_parallel` files of the oldest unit (the sealed front, or the
-// open unit while nothing is sealed), copies those steps together with
-// persistent drain workers, one stream per step, waits for all of them,
-// and then marks what landed copied. A file has at most one remote write in
-// flight, as WorkQueue gives the IO pool one writer per file, while
-// files drain side by side, so the tier reaches the remote with the
-// concurrency the mount uses when it writes there directly. At
-// drain_parallel=1 the remote sees a single write stream. `drain_mbps`
-// is one budget that the steps of all streams book in turn.
+// One drain stream per file, with no barrier. Up to `drain_parallel`
+// drain workers each claim a file that no stream owns and that still has
+// work in the oldest unit (the sealed front, or the open unit while
+// nothing is sealed), copy one step of at most kStepBytes of it, mark the
+// step copied, release the file and claim again, so a file's stream
+// starts as soon as its bytes land and a finished file frees its worker
+// at once. A file has at most one remote write in flight, as WorkQueue
+// gives the IO pool one writer per file, while files drain side by side,
+// so the tier reaches the remote with the concurrency the mount uses when
+// it writes there directly. At drain_parallel=1 the remote sees a single
+// write stream. `drain_mbps` is one budget that the steps of all streams
+// book in turn. The drain thread is the coordinator: it only waits for
+// every file of the sealed front, evicts it and retries it after a
+// failure.
 //
 // Stage reads. When the stage exposes a kernel fd (PosixBackend), each
 // drain step maps the staged range read-only (MAP_SHARED|MAP_POPULATE)
@@ -87,6 +91,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -222,6 +227,15 @@ class TieredBackend final : public BackendFs {
   /// close drops them.
   static constexpr std::uint64_t kRetiredUnit = 0;
 
+  /// A file's bytes of one drain unit that are not yet durable on the
+  /// remote: the staged bytes and, of those, the ones not yet copied. It
+  /// goes when its bytes are trimmed, or when the file's remote fsync after
+  /// the seal makes them durable.
+  struct UnitShare {
+    std::uint64_t staged = 0;
+    std::uint64_t uncopied = 0;
+  };
+
   /// Per-path tier state. Extents are non-overlapping, keyed by offset.
   struct FileState {
     std::string path;
@@ -230,34 +244,40 @@ class TieredBackend final : public BackendFs {
     BackendFile remote_read = 0;
     bool remote_read_open = false;
     std::map<std::uint64_t, Extent> extents;
+    /// Its shares of drain units, by unit seq (none for kRetiredUnit).
+    std::map<std::uint64_t, UnitShare> units;
     std::uint64_t size = 0;  ///< logical high-water mark
     int open_count = 0;
     /// Stage pwrites in flight outside the lock: eviction must not close
     /// or truncate the stage file underneath one.
     int inflight = 0;
-    /// Drain copies and remote fsyncs in flight outside the lock: size
-    /// and namespace ops wait for 0 (copy_cv_).
-    int drain_io = 0;
+    /// A drain stream owns the file: its copy or remote fsync runs outside
+    /// the lock. Size and namespace ops wait for false (copy_cv_).
+    bool drain_io = false;
     /// Retired: unlinked, or replaced by a rename. Out of files_, so a
     /// later open of the path is a new file; kept alive by open handles.
     bool unlinked = false;
   };
 
-  /// One drained byte range, snapshotted under the lock, copied outside.
-  /// `write_id` matters only for exact extents (the copied-bit check).
+  /// One staged extent of a claimed step; `write_id` is for the copied-bit
+  /// check.
   struct DrainRun {
-    std::shared_ptr<FileState> file;
     std::uint64_t offset = 0;
     std::uint64_t len = 0;
     std::uint64_t write_id = 0;
   };
 
-  /// One file's share of a drain round, copied by one stream: its
-  /// uncopied extents (exact, for the copied bit), whole, up to about
-  /// kStepBytes.
-  struct DrainStep {
-    std::vector<DrainRun> exact;
-    Status result;
+  /// A drain stream's claim on one file, snapshotted under the lock:
+  /// uncopied extents of `unit` totalling at most kStepBytes or, with no
+  /// runs, the remote fsync of the file's fully copied share of the sealed
+  /// `unit`. `opened` is the failure to open the remote writer, if any.
+  struct StreamClaim {
+    std::shared_ptr<FileState> file;
+    std::uint64_t unit = 0;
+    std::vector<DrainRun> runs;
+    BackendFile stage_file = 0;
+    BackendFile remote_file = 0;
+    Status opened;
   };
 
   /// A sealed group of extents: the drain ordering + eviction unit.
@@ -286,26 +306,31 @@ class TieredBackend final : public BackendFs {
   void release_file_locked(const std::shared_ptr<FileState>& fs);
   /// The drain's remote write handle for `fs`, opened on first use.
   Result<BackendFile> remote_writer_locked(const FileState& fs);
-  /// Blocks until no drain copy or fsync of `fs` is in flight.
-  void wait_drain_io_locked(std::unique_lock<std::mutex>& lock, const FileState& fs);
+  /// Blocks until `quiet` holds: no stream owns the files it names. No
+  /// stream claims while a fence waits, so a file that keeps having drain
+  /// work cannot starve a size or namespace op.
+  void wait_drain_io_locked(std::unique_lock<std::mutex>& lock,
+                            const std::function<bool()>& quiet);
   void drain_loop();
   void worker_loop();
-  /// Snapshots the next round of `unit`: one step from each of up to
-  /// drain_parallel files that still hold uncopied extents of it.
-  std::vector<DrainStep> next_round_locked(std::uint64_t unit) const;
-  /// Copies a round, one stream per step, then marks copied every extent
-  /// that still matches its snapshot. The one copy path of eager and
-  /// sealed drains; returns the first failure, a remote one before ESTALE.
-  Status copy_round(std::vector<DrainStep>& round, std::uint64_t unit);
-  /// Copies steps of the current round until none is left to take.
-  void copy_steps_locked(std::unique_lock<std::mutex>& lock, std::vector<std::byte>& bounce);
-  /// Copies one round of the open unit's uncopied extents (eager copy).
-  void copy_open_unit(std::unique_lock<std::mutex>& lock);
-  /// Drains one unit to the remote; true on success (unit evicted).
-  bool drain_unit(const DrainUnit& unit);
-  /// Copies one run in kStepBytes steps; `bounce` is the calling thread's
-  /// buffer for fd-less stages.
-  Status copy_run_to_remote(const DrainRun& run, std::vector<std::byte>& bounce);
+  /// Wakes one idle worker, or all of them, to claim; starts a worker
+  /// (up to drain_parallel) when none is idle.
+  void wake_streams_locked(bool all);
+  /// Claims a file with work in the oldest unit for the calling stream,
+  /// `prefer` (the file it just released) first, and starts another worker
+  /// while work is left that no idle worker can take.
+  std::optional<StreamClaim> claim_locked(const std::shared_ptr<FileState>& prefer);
+  /// Copies a claimed step; `bounce` is the calling thread's buffer for
+  /// fd-less stages.
+  Status copy_claim(const StreamClaim& claim, std::vector<std::byte>& bounce);
+  /// Releases the file and marks copied every run that still matches its
+  /// snapshot, or drops the share the fsync made durable, or records the
+  /// failure.
+  void finish_claim_locked(const StreamClaim& claim, const Status& result);
+  /// True once no file holds bytes of `unit` that are not remote-durable.
+  bool unit_durable_locked(std::uint64_t unit) const;
+  /// Drops every extent of the durable `unit`; returns the bytes evicted.
+  std::uint64_t evict_locked(std::uint64_t unit);
   /// Raises tier_remote_down once per failure episode.
   void note_remote_failure(const Error& error, std::uint64_t unit, std::uint64_t bytes);
   /// Books the next `bytes` of the drain_mbps budget that all streams
@@ -323,7 +348,7 @@ class TieredBackend final : public BackendFs {
 
   mutable std::mutex mu_;
   std::condition_variable space_cv_;   ///< eviction freed stage bytes
-  std::condition_variable drain_cv_;   ///< sealed unit / eager work / shutdown
+  std::condition_variable drain_cv_;   ///< sealed unit, front progress, shutdown
   std::condition_variable idle_cv_;    ///< a unit finished (flush/fsync waiters)
   std::condition_variable copy_cv_;    ///< a file's drain IO finished (fence waiters)
   bool shutdown_ = false;
@@ -337,10 +362,11 @@ class TieredBackend final : public BackendFs {
   std::uint64_t next_unit_seq_ = 2;
   std::uint64_t open_unit_bytes_ = 0;
   std::deque<DrainUnit> sealed_;  ///< oldest-first drain queue
-  /// The open unit may hold uncopied extents (set by pwrite, cleared by
-  /// an eager pass that finds none): wakes the drain for the eager copy.
-  bool eager_pending_ = false;
   bool eager_stopped_ = false;  ///< an eager copy failed; wait for the seal
+  /// A stream of the sealed front failed since the front last started: no
+  /// stream claims it until the coordinator retries (a remote error is
+  /// kept over ESTALE).
+  std::optional<Error> front_error_;
   std::uint64_t next_write_id_ = 1;
   std::uint64_t open_unit_first_copy_ns_ = 0;
 
@@ -348,16 +374,13 @@ class TieredBackend final : public BackendFs {
   // file's drain steps never overlap, so each has one writer at a time.
   std::unordered_map<std::string, BackendFile> remote_write_;
 
-  // The round being copied. The coordinator owns the steps; it and the
-  // workers take them in order under mu_.
-  std::vector<DrainStep>* round_ = nullptr;
-  std::size_t round_next_ = 0;        ///< next step to take
-  std::size_t round_left_ = 0;        ///< steps not yet finished
-  std::condition_variable step_cv_;   ///< a round has steps to take, or stop
-  std::condition_variable round_cv_;  ///< the round's last step finished
+  std::condition_variable work_cv_;  ///< a stream may claim, or stop
+  unsigned streams_ = 0;             ///< claims in flight
+  unsigned idle_workers_ = 0;        ///< workers waiting on work_cv_
+  unsigned fence_waiters_ = 0;       ///< ops in wait_drain_io_locked
   bool workers_stop_ = false;
-  /// Persistent drain workers, started as rounds first need them: one
-  /// fewer than the widest round so far, as the coordinator is a stream too.
+  /// Drain workers, one per stream that ran at once so far (at most the
+  /// widest drain_parallel), joined at teardown.
   std::vector<std::thread> workers_;
   /// The drain_mbps budget is booked up to here.
   std::chrono::steady_clock::time_point budget_end_{};
@@ -385,11 +408,9 @@ class TieredBackend final : public BackendFs {
 
   DrainListener drain_listener_;
 
-  /// Drain-thread-private: tracks the failure episode so tier_remote_down
-  /// fires once per outage, not once per retry.
-  bool remote_down_ = false;
-  /// Drain-thread-private bounce buffer for fd-less stages.
-  std::vector<std::byte> bounce_;
+  /// Tracks the failure episode so tier_remote_down fires once per
+  /// outage, not once per retry or stream.
+  std::atomic<bool> remote_down_{false};
 
   std::thread drain_thread_;
 };

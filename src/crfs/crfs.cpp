@@ -611,19 +611,16 @@ std::unique_ptr<Chunk> Crfs::acquire_chunk(FileEntry& entry, std::uint64_t offse
   const std::uint64_t t0 = obs::now_ns();
   obs::TraceSpan span(trace_, "pool_wait");
   for (;;) {
-    // Normal backpressure first: IO threads are draining, a chunk will
-    // come back. Only when the whole pipeline is PROVABLY idle — nothing
-    // queued, nothing being written — can every chunk be parked as some
-    // other file's partial current chunk, which would deadlock.
-    if (auto chunk = pool_->acquire_for(offset, std::chrono::milliseconds(10))) {
-      *wait_ns += obs::now_ns() - t0;
-      return chunk;
-    }
     if (pool_->is_shutdown()) {
       *wait_ns += obs::now_ns() - t0;
       return nullptr;
     }
-    if (pool_->free_chunks() == 0 && queue_.depth() == 0 && io_pool_->in_flight() == 0) {
+    // Only when the whole pipeline is PROVABLY idle — nothing queued,
+    // nothing being written — can every chunk be parked as some other
+    // file's partial current chunk, which would deadlock. Then no chunk
+    // comes back by waiting: steal one before parking. The two atomics go
+    // before the queue's lock, so a wait behind busy IO threads takes none.
+    if (pool_->free_chunks() == 0 && io_pool_->in_flight() == 0 && queue_.depth() == 0) {
       // Exhaustion rescue: flush the fullest parked partial to the work
       // queue ("steal"). try_lock keeps this deadlock-free: two writers
       // can never wait on each other's agg_mu.
@@ -646,6 +643,13 @@ std::unique_ptr<Chunk> Crfs::acquire_chunk(FileEntry& entry, std::uint64_t offse
           c_m_chunk_steals_->add(1);
         }
       }
+    }
+    // Normal backpressure: IO threads are draining (a stolen chunk too),
+    // so a chunk will come back and wake us. The deadline only bounds a
+    // pass that found the pipeline busy and then saw it go idle.
+    if (auto chunk = pool_->acquire_for(offset, std::chrono::milliseconds(10))) {
+      *wait_ns += obs::now_ns() - t0;
+      return chunk;
     }
   }
 }

@@ -154,8 +154,8 @@ class TieredBackendSim : public BackendSim {
       sealed_.pop_front();
       // Copy the uncopied rest in drain_chunk steps; eviction (the
       // stage_used_ release) happens only after the WHOLE unit is
-      // remote-durable, mirroring drain_unit()'s pwrite-all-then-fsync
-      // ordering in the real backend.
+      // remote-durable, mirroring the real backend, which evicts a unit
+      // only after every file of it is copied and fsynced.
       std::uint64_t left = unit.bytes - unit.copied;
       while (left > 0) {
         const std::uint64_t step = left < opts_.drain_chunk ? left : opts_.drain_chunk;

@@ -3,6 +3,10 @@
 // propagation, and the paper's §IV invariants.
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <string>
+#include <vector>
+
 #include "backend/mem_backend.h"
 #include "backend/null_backend.h"
 #include "backend/wrappers.h"
@@ -343,8 +347,9 @@ TEST_F(CrfsBasic, ClosedHandleStaysInvalidAfterReopen) {
 
 TEST_F(CrfsBasic, MoreThan1024HandlesOpenAtOnce) {
   constexpr int kHandles = 1100;
-  // A chunk per file: with fewer, each write past the pool would wait out
-  // the exhaustion rescue's 10 ms poll before stealing a chunk.
+  // A chunk per file keeps every record parked in its own chunk until the
+  // close; with fewer, each write past the pool steals one (see
+  // ExhaustedPoolStealsWithoutParkingFirst).
   remount(Config{.chunk_size = 4096, .pool_size = 2048 * 4096});
   std::vector<Crfs::FileHandle> handles;
   handles.reserve(kHandles);
@@ -368,6 +373,32 @@ TEST_F(CrfsBasic, MoreThan1024HandlesOpenAtOnce) {
   for (int i = 0; i < kHandles; ++i) ASSERT_TRUE(fs_->close(handles[i]).ok()) << i;
   EXPECT_EQ(backend_content("many_0"), "file 0");
   EXPECT_EQ(backend_content("many_1099"), "file 1099");
+}
+
+TEST_F(CrfsBasic, ExhaustedPoolStealsWithoutParkingFirst) {
+  // The fixture's pool holds 4 chunks of 4 KiB. Past the fourth file every
+  // chunk is parked as another open file's partial chunk, with nothing
+  // queued or in flight: each write must steal one at once, not first
+  // park on a pool that nothing will refill.
+  constexpr int kFiles = 200;
+  std::vector<Crfs::FileHandle> handles;
+  for (int i = 0; i < kFiles; ++i) {
+    auto h = fs_->open("steal_" + std::to_string(i),
+                       {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(h.ok()) << i;
+    handles.push_back(h.value());
+  }
+  const auto start = std::chrono::steady_clock::now();
+  for (int i = 0; i < kFiles; ++i) {
+    ASSERT_TRUE(fs_->write(handles[i], as_bytes("rec " + std::to_string(i)), 0).ok()) << i;
+  }
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::seconds(1))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
+  for (int i = 0; i < kFiles; ++i) ASSERT_TRUE(fs_->close(handles[i]).ok()) << i;
+  EXPECT_EQ(backend_content("steal_0"), "rec 0");
+  EXPECT_EQ(backend_content("steal_199"), "rec 199");
+  EXPECT_GE(fs_->metrics().counter("crfs.mount.chunk_steals").value(), kFiles - 4u);
 }
 
 TEST_F(CrfsBasic, UnmountFlushesLeakedHandles) {

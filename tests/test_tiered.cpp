@@ -2,8 +2,9 @@
 // (eviction only after remote durability), the eager copy of the open
 // unit (overwrites mid-copy, one remote write stream, no spinning on a
 // dead remote), one drain stream per file with files draining side by
-// side under one drain_mbps budget, size and namespace ops fenced
-// against in-flight drain copies, writes through handles of unlinked or
+// side under one drain_mbps budget (a file streams as soon as it lands,
+// fast files do not wait on a slow one, fsyncs overlap), size and
+// namespace ops fenced against in-flight drain copies, writes through handles of unlinked or
 // rename-replaced files, fault injection (remote tier down mid-drain,
 // stage-full backpressure), restore coherence across tiers with
 // readahead on/off, the drain knobs, and the DES mirror's
@@ -91,8 +92,9 @@ std::vector<std::byte> backend_read(BackendFs& b, const std::string& path,
 
 /// Forwards to `inner`, counting pwrites (attempts, and the most in flight
 /// at once, overall and to any one path) and, when armed, parking the next
-/// pwrite until release(), failing every pwrite to one path, or running a
-/// hook inside the next stat.
+/// pwrite until release(), failing every pwrite to one path, delaying the
+/// pwrites to one path or every fsync, or running a hook inside the next
+/// stat.
 class ProbeBackend final : public BackendFs {
  public:
   explicit ProbeBackend(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
@@ -115,6 +117,15 @@ class ProbeBackend final : public BackendFs {
     cv_.notify_all();
   }
   void set_write_delay(std::chrono::microseconds d) { delay_ = d; }
+  /// Delays every pwrite to `path` by `d`, on top of set_write_delay.
+  void set_path_write_delay(const std::string& path, std::chrono::microseconds d) {
+    std::lock_guard<std::mutex> lock(mu_);
+    path_delay_[path] = d;
+  }
+  void set_fsync_delay(std::chrono::microseconds d) {
+    std::lock_guard<std::mutex> lock(mu_);
+    fsync_delay_ = d;
+  }
   /// Runs `fn` inside the next stat, after the inner stat has answered.
   void on_next_stat(std::function<void()> fn) {
     std::lock_guard<std::mutex> lock(mu_);
@@ -160,9 +171,11 @@ class ProbeBackend final : public BackendFs {
     }
     std::string path;
     bool fail = false;
+    std::chrono::microseconds path_delay{0};
     {
       std::unique_lock<std::mutex> lock(mu_);
       path = paths_[f];
+      path_delay = path_delay_[path];
       path_attempts_[path] += 1;
       max_per_file_ = std::max(max_per_file_, ++path_in_flight_[path]);
       fail = !failing_path_.empty() && path == failing_path_;
@@ -174,6 +187,7 @@ class ProbeBackend final : public BackendFs {
       }
     }
     if (delay_.count() > 0) std::this_thread::sleep_for(delay_);
+    if (path_delay.count() > 0) std::this_thread::sleep_for(path_delay);
     const Status st =
         fail ? Status(Error{EIO, "probe: injected write failure"}) : inner_->pwrite(f, d, off);
     {
@@ -186,7 +200,15 @@ class ProbeBackend final : public BackendFs {
   Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
     return inner_->pread(f, d, off);
   }
-  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status fsync(BackendFile f) override {
+    std::chrono::microseconds delay;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      delay = fsync_delay_;
+    }
+    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+    return inner_->fsync(f);
+  }
   Status truncate(BackendFile f, std::uint64_t s) override { return inner_->truncate(f, s); }
   Result<BackendStat> stat(const std::string& p) override {
     auto st = inner_->stat(p);
@@ -217,6 +239,8 @@ class ProbeBackend final : public BackendFs {
   bool parked_ = false;
   bool released_ = false;
   std::chrono::microseconds delay_{0};
+  std::chrono::microseconds fsync_delay_{0};
+  std::unordered_map<std::string, std::chrono::microseconds> path_delay_;
   std::function<void()> stat_hook_;
   std::string failing_path_;
   std::unordered_map<BackendFile, std::string> paths_;
@@ -686,6 +710,125 @@ TEST(TieredDrain, DrainMbpsIsOneBudgetAcrossStreams) {
   }
 }
 
+TEST(TieredDrain, AFileThatLandsLaterStreamsWhileAnEarlierStepIsParked) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe,
+                                              TieredOptions{});
+  const auto a = make_pattern(1 * MiB, 25);
+  const auto b = make_pattern(1 * MiB, 26);
+
+  // A's first remote write parks; B lands after it. B's stream starts when
+  // its bytes land, not when A's step finishes.
+  probe->hold_next_write();
+  backend_write(*tier, "a.img", a);
+  if (!probe->wait_parked(std::chrono::seconds(5))) {
+    probe->release();
+    FAIL() << "the open unit was never copied";
+  }
+  backend_write(*tier, "b.img", b);
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool landed = false;
+  while (!landed && std::chrono::steady_clock::now() < deadline) {
+    auto remote_b = remote_mem->contents("b.img");
+    landed = remote_b.ok() && remote_b.value() == b;
+    if (!landed) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  probe->release();
+  EXPECT_TRUE(landed) << "b.img waited for a.img's parked step";
+
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+  auto remote_a = remote_mem->contents("a.img");
+  ASSERT_TRUE(remote_a.ok());
+  EXPECT_EQ(remote_a.value(), a);
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredDrain, FastFilesFinishWhileASlowFileStillHasSteps) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  // Each 4 MiB step of the slow file takes 500 ms on the remote.
+  probe->set_path_write_delay(file_name(0), std::chrono::milliseconds(500));
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe,
+                                              TieredOptions{});
+  ASSERT_GE(tier->drain_parallel(), 4u);
+  constexpr int kFiles = 4;
+  constexpr int kSteps = 4;
+  const auto data = make_pattern(kSteps * 4 * MiB, 27);
+  // A failed first copy stops the eager copy, so the four files start
+  // together at the seal, however long staging them takes.
+  probe->fail_writes_to("stop.img");
+  backend_write(*tier, "stop.img", make_pattern(4 * KiB, 30));
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe->attempts_to("stop.img") == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  for (int i = 0; i < kFiles; ++i) {
+    auto f = tier->open_file(file_name(i), {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(f.ok());
+    for (std::size_t off = 0; off < data.size(); off += 4 * MiB) {
+      ASSERT_TRUE(tier->pwrite(f.value(), std::span(data).subspan(off, 4 * MiB), off).ok());
+    }
+    ASSERT_TRUE(tier->close_file(f.value()).ok());
+  }
+  probe->heal();
+  tier->seal_epoch(1);
+
+  // The fast files' streams do not wait on the slow one's steps. A file's
+  // steps land in offset order, so its full size means its last step did.
+  deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  bool fast_done = false;
+  while (!fast_done && std::chrono::steady_clock::now() < deadline) {
+    fast_done = true;
+    for (int i = 1; i < kFiles; ++i) {
+      auto st = remote_mem->stat(file_name(i));
+      fast_done = fast_done && st.ok() && st.value().size == data.size();
+    }
+    if (!fast_done) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  const int slow_steps = probe->attempts_to(file_name(0));
+  ASSERT_TRUE(fast_done);
+  EXPECT_LT(slow_steps, kSteps) << "the fast files finished with the slow one";
+
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+  for (int i = 0; i < kFiles; ++i) {
+    auto remote_data = remote_mem->contents(file_name(i));
+    ASSERT_TRUE(remote_data.ok());
+    EXPECT_EQ(remote_data.value(), data) << file_name(i);
+  }
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredDrain, SealedFilesFsyncSideBySide) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  auto tier = std::make_shared<TieredBackend>(std::make_shared<MemBackend>(), probe,
+                                              TieredOptions{});
+  ASSERT_GE(tier->drain_parallel(), 4u);
+  constexpr int kFiles = 4;
+  const auto data = make_pattern(256 * KiB, 28);
+  for (int i = 0; i < kFiles; ++i) backend_write(*tier, file_name(i), data);
+  // Let the eager copy land every byte, so the sealed unit has only its
+  // remote fsyncs left.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (tier->tier_stats().drained_bytes < kFiles * data.size() &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_EQ(tier->tier_stats().drained_bytes, kFiles * data.size());
+
+  // Four 50 ms fsyncs one after another would take 200 ms.
+  probe->set_fsync_delay(std::chrono::milliseconds(50));
+  const auto start = std::chrono::steady_clock::now();
+  tier->seal_epoch(1);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::milliseconds(150))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
+  EXPECT_EQ(tier->tier_stats().units_evicted, 1u);
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
 // -- Size and namespace ops fenced against in-flight drain copies -------------
 
 // A drain copy parked in its remote pwrite must not land after a truncate
@@ -731,6 +874,37 @@ TEST(TieredFence, TruncateWaitsForInFlightDrainCopyPosixStage) {
   PosixStage stage("truncate");
   ASSERT_NE(stage.backend(), nullptr);
   truncate_waits_for_parked_copy(stage.backend());
+}
+
+TEST(TieredFence, TruncateWaitsForOneStepNotTheFilesWholeDrain) {
+  auto remote_mem = std::make_shared<MemBackend>();
+  auto probe = std::make_shared<ProbeBackend>(remote_mem);
+  probe->set_write_delay(std::chrono::milliseconds(40));
+  TieredBackend tier(std::make_shared<MemBackend>(), probe, TieredOptions{});
+  // Eight 4 MiB steps at 40 ms each: the file's stream always has another.
+  const auto data = make_pattern(32 * MiB, 29);
+  auto f = tier.open_file("long.img", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(f.ok());
+  ASSERT_TRUE(tier.pwrite(f.value(), data, 0).ok());
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  while (probe->attempts() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  ASSERT_GT(probe->attempts(), 0);
+
+  // The truncate waits for the step in flight, not for the stream to run
+  // out of steps (about 300 ms more).
+  const auto start = std::chrono::steady_clock::now();
+  ASSERT_TRUE(tier.truncate(f.value(), 0).ok());
+  const auto took = std::chrono::steady_clock::now() - start;
+  EXPECT_LT(took, std::chrono::milliseconds(150))
+      << std::chrono::duration_cast<std::chrono::milliseconds>(took).count() << " ms";
+  ASSERT_TRUE(tier.close_file(f.value()).ok());
+  ASSERT_TRUE(tier.flush().ok());
+  auto remote_st = remote_mem->stat("long.img");
+  ASSERT_TRUE(remote_st.ok());
+  EXPECT_EQ(remote_st.value().size, 0u);
+  EXPECT_EQ(tier.tier_stats().stage_used, 0u);
 }
 
 TEST(TieredFence, TruncatingOpenOfATrackedPathTruncatesTheRemote) {
