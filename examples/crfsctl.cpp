@@ -38,8 +38,12 @@
 //                                         ledger: bytes, durability lag,
 //                                         aggregation ratio, effective
 //                                         bandwidth per epoch
-//   crfsctl postmortem <file>             pretty-print a flight-recorder
-//                                         dump (Config::postmortem_path)
+//   crfsctl postmortem <dir>              pretty-print the newest postmortem
+//                                         frame of a journal (the directory
+//                                         itself or a mount dir with
+//                                         .crfs/journal): the one a fatal
+//                                         signal wrote, or the last
+//                                         Crfs::dump_postmortem
 //   crfsctl knobs <dir> [mount-options] [--json]
 //                                         mount and print the runtime knob
 //                                         table: bounds, units, current
@@ -78,7 +82,8 @@
 // Exit codes (stable, scripts may rely on them):
 //   0   success
 //   1   bad arguments / rejected tune tokens / workload failure
-//   2   malformed document (stats, trace, postmortem failed to parse)
+//   2   malformed document (stats, trace, postmortem failed to parse; no
+//       journal, no postmortem frame, malformed SLO targets)
 //   3   mount unreachable (backend create or Crfs::mount failed)
 //   64  usage error (unknown command / missing operands)
 #include <unistd.h>
@@ -132,7 +137,7 @@ int usage() {
                "       crfsctl watch <dir> [mount-options]\n"
                "       crfsctl prom <dir> [mount-options]\n"
                "       crfsctl report <dir> [mount-options] [--json]\n"
-               "       crfsctl postmortem <file>\n"
+               "       crfsctl postmortem <dir>\n"
                "       crfsctl knobs <dir> [mount-options] [--json]\n"
                "       crfsctl tune <dir> <knob=value[,knob=value...]> "
                "[mount-options] [--json]\n"
@@ -671,33 +676,48 @@ int cmd_report(int argc, char** argv) {
   return 0;
 }
 
-// `crfsctl postmortem`: parse + pretty-print a flight-recorder dump. Exit
-// 2 when the file is missing or fails to parse (a truncated dump means
-// the publish protocol broke — worth a loud failure).
+// Journal-directory operand shared by `postmortem`, `timeline` and
+// `slo`: accepts the journal directory itself or a mount directory
+// holding the conventional .crfs/journal subdirectory (the journal=
+// layout the docs recommend).
+std::string resolve_journal_dir(const char* operand) {
+  std::error_code ec;
+  const std::filesystem::path nested =
+      std::filesystem::path(operand) / ".crfs" / "journal";
+  if (std::filesystem::is_directory(nested, ec)) return nested.string();
+  return operand;
+}
+
+// `crfsctl postmortem`: pretty-print the newest kPostmortem frame of a
+// journal — the one a fatal signal left in postmortem.crfsj, or else the
+// last Crfs::dump_postmortem. Exit 2 when the journal holds none or it
+// fails to parse.
 int cmd_postmortem(int argc, char** argv) {
   if (argc < 3) return usage();
-  std::string text;
-  {
-    std::FILE* f = std::fopen(argv[2], "r");
-    if (f == nullptr) {
-      std::fprintf(stderr, "error: cannot open %s\n", argv[2]);
-      return kExitMalformed;
-    }
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
+  const std::string dir = resolve_journal_dir(argv[2]);
+  const auto res = obs::JournalReader::read_dir(dir);
+  if (!res.ok) {
+    std::fprintf(stderr, "error: %s\n", res.error.c_str());
+    return kExitMalformed;
   }
-  auto doc = obs::json::parse(text);
-  if (!doc.has_value() || !doc->is_object() || doc->get("crfs_postmortem") == nullptr) {
-    std::fprintf(stderr, "error: %s is not a CRFS postmortem document\n", argv[2]);
+  const auto newest = std::find_if(res.records.rbegin(), res.records.rend(), [](const auto& r) {
+    return r.type == obs::FrameType::kPostmortem;
+  });
+  if (newest == res.records.rend()) {
+    std::fprintf(stderr, "error: no postmortem frame in journal %s\n", dir.c_str());
+    return kExitMalformed;
+  }
+  const auto doc = obs::json::parse(newest->payload);
+  if (!doc.has_value() || !doc->is_object()) {
+    std::fprintf(stderr, "error: the postmortem frame in %s is not a JSON object\n",
+                 dir.c_str());
     return kExitMalformed;
   }
 
   const auto num = [&](const obs::json::Value* v) -> double {
     return v != nullptr && v->is_number() ? v->number : 0.0;
   };
-  std::printf("CRFS postmortem %s\n", argv[2]);
+  std::printf("CRFS postmortem %s\n", dir.c_str());
   if (const auto* cfg = doc->get("config"); cfg != nullptr && cfg->is_string()) {
     std::printf("  config: %s\n", cfg->string.c_str());
   }
@@ -766,17 +786,6 @@ int cmd_postmortem(int argc, char** argv) {
     }
   }
   return 0;
-}
-
-// Journal-directory operand shared by `timeline` and `slo`: accepts the
-// journal directory itself or a mount directory holding the conventional
-// .crfs/journal subdirectory (the journal= layout the docs recommend).
-std::string resolve_journal_dir(const char* operand) {
-  std::error_code ec;
-  const std::filesystem::path nested =
-      std::filesystem::path(operand) / ".crfs" / "journal";
-  if (std::filesystem::is_directory(nested, ec)) return nested.string();
-  return operand;
 }
 
 double jnum(const obs::json::Value* obj, const char* key) {
@@ -992,20 +1001,16 @@ int cmd_slo(int argc, char** argv) {
     }
     return 0;
   }
-  obs::SloConfig cfg;
-  cfg.lag_p99_ns = static_cast<std::uint64_t>(jnum(slo_cfg, "lag_p99_ns"));
-  cfg.stall_ratio = jnum(slo_cfg, "stall_ratio_ppm") / 1e6;
-  cfg.ttfb_p99_ns = static_cast<std::uint64_t>(jnum(slo_cfg, "ttfb_p99_ns"));
-  cfg.short_window_ns =
-      static_cast<std::uint64_t>(jnum(slo_cfg, "short_window_s")) * 1'000'000'000;
-  cfg.long_window_ns =
-      static_cast<std::uint64_t>(jnum(slo_cfg, "long_window_s")) * 1'000'000'000;
-  cfg.budget = jnum(slo_cfg, "budget_milli") / 1e3;
-  cfg.burn_threshold = jnum(slo_cfg, "burn_threshold_milli") / 1e3;
+  const auto cfg = obs::SloConfig::parse(*slo_cfg);
+  if (!cfg.has_value()) {
+    std::fprintf(stderr, "error: malformed SLO targets in the journal meta of %s\n",
+                 dir.c_str());
+    return kExitMalformed;
+  }
 
   obs::Registry reg;
   obs::EventBuffer breach_events;
-  obs::SloMonitor mon(cfg, &reg, &breach_events);
+  obs::SloMonitor mon(*cfg, &reg, &breach_events);
   std::size_t replayed = 0;
   for (const auto& rec : res.records) {
     if (rec.type != obs::FrameType::kSample) continue;

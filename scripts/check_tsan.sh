@@ -5,8 +5,7 @@
 # (lock-free histograms, TraceRing wrap under racing
 # snapshot), test_crfs_concurrency (full pipeline under contention),
 # test_epoch_ledger (EpochState handoff through WriteJobs while explicit
-# epochs rotate under concurrent writers, flight-recorder refresh from IO
-# threads), test_work_queue (write batches owning their file while
+# epochs rotate under concurrent writers), test_work_queue (write batches owning their file while
 # other threads pop, ownership released from another thread),
 # test_io_pool (last-writer-wins across two IO threads, one backend
 # writer per file, write errors completing on IO threads, large-write
@@ -17,7 +16,7 @@
 # scans sharing the pool; unmount with fills in flight; the prefetcher
 # racing appending writers, flush-before-read barriers under concurrent
 # reads), and test_journal (journal flusher thread racing cold-path
-# appends, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
+# appends and re-rendering the postmortem frame, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
 # stall on backpressure, and read across tiers; drain workers claiming
@@ -43,7 +42,7 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_obs
 "$BUILD_DIR"/tests/test_crfs_concurrency
 # Death tests fork; TSan and fork-heavy gtest styles don't mix, so the
-# postmortem death test is skipped here (it runs in the plain ctest job).
+# postmortem death tests are skipped here (they run in the plain ctest job).
 "$BUILD_DIR"/tests/test_epoch_ledger --gtest_filter='-PostmortemDeathTest.*'
 "$BUILD_DIR"/tests/test_work_queue
 "$BUILD_DIR"/tests/test_io_pool

@@ -121,23 +121,6 @@ struct Config {
   /// Crfs::epoch_begin/epoch_end without touching the backend.
   std::string epoch_marker_path = ".crfs_epoch";
 
-  /// Flight recorder (docs/OBSERVABILITY.md "Postmortem"): when
-  /// non-empty, the mount keeps a pre-rendered postmortem document in a
-  /// reserved buffer, refreshes it on epoch transitions / IO completions
-  /// (throttled) / critical events, installs fatal-signal handlers, and
-  /// dumps it to this path on SIGABRT/SIGSEGV/SIGBUS/SIGFPE/SIGILL or an
-  /// error-burst health event.
-  std::string postmortem_path{};
-
-  /// Minimum interval between IO-completion-driven postmortem refreshes.
-  /// 0 re-renders on every completed backend write (tests); the default
-  /// bounds the refresh cost to ~20 renders/s.
-  unsigned postmortem_refresh_ms = 50;
-
-  /// Reserved bytes per flight-recorder buffer (two are kept). A rendered
-  /// document larger than this is dropped, keeping the previous one.
-  std::size_t postmortem_buffer = 512 * 1024;
-
   /// Upper bound (bytes) for runtime buffer-pool growth via the knob
   /// plane; requests above it are clamped. 0 auto-sizes to 4x pool_size.
   std::size_t tune_pool_max = 0;
@@ -258,7 +241,6 @@ struct Config {
                 ? " slow_capture_ms=" + std::to_string(slow_capture_ms)
                 : "") +
            (!epoch_tracking ? " epochs=off" : "") +
-           (!postmortem_path.empty() ? " postmortem=" + postmortem_path : "") +
            (!journal_dir.empty() ? " journal=" + journal_dir : "") +
            (slo_enabled() ? " slo=lag:" + std::to_string(slo_lag_ms) +
                                 "ms,stall:" + std::to_string(slo_stall_pct) +

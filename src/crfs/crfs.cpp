@@ -88,23 +88,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   io_obs.slow_captured = &m.counter("crfs.slow.captured");
   io_obs.knob_generation = [this] { return plane_.knobs().generation(); };
 
-  // Flight recorder before the IO pool exists: the pool's run-complete
-  // hook and the event hook below reference it, and nothing can fire
-  // until the workers start.
-  if (!cfg_.postmortem_path.empty()) {
-    flight_ = std::make_unique<obs::FlightRecorder>(obs::FlightRecorder::Options{
-        .path = cfg_.postmortem_path, .capacity = cfg_.postmortem_buffer});
-    flight_->install_signal_handlers();
-    io_obs.on_run_complete = [this] { refresh_flight(/*force=*/false); };
-    // Error bursts and failed pwrites should leave a dump even when the
-    // process survives them: refresh with the event included, then write
-    // the file. Runs after the plane journals the event.
-    plane_.set_event_hook([this](const obs::Event& ev) {
-      if (ev.severity != obs::Severity::kCritical) return;
-      refresh_flight(/*force=*/true);
-      (void)flight_->dump_now();
-    });
-  }
   // Cap the dequeue batch at half the pool: a batch's chunks stay parked
   // (and its writers starved) until the whole coalesced write lands, so a
   // batch that could drain the entire pool would run the pipeline in
@@ -198,11 +181,6 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
   // and decision log always exist (crfsctl tune works on any mount).
   define_knobs();
   decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &m, &plane_.events());
-  if (flight_ != nullptr) {
-    // Every audited decision refreshes the postmortem (throttled), so a
-    // crash shortly after a knob change still shows what was retuned.
-    decisions_->set_listener([this](const obs::CtlDecision&) { refresh_flight(false); });
-  }
   m.gauge_fn("crfs.ctl.generation", [this] {
     return static_cast<std::int64_t>(plane_.knobs().generation());
   });
@@ -217,9 +195,12 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
   }
 
-  // Seed the flight recorder so a crash before the first IO completion
-  // still leaves a (mostly empty) parseable document.
-  refresh_flight(/*force=*/true);
+  // Crash path (docs/OBSERVABILITY.md "Durable journal"): armed last,
+  // since the render reads every stage. It renders once here, so a crash
+  // before the first flush still leaves a document.
+  if (obs::Journal* journal = plane_.journal()) {
+    journal->set_postmortem_renderer([this] { return render_postmortem(); });
+  }
 }
 
 void Crfs::define_knobs() {
@@ -333,7 +314,8 @@ void Crfs::define_knobs() {
       });
 
   // drain_parallel: how many files the drain copies to the remote at
-  // once, one write stream each. Picked up by the next drain round.
+  // once, one write stream each. Applied under the tier lock: a raise
+  // wakes idle drain workers at once.
   knobs.define(
       knob_def("drain_parallel", cfg_),
       tier_ != nullptr ? static_cast<double>(tier_->drain_parallel())
@@ -349,8 +331,10 @@ void Crfs::define_knobs() {
 }
 
 Crfs::~Crfs() {
-  // Stop the sampler first: its gauge callbacks read the pool/queue/IO
-  // stages this destructor is about to tear down.
+  // Detach the postmortem renderer and stop the sampler first: both
+  // evaluate gauges that read the pool/queue/IO stages this destructor is
+  // about to tear down.
+  if (obs::Journal* journal = plane_.journal()) journal->set_postmortem_renderer(nullptr);
   if (sampler_ != nullptr) sampler_->stop();
   // Flush buffered data of any files the application failed to close, so
   // unmounting never silently drops bytes.
@@ -363,13 +347,11 @@ Crfs::~Crfs() {
   io_pool_.reset();
   pool_->shutdown();
   // All chunk writes have landed: the final epoch record sees complete
-  // durable counts. A clean unmount leaves no postmortem file (the
-  // recorder only dumps on signals/critical events/dump_postmortem).
-  // With a tier, finalize fires the seal listener, so the last epoch's
-  // unit is drain-eligible before the flush; draining it to remote-durable
-  // fills the ledger row's drain columns before the plane journals it.
-  // The drain listener is detached afterwards: backend_ (and its drain
-  // thread) outlives plane_ in member order.
+  // durable counts. With a tier, finalize fires the seal listener, so the
+  // last epoch's unit is drain-eligible before the flush; draining it to
+  // remote-durable fills the ledger row's drain columns before the plane
+  // journals it. The drain listener is detached afterwards: backend_ (and
+  // its drain thread) outlives plane_ in member order.
   plane_.finish(obs::now_ns(), [this] {
     if (tier_ == nullptr) return;
     (void)tier_->flush();
@@ -895,11 +877,18 @@ std::string Crfs::mount_json() const {
 }
 
 std::string Crfs::stats_json() const {
+  std::string out = "{";
+  append_stats_body(out);
+  out += "}";
+  return out;
+}
+
+void Crfs::append_stats_body(std::string& out) const {
   // schema_version counts breaking shape changes of this document (and of
-  // the postmortem, which embeds the same sections): 2 = control plane,
-  // 3 = durable journal + SLO burn rates, 4 = the "controller" section
-  // without its enabled/ticks fields (the feedback controller is gone).
-  std::string out = "{\"schema_version\":4,\"mount\":" + mount_json();
+  // the postmortem, which embeds it): 2 = control plane, 3 = durable
+  // journal + SLO burn rates, 4 = the "controller" section without its
+  // enabled/ticks fields (the feedback controller is gone).
+  out += "\"schema_version\":4,\"mount\":" + mount_json();
   out += ",\"pipeline\":" + metrics().snapshot().to_json();
   out += ",\"restores\":[";
   {
@@ -930,8 +919,6 @@ std::string Crfs::stats_json() const {
   }
   out += ",\"controller\":" + controller_json();
   out += ",\"tier\":" + tier_json();
-  out += "}";
-  return out;
 }
 
 // -- Checkpoint epochs ------------------------------------------------------
@@ -941,7 +928,6 @@ Status Crfs::epoch_begin(const std::string& label) {
     return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
   }
   plane_.epochs()->begin(label, obs::now_ns());
-  refresh_flight(/*force=*/true);
   return {};
 }
 
@@ -950,7 +936,6 @@ Status Crfs::epoch_end() {
     return Error{EINVAL, "epoch tracking disabled (no_epochs)"};
   }
   plane_.epochs()->end(obs::now_ns());
-  refresh_flight(/*force=*/true);
   return {};
 }
 
@@ -1044,45 +1029,17 @@ std::string Crfs::controller_json() const {
   return out;
 }
 
-// -- Flight recorder --------------------------------------------------------
-
-void Crfs::refresh_flight(bool force) {
-  if (flight_ == nullptr) return;
-  const std::uint64_t now = obs::now_ns();
-  if (force) {
-    last_flight_refresh_ns_.store(now, std::memory_order_relaxed);
-  } else {
-    // CAS-throttled: at most one render per postmortem_refresh_ms across
-    // all IO threads; losers skip instead of queueing on the render.
-    const std::uint64_t interval =
-        static_cast<std::uint64_t>(cfg_.postmortem_refresh_ms) * 1'000'000;
-    std::uint64_t last = last_flight_refresh_ns_.load(std::memory_order_relaxed);
-    if (now < last + interval) return;
-    if (!last_flight_refresh_ns_.compare_exchange_strong(last, now,
-                                                         std::memory_order_relaxed)) {
-      return;
-    }
-  }
-  flight_->refresh(render_postmortem());
-}
+// -- Postmortem -------------------------------------------------------------
 
 std::string Crfs::render_postmortem() const {
-  std::string out = "{\"crfs_postmortem\":1";
-  out += ",\"schema_version\":4";
-  out += ",\"rendered_ns\":" + std::to_string(obs::now_ns());
+  std::string out = "{\"rendered_ns\":" + std::to_string(obs::now_ns());
   out += ",\"config\":\"";
   obs::append_json_escaped(out, cfg_.describe());
-  out += "\",\"mount\":" + mount_json();
-  plane_.append_sections(out);
-  out += ",\"pipeline\":" + metrics().snapshot().to_json();
-  out += ",\"controller\":" + controller_json();
-  out += ",\"tier\":" + tier_json();
-  if (sampler_ != nullptr) {
-    out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
-  }
+  out += "\",";
+  append_stats_body(out);
 
   // Bounded trace tail: the last pipeline spans before the crash. Kept
-  // small so the document fits the recorder's reserved buffer even with
+  // small so the frame fits the journal's reserved crash buffer even with
   // large trace rings.
   constexpr std::size_t kTraceTail = 64;
   auto spans = trace_.snapshot();
@@ -1102,12 +1059,10 @@ std::string Crfs::render_postmortem() const {
 }
 
 Status Crfs::dump_postmortem() {
-  if (flight_ == nullptr) {
-    return Error{EINVAL, "no flight recorder (set Config::postmortem_path)"};
-  }
-  refresh_flight(/*force=*/true);
-  if (!flight_->dump_now()) {
-    return Error{EIO, "postmortem dump to " + flight_->path() + " failed"};
+  obs::Journal* journal = plane_.journal();
+  if (journal == nullptr) return Error{EINVAL, "no journal (mount with journal=<dir>)"};
+  if (!journal->ok() || !journal->refresh_postmortem(/*append=*/true)) {
+    return Error{EIO, "postmortem: journal " + journal->dir() + " is not writable"};
   }
   return {};
 }

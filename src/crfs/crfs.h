@@ -26,7 +26,6 @@
 #include "crfs/io_pool.h"
 #include "crfs/readahead.h"
 #include "crfs/work_queue.h"
-#include "obs/flight_recorder.h"
 #include "obs/health.h"
 #include "obs/knobs.h"
 #include "obs/plane.h"
@@ -204,17 +203,15 @@ class Crfs {
   /// decision ring and decision total.
   std::string controller_json() const;
 
-  // -- Flight recorder (docs/OBSERVABILITY.md "Postmortem") -----------------
-  /// nullptr unless Config::postmortem_path is set.
-  obs::FlightRecorder* flight_recorder() { return flight_.get(); }
-
-  /// Re-renders the postmortem document and writes it to
-  /// Config::postmortem_path now (no fatal signal needed).
+  // -- Postmortem (docs/OBSERVABILITY.md "Durable journal") -----------------
+  /// Renders the postmortem now and journals it as a kPostmortem frame
+  /// (no fatal signal needed), flushed with an fsync. EINVAL without a
+  /// journal (Config::journal_dir).
   Status dump_postmortem();
 
-  /// The postmortem JSON document the recorder keeps pre-rendered:
-  /// config, open epoch, epoch ledger, event buffer, registry counters/
-  /// gauges, and the trace tail.
+  /// The postmortem document: stats_json()'s body plus the mount's
+  /// config, the render time (`rendered_ns`) and the trace tail. A mount
+  /// with a journal keeps it pre-framed for its fatal-signal handlers.
   std::string render_postmortem() const;
 
   /// Rendered ASCII report: mount counters + registry gauges + the
@@ -266,10 +263,9 @@ class Crfs {
   /// The "mount" section of stats_json and the postmortem.
   std::string mount_json() const;
 
-  /// Flight-recorder refresh; `force` skips the postmortem_refresh_ms
-  /// throttle (epoch transitions, critical events). No-op without a
-  /// recorder.
-  void refresh_flight(bool force);
+  /// stats_json()'s members, without the braces: the postmortem embeds
+  /// them too.
+  void append_stats_body(std::string& out) const;
 
   std::shared_ptr<BackendFs> backend_;
   /// backend_->tiered(): the tier backend_ is or wraps (nullptr otherwise);
@@ -278,13 +274,9 @@ class Crfs {
   Config cfg_;
   // Declared before the pipeline pieces: instrumented stages hold
   // references into the sinks (registry, events, epoch states, slow
-  // store, trace ring), so they must outlive pool_/queue_/io_pool_. The
-  // flight recorder sits with them: the IO pool's on_run_complete hook
-  // refreshes it.
+  // store, trace ring), so they must outlive pool_/queue_/io_pool_.
   obs::Plane plane_;
   obs::TraceCollector trace_;
-  std::unique_ptr<obs::FlightRecorder> flight_;
-  std::atomic<std::uint64_t> last_flight_refresh_ns_{0};
   std::unique_ptr<BufferPool> pool_;
   WorkQueue queue_;
   std::unique_ptr<IoThreadPool> io_pool_;

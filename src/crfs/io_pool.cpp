@@ -221,7 +221,6 @@ void IoThreadPool::complete_run(IoRun run, Status status, std::uint64_t t_start,
     pool_.release(std::move(job.chunk));
     in_flight_.fetch_sub(1, std::memory_order_acq_rel);
   }
-  if (obs_.on_run_complete) obs_.on_run_complete();
 }
 
 }  // namespace crfs

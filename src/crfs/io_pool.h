@@ -63,10 +63,6 @@ struct IoPoolObs {
   /// Knob-plane generation at capture time (0 when no knob plane); lets a
   /// slow exemplar say which tuning state it was captured under.
   std::function<std::uint64_t()> knob_generation;
-  /// Called after each completed run (post chunk release) — the flight
-  /// recorder's throttled-refresh hook. One indirect call per backend
-  /// write (chunk-sized granularity), nullptr when no recorder exists.
-  std::function<void()> on_run_complete;
 };
 
 class IoThreadPool {

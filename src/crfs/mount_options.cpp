@@ -207,9 +207,6 @@ Status Config::validate() const {
   if (epoch_tracking && epoch_marker_path.empty()) {
     return Error{EINVAL, "epoch_marker_path must be set when epoch tracking is on"};
   }
-  if (!postmortem_path.empty() && postmortem_buffer < 4096) {
-    return Error{EINVAL, "postmortem_buffer must be >= 4096"};
-  }
   return {};
 }
 

@@ -103,10 +103,6 @@ inline constexpr auto kMountOptionTable = [] {
        .unit = "ms", .doc = "live sampler period (0 = no sampler)"},
       {.key = "sample_ring", .kind = kUint, .field = &Config::sample_ring, .lo = 1,
        .doc = "sampler frames kept"},
-      {.key = "postmortem", .kind = kPath, .field = &Config::postmortem_path,
-       .doc = "flight-recorder dump file"},
-      {.key = "postmortem_refresh_ms", .kind = kUint, .field = &Config::postmortem_refresh_ms,
-       .doc = "min gap between IO-completion postmortem refreshes (0 = every one)"},
       {.key = "slow_pwrite_ms", .kind = kUint, .field = &obs::HealthConfig::slow_pwrite_p99_ns,
        .hi = 100000, .unit = "ms", .doc = "slow_pwrite health rule: p99 threshold (0 = off)",
        .scale = 1'000'000},

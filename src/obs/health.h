@@ -76,9 +76,9 @@ class EventBuffer {
   std::size_t capacity() const { return capacity_; }
 
   /// Notification hook, invoked after each push OUTSIDE the buffer lock
-  /// (the callback may snapshot() this buffer — e.g. the flight recorder
-  /// re-rendering its postmortem on a critical event). Install before
-  /// any pusher thread runs; the pointer is read unsynchronized after.
+  /// (the callback may snapshot() this buffer; the plane journals each
+  /// event here). Install before any pusher thread runs; the pointer is
+  /// read unsynchronized after.
   void set_listener(std::function<void(const Event&)> listener) {
     listener_ = std::move(listener);
   }

@@ -1,6 +1,7 @@
 #include "obs/journal.h"
 
 #include <fcntl.h>
+#include <signal.h>
 #include <sys/stat.h>
 #include <unistd.h>
 
@@ -72,6 +73,28 @@ bool make_dirs(const std::string& path) {
   return true;
 }
 
+// The crash path's process-global handler state: the armed journal, and
+// the dispositions its handlers replaced.
+constexpr int kFatalSignals[] = {SIGABRT, SIGSEGV, SIGBUS, SIGFPE, SIGILL};
+constexpr std::size_t kFatalCount = sizeof(kFatalSignals) / sizeof(kFatalSignals[0]);
+std::atomic<const Journal*> g_crash_journal{nullptr};
+struct sigaction g_previous[kFatalCount];
+
+extern "C" void crfs_journal_signal_handler(int sig) {
+  // Async-signal-safe only: open/write/close of a frame rendered before
+  // the signal. Then hand the signal on to the disposition this handler
+  // replaced (an application's or a sanitizer's handler, or SIG_DFL): the
+  // re-raised signal stays blocked until this handler returns, and the
+  // previous disposition takes it from there.
+  if (const Journal* j = g_crash_journal.load(std::memory_order_acquire)) {
+    (void)j->write_crash_frame();
+  }
+  for (std::size_t i = 0; i < kFatalCount; ++i) {
+    if (kFatalSignals[i] == sig) ::sigaction(sig, &g_previous[i], nullptr);
+  }
+  ::raise(sig);
+}
+
 }  // namespace
 
 void append_frame(std::string& out, FrameType type, std::uint64_t ts_ns,
@@ -86,7 +109,9 @@ void append_frame(std::string& out, FrameType type, std::uint64_t ts_ns,
 }
 
 Journal::Journal(JournalOptions opts, Registry* registry)
-    : opts_(std::move(opts)), fsync_ms_(opts_.fsync_ms) {
+    : opts_(std::move(opts)),
+      crash_path_(opts_.dir + "/" + kPostmortemFile),
+      fsync_ms_(opts_.fsync_ms) {
   if (registry != nullptr) {
     c_appends_ = &registry->counter("crfs.journal.appends");
     c_bytes_ = &registry->counter("crfs.journal.bytes");
@@ -117,11 +142,100 @@ Journal::Journal(JournalOptions opts, Registry* registry)
     ::closedir(d);
     std::sort(live_.begin(), live_.end());
   }
+  // A crash file a previous incarnation left joins the segment sequence,
+  // so the reader keeps it in time order ahead of this mount's frames.
+  struct stat crash {};
+  if (::stat(crash_path_.c_str(), &crash) == 0 &&
+      ::rename(crash_path_.c_str(), (opts_.dir + "/" + segment_name(max_index)).c_str()) == 0) {
+    live_.emplace_back(max_index++, static_cast<std::size_t>(crash.st_size));
+  }
   seg_index_ = max_index;
   ok_ = open_segment_locked();
 }
 
 Journal::~Journal() { stop(); }
+
+void Journal::set_postmortem_renderer(std::function<std::string()> render) {
+  const bool arm = render != nullptr;
+  {
+    std::lock_guard<std::mutex> lock(render_mu_);
+    renderer_ = std::move(render);
+    if (arm && crash_buf_[0].empty()) {
+      for (auto& b : crash_buf_) b.resize(kPostmortemFrameBytes);
+    }
+  }
+  if (!arm) return;
+  (void)refresh_postmortem(/*append=*/false);
+  const Journal* expected = nullptr;
+  if (handlers_armed_ ||
+      !g_crash_journal.compare_exchange_strong(expected, this, std::memory_order_acq_rel)) {
+    return;  // already armed, or another journal owns the handlers
+  }
+  handlers_armed_ = true;
+  struct sigaction sa;
+  std::memset(&sa, 0, sizeof(sa));
+  sa.sa_handler = crfs_journal_signal_handler;
+  sigemptyset(&sa.sa_mask);
+  for (std::size_t i = 0; i < kFatalCount; ++i) {
+    ::sigaction(kFatalSignals[i], &sa, &g_previous[i]);
+  }
+}
+
+void Journal::disarm_crash_path() {
+  if (!handlers_armed_) return;
+  handlers_armed_ = false;
+  for (std::size_t i = 0; i < kFatalCount; ++i) {
+    ::sigaction(kFatalSignals[i], &g_previous[i], nullptr);
+  }
+  g_crash_journal.store(nullptr, std::memory_order_release);
+}
+
+bool Journal::refresh_postmortem(bool append) {
+  std::string doc;
+  std::uint64_t ts = 0;
+  {
+    std::lock_guard<std::mutex> lock(render_mu_);
+    if (!renderer_) return false;
+    ts = now_ns();
+    doc = renderer_();
+    std::string frame;
+    append_frame(frame, FrameType::kPostmortem, ts, doc);
+    if (frame.size() <= kPostmortemFrameBytes) {
+      // Fill the buffer the handler is not reading (0 when none is yet).
+      const int idx = crash_published_.load(std::memory_order_relaxed) == 0 ? 1 : 0;
+      std::memcpy(crash_buf_[idx].data(), frame.data(), frame.size());
+      crash_len_[idx].store(frame.size(), std::memory_order_relaxed);
+      crash_published_.store(idx, std::memory_order_release);
+    }
+  }
+  if (append) {
+    this->append(FrameType::kPostmortem, ts, doc);
+    flush(ts, /*force_fsync=*/true);
+  }
+  return true;
+}
+
+bool Journal::write_crash_frame() const noexcept {
+  const int idx = crash_published_.load(std::memory_order_acquire);
+  if (idx < 0) return false;
+  const int fd = ::open(crash_path_.c_str(), O_WRONLY | O_CREAT | O_TRUNC | O_CLOEXEC, 0644);
+  if (fd < 0) return false;
+  const char* p = crash_buf_[idx].data();
+  std::size_t left = crash_len_[idx].load(std::memory_order_relaxed);
+  bool ok = true;
+  while (left > 0) {
+    const ssize_t n = ::write(fd, p, left);
+    if (n < 0) {
+      if (errno == EINTR) continue;
+      ok = false;
+      break;
+    }
+    p += n;
+    left -= static_cast<std::size_t>(n);
+  }
+  ::close(fd);
+  return ok;
+}
 
 bool Journal::open_segment_locked() {
   const std::string path = opts_.dir + "/" + segment_name(seg_index_);
@@ -247,11 +361,13 @@ void Journal::thread_main() {
     if (stop_requested_) break;
     lock.unlock();
     tick(now_ns());
+    (void)refresh_postmortem(/*append=*/false);
     lock.lock();
   }
 }
 
 void Journal::stop() {
+  disarm_crash_path();
   if (thread_.joinable()) {
     {
       std::lock_guard<std::mutex> lock(wake_mu_);
@@ -308,12 +424,11 @@ JournalReader::Result JournalReader::read_dir(const std::string& dir) {
 
   out.ok = true;
   std::uint64_t seq = 0;
-  for (const auto& [idx, path] : segments) {
+  const auto decode = [&](const std::string& path) {
     std::ifstream f(path, std::ios::binary);
-    if (!f) continue;
+    if (!f) return false;
     std::string data((std::istreambuf_iterator<char>(f)),
                      std::istreambuf_iterator<char>());
-    ++out.segments;
     const auto* p = reinterpret_cast<const unsigned char*>(data.data());
     std::size_t pos = 0;
     while (pos + kJournalHeaderBytes <= data.size()) {
@@ -325,7 +440,7 @@ JournalReader::Result JournalReader::read_dir(const std::string& dir) {
       const std::uint32_t crc = get_u32(p + pos + 20);
       if (magic != kJournalMagic || version != kJournalVersion ||
           pos + kJournalHeaderBytes + len > data.size()) {
-        break;  // torn/corrupt: abandon the rest of this segment
+        break;  // torn/corrupt: abandon the rest of this file
       }
       const char* payload = data.data() + pos + kJournalHeaderBytes;
       if (Crc32::of(payload, len) != crc) break;
@@ -345,7 +460,14 @@ JournalReader::Result JournalReader::read_dir(const std::string& dir) {
       out.torn_tail = true;
       out.torn_bytes += data.size() - pos;
     }
+    return true;
+  };
+  for (const auto& [idx, path] : segments) {
+    if (decode(path)) ++out.segments;
   }
+  // The crash file comes last: a fatal signal wrote it after every
+  // segment frame this incarnation flushed.
+  (void)decode(dir + "/" + kPostmortemFile);
   return out;
 }
 

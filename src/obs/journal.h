@@ -33,12 +33,24 @@
 // unlinked once the directory exceeds max_bytes; every segment begins with
 // a fresh kMeta frame so retention never strips the mount config from what
 // remains.
+//
+// Crash path (set_postmortem_renderer; the real mount only): the journal
+// keeps the latest postmortem document pre-framed as a kPostmortem frame
+// in a reserved double buffer, re-rendered by the flusher after every
+// flush. A fatal signal writes that frame with open/write/close only to
+// its own file, `<dir>/postmortem.crfsj` — never into a segment the
+// flusher may be writing, where an interleaved write would tear a frame.
+// Publication: the renderer copies into the buffer the handler is not
+// reading, then release-stores its index; the handler acquire-loads it,
+// so it writes the previous complete frame rather than a torn one.
 #pragma once
 
+#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <mutex>
 #include <string>
 #include <string_view>
@@ -56,12 +68,21 @@ enum class FrameType : std::uint16_t {
   kEvent = 2,   ///< health/SLO/knob-decision Event::to_json
   kEpoch = 3,   ///< finalized EpochRecord::to_json
   kSlow = 4,    ///< SlowExemplar::to_json
+  kPostmortem = 5,  ///< Crfs::render_postmortem (crash file or dump_postmortem)
 };
 
 /// Fixed-size frame header constants (see format comment above).
 inline constexpr std::uint32_t kJournalMagic = 0x4A465243;  // "CRFJ"
 inline constexpr std::uint16_t kJournalVersion = 1;
 inline constexpr std::size_t kJournalHeaderBytes = 24;
+
+/// The crash file a fatal signal writes into the journal directory; the
+/// reader decodes it after the segments, and the next Journal on that
+/// directory renames it into its segment sequence.
+inline constexpr char kPostmortemFile[] = "postmortem.crfsj";
+/// Reserved bytes per crash-frame buffer (two are kept). A frame larger
+/// than this is not published: the previous complete one stays.
+inline constexpr std::size_t kPostmortemFrameBytes = 512 * 1024;
 
 struct JournalOptions {
   /// Directory the segments live in (created if missing). By convention
@@ -120,6 +141,27 @@ class Journal {
   /// Final flush + fsync, then joins the thread. Idempotent.
   void stop();
 
+  /// Arms the crash path: `render` returns the postmortem document. It is
+  /// rendered now and again after every flusher flush, outside the
+  /// journal lock, and published pre-framed for the fatal-signal handlers
+  /// (SIGABRT/SIGSEGV/SIGBUS/SIGFPE/SIGILL). Each handler writes the frame
+  /// to `<dir>/postmortem.crfsj`, then restores the disposition it
+  /// replaced and re-raises, so an application's or a sanitizer's own
+  /// handler still runs. One journal per process arms the handlers; they
+  /// stay armed until stop(). nullptr detaches the renderer, waiting out a
+  /// render in progress; the last published frame stays.
+  void set_postmortem_renderer(std::function<std::string()> render);
+
+  /// Renders the postmortem now and publishes it for the crash path; with
+  /// `append`, also journals it as a kPostmortem frame and flushes with an
+  /// fsync. False without a renderer.
+  bool refresh_postmortem(bool append);
+
+  /// Async-signal-safe: writes the last published postmortem frame to
+  /// `<dir>/postmortem.crfsj`. False when none is published or the write
+  /// failed.
+  bool write_crash_frame() const noexcept;
+
   /// Runtime re-arm of the fsync cadence (knob plane). 0 disables.
   void set_fsync_ms(unsigned ms) { fsync_ms_.store(ms, std::memory_order_relaxed); }
   unsigned fsync_ms() const { return fsync_ms_.load(std::memory_order_relaxed); }
@@ -141,8 +183,10 @@ class Journal {
   void rotate_locked();         // fsync+close current, open next, retire old
   void enforce_retention_locked();
   bool write_all_locked(const void* data, std::size_t size);
+  void disarm_crash_path();
 
   const JournalOptions opts_;
+  const std::string crash_path_;  ///< <dir>/postmortem.crfsj
   std::atomic<unsigned> fsync_ms_;
 
   std::atomic<std::uint64_t> appends_{0};
@@ -172,6 +216,16 @@ class Journal {
   std::mutex wake_mu_;
   std::condition_variable wake_cv_;
   bool stop_requested_ = false;
+
+  // Crash path. render_mu_ serializes renders and guards renderer_; the
+  // buffers are reserved when the path is armed, so a refresh never
+  // allocates beyond the render itself.
+  std::mutex render_mu_;
+  std::function<std::string()> renderer_;
+  std::array<std::vector<char>, 2> crash_buf_;
+  std::array<std::atomic<std::size_t>, 2> crash_len_{};
+  std::atomic<int> crash_published_{-1};
+  bool handlers_armed_ = false;  ///< this journal owns the signal handlers
 };
 
 /// One decoded journal frame.
@@ -197,8 +251,9 @@ class JournalReader {
     std::uint64_t torn_bytes = 0;  ///< bytes abandoned at torn tails
   };
 
-  /// Reads `<dir>/seg-*.crfsj`. A torn tail is normal after SIGKILL and
-  /// does not clear `ok`; every frame before it is returned.
+  /// Reads `<dir>/seg-*.crfsj`, then `<dir>/postmortem.crfsj` when a
+  /// fatal signal left one. A torn tail is normal after SIGKILL and does
+  /// not clear `ok`; every frame before it is returned.
   static Result read_dir(const std::string& dir);
 };
 

@@ -210,7 +210,6 @@ std::uint64_t DecisionLog::record(CtlDecision d) {
     ev.ts_ns = copy.ts_ns;
     events_->push(std::move(ev));
   }
-  if (listener_) listener_(copy);
   return copy.seq;
 }
 

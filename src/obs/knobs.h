@@ -145,14 +145,14 @@ std::string decisions_to_json(const std::vector<CtlDecision>& decisions);
 /// record lands in three places at once: the ring here, the crfs.ctl.*
 /// counters in the Registry, and (as an info-severity Event) in the
 /// EventBuffer — so the decision history survives into stats_json,
-/// Prometheus, and the flight-recorder postmortem without extra plumbing.
+/// Prometheus, and the journal's postmortem frame without extra plumbing.
 class DecisionLog {
  public:
   DecisionLog(std::size_t capacity, Registry* metrics, EventBuffer* events);
 
-  /// Assigns the sequence number, stores the decision, bumps metrics,
-  /// mirrors it into the EventBuffer, then invokes the listener (if any)
-  /// outside the lock. Returns the assigned sequence number.
+  /// Assigns the sequence number, stores the decision, bumps metrics and
+  /// mirrors it into the EventBuffer outside the lock. Returns the
+  /// assigned sequence number.
   std::uint64_t record(CtlDecision d);
 
   /// Current contents, oldest-first.
@@ -164,13 +164,6 @@ class DecisionLog {
   /// JSON array of the current contents.
   std::string to_json() const;
 
-  /// Notification hook, invoked after each record OUTSIDE the log lock
-  /// (e.g. the mount refreshing its flight recorder). Install before any
-  /// recorder thread runs; the pointer is read unsynchronized after.
-  void set_listener(std::function<void(const CtlDecision&)> listener) {
-    listener_ = std::move(listener);
-  }
-
  private:
   const std::size_t capacity_;
   Registry* metrics_;  // may be null (bare unit tests)
@@ -178,7 +171,6 @@ class DecisionLog {
   mutable std::mutex mu_;
   std::deque<CtlDecision> ring_;
   std::uint64_t total_ = 0;
-  std::function<void(const CtlDecision&)> listener_;
 };
 
 }  // namespace obs

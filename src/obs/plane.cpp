@@ -61,13 +61,12 @@ Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
   }
   if (journal_ != nullptr || slo_ != nullptr) extract_ = std::make_unique<SloExtractor>();
 
-  // The event listener is a single slot: the journal persists every
-  // structured event, then the owner's hook (the real mount's flight
-  // recorder) sees it.
-  events_.set_listener([this](const Event& ev) {
-    if (journal_ != nullptr) journal_->append(FrameType::kEvent, ev.ts_ns, ev.to_json());
-    if (event_hook_) event_hook_(ev);
-  });
+  // The journal persists every structured event.
+  if (journal_ != nullptr) {
+    events_.set_listener([this](const Event& ev) {
+      journal_->append(FrameType::kEvent, ev.ts_ns, ev.to_json());
+    });
+  }
 
   // slow_capture_ms: the tail-latency exemplar threshold (durability lag
   // OR device time); 0 disables capture. Applied as one relaxed store.

@@ -9,16 +9,17 @@
 // once per sampler tick and finish() once at unmount/stop.
 //
 // The two sides differ only in the time base. On wall time the journal
-// runs its own flusher thread. On virtual time there is no thread:
-// on_sample() flushes the journal at the sample's virtual timestamp, so
-// two replays of one workload produce byte-identical segments.
+// runs its own flusher thread (and the real mount arms the journal's
+// crash path on it). On virtual time there is no thread and no crash
+// path: on_sample() flushes the journal at the sample's virtual
+// timestamp, so two replays of one workload produce byte-identical
+// segments.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <string>
-#include <utility>
 
 #include "crfs/config.h"
 #include "obs/epoch.h"
@@ -62,10 +63,6 @@ class Plane {
   KnobPlane& knobs() { return knobs_; }
   const KnobPlane& knobs() const { return knobs_; }
 
-  /// Second consumer of every event, called after the journal append and
-  /// outside the EventBuffer lock. Set before any event can fire.
-  void set_event_hook(std::function<void(const Event&)> hook) { event_hook_ = std::move(hook); }
-
   /// One sampler tick: SLO observation, the journal sample frame, and the
   /// epochs/slow exemplars finished since the last tick (plus the journal
   /// flush on virtual time). Called from one thread at a time.
@@ -81,7 +78,8 @@ class Plane {
   std::string journal_json() const;
   std::string slo_json() const;
 
-  /// Appends the sections stats_json and the postmortem share:
+  /// Appends the plane's sections of stats_json (and so of the
+  /// postmortem):
   /// ,"events":..,"slow":..,"epochs":..,"epoch_open":..,
   /// "epochs_completed":..,"journal":..,"slo":..
   void append_sections(std::string& out) const;
@@ -102,7 +100,6 @@ class Plane {
   // sample frames consume; present when either is.
   std::unique_ptr<SloExtractor> extract_;
   KnobPlane knobs_;
-  std::function<void(const Event&)> event_hook_;
   // How many finished epochs / captured exemplars are already journaled.
   std::uint64_t journaled_epochs_ = 0;
   std::uint64_t journaled_slow_ = 0;

@@ -52,11 +52,10 @@ std::string SloConfig::to_json() const {
   return s;
 }
 
-std::optional<SloConfig> SloConfig::parse(std::string_view text) {
-  const auto parsed = json::parse(text);
-  if (!parsed.has_value() || !parsed->is_object()) return std::nullopt;
+std::optional<SloConfig> SloConfig::parse(const json::Value& parsed) {
+  if (!parsed.is_object()) return std::nullopt;
   auto num = [&](const char* key) -> std::optional<double> {
-    const json::Value* v = parsed->get(key);
+    const json::Value* v = parsed.get(key);
     if (v == nullptr || !v->is_number()) return std::nullopt;
     return v->number;
   };

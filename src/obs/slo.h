@@ -28,7 +28,6 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "obs/health.h"
@@ -36,6 +35,10 @@
 #include "obs/sampler.h"
 
 namespace crfs::obs {
+
+namespace json {
+struct Value;  // json_lite.h
+}
 
 /// Per-mount SLO targets. A zero target disables that objective.
 struct SloConfig {
@@ -54,8 +57,10 @@ struct SloConfig {
   /// Integer-only JSON (journal meta frame; offline replay recovers the
   /// targets from this).
   std::string to_json() const;
-  /// Inverse of to_json(); nullopt on malformed input.
-  static std::optional<SloConfig> parse(std::string_view json);
+  /// Inverse of to_json() over the parsed object (the journal meta
+  /// frame's "slo" member); nullopt when it is not an object or a key is
+  /// missing or not a number.
+  static std::optional<SloConfig> parse(const json::Value& v);
 };
 
 /// One tick's worth of SLO-relevant signal, already windowed. `*_n` is the
@@ -143,8 +148,8 @@ class SloMonitor {
   Counter* c_breaches_ = nullptr;
   SloExtractor extractor_;
   // The sampler thread observes while stats_json/postmortem readers
-  // render; events are pushed outside it, because an event listener may
-  // itself render (the flight recorder's postmortem calls to_json).
+  // render; events are pushed outside it, so an event listener may itself
+  // render a document that calls to_json.
   mutable std::mutex mu_;
   Objective lag_, stall_, ttfb_;
   std::uint64_t ticks_ = 0;

@@ -280,9 +280,7 @@ TEST(TuneControlFile, TokensApplyAndMalformedOnesNameTheToken) {
 // control byte in it must come out escaped, or stats_json and the
 // postmortem stop being JSON.
 TEST(TuneControlFile, ControlBytesInVetoedKnobNamesStayEscaped) {
-  Config cfg = small_config();
-  cfg.postmortem_path = ::testing::TempDir() + "crfs_ctlbyte_postmortem.json";
-  auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(), small_config());
   ASSERT_TRUE(fs.ok());
   FuseShim shim(*fs.value(), FuseOptions{});
   auto h = shim.open(".crfs_tune", {.write = true});
@@ -301,7 +299,6 @@ TEST(TuneControlFile, ControlBytesInVetoedKnobNamesStayEscaped) {
     EXPECT_NE(doc.find("\\u0001x"), std::string::npos);
     EXPECT_TRUE(obs::json::parse(doc).has_value());
   }
-  std::remove(cfg.postmortem_path.c_str());
 }
 
 // ------------------------------------------------------- knob-set pins

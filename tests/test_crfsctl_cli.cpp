@@ -3,8 +3,8 @@
 // exit 0 with output matching its schema — JSON that parses
 // (stats/trace/report), Prometheus exposition whose cumulative buckets
 // check out (prom), greppable WATCH/EPOCH frames (watch/report), and the
-// postmortem pretty-printer against a real flight-recorder dump. The
-// binary path is injected by CMake as CRFSCTL_BIN.
+// postmortem pretty-printer against a real journaled postmortem frame.
+// The binary path is injected by CMake as CRFSCTL_BIN.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -16,6 +16,7 @@
 
 #include "backend/mem_backend.h"
 #include "crfs/crfs.h"
+#include "obs/journal.h"
 #include "obs/json_lite.h"
 
 namespace crfs {
@@ -278,15 +279,16 @@ TEST(CrfsctlCli, ReportRefusesWhenEpochsDisabled) {
 }
 
 TEST(CrfsctlCli, PostmortemPrettyPrintsARealDump) {
-  // Generate a genuine flight-recorder dump in-process, then feed it to
-  // the CLI pretty-printer.
-  const std::string dump = fresh_dir("pm") + "/dump.json";
+  // Journal a genuine postmortem frame in-process, then hand the mount
+  // directory to the CLI pretty-printer.
+  const std::string dir = fresh_dir("pm");
+  const std::string journal = dir + "/.crfs/journal";
   {
     auto fs = Crfs::mount(std::make_shared<MemBackend>(),
                           Config{.chunk_size = 64 * 1024,
                                  .pool_size = 4 * 64 * 1024,
                                  .enable_tracing = true,
-                                 .postmortem_path = dump});
+                                 .journal_dir = journal});
     ASSERT_TRUE(fs.ok());
     ASSERT_TRUE(fs.value()->epoch_begin("cli-demo").ok());
     auto h = fs.value()->open("f.ckpt", {.create = true, .truncate = true, .write = true});
@@ -296,16 +298,15 @@ TEST(CrfsctlCli, PostmortemPrettyPrintsARealDump) {
     ASSERT_TRUE(fs.value()->close(h.value()).ok());
     ASSERT_TRUE(fs.value()->dump_postmortem().ok());
   }
-  // The dump itself is versioned and carries the controller section.
+  // The frame is versioned and carries the controller section.
   {
-    std::string text;
-    std::FILE* f = std::fopen(dump.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-    auto doc = obs::json::parse(text);
+    const auto res = obs::JournalReader::read_dir(journal);
+    ASSERT_TRUE(res.ok) << res.error;
+    const auto frame = std::find_if(res.records.begin(), res.records.end(), [](const auto& r) {
+      return r.type == obs::FrameType::kPostmortem;
+    });
+    ASSERT_NE(frame, res.records.end());
+    auto doc = obs::json::parse(frame->payload);
     ASSERT_TRUE(doc.has_value());
     ASSERT_NE(doc->get("schema_version"), nullptr);
     EXPECT_DOUBLE_EQ(doc->get("schema_version")->number, kSchemaVersion);
@@ -319,7 +320,7 @@ TEST(CrfsctlCli, PostmortemPrettyPrintsARealDump) {
     ASSERT_NE(ctl->get("knob_plane"), nullptr);
   }
 
-  const RunResult res = run_crfsctl("postmortem " + dump);
+  const RunResult res = run_crfsctl("postmortem " + dir);
   ASSERT_EQ(res.exit_code, 0) << res.output;
   EXPECT_NE(res.output.find("CRFS postmortem"), std::string::npos);
   EXPECT_NE(res.output.find("OPEN EPOCH id=1 label=cli-demo bytes=65536"),
@@ -330,27 +331,26 @@ TEST(CrfsctlCli, PostmortemPrettyPrintsARealDump) {
 
 TEST(CrfsctlCli, PostmortemRejectsMissingOrForeignFiles) {
   const std::string dir = fresh_dir("pmbad");
-  EXPECT_EQ(run_crfsctl("postmortem " + dir + "/nope.json").exit_code, 2);
+  EXPECT_EQ(run_crfsctl("postmortem " + dir + "/nope").exit_code, 2);
 
-  const std::string garbage = dir + "/garbage.json";
+  // A journal that holds no postmortem frame (a clean unmount writes none).
+  const std::string clean = dir + "/clean";
   {
-    std::FILE* f = std::fopen(garbage.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"not_a_postmortem\":true}", f);
-    std::fclose(f);
+    obs::Journal journal(obs::JournalOptions{.dir = clean}, nullptr);
+    journal.set_meta("{\"crfs_journal\":1}", 1);
   }
-  const RunResult res = run_crfsctl("postmortem " + garbage);
+  const RunResult res = run_crfsctl("postmortem " + clean);
   EXPECT_EQ(res.exit_code, 2);
-  EXPECT_NE(res.output.find("not a CRFS postmortem"), std::string::npos);
+  EXPECT_NE(res.output.find("no postmortem frame"), std::string::npos) << res.output;
 
-  const std::string unparseable = dir + "/broken.json";
+  // A postmortem frame whose payload does not parse.
+  const std::string broken = dir + "/broken";
   {
-    std::FILE* f = std::fopen(unparseable.c_str(), "w");
-    ASSERT_NE(f, nullptr);
-    std::fputs("{\"crfs_postmortem\":", f);
-    std::fclose(f);
+    obs::Journal journal(obs::JournalOptions{.dir = broken}, nullptr);
+    journal.set_meta("{\"crfs_journal\":1}", 1);
+    journal.append(obs::FrameType::kPostmortem, 2, "{\"schema_version\":");
   }
-  EXPECT_EQ(run_crfsctl("postmortem " + unparseable).exit_code, 2);
+  EXPECT_EQ(run_crfsctl("postmortem " + broken).exit_code, 2);
 }
 
 TEST(CrfsctlCli, KnobsPrintsTheRuntimeKnobTable) {
@@ -625,6 +625,18 @@ TEST(CrfsctlCli, SloReplaysJournalBurnRates) {
 
   // A directory without a journal fails as a malformed document.
   EXPECT_EQ(run_crfsctl("slo " + fresh_dir("slobad")).exit_code, 2);
+}
+
+TEST(CrfsctlCli, SloRejectsMalformedTargets) {
+  // SLO targets missing every key but one: no zero-filled replay.
+  const std::string dir = fresh_dir("slomalformed");
+  {
+    obs::Journal journal(obs::JournalOptions{.dir = dir}, nullptr);
+    journal.set_meta("{\"crfs_journal\":1,\"slo\":{\"lag_p99_ns\":1000000}}", 1);
+  }
+  const RunResult res = run_crfsctl("slo " + dir);
+  EXPECT_EQ(res.exit_code, 2);
+  EXPECT_NE(res.output.find("malformed SLO targets"), std::string::npos) << res.output;
 }
 
 }  // namespace

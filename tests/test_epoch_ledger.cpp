@@ -1,16 +1,20 @@
-// Checkpoint-epoch attribution, chunk-lifecycle ledger, and flight
-// recorder (obs/epoch.h, obs/flight_recorder.h, docs/OBSERVABILITY.md):
+// Checkpoint-epoch attribution, chunk-lifecycle ledger, and the journal's
+// postmortem frame (obs/epoch.h, obs/journal.h, docs/OBSERVABILITY.md):
 //   * two interleaved multi-file checkpoint epochs account every byte
 //     exactly, with sane durability-lag derivations, and the crfs.epoch.*
 //     registry metrics agree with the ledger;
 //   * the EpochTracker's rotation heuristics (ckpt generation key, quiet
 //     gap, explicit markers) behave as documented;
 //   * the epoch control file drives begin/end through the write API;
-//   * a SIGABRT mid-checkpoint leaves a parseable postmortem document
-//     showing the open epoch and the last pipeline events;
+//   * a SIGABRT mid-checkpoint leaves a parseable postmortem frame in the
+//     journal showing the open epoch and the last pipeline events, and
+//     still reaches the SIGABRT handler the mount replaced;
 //   * CrfsSimNode emits byte-identical epoch records across two runs.
+#include <fcntl.h>
 #include <gtest/gtest.h>
+#include <unistd.h>
 
+#include <cerrno>
 #include <csignal>
 #include <cstdio>
 #include <cstdlib>
@@ -22,6 +26,7 @@
 #include "common/units.h"
 #include "crfs/crfs.h"
 #include "obs/epoch.h"
+#include "obs/journal.h"
 #include "obs/json_lite.h"
 #include "sim/crfs_sim.h"
 
@@ -340,51 +345,55 @@ TEST(EpochLedgerStress, RotationUnderConcurrentWriters) {
 
 // ------------------------------------------------------------ postmortem
 
+/// The kPostmortem frames of the journal under `dir`, in decode order
+/// (a crash file's frame comes last).
+std::vector<obs::JournalRecord> postmortem_frames(const std::string& dir) {
+  std::vector<obs::JournalRecord> out;
+  for (auto& rec : obs::JournalReader::read_dir(dir).records) {
+    if (rec.type == obs::FrameType::kPostmortem) out.push_back(std::move(rec));
+  }
+  return out;
+}
+
+/// Mounts with a journal under `dir`, writes 8 chunks into an open
+/// "doomed" epoch, drains them, journals a postmortem (which also
+/// publishes it for the crash path) and aborts with the file still open.
+[[noreturn]] void abort_mid_checkpoint(const std::string& dir) {
+  auto fs = Crfs::mount(std::make_shared<MemBackend>(),
+                        Config{.chunk_size = 4096,
+                               .pool_size = 4 * 4096,
+                               .enable_tracing = true,
+                               .journal_dir = dir});
+  if (!fs.ok()) std::exit(3);
+  (void)fs.value()->epoch_begin("doomed");
+  auto h = fs.value()->open("mid.ckpt", {.create = true, .truncate = true, .write = true});
+  if (!h.ok()) std::exit(3);
+  std::vector<std::byte> buf(4096, std::byte{0x5A});
+  for (std::size_t off = 0; off < 8 * 4096; off += 4096) {
+    (void)fs.value()->write(h.value(), buf, off);
+  }
+  (void)fs.value()->fsync(h.value());   // pipeline drained
+  (void)fs.value()->dump_postmortem();  // deterministic final refresh
+  std::abort();                         // die mid-epoch, file still open
+}
+
 using PostmortemDeathTest = ::testing::Test;
 
 TEST(PostmortemDeathTest, AbortMidCheckpointLeavesParseableDump) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
-  const std::string dump = ::testing::TempDir() + "crfs_epoch_postmortem.json";
-  std::filesystem::remove(dump);
+  const std::string dir = ::testing::TempDir() + "crfs_epoch_postmortem_journal";
+  std::filesystem::remove_all(dir);
 
-  EXPECT_EXIT(
-      {
-        auto fs = Crfs::mount(
-            std::make_shared<MemBackend>(),
-            Config{.chunk_size = 4096,
-                   .pool_size = 4 * 4096,
-                   .enable_tracing = true,
-                   .postmortem_path = dump,
-                   .postmortem_refresh_ms = 0});  // re-render every IO run
-        if (!fs.ok()) std::exit(3);
-        (void)fs.value()->epoch_begin("doomed");
-        auto h = fs.value()->open("mid.ckpt",
-                                  {.create = true, .truncate = true, .write = true});
-        if (!h.ok()) std::exit(3);
-        std::vector<std::byte> buf(4096, std::byte{0x5A});
-        for (std::size_t off = 0; off < 8 * 4096; off += 4096) {
-          (void)fs.value()->write(h.value(), buf, off);
-        }
-        (void)fs.value()->fsync(h.value());      // pipeline drained
-        (void)fs.value()->dump_postmortem();     // deterministic final refresh
-        std::filesystem::remove(dump);           // only the handler can recreate it
-        std::abort();                            // die mid-epoch, file still open
-      },
-      ::testing::KilledBySignal(SIGABRT), "");
+  EXPECT_EXIT(abort_mid_checkpoint(dir), ::testing::KilledBySignal(SIGABRT), "");
 
-  // The fatal-signal handler wrote the last published document.
-  std::string text;
-  {
-    std::FILE* f = std::fopen(dump.c_str(), "r");
-    ASSERT_NE(f, nullptr) << "no postmortem dump at " << dump;
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
-  auto doc = obs::json::parse(text);
-  ASSERT_TRUE(doc.has_value()) << "unparseable dump: " << text.substr(0, 400);
-  ASSERT_NE(doc->get("crfs_postmortem"), nullptr);
+  // Only the fatal-signal handler writes the crash file, and the reader
+  // decodes it after the segments: the newest frame is the handler's.
+  ASSERT_TRUE(std::filesystem::exists(dir + "/" + obs::kPostmortemFile))
+      << "no crash file under " << dir;
+  const auto frames = postmortem_frames(dir);
+  ASSERT_EQ(frames.size(), 2u);  // dump_postmortem's, then the crash file's
+  auto doc = obs::json::parse(frames.back().payload);
+  ASSERT_TRUE(doc.has_value()) << "unparseable frame: " << frames.back().payload.substr(0, 400);
 
   const auto* open = doc->get("epoch_open");
   ASSERT_NE(open, nullptr);
@@ -400,43 +409,77 @@ TEST(PostmortemDeathTest, AbortMidCheckpointLeavesParseableDump) {
   EXPECT_GT(tail->array->size(), 0u);
   ASSERT_NE(doc->get("pipeline"), nullptr);
   ASSERT_NE(doc->get("events"), nullptr);
-  std::filesystem::remove(dump);
+  std::filesystem::remove_all(dir);
+}
+
+// The child's own SIGABRT handler touches this file; a plain array, so
+// the handler stays async-signal-safe.
+char g_marker_path[512];
+
+void touch_marker(int) {
+  const int fd = ::open(g_marker_path, O_WRONLY | O_CREAT | O_TRUNC, 0644);
+  if (fd >= 0) ::close(fd);
+}
+
+TEST(PostmortemDeathTest, AbortStillRunsTheHandlerTheMountReplaced) {
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  const std::string dir = ::testing::TempDir() + "crfs_epoch_chain_journal";
+  const std::string marker = ::testing::TempDir() + "crfs_epoch_chain_marker";
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(marker);
+  std::snprintf(g_marker_path, sizeof(g_marker_path), "%s", marker.c_str());
+
+  EXPECT_EXIT(
+      {
+        struct sigaction sa {};
+        sa.sa_handler = touch_marker;
+        sigemptyset(&sa.sa_mask);
+        ::sigaction(SIGABRT, &sa, nullptr);
+        abort_mid_checkpoint(dir);  // the mount's handler replaces touch_marker
+      },
+      ::testing::KilledBySignal(SIGABRT), "");
+
+  // Both handlers ran: the mount's wrote its crash frame, then handed the
+  // signal to the application's, and the process still died of SIGABRT.
+  EXPECT_TRUE(std::filesystem::exists(marker));
+  EXPECT_TRUE(std::filesystem::exists(dir + "/" + obs::kPostmortemFile));
+  EXPECT_EQ(postmortem_frames(dir).size(), 2u);
+  std::filesystem::remove_all(dir);
+  std::filesystem::remove(marker);
 }
 
 TEST(Postmortem, DumpOnDemandWithoutSignal) {
-  const std::string dump = ::testing::TempDir() + "crfs_epoch_dump_now.json";
-  std::filesystem::remove(dump);
-  auto fs = Crfs::mount(std::make_shared<MemBackend>(),
-                        Config{.chunk_size = 4096,
-                               .pool_size = 4 * 4096,
-                               .postmortem_path = dump});
-  ASSERT_TRUE(fs.ok());
-  auto h = fs.value()->open("f", {.create = true, .truncate = true, .write = true});
-  ASSERT_TRUE(h.ok());
-  ASSERT_TRUE(fs.value()->write(h.value(), as_bytes("abc"), 0).ok());
-  ASSERT_TRUE(fs.value()->close(h.value()).ok());
-  ASSERT_TRUE(fs.value()->dump_postmortem().ok());
-
-  std::string text;
+  const std::string dir = ::testing::TempDir() + "crfs_epoch_dump_now_journal";
+  std::filesystem::remove_all(dir);
   {
-    std::FILE* f = std::fopen(dump.c_str(), "r");
-    ASSERT_NE(f, nullptr);
-    char buf[65536];
-    std::size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0) text.append(buf, n);
-    std::fclose(f);
-  }
-  auto doc = obs::json::parse(text);
-  ASSERT_TRUE(doc.has_value());
-  EXPECT_NE(doc->get("crfs_postmortem"), nullptr);
-  std::filesystem::remove(dump);
+    auto fs = Crfs::mount(std::make_shared<MemBackend>(),
+                          Config{.chunk_size = 4096, .pool_size = 4 * 4096, .journal_dir = dir});
+    ASSERT_TRUE(fs.ok());
+    auto h = fs.value()->open("f", {.create = true, .truncate = true, .write = true});
+    ASSERT_TRUE(h.ok());
+    ASSERT_TRUE(fs.value()->write(h.value(), as_bytes("abc"), 0).ok());
+    ASSERT_TRUE(fs.value()->close(h.value()).ok());
+    ASSERT_TRUE(fs.value()->dump_postmortem().ok());
 
-  // No recorder configured -> dump_postmortem errors instead of writing.
+    // Journaled and flushed before the call returns, with the mount live.
+    const auto frames = postmortem_frames(dir);
+    ASSERT_EQ(frames.size(), 1u);
+    auto doc = obs::json::parse(frames[0].payload);
+    ASSERT_TRUE(doc.has_value());
+    EXPECT_DOUBLE_EQ(doc->get("mount")->get("app_bytes")->number, 3.0);
+    EXPECT_NE(doc->get("trace_tail"), nullptr);
+  }
+  // A clean unmount leaves no crash file.
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + obs::kPostmortemFile));
+  std::filesystem::remove_all(dir);
+
+  // No journal -> dump_postmortem errors instead of writing.
   auto plain = Crfs::mount(std::make_shared<MemBackend>(),
                            Config{.chunk_size = 4096, .pool_size = 4 * 4096});
   ASSERT_TRUE(plain.ok());
-  EXPECT_EQ(plain.value()->flight_recorder(), nullptr);
-  EXPECT_FALSE(plain.value()->dump_postmortem().ok());
+  const Status st = plain.value()->dump_postmortem();
+  ASSERT_FALSE(st.ok());
+  EXPECT_EQ(st.error().code, EINVAL);
 }
 
 // -------------------------------------------------------- sim determinism

@@ -226,6 +226,41 @@ TEST(Journal, CrcRejectsCorruptedFrame) {
   EXPECT_EQ(r.records.back().payload, "{\"i\":8}");
 }
 
+// The crash file: written by write_crash_frame (what the fatal-signal
+// handlers call), decoded after the segments, and folded into the segment
+// sequence by the next incarnation, so a later frame stays the newest.
+TEST(Journal, CrashFrameIsReadLastAndKeepsItsPlaceOnRemount) {
+  const std::string dir = fresh_dir("crashfile");
+  {
+    obs::Journal j({.dir = dir}, nullptr);
+    j.set_postmortem_renderer([] { return std::string(R"({"life":1})"); });
+    j.append(obs::FrameType::kSample, 1, R"({"seq":0})");
+    j.flush(1, /*force_fsync=*/true);
+    ASSERT_TRUE(j.write_crash_frame());
+    j.set_postmortem_renderer(nullptr);
+  }
+  auto r = obs::JournalReader::read_dir(dir);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.records.size(), 2u);
+  EXPECT_EQ(r.records[1].type, obs::FrameType::kPostmortem);
+  EXPECT_EQ(r.records[1].payload, R"({"life":1})");
+
+  {
+    obs::Journal j({.dir = dir}, nullptr);
+    j.set_postmortem_renderer([] { return std::string(R"({"life":2})"); });
+    ASSERT_TRUE(j.refresh_postmortem(/*append=*/true));
+    j.set_postmortem_renderer(nullptr);
+  }
+  EXPECT_FALSE(std::filesystem::exists(dir + "/" + obs::kPostmortemFile));
+  r = obs::JournalReader::read_dir(dir);
+  ASSERT_TRUE(r.ok) << r.error;
+  std::vector<std::string> postmortems;
+  for (const auto& rec : r.records) {
+    if (rec.type == obs::FrameType::kPostmortem) postmortems.push_back(rec.payload);
+  }
+  EXPECT_EQ(postmortems, (std::vector<std::string>{R"({"life":1})", R"({"life":2})"}));
+}
+
 // -------------------------------------------------------- SIGKILL crash
 // Named JournalCrash so scripts/check_tsan.sh can exclude the fork from
 // the TSan pass (fork + instrumented runtime don't mix).

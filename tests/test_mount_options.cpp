@@ -139,10 +139,10 @@ TEST(MountOptions, RandomValidOptionsRoundTripThroughFormat) {
 }
 
 TEST(MountOptions, CommaInPathIsRejected) {
-  // Rendered, this would parse back as postmortem=/tmp/pm plus trace on.
-  Config pm;
-  pm.postmortem_path = "/tmp/pm,trace";
-  expect_rejected(pm.validate(), "postmortem", "postmortem=/tmp/pm,trace");
+  // Rendered, this would parse back as journal=/tmp/j plus trace on.
+  Config j;
+  j.journal_dir = "/tmp/j,trace";
+  expect_rejected(j.validate(), "journal", "journal=/tmp/j,trace");
   for (const OptionRow& row : kMountOptionTable) {
     if (row.kind != OptionKind::kPath) continue;
     MountOptions x;

@@ -105,6 +105,13 @@ class ProbeBackend final : public BackendFs {
     parked_ = false;
     released_ = false;
   }
+  /// Parks every pwrite until release(): with one remote writer per file,
+  /// each file's stream stops at its first write.
+  void hold_writes() {
+    hold_next_write();
+    std::lock_guard<std::mutex> lock(mu_);
+    hold_all_ = true;
+  }
   /// True once a held pwrite is parked.
   bool wait_parked(std::chrono::milliseconds limit) {
     std::unique_lock<std::mutex> lock(mu_);
@@ -113,6 +120,7 @@ class ProbeBackend final : public BackendFs {
   void release() {
     std::lock_guard<std::mutex> lock(mu_);
     hold_ = false;
+    hold_all_ = false;
     released_ = true;
     cv_.notify_all();
   }
@@ -179,7 +187,7 @@ class ProbeBackend final : public BackendFs {
       path_attempts_[path] += 1;
       max_per_file_ = std::max(max_per_file_, ++path_in_flight_[path]);
       fail = !failing_path_.empty() && path == failing_path_;
-      if (hold_) {
+      if (hold_ || hold_all_) {
         hold_ = false;
         parked_ = true;
         cv_.notify_all();
@@ -236,6 +244,7 @@ class ProbeBackend final : public BackendFs {
   std::mutex mu_;
   std::condition_variable cv_;
   bool hold_ = false;
+  bool hold_all_ = false;
   bool parked_ = false;
   bool released_ = false;
   std::chrono::microseconds delay_{0};
@@ -563,14 +572,15 @@ TEST(TieredEager, SealDuringAFailingEagerCopyKeepsTheNextUnitEager) {
 
 // -- One drain stream per file ------------------------------------------------
 
-/// Stages `files` files of `bytes` each in 1 MiB pwrites while the eager
-/// drain's first remote write is parked, so later rounds find every file
-/// with bytes left to copy. `before_release` runs with the write still
+/// Stages `files` files of `data` each in 1 MiB pwrites while every
+/// remote write of the eager drain is parked, so no file's stream gets
+/// past its first write before the release: after it, every file still
+/// has bytes left to copy. `before_release` runs with the writes still
 /// parked.
 void stage_behind_a_parked_copy(TieredBackend& tier, ProbeBackend& probe, int files,
                                 const std::vector<std::byte>& data,
                                 const std::function<void()>& before_release = {}) {
-  probe.hold_next_write();
+  probe.hold_writes();
   for (int i = 0; i < files; ++i) {
     auto f = tier.open_file(file_name(i), {.create = true, .truncate = true, .write = true});
     ASSERT_TRUE(f.ok());
@@ -611,8 +621,8 @@ TEST(TieredDrain, OneRemoteWriterPerFileWhileFilesDrainInParallel) {
   tier->seal_epoch(1);
   ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
 
-  // Sealed phase: the seal lands while the first copy is parked, so every
-  // later round drains the sealed unit.
+  // Sealed phase: the seal lands while every stream is parked, so each
+  // file's remaining steps drain from the sealed unit.
   const auto v2 = make_pattern(8 * MiB, 22);
   stage_behind_a_parked_copy(*tier, *probe, kFiles, v2, [&] {
     probe->reset_peaks();
