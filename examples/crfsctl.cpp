@@ -112,7 +112,7 @@
 #include "obs/json_lite.h"
 #include "obs/prom.h"
 #include "obs/sampler.h"
-#include "obs/slo.h"
+#include "obs/rules.h"
 #include "obs/slow_store.h"
 
 using namespace crfs;
@@ -969,8 +969,8 @@ int cmd_timeline(int argc, char** argv) {
 
 // `crfsctl slo`: offline burn-rate replay. The meta frame at the head of
 // every segment carries the mount's SLO targets; sample frames carry the
-// already-windowed inputs the live monitor consumed, so replaying them
-// through a fresh SloMonitor reproduces the burn rates and breach edges
+// already-windowed inputs the live rule engine consumed, so replaying them
+// through a fresh RuleEngine reproduces the burn rates and breach edges
 // the dead process saw.
 int cmd_slo(int argc, char** argv) {
   if (argc < 3) return usage();
@@ -1010,13 +1010,13 @@ int cmd_slo(int argc, char** argv) {
 
   obs::Registry reg;
   obs::EventBuffer breach_events;
-  obs::SloMonitor mon(*cfg, &reg, &breach_events);
+  obs::RuleEngine rules(*cfg, /*slow_pwrite_ns=*/0, &reg, &breach_events);
   std::size_t replayed = 0;
   for (const auto& rec : res.records) {
     if (rec.type != obs::FrameType::kSample) continue;
     const auto doc = obs::json::parse(rec.payload);
     if (!doc.has_value() || !doc->is_object()) continue;
-    obs::SloInput in;
+    obs::RuleInput in;
     in.ts_ns = static_cast<std::uint64_t>(jnum(&*doc, "ts_ns"));
     in.lag_p99_ns = jnum(&*doc, "lag_p99_ns");
     in.lag_n = static_cast<std::uint64_t>(jnum(&*doc, "lag_n"));
@@ -1024,17 +1024,17 @@ int cmd_slo(int argc, char** argv) {
     in.stall_n = static_cast<std::uint64_t>(jnum(&*doc, "stall_n"));
     in.ttfb_p99_ns = jnum(&*doc, "ttfb_p99_ns");
     in.ttfb_n = static_cast<std::uint64_t>(jnum(&*doc, "ttfb_n"));
-    mon.observe(in);
+    rules.evaluate(in);
     ++replayed;
   }
 
   if (as_json) {
-    std::printf("%s\n", mon.to_json().c_str());
+    std::printf("%s\n", rules.slo_json().c_str());
     return 0;
   }
   std::printf("crfsctl slo: replayed %zu sample frames from %s%s\n", replayed,
               dir.c_str(), res.torn_tail ? " (torn tail)" : "");
-  const auto doc = obs::json::parse(mon.to_json());
+  const auto doc = obs::json::parse(rules.slo_json());
   const auto* objectives =
       doc.has_value() ? doc->get("objectives") : nullptr;
   if (objectives != nullptr && objectives->is_array()) {

@@ -11,12 +11,14 @@
 # writer per file, write errors completing on IO threads, large-write
 # bypass racing queued chunks), and
 # test_control (knob-plane snapshot publication racing tunes and a
-# Prometheus scrape while the sampler ticks), test_read_path (readahead fills completing on IO
+# Prometheus scrape while the sampler ticks; stats_json rendering the SLO
+# burn state and slow_pwrite_ms retunes racing rule evaluation on the
+# plane's sampler thread), test_read_path (readahead fills completing on IO
 # threads while their readers wait and copy out of slots; concurrent
 # scans sharing the pool; unmount with fills in flight; the prefetcher
 # racing appending writers, flush-before-read barriers under concurrent
 # reads), and test_journal (journal flusher thread racing cold-path
-# appends and re-rendering the postmortem frame, the SLO monitor ticking on the sampler thread, a real ThrottledBackend
+# appends and re-rendering the postmortem frame, the rule engine evaluating on the sampler thread, a real ThrottledBackend
 # mount driving breach events from IO threads), and test_tiered (the
 # background drain thread evicting staged extents while writers stage,
 # stall on backpressure, and read across tiers; drain workers claiming

@@ -98,7 +98,7 @@
 #include <vector>
 
 #include "backend/backend_fs.h"
-#include "obs/health.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace crfs {

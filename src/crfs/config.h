@@ -10,8 +10,7 @@
 
 #include "common/result.h"
 #include "common/units.h"
-#include "obs/health.h"
-#include "obs/slo.h"
+#include "obs/rules.h"
 
 namespace crfs {
 
@@ -96,9 +95,9 @@ struct Config {
   /// always recorded there with path/offset/errno.
   std::size_t event_capacity = 256;
 
-  /// Health-rule thresholds evaluated per sample (obs::HealthMonitor);
-  /// only consulted when sample_ms > 0.
-  obs::HealthConfig health{};
+  /// slow_pwrite health rule (obs/rules.h): windowed pwrite p99 threshold
+  /// in milliseconds; 0 disables the rule. Needs sample_ms > 0.
+  unsigned slow_pwrite_ms = 0;
 
   /// Checkpoint-epoch attribution (docs/OBSERVABILITY.md "Epoch ledger").
   /// When on (default), Crfs::open resolves each writable file to an
@@ -166,9 +165,9 @@ struct Config {
   std::size_t journal_segment_bytes = 1 * MiB;
   std::size_t journal_max_bytes = 16 * MiB;
 
-  /// SLO burn-rate monitor (docs/OBSERVABILITY.md "SLOs and burn rates").
-  /// A non-zero target enables that objective; any enabled objective
-  /// requires sample_ms > 0 (the monitor runs on the Sampler tick path).
+  /// SLO burn rates (docs/OBSERVABILITY.md "SLOs and burn rates"). A
+  /// non-zero target arms that burn row of the rule engine; any armed
+  /// target requires sample_ms > 0 (the rules run on the Sampler tick).
   unsigned slo_lag_ms = 0;     ///< durability-lag p99 target (ms)
   unsigned slo_stall_pct = 0;  ///< pool-stall wall-time share target (%)
   unsigned slo_ttfb_ms = 0;    ///< restore read p99 target (ms)

@@ -166,21 +166,9 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
     return static_cast<std::int64_t>(plane_.slow().size());
   });
 
-  // Live telemetry: background sampler + health rules. Construction only
-  // here — the thread starts below, after the knob plane is wired, so the
-  // first tick already sees the tick observer.
-  if (cfg_.sample_ms > 0) {
-    health_ = std::make_unique<obs::HealthMonitor>(cfg_.health, plane_.events());
-    sampler_ = std::make_unique<obs::Sampler>(
-        m, obs::SamplerOptions{.ring_capacity = cfg_.sample_ring});
-    sampler_->set_health_monitor(health_.get());
-    sampler_->set_overrun_counter(&m.counter("crfs.obs.sampler_overruns"));
-  }
-
   // Control plane (docs/OBSERVABILITY.md "Control plane"): the knob plane
   // and decision log always exist (crfsctl tune works on any mount).
   define_knobs();
-  decisions_ = std::make_unique<obs::DecisionLog>(cfg_.event_capacity, &m, &plane_.events());
   m.gauge_fn("crfs.ctl.generation", [this] {
     return static_cast<std::int64_t>(plane_.knobs().generation());
   });
@@ -189,11 +177,8 @@ Crfs::Crfs(std::shared_ptr<BackendFs> backend, Config cfg)
       return static_cast<std::int64_t>(plane_.knobs().snapshot()->get(name, 0.0));
     });
   }
-  // The plane observes every sample (SLO burn rates, journal frames).
-  if (sampler_ != nullptr) {
-    sampler_->set_tick_observer([this](const obs::Sample& s) { plane_.on_sample(s); });
-    sampler_->start(std::chrono::milliseconds(cfg_.sample_ms));
-  }
+  // Every stage and gauge exists: the sampler thread may start ticking.
+  plane_.start();
 
   // Crash path (docs/OBSERVABILITY.md "Durable journal"): armed last,
   // since the render reads every stage. It renders once here, so a crash
@@ -246,23 +231,23 @@ void Crfs::define_knobs() {
   knobs.define(
       knob_def("sample_ms", cfg_), static_cast<double>(cfg_.sample_ms),
       [this](double v, double*, std::string* reason) {
-        if (sampler_ == nullptr) {
+        if (plane_.sampler() == nullptr) {
           *reason = "sampler disabled (mount with sample_ms > 0)";
           return false;
         }
-        sampler_->set_interval(std::chrono::milliseconds(static_cast<long long>(v)));
+        plane_.sampler()->set_interval(std::chrono::milliseconds(static_cast<long long>(v)));
         return true;
       });
 
   // slow_pwrite_ms: the health rule's p99 threshold; 0 disables the rule.
   knobs.define(
-      knob_def("slow_pwrite_ms", cfg_), static_cast<double>(cfg_.health.slow_pwrite_p99_ns) / 1e6,
+      knob_def("slow_pwrite_ms", cfg_), static_cast<double>(cfg_.slow_pwrite_ms),
       [this](double v, double*, std::string* reason) {
-        if (health_ == nullptr) {
-          *reason = "health monitor disabled (mount with sample_ms > 0)";
+        if (plane_.rules() == nullptr) {
+          *reason = "health rules disabled (mount with sample_ms > 0)";
           return false;
         }
-        health_->set_slow_pwrite_p99_ns(static_cast<std::uint64_t>(v * 1e6));
+        plane_.rules()->set_slow_pwrite_ns(static_cast<std::uint64_t>(v * 1e6));
         return true;
       });
 
@@ -335,7 +320,7 @@ Crfs::~Crfs() {
   // evaluate gauges that read the pool/queue/IO stages this destructor is
   // about to tear down.
   if (obs::Journal* journal = plane_.journal()) journal->set_postmortem_renderer(nullptr);
-  if (sampler_ != nullptr) sampler_->stop();
+  if (plane_.sampler() != nullptr) plane_.sampler()->stop();
   // Flush buffered data of any files the application failed to close, so
   // unmounting never silently drops bytes.
   for (const HandleState& state : handles_.snapshot()) drain(state.entry);
@@ -914,8 +899,8 @@ void Crfs::append_stats_body(std::string& out) const {
   }
   out += "]";
   plane_.append_sections(out);
-  if (sampler_ != nullptr) {
-    out += ",\"samples_taken\":" + std::to_string(sampler_->samples_taken());
+  if (plane_.sampler() != nullptr) {
+    out += ",\"samples_taken\":" + std::to_string(plane_.sampler()->samples_taken());
   }
   out += ",\"controller\":" + controller_json();
   out += ",\"tier\":" + tier_json();
@@ -967,23 +952,6 @@ Status Crfs::handle_epoch_marker(std::span<const std::byte> data) {
 
 // -- Control plane ----------------------------------------------------------
 
-obs::CtlDecision Crfs::tune(std::string_view knob, double value, std::string source) {
-  const TuneResult r = plane_.knobs().tune(knob, value);
-  obs::CtlDecision d;
-  d.ts_ns = obs::now_ns();
-  d.source = std::move(source);
-  d.rule = "tune";
-  d.knob = r.knob;
-  d.requested = r.requested;
-  d.from = r.from;
-  d.to = r.to;
-  d.outcome = r.outcome;
-  d.reason = r.reason;
-  d.generation = r.generation;
-  d.seq = decisions_->record(d);
-  return d;
-}
-
 Status Crfs::handle_tune_marker(std::span<const std::byte> data) {
   const std::string text(reinterpret_cast<const char*>(data.data()), data.size());
   const auto is_sep = [](unsigned char c) { return std::isspace(c) != 0 || c == ','; };
@@ -1023,8 +991,8 @@ Status Crfs::handle_tune_marker(std::span<const std::byte> data) {
 std::string Crfs::controller_json() const {
   std::string out = "{\"generation\":" + std::to_string(plane_.knobs().generation());
   out += ",\"knob_plane\":" + plane_.knobs().to_json();
-  out += ",\"decisions\":" + decisions_->to_json();
-  out += ",\"decisions_total\":" + std::to_string(decisions_->total());
+  out += ",\"decisions\":" + plane_.decisions().to_json();
+  out += ",\"decisions_total\":" + std::to_string(plane_.decisions().total());
   out += "}";
   return out;
 }

@@ -26,7 +26,7 @@
 #include "crfs/io_pool.h"
 #include "crfs/readahead.h"
 #include "crfs/work_queue.h"
-#include "obs/health.h"
+#include "obs/events.h"
 #include "obs/knobs.h"
 #include "obs/plane.h"
 #include "obs/sampler.h"
@@ -125,8 +125,8 @@ class Crfs {
 
   /// Live telemetry sampler; nullptr unless Config::sample_ms > 0 (the
   /// default keeps the mount thread-free and sampler-free).
-  obs::Sampler* sampler() { return sampler_.get(); }
-  const obs::Sampler* sampler() const { return sampler_.get(); }
+  obs::Sampler* sampler() { return plane_.sampler(); }
+  const obs::Sampler* sampler() const { return plane_.sampler(); }
 
   /// Structured health/error events fired so far (bounded log, oldest
   /// dropped past Config::event_capacity). Health rules need the sampler
@@ -168,14 +168,6 @@ class Crfs {
   /// The stats_json "journal" section ({"enabled":false} without one).
   std::string journal_json() const { return plane_.journal_json(); }
 
-  // -- SLO burn rates (docs/OBSERVABILITY.md "SLOs and burn rates") ---------
-  /// nullptr unless at least one slo_* target is configured.
-  obs::SloMonitor* slo_monitor() { return plane_.slo(); }
-  const obs::SloMonitor* slo_monitor() const { return plane_.slo(); }
-
-  /// The stats_json "slo" section ({"enabled":false} without a monitor).
-  std::string slo_json() const { return plane_.slo_json(); }
-
   // -- Control plane (docs/OBSERVABILITY.md "Control plane") ----------------
   /// Runtime-tunes one knob ("pool_chunks", "io_batch", "sample_ms",
   /// "slow_pwrite_ms", "readahead", "readahead_window", "journal_fsync_ms",
@@ -186,15 +178,17 @@ class Crfs {
   /// before the returned CtlDecision is handed back. `source` tags the
   /// audit trail: "manual" (API/crfsctl) or "ctlfile" (.crfs_tune).
   obs::CtlDecision tune(std::string_view knob, double value,
-                        std::string source = "manual");
+                        std::string source = "manual") {
+    return plane_.tune(knob, value, std::move(source));
+  }
 
   /// The knob plane: declared bounds plus the lock-free current snapshot.
   KnobPlane& knob_plane() { return plane_.knobs(); }
   const KnobPlane& knob_plane() const { return plane_.knobs(); }
 
   /// Audit trail of every knob-change decision (bounded ring).
-  obs::DecisionLog& decision_log() { return *decisions_; }
-  const obs::DecisionLog& decision_log() const { return *decisions_; }
+  obs::DecisionLog& decision_log() { return plane_.decisions(); }
+  const obs::DecisionLog& decision_log() const { return plane_.decisions(); }
 
   /// {"generation":...,"knobs":[{name,value,min,max,unit},...]}.
   std::string knobs_json() const { return plane_.knobs().to_json(); }
@@ -289,15 +283,6 @@ class Crfs {
   std::atomic<bool> readahead_on_{true};
   std::atomic<unsigned> readahead_window_{4};
   FileTable table_;
-
-  // Live telemetry plane (only when cfg_.sample_ms > 0). Declared after
-  // the pipeline pieces it observes; the sampler thread is stopped first
-  // in ~Crfs so it never reads a gauge of a destroyed stage.
-  std::unique_ptr<obs::HealthMonitor> health_;
-  std::unique_ptr<obs::Sampler> sampler_;
-
-  // Control plane: audit trail of every knob change.
-  std::unique_ptr<obs::DecisionLog> decisions_;
 
   // Hot-path metric handles, resolved once at mount (see obs::Registry).
   obs::LatencyHistogram* h_write_copy_ = nullptr;

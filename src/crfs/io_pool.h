@@ -18,7 +18,7 @@
 #include "backend/backend_fs.h"
 #include "crfs/buffer_pool.h"
 #include "crfs/work_queue.h"
-#include "obs/health.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/slow_store.h"
 #include "obs/trace.h"

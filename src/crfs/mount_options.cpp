@@ -19,10 +19,6 @@ auto& field_ref(Cfg& config, Fuse&, T Config::*m) {
   return config.*m;
 }
 template <class Cfg, class Fuse, class T>
-auto& field_ref(Cfg& config, Fuse&, T obs::HealthConfig::*m) {
-  return config.health.*m;
-}
-template <class Cfg, class Fuse, class T>
 auto& field_ref(Cfg&, Fuse& fuse, T FuseOptions::*m) {
   return fuse.*m;
 }
@@ -147,7 +143,7 @@ std::uint64_t option_value(const OptionRow& row, const Config& config,
         if constexpr (std::is_same_v<std::decay_t<decltype(v)>, std::string>) {
           return choice_index(row, v);
         } else {
-          return static_cast<std::uint64_t>(v) / row.scale;
+          return static_cast<std::uint64_t>(v);
         }
       },
       row.field);
@@ -161,7 +157,7 @@ void set_option_value(const OptionRow& row, MountOptions& options, std::uint64_t
         if constexpr (std::is_same_v<T, std::string>) {
           v = std::string(choice(row, value));
         } else {
-          v = static_cast<T>(value * row.scale);
+          v = static_cast<T>(value);
         }
       },
       row.field);
@@ -189,6 +185,9 @@ Status Config::validate() const {
   }
   if (slo_enabled() && sample_ms == 0) {
     return Error{EINVAL, "slo_* targets run on the sampler: need sample_ms > 0"};
+  }
+  if (slow_pwrite_ms > 0 && sample_ms == 0) {
+    return Error{EINVAL, "option 'slow_pwrite_ms' runs on the sampler: need sample_ms > 0"};
   }
   if (slo_long_s < slo_short_s) {
     return Error{EINVAL, "slo windows need slo_short_s <= slo_long_s"};

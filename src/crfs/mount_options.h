@@ -43,9 +43,8 @@ enum class OptionKind {
 };
 
 /// Where an option's value lives in MountOptions.
-using OptionField =
-    std::variant<std::size_t Config::*, unsigned Config::*, bool Config::*, std::string Config::*,
-                 std::uint64_t obs::HealthConfig::*, bool FuseOptions::*>;
+using OptionField = std::variant<std::size_t Config::*, unsigned Config::*, bool Config::*,
+                                 std::string Config::*, bool FuseOptions::*>;
 
 /// One mount option.
 struct OptionRow {
@@ -65,8 +64,6 @@ struct OptionRow {
   std::string_view choices = {};
   /// kBool: one more spelling of no_<key>.
   std::string_view alias = {};
-  /// The field holds the option value times this.
-  std::uint64_t scale = 1;
 };
 
 inline constexpr auto kMountOptionTable = [] {
@@ -103,9 +100,8 @@ inline constexpr auto kMountOptionTable = [] {
        .unit = "ms", .doc = "live sampler period (0 = no sampler)"},
       {.key = "sample_ring", .kind = kUint, .field = &Config::sample_ring, .lo = 1,
        .doc = "sampler frames kept"},
-      {.key = "slow_pwrite_ms", .kind = kUint, .field = &obs::HealthConfig::slow_pwrite_p99_ns,
-       .hi = 100000, .unit = "ms", .doc = "slow_pwrite health rule: p99 threshold (0 = off)",
-       .scale = 1'000'000},
+      {.key = "slow_pwrite_ms", .kind = kUint, .field = &Config::slow_pwrite_ms, .hi = 100000,
+       .unit = "ms", .doc = "slow_pwrite health rule: p99 threshold (0 = off)"},
       {.key = "slow_capture_ms", .kind = kUint, .field = &Config::slow_capture_ms,
        .hi = 100000, .unit = "ms", .doc = "slow-exemplar capture threshold (0 = off)"},
       {.key = "slow_exemplars", .kind = kUint, .field = &Config::slow_exemplars, .lo = 1,
@@ -172,7 +168,7 @@ constexpr std::pair<std::uint64_t, std::uint64_t> option_range(const OptionRow& 
         return 0;
       },
       row.field);
-  return {row.lo, std::min(row.hi, type_max / row.scale)};
+  return {row.lo, std::min(row.hi, type_max)};
 }
 
 /// The knob plane's declaration of runtime knob `name`, bounds and unit

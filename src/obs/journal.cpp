@@ -15,7 +15,7 @@
 #include "common/checksum.h"
 #include "obs/json_out.h"
 #include "obs/sampler.h"
-#include "obs/slo.h"
+#include "obs/rules.h"
 
 namespace crfs::obs {
 namespace {
@@ -482,7 +482,7 @@ std::uint64_t find_counter(const Registry::Snapshot& snap, std::string_view name
 
 }  // namespace
 
-std::string journal_sample_json(const Sample& s, const SloInput& in) {
+std::string journal_sample_json(const Sample& s, const RuleInput& in) {
   std::string j = "{\"seq\":" + std::to_string(s.seq);
   j += ",\"ts_ns\":" + std::to_string(s.ts_ns);
   j += ",\"dt_ns\":" + std::to_string(s.dt_ns);
@@ -493,7 +493,7 @@ std::string journal_sample_json(const Sample& s, const SloInput& in) {
   j += ",\"queue_depth\":" + std::to_string(depth.value_or(0));
   const auto free_chunks = s.gauge("crfs.pool.free_chunks");
   j += ",\"free_chunks\":" + std::to_string(free_chunks.value_or(0));
-  // Windowed SLO inputs (see SloExtractor): _n = observations in this tick
+  // Windowed SLO inputs (see rule_input): _n = observations in this tick
   // window; 0 means "no signal", and the offline replay skips it exactly
   // like the live monitor did.
   j += ",\"lag_p99_ns\":" + std::to_string(static_cast<std::uint64_t>(in.lag_p99_ns));

@@ -269,7 +269,7 @@ void append_frame(std::string& out, FrameType type, std::uint64_t ts_ns,
 /// queue_depth, free_chunks, lag_p99_ns, lag_n, stall_ratio_ppm, stall_n,
 /// ttfb_p99_ns, ttfb_n.
 struct Sample;    // sampler.h
-struct SloInput;  // slo.h
-std::string journal_sample_json(const Sample& s, const SloInput& in);
+struct RuleInput;  // rules.h
+std::string journal_sample_json(const Sample& s, const RuleInput& in);
 
 }  // namespace crfs::obs

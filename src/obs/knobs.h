@@ -32,7 +32,7 @@
 #include <utility>
 #include <vector>
 
-#include "obs/health.h"
+#include "obs/events.h"
 #include "obs/metrics.h"
 
 namespace crfs {

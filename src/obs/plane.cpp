@@ -27,8 +27,10 @@ void journal_owed(Journal& journal, FrameType type, std::uint64_t total,
 Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
     : clock_(std::move(clock)),
       base_(base),
+      sample_ms_(cfg.sample_ms),
       events_(cfg.event_capacity),
-      slow_(cfg.slow_exemplars, static_cast<std::uint64_t>(cfg.slow_capture_ms) * 1'000'000) {
+      slow_(cfg.slow_exemplars, static_cast<std::uint64_t>(cfg.slow_capture_ms) * 1'000'000),
+      decisions_(cfg.event_capacity, &metrics_, &events_) {
   if (cfg.epoch_tracking) {
     epochs_ = std::make_unique<EpochTracker>(
         EpochTracker::Options{
@@ -46,7 +48,7 @@ Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
         &metrics_);
     // Journal head: one meta frame describing the mount, the sampling
     // cadence, and (when set) the SLO targets — enough for an offline
-    // `crfsctl slo` replay to rebuild the monitor after the process dies.
+    // `crfsctl slo` replay to rebuild the burn rows after the process dies.
     std::string meta = "{\"crfs_journal\":1,\"config\":\"";
     append_json_escaped(meta, cfg.describe());
     meta += "\",\"sample_ms\":" + std::to_string(cfg.sample_ms);
@@ -56,11 +58,6 @@ Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
     journal_->set_meta(meta, clock_());
     if (base_ == TimeBase::kWall) journal_->start();
   }
-  if (cfg.slo_enabled()) {
-    slo_ = std::make_unique<SloMonitor>(cfg.slo_config(), &metrics_, &events_);
-  }
-  if (journal_ != nullptr || slo_ != nullptr) extract_ = std::make_unique<SloExtractor>();
-
   // The journal persists every structured event.
   if (journal_ != nullptr) {
     events_.set_listener([this](const Event& ev) {
@@ -87,17 +84,49 @@ Plane::Plane(const Config& cfg, Clock clock, TimeBase base)
                   epochs_->set_gap_ns(static_cast<std::uint64_t>(v) * 1'000'000);
                   return true;
                 });
+
+  // Live telemetry: the sampler and the rules it drives exist only with
+  // sample_ms > 0. Each frame reaches on_sample() through the tick
+  // observer, whichever clock drives the sampler.
+  if (cfg.sample_ms > 0) {
+    rules_ = std::make_unique<RuleEngine>(
+        cfg.slo_config(), static_cast<std::uint64_t>(cfg.slow_pwrite_ms) * 1'000'000, &metrics_,
+        &events_);
+    sampler_ = std::make_unique<Sampler>(
+        metrics_, SamplerOptions{.ring_capacity = cfg.sample_ring});
+    sampler_->set_overrun_counter(&metrics_.counter("crfs.obs.sampler_overruns"));
+    sampler_->set_tick_observer([this](const Sample& s) { on_sample(s); });
+  }
+}
+
+void Plane::start() {
+  if (sampler_ != nullptr && base_ == TimeBase::kWall) {
+    sampler_->start(std::chrono::milliseconds(sample_ms_));
+  }
+}
+
+CtlDecision Plane::tune(std::string_view knob, double value, std::string source) {
+  const TuneResult r = knobs_.tune(knob, value);
+  CtlDecision d;
+  d.ts_ns = clock_();
+  d.source = std::move(source);
+  d.rule = "tune";
+  d.knob = r.knob;
+  d.requested = r.requested;
+  d.from = r.from;
+  d.to = r.to;
+  d.outcome = r.outcome;
+  d.reason = r.reason;
+  d.generation = r.generation;
+  d.seq = decisions_.record(d);
+  return d;
 }
 
 void Plane::on_sample(const Sample& s) {
-  if (extract_ != nullptr) {
-    const SloInput in = extract_->extract(s);
-    if (slo_ != nullptr) slo_->observe(in);
-    if (journal_ != nullptr) {
-      journal_->append(FrameType::kSample, s.ts_ns, journal_sample_json(s, in));
-    }
-  }
+  const RuleInput in = rule_input(s, baseline_);
+  if (rules_ != nullptr) rules_->evaluate(in);
   if (journal_ == nullptr) return;
+  journal_->append(FrameType::kSample, s.ts_ns, journal_sample_json(s, in));
   journal_cold_sinks();
   // Virtual time flushes on the sample's timestamp: frame bytes (and
   // rotation points) depend only on the workload, never on scheduling.
@@ -138,7 +167,7 @@ std::string Plane::journal_json() const {
 }
 
 std::string Plane::slo_json() const {
-  return slo_ != nullptr ? slo_->to_json() : "{\"enabled\":false}";
+  return rules_ != nullptr ? rules_->slo_json() : "{\"enabled\":false}";
 }
 
 void Plane::append_sections(std::string& out) const {

@@ -1,7 +1,5 @@
 #include "obs/sampler.h"
 
-#include "obs/health.h"
-
 namespace crfs::obs {
 
 namespace {
@@ -97,7 +95,6 @@ Sample Sampler::tick(std::uint64_t ts_ns) {
   ring_.push_back(s);
   while (ring_.size() > opts_.ring_capacity) ring_.pop_front();
 
-  if (health_ != nullptr) health_->evaluate(s);
   if (tick_observer_) tick_observer_(s);
   return s;
 }

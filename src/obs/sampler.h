@@ -9,12 +9,15 @@
 // fixed-capacity ring, so callers get bytes/s, writes/s, and errors/s
 // over the last window instead of totals since mount.
 //
-// tick() is clock-agnostic — the caller supplies the timestamp — so the
-// same Sampler serves two drivers:
+// The telemetry plane (obs/plane.h) owns the Sampler and observes every
+// frame through the tick observer (rule engine, journal). tick() is
+// clock-agnostic — the caller supplies the timestamp — so the same
+// Sampler serves two tick sources:
 //   * start(interval): a background thread on the monotonic clock (the
 //     real mount, Config::sample_ms / mount option sample_ms=N);
 //   * the simulator, which ticks on virtual time from a coroutine
-//     (CrfsSimNode::sample_loop), making health rules deterministic.
+//     (CrfsSimNode spawns it at sample_ms), making the rules
+//     deterministic.
 //
 // Cost model: tick() takes the Registry snapshot mutex and allocates —
 // it is a cold path by construction (default 100 ms period; the write
@@ -37,8 +40,6 @@
 #include "obs/metrics.h"
 
 namespace crfs::obs {
-
-class HealthMonitor;  // health.h; attached via set_health_monitor
 
 /// Windowed derivative of one monotonic series between two samples.
 struct Rate {
@@ -85,19 +86,16 @@ class Sampler {
   Sampler& operator=(const Sampler&) = delete;
 
   /// Captures one frame at `ts_ns`: snapshot, derivatives vs the previous
-  /// frame, append to the ring, then evaluate the attached HealthMonitor
-  /// (if any) against the new frame. Returns a copy of the frame.
+  /// frame, append to the ring, then hand the new frame to the tick
+  /// observer (if any). Returns a copy of the frame.
   /// Thread-compatible with concurrent readers; tick() itself must come
   /// from one driver at a time (the thread, or the sim coroutine).
   Sample tick(std::uint64_t ts_ns);
 
-  /// Attach before the first tick; `hm` must outlive the Sampler.
-  void set_health_monitor(HealthMonitor* hm) { health_ = hm; }
-
-  /// Per-tick hook invoked after the HealthMonitor, with the fresh frame
-  /// (where the plane's SLO monitor and journal observe samples — same
-  /// call site whether the driver is the real thread or the sim
-  /// coroutine). Attach before the first tick; read unsynchronized after.
+  /// Per-tick hook invoked with the fresh frame (where the plane's rule
+  /// engine and journal observe samples — same call site whether the
+  /// real thread or the sim coroutine ticks). Attach before the first
+  /// tick; read unsynchronized after.
   void set_tick_observer(std::function<void(const Sample&)> observer) {
     tick_observer_ = std::move(observer);
   }
@@ -124,8 +122,8 @@ class Sampler {
 
   std::uint64_t samples_taken() const { return seq_.load(std::memory_order_relaxed); }
 
-  /// Self-health: counter bumped whenever one tick (snapshot + health
-  /// rules + observer) took longer than the configured period, i.e. the
+  /// Self-health: counter bumped whenever one tick (snapshot + observer)
+  /// took longer than the configured period, i.e. the
   /// sampler is falling behind its own schedule. Attach before start();
   /// `c` must outlive the Sampler. Exposed as `crfs.obs.sampler_overruns`.
   void set_overrun_counter(Counter* c) { overruns_ = c; }
@@ -139,7 +137,6 @@ class Sampler {
  private:
   const Registry& registry_;
   const SamplerOptions opts_;
-  HealthMonitor* health_ = nullptr;
   std::function<void(const Sample&)> tick_observer_;
   Counter* overruns_ = nullptr;
   std::atomic<long long> interval_ms_{100};

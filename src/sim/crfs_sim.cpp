@@ -23,7 +23,7 @@ CrfsSimNode::CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& ba
       job_ready_(sim),
       plane_(config, [this] { return now_ns(); }, obs::Plane::TimeBase::kVirtual) {
   // Same registry schema as the real mount (crfs.cpp), read on virtual
-  // time by an obs::Sampler via sample_loop(). The single-threaded sim
+  // time by the plane's sampler via sample_loop(). The single-threaded sim
   // pays nothing for the atomics.
   obs::Registry& m = plane_.metrics();
   h_pwrite_ = &m.histogram("crfs.io.pwrite_ns");
@@ -103,6 +103,7 @@ void CrfsSimNode::start() {
   for (unsigned i = 0; i < config_.io_threads; ++i) {
     sim_.spawn(io_worker(i));
   }
+  if (plane_.sampler() != nullptr) sim_.spawn(sample_loop());
 }
 
 CrfsSimNode::FileState& CrfsSimNode::state(FileId file) {
@@ -537,10 +538,11 @@ std::vector<obs::EpochRecord> CrfsSimNode::epochs() const {
   return plane_.epochs()->records();
 }
 
-Task CrfsSimNode::sample_loop(obs::Sampler& sampler, double interval_s) {
+Task CrfsSimNode::sample_loop() {
+  const double interval_s = static_cast<double>(config_.sample_ms) / 1e3;
   while (!stopping_) {
     co_await sim_.delay(interval_s);
-    plane_.on_sample(sampler.tick(now_ns()));
+    plane_.sampler()->tick(now_ns());
   }
 }
 

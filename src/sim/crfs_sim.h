@@ -27,7 +27,10 @@ class CrfsSimNode {
   CrfsSimNode(Simulation& sim, const Calibration& cal, BackendSim& backend,
               unsigned node, crfs::Config config, crfs::FuseOptions fuse, unsigned ppn);
 
-  /// Spawns the IO worker tasks. Call once before any app_write.
+  /// Spawns the IO worker tasks, and with Config::sample_ms > 0 the
+  /// virtual-time sampler loop — the deterministic twin of the real
+  /// mount's sampler thread, ticking the plane's sampler every sample_ms
+  /// until stop(). Call once before any app_write.
   void start();
 
   /// Application write of `len` bytes appended to `file` (checkpoint
@@ -57,16 +60,14 @@ class CrfsSimNode {
 
   /// The node's metric registry, mirroring the real pipeline's schema
   /// (crfs.pool.free_chunks, crfs.queue.depth, crfs.io.pwrite_ns/_bytes
-  /// — see docs/OBSERVABILITY.md) with virtual-time nanoseconds, so an
-  /// obs::Sampler and HealthMonitor run unchanged over a simulated node.
+  /// — see docs/OBSERVABILITY.md) with virtual-time nanoseconds, so the
+  /// plane's sampler and rule engine run unchanged over a simulated node.
   obs::Registry& metrics() { return plane_.metrics(); }
   const obs::Registry& metrics() const { return plane_.metrics(); }
 
-  /// Drives `sampler` every `interval_s` of virtual time until stop() —
-  /// the deterministic twin of the real mount's sampler thread. Spawn it
-  /// alongside the workload:
-  ///   sim.spawn(node.sample_loop(sampler, 0.010));
-  Task sample_loop(obs::Sampler& sampler, double interval_s);
+  /// The plane's sampler on virtual time; nullptr unless
+  /// Config::sample_ms > 0.
+  obs::Sampler* sampler() { return plane_.sampler(); }
 
   /// Trace-lane ids when Simulation tracing is on: one lane for the
   /// node's app/FUSE side, one per IO worker — same span names as the
@@ -93,18 +94,19 @@ class CrfsSimNode {
   const obs::SlowStore& slow_store() const { return plane_.slow(); }
   std::string slow_json() const { return plane_.slow().to_json(); }
 
-  // -- Durable journal + SLO mirror (virtual-time twins) --------------------
+  // -- Durable journal + rules (virtual-time twins) -------------------------
   /// Telemetry journal on virtual nanoseconds (nullptr unless
-  /// Config::journal_dir is set). No flusher thread: sample_loop drives
-  /// appends and flushes, and every frame carries a virtual timestamp, so
-  /// two replays of the same workload produce byte-identical segments.
+  /// Config::journal_dir is set). No flusher thread: the sampler loop
+  /// drives appends and flushes, and every frame carries a virtual
+  /// timestamp, so two replays of the same workload produce
+  /// byte-identical segments.
   obs::Journal* journal() { return plane_.journal(); }
-  /// SLO burn-rate monitor on virtual time (nullptr unless slo targets
-  /// are configured). Deterministic: two runs of the same workload
-  /// produce byte-identical slo_json().
-  obs::SloMonitor* slo_monitor() { return plane_.slo(); }
+  /// SLO burn rates on virtual time ({"enabled":false} unless slo
+  /// targets are configured). Deterministic: two runs of the same
+  /// workload produce byte-identical slo_json().
   std::string slo_json() const { return plane_.slo_json(); }
-  /// Structured events on virtual time (SLO breach/recovery land here).
+  /// Structured events on virtual time: health rule firings and SLO
+  /// breach/recovery land here (and in the journal).
   obs::EventBuffer& events() { return plane_.events(); }
 
   /// Current virtual time as integer nanoseconds (the clock the epoch
@@ -163,6 +165,9 @@ class CrfsSimNode {
   };
 
   Task io_worker(unsigned worker);
+  /// Ticks the plane's sampler every sample_ms of virtual time until
+  /// stop().
+  Task sample_loop();
   /// Registers the pipeline's runtime knobs against the sim state (ctor
   /// tail; the plane defines its own).
   void define_knobs();

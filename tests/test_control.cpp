@@ -360,6 +360,10 @@ TEST(KnobPin, SimNodePinsItsKnobSet) {
 TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {
   Config cfg = small_config();
   cfg.sample_ms = 5;  // live sampler ticking alongside
+  // Arm the rules the sampler thread evaluates: an SLO burn row and
+  // slow_pwrite, whose threshold the tuner below retunes.
+  cfg.slo_lag_ms = 1;
+  cfg.slow_pwrite_ms = 1;
   auto fs = Crfs::mount(std::make_shared<MemBackend>(), cfg);
   ASSERT_TRUE(fs.ok());
   Crfs& crfs = *fs.value();
@@ -383,6 +387,7 @@ TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {
       (void)crfs.tune("io_batch", 1.0 + i % 4);
       (void)crfs.tune("pool_chunks", 4.0 + i % 3);
       (void)crfs.tune("slow_capture_ms", (i % 2) != 0 ? 1.0 : 1000.0);
+      (void)crfs.tune("slow_pwrite_ms", (i % 2) != 0 ? 1.0 : 0.0);
       std::this_thread::sleep_for(std::chrono::milliseconds(1));
       if (i >= 1000) break;  // safety against a stuck writer
     }
@@ -391,6 +396,8 @@ TEST(ControlPlane, PrometheusScrapeRacesKnobRetunes) {
   for (int scrape = 0; scrape < 50; ++scrape) {
     last = obs::to_prometheus(crfs.metrics().snapshot());
     EXPECT_NE(last.find("crfs_"), std::string::npos);
+    // stats_json renders the burn state the sampler thread updates.
+    EXPECT_NE(crfs.stats_json().find("\"slo\":{\"enabled\":true"), std::string::npos);
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   writer.join();

@@ -31,8 +31,6 @@
 #include "obs/json_lite.h"
 #include "obs/journal.h"
 #include "obs/metrics.h"
-#include "obs/sampler.h"
-#include "obs/slo.h"
 #include "sim/crfs_sim.h"
 #include "sim/engine.h"
 #include "sim/throttled_sim.h"
@@ -342,9 +340,7 @@ SimReplay run_throttled_replay(const std::string& dir) {
   cfg.slo_long_s = 5;
   sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
 
-  obs::Sampler sampler(node.metrics());
   node.start();
-  sim.spawn(node.sample_loop(sampler, 0.010));
   sim.spawn(drive_sim(node, 64 * MiB));
   sim.run();
 

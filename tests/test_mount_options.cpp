@@ -151,6 +151,20 @@ TEST(MountOptions, CommaInPathIsRejected) {
   }
 }
 
+TEST(MountOptions, SlowPwriteNeedsTheSampler) {
+  // The slow_pwrite rule runs on the sampler tick: without one the
+  // threshold would be accepted and never judged.
+  const auto alone = parse_mount_options("slow_pwrite_ms=5");
+  expect_rejected(alone.ok() ? Status{} : Status{alone.error()}, "slow_pwrite_ms",
+                  "slow_pwrite_ms=5");
+  Config cfg;
+  cfg.slow_pwrite_ms = 5;
+  expect_rejected(cfg.validate(), "slow_pwrite_ms", "Config slow_pwrite_ms=5");
+  const auto sampled = parse_mount_options("sample_ms=10,slow_pwrite_ms=5");
+  ASSERT_TRUE(sampled.ok()) << sampled.error().to_string();
+  EXPECT_EQ(sampled.value().config.slow_pwrite_ms, 5u);
+}
+
 TEST(MountOptions, DescribeNamesOnlyChangedSettings) {
   const std::string d = Config{}.describe();
   for (const char* key : {"io_batch", "readahead_window", "slow_capture_ms", "drain_parallel"}) {

@@ -27,7 +27,7 @@
 #include "crfs/fuse_shim.h"
 #include "obs/chrome_trace.h"
 #include "obs/epoch.h"
-#include "obs/health.h"
+#include "obs/events.h"
 #include "obs/journal.h"
 #include "obs/json_lite.h"
 #include "obs/metrics.h"
@@ -546,36 +546,42 @@ TEST(Sampler, BackgroundThreadTicksAndStops) {
 
 // ---------------------------------------------------------------- health
 
-// Synthetic telemetry source: health rules read gauges/counters we control
-// directly, ticked on a hand-rolled virtual clock.
+// Synthetic telemetry source: the rules read gauges/counters we control
+// directly, through a plane whose own sampler ticks on a hand-rolled
+// virtual clock.
+Config health_rig_config(unsigned slow_pwrite_ms) {
+  Config cfg;
+  cfg.sample_ms = 10;
+  cfg.slow_pwrite_ms = slow_pwrite_ms;
+  return cfg;
+}
+
 struct HealthRig {
-  obs::Registry reg;
+  std::uint64_t now_ns = 0;
+  obs::Plane plane;
   std::int64_t free_chunks = 8;
   std::int64_t depth = 0;
   obs::LatencyHistogram* pwrite_ns = nullptr;
   obs::Counter* errors = nullptr;
-  obs::EventBuffer events;
-  obs::Sampler sampler;
-  obs::HealthMonitor monitor;
-  std::uint64_t now_ns = 0;
 
-  explicit HealthRig(obs::HealthConfig cfg)
-      : events(64), sampler(reg), monitor(cfg, events) {
+  explicit HealthRig(unsigned slow_pwrite_ms = 0)
+      : plane(health_rig_config(slow_pwrite_ms), [this] { return now_ns; },
+              obs::Plane::TimeBase::kVirtual) {
+    obs::Registry& reg = plane.metrics();
     reg.gauge_fn("crfs.pool.free_chunks", [this] { return free_chunks; });
     reg.gauge_fn("crfs.queue.depth", [this] { return depth; });
     pwrite_ns = &reg.histogram("crfs.io.pwrite_ns");
     errors = &reg.counter("crfs.io.pwrite_errors");
-    sampler.set_health_monitor(&monitor);
   }
 
   void tick() {
     now_ns += 10'000'000;  // 10 ms frames
-    sampler.tick(now_ns);
+    plane.sampler()->tick(now_ns);
   }
 
   std::vector<obs::Event> fired(const std::string& rule) const {
     std::vector<obs::Event> out;
-    for (const auto& e : events.snapshot()) {
+    for (const auto& e : plane.events().snapshot()) {
       if (e.rule == rule) out.push_back(e);
     }
     return out;
@@ -583,7 +589,7 @@ struct HealthRig {
 };
 
 TEST(HealthMonitor, PoolStarvationIsEdgeTriggeredWithHysteresis) {
-  HealthRig rig({.starvation_samples = 3});
+  HealthRig rig;
   rig.tick();  // healthy baseline
   rig.free_chunks = 0;
   rig.tick();
@@ -609,10 +615,12 @@ TEST(HealthMonitor, PoolStarvationIsEdgeTriggeredWithHysteresis) {
 }
 
 TEST(HealthMonitor, QueueStallNeedsDepthAndZeroCompletions) {
-  HealthRig rig({.stall_samples = 2});
+  HealthRig rig;
   rig.tick();
   rig.depth = 5;
   rig.tick();
+  rig.tick();
+  EXPECT_EQ(rig.fired("queue_stall").size(), 0u);  // run of 2 < 3
   rig.tick();
   ASSERT_EQ(rig.fired("queue_stall").size(), 1u);
   EXPECT_EQ(rig.fired("queue_stall")[0].severity, obs::Severity::kCritical);
@@ -622,18 +630,19 @@ TEST(HealthMonitor, QueueStallNeedsDepthAndZeroCompletions) {
   rig.pwrite_ns->record(100);
   rig.tick();
   rig.tick();  // no completion this window, run restarts at 1
+  rig.tick();
   EXPECT_EQ(rig.fired("queue_stall").size(), 1u);
-  rig.tick();  // run reaches 2 again -> second stall
+  rig.tick();  // run reaches 3 again -> second stall
   EXPECT_EQ(rig.fired("queue_stall").size(), 2u);
 
   // Empty queue never stalls, no matter how idle.
-  HealthRig idle({.stall_samples = 2});
+  HealthRig idle;
   for (int i = 0; i < 10; ++i) idle.tick();
   EXPECT_EQ(idle.fired("queue_stall").size(), 0u);
 }
 
 TEST(HealthMonitor, SlowPwriteComparesP99AgainstThreshold) {
-  HealthRig rig({.slow_pwrite_p99_ns = 1'000'000});
+  HealthRig rig(/*slow_pwrite_ms=*/1);
   for (int i = 0; i < 100; ++i) rig.pwrite_ns->record(10'000);  // 10 us: fine
   rig.tick();
   EXPECT_EQ(rig.fired("slow_pwrite").size(), 0u);
@@ -641,89 +650,110 @@ TEST(HealthMonitor, SlowPwriteComparesP99AgainstThreshold) {
   rig.tick();
   ASSERT_EQ(rig.fired("slow_pwrite").size(), 1u);
   EXPECT_GT(rig.fired("slow_pwrite")[0].value, 1'000'000.0);
-  rig.tick();  // p99 still high: hysteresis, no second event
+  rig.tick();  // no pwrites in the window: the state holds, no second event
   EXPECT_EQ(rig.fired("slow_pwrite").size(), 1u);
 
   // Disabled by default (threshold 0).
-  HealthRig off({});
+  HealthRig off;
   for (int i = 0; i < 100; ++i) off.pwrite_ns->record(50'000'000);
   off.tick();
   EXPECT_EQ(off.fired("slow_pwrite").size(), 0u);
 }
 
-TEST(HealthMonitor, ErrorBurstIsPerWindow) {
-  HealthRig rig({.error_burst = 2});
+// The p99 is the window's, not the mount's lifetime's: a slow window
+// after a long fast history fires, and fast windows re-arm the rule.
+TEST(HealthMonitor, SlowPwriteJudgesTheWindowNotTheMountLifetime) {
+  HealthRig rig(/*slow_pwrite_ms=*/1);
+  for (int i = 0; i < 10'000; ++i) rig.pwrite_ns->record(10'000);  // 10 us
   rig.tick();
-  rig.errors->add(1);
-  rig.tick();  // 1 new error < 2
+  for (int i = 0; i < 50; ++i) rig.pwrite_ns->record(50'000'000);  // 50 ms
+  rig.tick();
+  EXPECT_EQ(rig.fired("slow_pwrite").size(), 1u);
+
+  HealthRig bursts(/*slow_pwrite_ms=*/1);
+  for (int i = 0; i < 100; ++i) bursts.pwrite_ns->record(50'000'000);
+  bursts.tick();
+  EXPECT_EQ(bursts.fired("slow_pwrite").size(), 1u);
+  for (int w = 0; w < 5; ++w) {
+    for (int i = 0; i < 100; ++i) bursts.pwrite_ns->record(10'000);
+    bursts.tick();
+  }
+  for (int i = 0; i < 100; ++i) bursts.pwrite_ns->record(50'000'000);
+  bursts.tick();
+  EXPECT_EQ(bursts.fired("slow_pwrite").size(), 2u);
+}
+
+TEST(HealthMonitor, ErrorBurstIsPerWindow) {
+  HealthRig rig;
+  rig.tick();
+  rig.tick();  // no errors
   EXPECT_EQ(rig.fired("error_burst").size(), 0u);
   rig.errors->add(3);
-  rig.tick();  // 3 new errors >= 2
+  rig.tick();  // 3 new errors >= 1
   ASSERT_EQ(rig.fired("error_burst").size(), 1u);
   EXPECT_DOUBLE_EQ(rig.fired("error_burst")[0].value, 3.0);
+  EXPECT_DOUBLE_EQ(rig.fired("error_burst")[0].threshold, 1.0);
   rig.tick();  // no new errors: totals stay high but the window is clean
   EXPECT_EQ(rig.fired("error_burst").size(), 1u);
-  rig.errors->add(2);
+  rig.errors->add(1);
+  rig.tick();
+  rig.errors->add(1);
   rig.tick();  // bursts are per-window, not edge-triggered
-  EXPECT_EQ(rig.fired("error_burst").size(), 2u);
+  EXPECT_EQ(rig.fired("error_burst").size(), 3u);
 }
 
 TEST(HealthMonitor, IdenticalConsecutiveSamplesNeverDuplicateEvents) {
   // Arm every edge-triggered rule at once, then freeze the world: with
   // nothing changing between samples, each rule must have fired exactly
   // once no matter how many identical frames follow.
-  HealthRig rig({.starvation_samples = 2,
-                 .stall_samples = 2,
-                 .slow_pwrite_p99_ns = 1'000'000});
+  HealthRig rig(/*slow_pwrite_ms=*/1);
   rig.tick();  // healthy baseline
   rig.free_chunks = 0;
   rig.depth = 3;
   for (int i = 0; i < 100; ++i) rig.pwrite_ns->record(50'000'000);
   rig.tick();  // sees the pwrite burst: slow_pwrite fires, stall run resets
-  rig.tick();  // starvation run reaches 2 and fires
-  rig.tick();  // stall run reaches 2 (no completions since) and fires
+  rig.tick();
+  rig.tick();  // starvation run reaches 3 and fires
+  rig.tick();  // stall run reaches 3 (no completions since) and fires
   ASSERT_EQ(rig.fired("pool_starvation").size(), 1u);
   ASSERT_EQ(rig.fired("queue_stall").size(), 1u);
   ASSERT_EQ(rig.fired("slow_pwrite").size(), 1u);
 
-  const std::uint64_t total_after_fire = rig.events.total();
+  const std::uint64_t total_after_fire = rig.plane.events().total();
   for (int i = 0; i < 50; ++i) rig.tick();  // identical frames
-  EXPECT_EQ(rig.events.total(), total_after_fire);
+  EXPECT_EQ(rig.plane.events().total(), total_after_fire);
   EXPECT_EQ(rig.fired("pool_starvation").size(), 1u);
   EXPECT_EQ(rig.fired("queue_stall").size(), 1u);
   EXPECT_EQ(rig.fired("slow_pwrite").size(), 1u);
 }
 
 TEST(HealthMonitor, EdgeStateSurvivesSamplerRestart) {
-  // The fired/cleared hysteresis lives in the HealthMonitor, not the
-  // Sampler: tearing the sampler down mid-incident and attaching a fresh
-  // one (crfsctl watch reconnecting, say) must not re-report the same
-  // still-standing condition.
-  HealthRig rig({.starvation_samples = 2});
+  // The fired/cleared hysteresis lives in the rule engine, not the
+  // Sampler: frames from a fresh sampler mid-incident must not re-report
+  // the same still-standing condition.
+  HealthRig rig;
   rig.tick();
   rig.free_chunks = 0;
-  rig.tick();
-  rig.tick();
+  for (int i = 0; i < 3; ++i) rig.tick();
   ASSERT_EQ(rig.fired("pool_starvation").size(), 1u);
 
-  // Fresh sampler, same registry + monitor; the pool is still starved.
-  obs::Sampler restarted(rig.reg);
-  restarted.set_health_monitor(&rig.monitor);
+  // Fresh sampler, same registry + rules; the pool is still starved.
+  obs::Sampler restarted(rig.plane.metrics());
   for (int i = 0; i < 10; ++i) {
     rig.now_ns += 10'000'000;
-    restarted.tick(rig.now_ns);
+    rig.plane.on_sample(restarted.tick(rig.now_ns));
   }
   EXPECT_EQ(rig.fired("pool_starvation").size(), 1u);  // no duplicate
 
   // Recovery observed by the restarted sampler re-arms the rule...
   rig.free_chunks = 4;
   rig.now_ns += 10'000'000;
-  restarted.tick(rig.now_ns);
+  rig.plane.on_sample(restarted.tick(rig.now_ns));
   // ...so a fresh starvation run fires a second event.
   rig.free_chunks = 0;
-  for (int i = 0; i < 2; ++i) {
+  for (int i = 0; i < 3; ++i) {
     rig.now_ns += 10'000'000;
-    restarted.tick(rig.now_ns);
+    rig.plane.on_sample(restarted.tick(rig.now_ns));
   }
   EXPECT_EQ(rig.fired("pool_starvation").size(), 2u);
 }
@@ -1012,19 +1042,14 @@ SimHealthRun run_sim_checkpoint(double backend_bytes_per_sec) {
   cfg.chunk_size = 1 * MiB;
   cfg.pool_size = 4 * MiB;  // 4 chunks
   cfg.io_threads = 1;
+  cfg.sample_ms = 10;  // 10 ms virtual frames
   sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
 
-  obs::EventBuffer events(64);
-  obs::HealthMonitor monitor(obs::HealthConfig{}, events);
-  obs::Sampler sampler(node.metrics());
-  sampler.set_health_monitor(&monitor);
-
   node.start();
-  sim.spawn(node.sample_loop(sampler, 0.010));  // 10 ms virtual frames
   sim.spawn(drive_sim_checkpoint(node, 16 * MiB));
   sim.run();
 
-  return {events.snapshot(), sampler.samples_taken(), node.pool_waits()};
+  return {node.events().snapshot(), node.sampler()->samples_taken(), node.pool_waits()};
 }
 
 TEST(SimHealth, DegradedBackendFiresStallAndStarvationDeterministically) {
@@ -1055,6 +1080,39 @@ TEST(SimHealth, DegradedBackendFiresStallAndStarvationDeterministically) {
   // A fast backend (10 GiB/s) never congests: no events at all.
   const SimHealthRun fast = run_sim_checkpoint(10.0 * GiB);
   EXPECT_EQ(fast.events.size(), 0u);
+}
+
+// The DES node wires the sampler and the rules itself, like the real
+// mount: its journal carries the health events of a degraded backend.
+TEST(SimHealth, JournalCarriesHealthEventFrames) {
+  const std::string dir =
+      ::testing::TempDir() + "crfs_sim_health_journal_" + std::to_string(::getpid());
+  std::filesystem::remove_all(dir);
+  {
+    sim::Simulation sim;
+    sim::Calibration cal;
+    FixedRateBackend backend(sim, 1.0 * MiB);
+    Config cfg;
+    cfg.chunk_size = 1 * MiB;
+    cfg.pool_size = 4 * MiB;
+    cfg.io_threads = 1;
+    cfg.sample_ms = 10;
+    cfg.journal_dir = dir;
+    sim::CrfsSimNode node(sim, cal, backend, /*node=*/0, cfg, FuseOptions{}, /*ppn=*/1);
+    node.start();
+    sim.spawn(drive_sim_checkpoint(node, 16 * MiB));
+    sim.run();
+  }
+  std::map<std::string, int> rules;
+  for (const auto& rec : obs::JournalReader::read_dir(dir).records) {
+    if (rec.type != obs::FrameType::kEvent) continue;
+    const auto ev = obs::json::parse(rec.payload);
+    ASSERT_TRUE(ev.has_value()) << rec.payload;
+    rules[ev->get("rule")->string] += 1;
+  }
+  EXPECT_GT(rules["queue_stall"], 0);
+  EXPECT_GT(rules["pool_starvation"], 0);
+  std::filesystem::remove_all(dir);
 }
 
 // ------------------------------------------------------------ sim engine
@@ -1412,7 +1470,7 @@ TEST(ObsPlane, VirtualTimeJournalsEachEpochAndExemplarOnce) {
   obs::Plane plane(cfg, [&now] { return now; }, obs::Plane::TimeBase::kVirtual);
   ASSERT_NE(plane.journal(), nullptr);
   ASSERT_NE(plane.epochs(), nullptr);
-  EXPECT_EQ(plane.slo(), nullptr);
+  EXPECT_EQ(plane.rules(), nullptr);
   obs::Sampler sampler(plane.metrics());
 
   const auto capture = [&plane](std::uint64_t durable_ns) {
