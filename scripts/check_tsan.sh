@@ -26,8 +26,10 @@
 # writers stage, size and namespace ops wait on a file's stream and the
 # drain thread waits for every file of the sealed unit; copied marks,
 # per-file remote fsyncs and the shared drain_mbps budget; drain-failure
-# retry racing the healing remote). The drain suites then run 5 more
-# times, since those hand-offs race differently on each run.
+# retry racing the healing remote; the stage pool handing stage files
+# between files and unlinking spares after the tier lock is dropped). The
+# drain and pool suites then run 5 more times, since those hand-offs race
+# differently on each run.
 # Any data-race report fails the run (TSan exits non-zero).
 set -euo pipefail
 
@@ -55,6 +57,6 @@ export TSAN_OPTIONS="halt_on_error=1 ${TSAN_OPTIONS:-}"
 "$BUILD_DIR"/tests/test_journal --gtest_filter='-JournalCrash.*'
 "$BUILD_DIR"/tests/test_tiered
 "$BUILD_DIR"/tests/test_tiered \
-  --gtest_filter='TieredDrain.*:TieredEager.*:TieredFence.*:TieredNamespace.*' --gtest_repeat=5
+  --gtest_filter='TieredDrain.*:TieredEager.*:TieredFence.*:TieredNamespace.*:TieredPool.*' --gtest_repeat=5
 
 echo "TSan: clean"

@@ -62,6 +62,20 @@ std::string normalize(const std::string& path) {
   return out;
 }
 
+/// The directory of `path`, normalized; "" for a file in the root.
+std::string parent_of(const std::string& path) {
+  const std::string norm = normalize(path);
+  const std::size_t slash = norm.rfind('/');
+  return slash == std::string::npos ? std::string() : norm.substr(0, slash);
+}
+
+/// "<pid>-<n>-" for the n-th tier of this process: stage file names never
+/// collide between tiers that share a stage directory.
+std::string make_stage_prefix() {
+  static std::atomic<unsigned> tiers{0};
+  return std::to_string(::getpid()) + "-" + std::to_string(tiers.fetch_add(1)) + "-";
+}
+
 }  // namespace
 
 TieredBackend::TieredBackend(std::shared_ptr<BackendFs> stage,
@@ -70,7 +84,8 @@ TieredBackend::TieredBackend(std::shared_ptr<BackendFs> stage,
       remote_(std::move(remote)),
       opts_(opts),
       drain_mbps_cap_(opts.drain_mbps),
-      drain_parallel_(opts.drain_parallel == 0 ? 1 : opts.drain_parallel) {
+      drain_parallel_(opts.drain_parallel == 0 ? 1 : opts.drain_parallel),
+      stage_prefix_(make_stage_prefix()) {
   drain_thread_ = std::thread([this] { drain_loop(); });
 }
 
@@ -92,13 +107,27 @@ TieredBackend::~TieredBackend() {
   for (auto& worker : workers_) worker.join();
 
   std::unique_lock<std::mutex> lock(mu_);
+  std::vector<StageFile> doomed = std::move(spares_);
+  const auto drop_stage = [&](FileState& fs) {
+    if (!fs.stage) return;
+    // Bytes the drain abandoned (a dead remote) stay on the stage.
+    if (fs.extents.empty() || fs.unlinked) {
+      doomed.push_back(std::move(*fs.stage));
+    } else {
+      (void)stage_->close_file(fs.stage->handle);
+    }
+    fs.stage.reset();
+  };
   for (auto& [path, fs] : files_) {
-    if (fs->stage_open) (void)stage_->close_file(fs->stage_file);
+    drop_stage(*fs);
     if (fs->remote_read_open) (void)remote_->close_file(fs->remote_read);
   }
+  for (auto& [handle, open] : handles_) drop_stage(*open.file);  // retired, still open
   files_.clear();
   for (auto& [path, handle] : remote_write_) (void)remote_->close_file(handle);
   remote_write_.clear();
+  lock.unlock();
+  free_stage_files(doomed);
 }
 
 void TieredBackend::bind_obs(obs::Registry* registry, obs::EventBuffer* events) {
@@ -172,14 +201,40 @@ Result<TieredBackend::OpenHandle> TieredBackend::resolve(BackendFile file,
   return it->second;
 }
 
-Status TieredBackend::ensure_stage_open_locked(FileState& fs) {
-  if (fs.stage_open) return {};
-  auto opened =
-      stage_->open_file(fs.path, {.create = true, .truncate = false, .write = true});
+Status TieredBackend::take_stage_locked(FileState& fs) {
+  if (fs.stage) return {};
+  if (!spares_.empty()) {
+    // The newest spare: its pages are the likeliest to be resident. Its
+    // old bytes stay; no extent of `fs` covers them yet.
+    fs.stage = std::move(spares_.back());
+    spares_.pop_back();
+    spare_bytes_ -= fs.stage->size;
+    return {};
+  }
+  StageFile sf{stage_prefix_ + std::to_string(next_stage_id_++) + ".stage", 0, 0};
+  // Truncate a leftover of an earlier process that had the same pid.
+  auto opened = stage_->open_file(sf.name, {.create = true, .truncate = true, .write = true});
   if (!opened.ok()) return opened.error();
-  fs.stage_file = opened.value();
-  fs.stage_open = true;
+  sf.handle = opened.value();
+  fs.stage = std::move(sf);
   return {};
+}
+
+void TieredBackend::trim_spares_locked(std::vector<StageFile>& doomed) {
+  const std::uint64_t budget = opts_.stage_cap > 0 ? opts_.stage_cap : stage_peak_;
+  auto keep = spares_.begin();
+  while (keep != spares_.end() && spare_bytes_ + stage_used_ > budget) {
+    spare_bytes_ -= keep->size;
+    doomed.push_back(std::move(*keep++));
+  }
+  spares_.erase(spares_.begin(), keep);
+}
+
+void TieredBackend::free_stage_files(const std::vector<StageFile>& doomed) {
+  for (const StageFile& sf : doomed) {
+    (void)stage_->close_file(sf.handle);
+    (void)stage_->unlink(sf.name);
+  }
 }
 
 Status TieredBackend::ensure_remote_read_locked(FileState& fs) {
@@ -258,26 +313,27 @@ void TieredBackend::seal_epoch(std::uint64_t epoch_id) {
   seal_locked(epoch_id, obs::now_ns());
 }
 
-void TieredBackend::release_file_locked(const std::shared_ptr<FileState>& fs) {
-  if (fs->open_count > 0) return;
+void TieredBackend::release_file_locked(const std::shared_ptr<FileState>& fs,
+                                        std::vector<StageFile>& doomed) {
+  // A write still in flight would land in the next owner's stage file.
+  if (fs->open_count > 0 || fs->inflight > 0) return;
   // What was written through a retired file's handles goes with the last.
   if (fs->unlinked && trim_extents_locked(*fs, 0, ~std::uint64_t{0}) > 0) {
     space_cv_.notify_all();
   }
   if (!fs->extents.empty()) return;
-  // A retired file no longer owns its path on either tier.
-  auto it = files_.find(fs->path);
-  const bool owner = it != files_.end() && it->second == fs;
-  if (fs->stage_open) {
-    (void)stage_->close_file(fs->stage_file);
-    fs->stage_open = false;
-    if (owner) (void)stage_->unlink(fs->path);  // reclaim staged bytes
+  if (fs->stage) {  // back to the pool, pages intact
+    spare_bytes_ += fs->stage->size;
+    spares_.push_back(std::move(*fs->stage));
+    fs->stage.reset();
+    trim_spares_locked(doomed);
   }
   if (fs->remote_read_open) {
     (void)remote_->close_file(fs->remote_read);
     fs->remote_read_open = false;
   }
-  if (owner) files_.erase(it);
+  // A retired file left files_ when it retired; its path may be another's.
+  if (!fs->unlinked) files_.erase(fs->path);
 }
 
 Result<BackendFile> TieredBackend::remote_writer_locked(const FileState& fs) {
@@ -319,28 +375,35 @@ Result<BackendFile> TieredBackend::open_file(const std::string& path, OpenFlags 
   if (!exists && !(flags.write && flags.create)) {
     return Error{ENOENT, "tiered open: no such file: " + path};
   }
+  const std::string dir = exists ? std::string() : parent_of(path);
+  if (!dir.empty()) {
+    // A new file drains into its directory on the remote: it must exist.
+    lock.unlock();
+    auto st = remote_->stat(dir);
+    lock.lock();
+    if (!st.ok() || !st.value().is_dir) {
+      return Error{ENOENT, "tiered open: no such directory: " + dir};
+    }
+  }
 
   auto fs = file_for(path, lock);
   if (remote_exists && fs->extents.empty() && fs->open_count == 0) {
     fs->size = std::max(fs->size, remote_size);
   }
-  if (flags.write) {
-    CRFS_RETURN_IF_ERROR(ensure_stage_open_locked(*fs));
-    if (flags.truncate) {
-      // Both tiers shrink under the lock, after in-flight drain IO: no copy
-      // can then write truncated bytes back (see truncate()).
-      wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
-      trim_extents_locked(*fs, 0, ~std::uint64_t{0});
-      fs->size = 0;
-      (void)stage_->truncate(fs->stage_file, 0);
-      // The stat above ran unlocked, before the fence: a drain copy may
-      // have created the remote file since, so its writer counts too.
-      if (remote_exists || remote_write_.count(fs->path) != 0) {
-        auto rw = remote_writer_locked(*fs);
-        if (rw.ok()) (void)remote_->truncate(rw.value(), 0);
-      }
-      space_cv_.notify_all();
+  if (flags.write && flags.truncate) {
+    // The remote shrinks under the lock, after in-flight drain IO: no copy
+    // can then write truncated bytes back (see truncate()). The stage file
+    // stays as it is: with no extent left, no read reaches its bytes.
+    wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
+    trim_extents_locked(*fs, 0, ~std::uint64_t{0});
+    fs->size = 0;
+    // The stat above ran unlocked, before the fence: a drain copy may
+    // have created the remote file since, so its writer counts too.
+    if (remote_exists || remote_write_.count(fs->path) != 0) {
+      auto rw = remote_writer_locked(*fs);
+      if (rw.ok()) (void)remote_->truncate(rw.value(), 0);
     }
+    space_cv_.notify_all();
   }
   fs->open_count += 1;
   const BackendFile handle = next_handle_++;
@@ -355,7 +418,10 @@ Status TieredBackend::close_file(BackendFile file) {
   auto fs = it->second.file;
   handles_.erase(it);
   if (fs->open_count > 0) fs->open_count -= 1;
-  release_file_locked(fs);
+  std::vector<StageFile> doomed;
+  release_file_locked(fs, doomed);
+  lock.unlock();
+  free_stage_files(doomed);
   return {};
 }
 
@@ -443,8 +509,8 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
     }
   }
 
-  CRFS_RETURN_IF_ERROR(ensure_stage_open_locked(*fs));
-  const BackendFile sf = fs->stage_file;
+  CRFS_RETURN_IF_ERROR(take_stage_locked(*fs));
+  const BackendFile sf = fs->stage->handle;
   fs->inflight += 1;
   lock.unlock();
 
@@ -452,29 +518,38 @@ Status TieredBackend::pwrite(BackendFile file, std::span<const std::byte> data,
 
   lock.lock();
   fs->inflight -= 1;
-  if (!wrote.ok()) return wrote;
-  trim_extents_locked(*fs, offset, len);
-  fs->size = std::max(fs->size, offset + len);
-  stage_used_ += len;
-  t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
-  if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
-  if (fs->unlinked) {  // retired, maybe while this write ran
-    fs->extents.emplace(offset, Extent{len, kRetiredUnit, 0, false});
-    return {};
+  std::vector<StageFile> doomed;
+  if (wrote.ok()) {
+    fs->stage->size = std::max(fs->stage->size, offset + len);
+    trim_extents_locked(*fs, offset, len);
+    fs->size = std::max(fs->size, offset + len);
+    stage_used_ += len;
+    stage_peak_ = std::max(stage_peak_, stage_used_);
+    trim_spares_locked(doomed);
+    t_staged_bytes_.fetch_add(len, std::memory_order_relaxed);
+    if (c_staged_bytes_ != nullptr) c_staged_bytes_->add(len);
+    if (fs->unlinked) {  // retired, maybe while this write ran
+      fs->extents.emplace(offset, Extent{len, kRetiredUnit, 0, false});
+    } else {
+      const std::uint64_t write_id = next_write_id_++;
+      fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
+      UnitShare& share = fs->units[open_unit_seq_];
+      share.staged += len;
+      share.uncopied += len;
+      open_unit_bytes_ += len;
+      // Copy early: an idle stream claims the file (its own stream, if it
+      // has one, claims it again after its step).
+      if (sealed_.empty() && !eager_stopped_ && !fs->drain_io &&
+          streams_ < drain_parallel_.load(std::memory_order_relaxed)) {
+        wake_streams_locked(false);
+      }
+    }
   }
-  const std::uint64_t write_id = next_write_id_++;
-  fs->extents.emplace(offset, Extent{len, open_unit_seq_, write_id, false});
-  UnitShare& share = fs->units[open_unit_seq_];
-  share.staged += len;
-  share.uncopied += len;
-  open_unit_bytes_ += len;
-  // Copy early: an idle stream claims the file (its own stream, if it has
-  // one, claims it again after its step).
-  if (sealed_.empty() && !eager_stopped_ && !fs->drain_io &&
-      streams_ < drain_parallel_.load(std::memory_order_relaxed)) {
-    wake_streams_locked(false);
-  }
-  return {};
+  // Its last handle closed while this write ran: release it now.
+  if (fs->open_count == 0) release_file_locked(fs, doomed);
+  lock.unlock();
+  free_stage_files(doomed);
+  return wrote;
 }
 
 Result<std::size_t> TieredBackend::pread(BackendFile file, std::span<std::byte> data,
@@ -532,8 +607,8 @@ Result<std::size_t> TieredBackend::pread(BackendFile file, std::span<std::byte> 
     if (!segs.empty()) {
       for (const Seg& s : segs) {
         if (s.staged) {
-          // Extents exist => the stage handle is open (invariant).
-          stage_file = fs->stage_file;
+          // Extents exist => the file holds a stage file (invariant).
+          stage_file = fs->stage->handle;
         }
       }
       // A retired file's remote path is gone or another file's now: its
@@ -571,8 +646,8 @@ Status TieredBackend::fsync(BackendFile file) {
   // A retired file's bytes never reach the remote: the stage is all there is.
   if (opts_.fsync_mode == TierFsyncMode::kStage || fs->unlinked) {
     std::unique_lock<std::mutex> lock(mu_);
-    if (!fs->stage_open) return {};
-    const BackendFile sf = fs->stage_file;
+    if (!fs->stage) return {};
+    const BackendFile sf = fs->stage->handle;
     lock.unlock();
     return stage_->fsync(sf);
   }
@@ -593,9 +668,10 @@ Status TieredBackend::truncate(BackendFile file, std::uint64_t size) {
   if (!handle.value().writable) return Error{EBADF, "truncate on read-only tiered handle"};
   auto fs = handle.value().file;
 
-  // Wait out in-flight drain IO, then shrink both tiers under the lock: a
-  // copy that read the old bytes can no longer land after the remote
-  // truncate, and no mapped stage page vanishes under a copy (SIGBUS).
+  // Wait out in-flight drain IO, then trim the extents and shrink the
+  // remote under the lock: a copy that read the old bytes can no longer
+  // land after the remote truncate. The stage file stays as it is; reads
+  // of the cut range follow the extent map to the remote, or to zeroes.
   std::unique_lock<std::mutex> lock(mu_);
   wait_drain_io_locked(lock, [&] { return !fs->drain_io; });
   if (size < fs->size) {
@@ -603,7 +679,6 @@ Status TieredBackend::truncate(BackendFile file, std::uint64_t size) {
     space_cv_.notify_all();
   }
   fs->size = size;
-  if (fs->stage_open) CRFS_RETURN_IF_ERROR(stage_->truncate(fs->stage_file, size));
   if (fs->unlinked) return {};  // retired: its remote path is not its own
   auto rw = remote_writer_locked(*fs);
   if (rw.ok()) CRFS_RETURN_IF_ERROR(remote_->truncate(rw.value(), size));
@@ -621,23 +696,16 @@ Result<BackendStat> TieredBackend::stat(const std::string& path) {
       return st;
     }
   }
-  auto remote = remote_->stat(path);
-  if (remote.ok()) return remote;
-  return stage_->stat(path);
+  return remote_->stat(path);
 }
 
-Status TieredBackend::mkdir(const std::string& path) {
-  (void)stage_->mkdir(path);
-  return remote_->mkdir(path);
-}
+Status TieredBackend::mkdir(const std::string& path) { return remote_->mkdir(path); }
 
-Status TieredBackend::rmdir(const std::string& path) {
-  (void)stage_->rmdir(path);
-  return remote_->rmdir(path);
-}
+Status TieredBackend::rmdir(const std::string& path) { return remote_->rmdir(path); }
 
 Status TieredBackend::unlink(const std::string& path) {
   bool had_state = false;
+  std::vector<StageFile> doomed;
   {
     std::unique_lock<std::mutex> lock(mu_);
     auto it = files_.find(path);
@@ -654,7 +722,7 @@ Status TieredBackend::unlink(const std::string& path) {
       if (cur != files_.end() && cur->second == fs) files_.erase(cur);
       space_cv_.notify_all();
       idle_cv_.notify_all();
-      release_file_locked(fs);  // closes its tier handles once none is open
+      release_file_locked(fs, doomed);  // once no handle is open
     }
     auto wit = remote_write_.find(path);
     if (wit != remote_write_.end()) {
@@ -662,7 +730,7 @@ Status TieredBackend::unlink(const std::string& path) {
       remote_write_.erase(wit);
     }
   }
-  (void)stage_->unlink(path);
+  free_stage_files(doomed);
   auto remote = remote_->unlink(path);
   if (!remote.ok() && had_state) return {};  // never drained: only staged
   return remote;
@@ -673,8 +741,9 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
   // every staged descendant is re-keyed (files_ and the drain's remote
   // handles), so undrained bytes land under the new name. A staged file
   // the rename replaces is retired like an unlink. In-flight drain IO of
-  // both finishes first, and both tiers rename under the lock, so no copy
-  // opens a remote path that is mid-rename.
+  // both finishes first, and the remote renames under the lock, so no copy
+  // opens a remote path that is mid-rename. Stage files are tier-named, so
+  // the stage has nothing to rename.
   const auto moves = [&](const std::string& p) {
     return p == from || (p.size() > from.size() && p.compare(0, from.size(), from) == 0 &&
                          p[from.size()] == '/');
@@ -699,12 +768,13 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
     }
     return true;
   });
+  std::vector<StageFile> doomed;
   for (const auto& fs : replaced) {
     trim_extents_locked(*fs, 0, ~std::uint64_t{0});
     fs->size = 0;
     fs->unlinked = true;
     files_.erase(fs->path);
-    release_file_locked(fs);  // closes its handles; the path is the mover's now
+    release_file_locked(fs, doomed);  // the path is the mover's now
   }
   if (!replaced.empty()) {
     space_cv_.notify_all();
@@ -742,14 +812,15 @@ Status TieredBackend::rename(const std::string& from, const std::string& to) {
     remote_write_.erase(wit);
   }
   for (auto& [path, handle] : handles) remote_write_.emplace(path, handle);
-  (void)stage_->rename(from, to);
-  auto remote = remote_->rename(from, to);
+  Status remote = remote_->rename(from, to);
   if (!remote.ok() && !moved.empty()) {
     // Never drained: only staged. The remote's old `to` is still replaced,
     // or its tail would outlive the staged bytes drained over it.
     if (remote.error().code == ENOENT) (void)remote_->unlink(to);
-    return {};
+    remote = {};
   }
+  lock.unlock();
+  free_stage_files(doomed);
   return remote;
 }
 
@@ -848,7 +919,8 @@ std::optional<TieredBackend::StreamClaim> TieredBackend::claim_locked(
   }
   if (fs == nullptr) return std::nullopt;
 
-  StreamClaim out{fs, unit, {}, fs->stage_file, 0, {}};
+  // A share means extents, so the file holds a stage file.
+  StreamClaim out{fs, unit, {}, fs->stage->handle, 0, {}};
   auto rw = remote_writer_locked(*fs);
   if (rw.ok()) {
     out.remote_file = rw.value();
@@ -1010,7 +1082,8 @@ bool TieredBackend::unit_durable_locked(std::uint64_t unit) const {
                       [&](const auto& entry) { return entry.second->units.count(unit) != 0; });
 }
 
-std::uint64_t TieredBackend::evict_locked(std::uint64_t unit) {
+std::uint64_t TieredBackend::evict_locked(std::uint64_t unit,
+                                          std::vector<StageFile>& doomed) {
   // Every extent still tagged to this unit is copied and fsynced (an
   // overwrite re-tagged fresher bytes to the open unit — they stay).
   std::uint64_t evicted = 0;
@@ -1027,16 +1100,19 @@ std::uint64_t TieredBackend::evict_locked(std::uint64_t unit) {
     }
     if (evicted != before && fs->extents.empty()) drained.push_back(fs);
   }
+  // The pool's budget sees the evicted bytes gone before the releases.
+  stage_used_ -= std::min(stage_used_, evicted);
   for (const auto& fs : drained) {
     if (fs->inflight != 0 || fs->drain_io) continue;
     if (fs->open_count == 0) {
-      release_file_locked(fs);
-    } else if (fs->stage_open) {
-      // Still open but fully drained: reclaim the staged bytes now.
-      (void)stage_->truncate(fs->stage_file, 0);
+      release_file_locked(fs, doomed);
+    } else if (fs->stage) {
+      // Still open but fully drained: cut its stage file back, or an
+      // ever-appending file would grow it without bound.
+      (void)stage_->truncate(fs->stage->handle, 0);
+      fs->stage->size = 0;
     }
   }
-  stage_used_ -= std::min(stage_used_, evicted);
   t_units_evicted_.fetch_add(1, std::memory_order_relaxed);
   if (c_evictions_ != nullptr) c_evictions_->add(1);
   return evicted;
@@ -1079,9 +1155,11 @@ void TieredBackend::drain_loop() {
     }
 
     const std::uint64_t drain_end = obs::now_ns();
-    const std::uint64_t evicted = evict_locked(unit.seq);
+    std::vector<StageFile> doomed;
+    const std::uint64_t evicted = evict_locked(unit.seq, doomed);
     const DrainListener listener = drain_listener_;
     lock.unlock();
+    free_stage_files(doomed);
     if (remote_down_.exchange(false) && events_ != nullptr) {
       obs::Event ev;
       ev.severity = obs::Severity::kInfo;

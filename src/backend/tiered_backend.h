@@ -53,15 +53,38 @@
 // and hands the mapping straight to the remote pwrite: no bounce copy.
 // Fd-less stages (MemBackend, decorators) go through a per-thread bounce
 // buffer. Stage files are private to the tier: nothing else may truncate
-// them, since touching a mapped page past EOF raises SIGBUS. Inside the
-// tier, truncate, open(O_TRUNC), unlink and rename first wait for the
-// file's in-flight drain IO, so no copy reads a range a size op removed
-// and no late copy resurrects truncated bytes on the remote. A rename
-// onto a staged file retires the replaced file like an unlink. These ops
-// then call the stage and remote under the tier lock. Bytes written
-// through a handle still open on a retired file stay on the stage, read
-// back through that handle only, and go at its last close: they never
-// reach the remote.
+// them, since touching a mapped page past EOF raises SIGBUS; the tier
+// itself cuts one back only at eviction, when no stream owns its file.
+// Truncate, open(O_TRUNC), unlink and rename first wait for the file's
+// in-flight drain IO, so no late copy resurrects truncated bytes on the
+// remote, then call the remote under the tier lock. A rename onto a staged
+// file retires the replaced file like an unlink. Bytes written through a
+// handle still open on a retired file stay on the stage, read back through
+// that handle only, and go at its last close: they never reach the remote.
+//
+// Stage pool. The stage is a pool of files that the tier names and
+// recycles, as BufferPool recycles chunks: the stage holds no namespace.
+// A file takes a stage file at its first staged write: a spare from the
+// pool (the newest, whose pages are likeliest still resident), or a new
+// flat file named "<pid>-<tier>-<n>.stage", so tiers sharing a stage
+// directory never collide. When the file gives it up (closed and fully
+// evicted, or retired at its last close) it goes back to the pool with
+// its pages intact, and the next burst overwrites resident pages instead
+// of faulting in fresh page cache. Reads follow the extent map, so a
+// recycled file's old bytes never show: a gap reads from the remote, or as
+// zeroes. That is why size ops (truncate, open(O_TRUNC)) and a handoff
+// drop extents and leave the stage file alone; only an open file's fully
+// drained stage file is cut back at eviction, so an ever-appending file
+// cannot grow it without bound. Budget: spare bytes plus stage_used never
+// exceed stage_cap or, with no cap, the highest stage_used seen so far;
+// the oldest spares are unlinked when a release or a write would break
+// that, always after the tier lock is dropped. Bytes of a handed-off spare
+// that its new owner has not yet overwritten are not counted, just as
+// drained bytes of a still-open file are not. mkdir, rmdir, unlink, rename
+// and stat touch the remote only. Trade-off: a spare's pages stay dirty,
+// so the kernel may write them back once per dirty_expire interval, where
+// a stage file unlinked at eviction was usually gone before writeback
+// reached the device.
 //
 // Coherence: the extent map tracks exactly which byte ranges are staged;
 // an overwrite trims older extents (last-writer-wins), so a read serves
@@ -236,11 +259,19 @@ class TieredBackend final : public BackendFs {
     std::uint64_t uncopied = 0;
   };
 
+  /// A tier-named stage file, held by one FileState or spare in the pool.
+  struct StageFile {
+    std::string name;
+    BackendFile handle = 0;
+    std::uint64_t size = 0;  ///< high-water of its writes: its bytes on the stage
+  };
+
   /// Per-path tier state. Extents are non-overlapping, keyed by offset.
   struct FileState {
     std::string path;
-    BackendFile stage_file = 0;
-    bool stage_open = false;
+    /// Held from the first staged write until the file gives it up; every
+    /// extent lives in it.
+    std::optional<StageFile> stage;
     BackendFile remote_read = 0;
     bool remote_read_open = false;
     std::map<std::uint64_t, Extent> extents;
@@ -296,14 +327,23 @@ class TieredBackend final : public BackendFs {
 
   std::shared_ptr<FileState> file_for(const std::string& path, std::unique_lock<std::mutex>&);
   Result<OpenHandle> resolve(BackendFile file, const char* op) const;
-  Status ensure_stage_open_locked(FileState& fs);
+  /// Gives `fs` a stage file, a spare if the pool has one.
+  Status take_stage_locked(FileState& fs);
+  /// Moves the oldest spares to `doomed` until the pool is within budget.
+  void trim_spares_locked(std::vector<StageFile>& doomed);
+  /// Closes and unlinks stage files; call with the tier lock dropped.
+  void free_stage_files(const std::vector<StageFile>& doomed);
   Status ensure_remote_read_locked(FileState& fs);
   /// Removes staged extents overlapping [offset, offset+len), returning
   /// the staged bytes freed. Splits partially-overlapped extents.
   std::uint64_t trim_extents_locked(FileState& fs, std::uint64_t offset,
                                     std::uint64_t len);
   void seal_locked(std::uint64_t epoch_id, std::uint64_t now_ns);
-  void release_file_locked(const std::shared_ptr<FileState>& fs);
+  /// Drops a file nothing holds any more: closed, no write in flight and,
+  /// unless retired, fully evicted. Its stage file goes back to the pool,
+  /// or to `doomed` when over budget.
+  void release_file_locked(const std::shared_ptr<FileState>& fs,
+                           std::vector<StageFile>& doomed);
   /// The drain's remote write handle for `fs`, opened on first use.
   Result<BackendFile> remote_writer_locked(const FileState& fs);
   /// Blocks until `quiet` holds: no stream owns the files it names. No
@@ -330,7 +370,7 @@ class TieredBackend final : public BackendFs {
   /// True once no file holds bytes of `unit` that are not remote-durable.
   bool unit_durable_locked(std::uint64_t unit) const;
   /// Drops every extent of the durable `unit`; returns the bytes evicted.
-  std::uint64_t evict_locked(std::uint64_t unit);
+  std::uint64_t evict_locked(std::uint64_t unit, std::vector<StageFile>& doomed);
   /// Raises tier_remote_down once per failure episode.
   void note_remote_failure(const Error& error, std::uint64_t unit, std::uint64_t bytes);
   /// Books the next `bytes` of the drain_mbps budget that all streams
@@ -358,6 +398,12 @@ class TieredBackend final : public BackendFs {
   BackendFile next_handle_ = 1;
 
   std::uint64_t stage_used_ = 0;
+  std::uint64_t stage_peak_ = 0;  ///< highest stage_used_: the pool's budget with no cap
+  /// The stage pool: spare stage files, oldest first, and their bytes.
+  std::vector<StageFile> spares_;
+  std::uint64_t spare_bytes_ = 0;
+  const std::string stage_prefix_;  ///< "<pid>-<tier>-", unique per tier instance
+  std::uint64_t next_stage_id_ = 1;
   std::uint64_t open_unit_seq_ = 1;  ///< unit collecting new writes
   std::uint64_t next_unit_seq_ = 2;
   std::uint64_t open_unit_bytes_ = 0;

@@ -5,7 +5,9 @@
 // side under one drain_mbps budget (a file streams as soon as it lands,
 // fast files do not wait on a slow one, fsyncs overlap), size and
 // namespace ops fenced against in-flight drain copies, writes through handles of unlinked or
-// rename-replaced files, fault injection (remote tier down mid-drain,
+// rename-replaced files, the stage pool (recycled stage files never show
+// old bytes, its budget, reuse across paths, unlinks off the tier lock),
+// fault injection (remote tier down mid-drain,
 // stage-full backpressure), restore coherence across tiers with
 // readahead on/off, the drain knobs, and the DES mirror's
 // deterministic replay + bandwidth-decoupling structure.
@@ -36,6 +38,7 @@
 #include "blcr/process_image.h"
 #include "blcr/restart_reader.h"
 #include "blcr/sinks.h"
+#include "common/rng.h"
 #include "common/units.h"
 #include "crfs/crfs.h"
 #include "crfs/file.h"
@@ -1164,6 +1167,350 @@ TEST(TieredRetired, WriteThroughARenameReplacedFilesHandleFreesItsStageAtClose) 
   ASSERT_TRUE(remote_b.ok());
   EXPECT_EQ(remote_b.value(), a);
   EXPECT_EQ(backend_read(*tier, "b.img", a.size()), a);
+}
+
+// With a PosixBackend stage the tier keeps no namespace there, so a file
+// in a directory that only the remote has (a new mount over an old remote)
+// stages, drains and reads back; a directory that neither tier has still
+// fails the open.
+TEST(TieredNamespace, WriteIntoADirectoryOnlyTheRemoteHas) {
+  PosixStage stage("remote_dir");
+  auto remote = std::make_shared<MemBackend>();
+  ASSERT_TRUE(remote->mkdir("ckpt").ok());
+  auto tier = std::make_shared<TieredBackend>(stage.backend(), remote, TieredOptions{});
+
+  const auto data = make_pattern(1 * MiB, 40);
+  auto f = tier->open_file("ckpt/rank_0.ckpt", {.create = true, .truncate = false, .write = true});
+  ASSERT_TRUE(f.ok()) << f.error().to_string();
+  ASSERT_TRUE(tier->pwrite(f.value(), data, 0).ok());
+  ASSERT_TRUE(tier->close_file(f.value()).ok());
+  EXPECT_EQ(backend_read(*tier, "ckpt/rank_0.ckpt", data.size()), data);
+  tier->seal_epoch(1);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  auto remote_data = remote->contents("ckpt/rank_0.ckpt");
+  ASSERT_TRUE(remote_data.ok());
+  EXPECT_EQ(remote_data.value(), data);
+
+  auto missing = tier->open_file("nodir/rank_0.ckpt", {.create = true, .write = true});
+  ASSERT_FALSE(missing.ok());
+  EXPECT_EQ(missing.error().code, ENOENT);
+}
+
+// -- Stage pool: tier-named stage files recycled across bursts --------------
+
+/// A stage decorator that counts the stage files the tier creates and
+/// unlinks and tracks the bytes each live one holds (the high-water of its
+/// writes, cut back by truncate). Unlink can be slowed down, and says when
+/// it starts. The kernel fd shows through, so a PosixBackend stage keeps
+/// the mapped drain path.
+class CountingStage final : public BackendFs {
+ public:
+  explicit CountingStage(std::shared_ptr<BackendFs> inner) : inner_(std::move(inner)) {}
+
+  void set_unlink_delay(std::chrono::milliseconds d) {
+    std::lock_guard<std::mutex> lock(mu_);
+    unlink_delay_ = d;
+  }
+  bool wait_unlink_started(std::chrono::milliseconds limit) {
+    std::unique_lock<std::mutex> lock(mu_);
+    return cv_.wait_for(lock, limit, [&] { return unlinks_started_ > 0; });
+  }
+  int created() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return created_;
+  }
+  int unlinked() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return unlinked_;
+  }
+  /// Bytes held by the stage files that exist now.
+  std::uint64_t live_bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    std::uint64_t sum = 0;
+    for (const auto& [name, size] : sizes_) sum += size;
+    return sum;
+  }
+
+  Result<BackendFile> open_file(const std::string& path, OpenFlags flags) override {
+    auto opened = inner_->open_file(path, flags);
+    if (opened.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      names_[opened.value()] = path;
+      if (flags.create && sizes_.count(path) == 0) created_ += 1;
+      if (flags.truncate || sizes_.count(path) == 0) sizes_[path] = 0;
+    }
+    return opened;
+  }
+  Status close_file(BackendFile f) override { return inner_->close_file(f); }
+  Status pwrite(BackendFile f, std::span<const std::byte> d, std::uint64_t off) override {
+    const Status st = inner_->pwrite(f, d, off);
+    if (st.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = sizes_.find(names_[f]);
+      if (it != sizes_.end()) it->second = std::max<std::uint64_t>(it->second, off + d.size());
+    }
+    return st;
+  }
+  int raw_fd(BackendFile f) const override { return inner_->raw_fd(f); }
+  Result<std::size_t> pread(BackendFile f, std::span<std::byte> d, std::uint64_t off) override {
+    return inner_->pread(f, d, off);
+  }
+  Status fsync(BackendFile f) override { return inner_->fsync(f); }
+  Status truncate(BackendFile f, std::uint64_t s) override {
+    const Status st = inner_->truncate(f, s);
+    if (st.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      auto it = sizes_.find(names_[f]);
+      if (it != sizes_.end()) it->second = s;
+    }
+    return st;
+  }
+  Result<BackendStat> stat(const std::string& p) override { return inner_->stat(p); }
+  Status mkdir(const std::string& p) override { return inner_->mkdir(p); }
+  Status rmdir(const std::string& p) override { return inner_->rmdir(p); }
+  Status unlink(const std::string& p) override {
+    std::chrono::milliseconds delay;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      unlinks_started_ += 1;
+      delay = unlink_delay_;
+      cv_.notify_all();
+    }
+    if (delay.count() > 0) std::this_thread::sleep_for(delay);
+    const Status st = inner_->unlink(p);
+    if (st.ok()) {
+      std::lock_guard<std::mutex> lock(mu_);
+      sizes_.erase(p);
+      unlinked_ += 1;
+    }
+    return st;
+  }
+  Status rename(const std::string& a, const std::string& b) override {
+    return inner_->rename(a, b);
+  }
+  Result<std::vector<std::string>> list_dir(const std::string& p) override {
+    return inner_->list_dir(p);
+  }
+  std::string name() const override { return "counting(" + inner_->name() + ")"; }
+
+ private:
+  std::shared_ptr<BackendFs> inner_;
+  mutable std::mutex mu_;
+  std::condition_variable cv_;
+  std::chrono::milliseconds unlink_delay_{0};
+  int unlinks_started_ = 0;
+  int created_ = 0;
+  int unlinked_ = 0;
+  std::unordered_map<BackendFile, std::string> names_;
+  std::unordered_map<std::string, std::uint64_t> sizes_;
+};
+
+/// Reads [offset, offset+n) through an open tier handle.
+std::vector<std::byte> tier_pread(TieredBackend& tier, BackendFile h, std::size_t n,
+                                  std::uint64_t offset) {
+  std::vector<std::byte> out(n);
+  auto got = tier.pread(h, out, offset);
+  EXPECT_TRUE(got.ok());
+  out.resize(got.ok() ? got.value() : 0);
+  return out;
+}
+
+/// `data` with `patch` laid over it at `at`.
+std::vector<std::byte> overlay(std::vector<std::byte> data, const std::vector<std::byte>& patch,
+                               std::size_t at) {
+  std::copy(patch.begin(), patch.end(), data.begin() + static_cast<std::ptrdiff_t>(at));
+  return data;
+}
+
+/// Each case runs on the one stage file the tier ever creates, recycled
+/// full of another file's bytes, and every read of a gap must show zeroes
+/// or the remote's bytes, never the old ones.
+void recycled_stage_hides_old_bytes(std::shared_ptr<BackendFs> inner) {
+  auto stage = std::make_shared<CountingStage>(std::move(inner));
+  auto remote = std::make_shared<MemBackend>();
+  auto tier = std::make_shared<TieredBackend>(stage, remote, TieredOptions{});
+  const std::size_t n = 2 * MiB;
+  const std::vector<std::byte> zeros(n);
+  std::uint64_t epoch = 0;
+  // Fills the pool's one stage file with a file's bytes, drained and
+  // released.
+  const auto refill = [&](const std::string& path) {
+    backend_write(*tier, path, make_pattern(n, 99));
+    tier->seal_epoch(++epoch);
+    ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  };
+  const auto open_rw = [&](const std::string& path, bool truncate) {
+    auto h = tier->open_file(path, {.create = true, .truncate = truncate, .write = true});
+    EXPECT_TRUE(h.ok());
+    return h.ok() ? h.value() : BackendFile{0};
+  };
+  const auto patch = make_pattern(64 * KiB, 1);
+
+  // A sparse write: the hole before it reads as zeroes, staged and drained.
+  refill("old1");
+  BackendFile h = open_rw("sparse", false);
+  ASSERT_TRUE(tier->pwrite(h, patch, 1 * MiB).ok());
+  const auto sparse = overlay(std::vector<std::byte>(1 * MiB + patch.size()), patch, 1 * MiB);
+  EXPECT_EQ(tier_pread(*tier, h, n, 0), sparse);
+  ASSERT_TRUE(tier->close_file(h).ok());
+  tier->seal_epoch(++epoch);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  EXPECT_EQ(backend_read(*tier, "sparse", n), sparse);
+
+  // Truncate, then extend: the cut range reads as zeroes.
+  refill("old2");
+  h = open_rw("te", false);
+  const auto full = make_pattern(n, 2);
+  ASSERT_TRUE(tier->pwrite(h, full, 0).ok());
+  ASSERT_TRUE(tier->truncate(h, 512 * KiB).ok());
+  ASSERT_TRUE(tier->truncate(h, n).ok());
+  auto cut = zeros;
+  std::copy(full.begin(), full.begin() + 512 * KiB, cut.begin());
+  EXPECT_EQ(tier_pread(*tier, h, n, 0), cut);
+  ASSERT_TRUE(tier->close_file(h).ok());
+  tier->seal_epoch(++epoch);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  EXPECT_EQ(backend_read(*tier, "te", n), cut);
+
+  // open(O_TRUNC) of a staged file: its old extents are gone too.
+  refill("old3");
+  h = open_rw("ot", false);
+  ASSERT_TRUE(tier->pwrite(h, make_pattern(n, 3), 0).ok());
+  ASSERT_TRUE(tier->close_file(h).ok());
+  h = open_rw("ot", true);
+  ASSERT_TRUE(tier->pwrite(h, patch, 1 * MiB).ok());
+  EXPECT_EQ(tier_pread(*tier, h, n, 0), sparse);
+  ASSERT_TRUE(tier->close_file(h).ok());
+
+  // Gaps of a file the remote already holds read the remote's bytes.
+  tier->seal_epoch(++epoch);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+  refill("old4");
+  const auto on_remote = make_pattern(n, 4);
+  backend_write(*remote, "rb", on_remote);
+  h = open_rw("rb", false);
+  ASSERT_TRUE(tier->pwrite(h, patch, 512 * KiB).ok());
+  EXPECT_EQ(tier_pread(*tier, h, n, 0), overlay(on_remote, patch, 512 * KiB));
+  ASSERT_TRUE(tier->close_file(h).ok());
+  tier->seal_epoch(++epoch);
+  ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+
+  // Through a retired handle the gaps read as zeroes.
+  refill("old5");
+  h = open_rw("ret", false);
+  ASSERT_TRUE(tier->unlink("ret").ok());
+  ASSERT_TRUE(tier->pwrite(h, patch, 1 * MiB).ok());
+  EXPECT_EQ(tier_pread(*tier, h, n, 0), sparse);
+  ASSERT_TRUE(tier->close_file(h).ok());
+
+  EXPECT_EQ(stage->created(), 1) << "a case ran on a fresh stage file, not a recycled one";
+  EXPECT_EQ(tier->tier_stats().stage_used, 0u);
+}
+
+TEST(TieredPool, RecycledStageFileNeverShowsItsPreviousBytesMemStage) {
+  recycled_stage_hides_old_bytes(std::make_shared<MemBackend>());
+}
+
+TEST(TieredPool, RecycledStageFileNeverShowsItsPreviousBytesPosixStage) {
+  PosixStage stage("recycled");
+  recycled_stage_hides_old_bytes(stage.backend());
+}
+
+// Churn of files of mixed sizes, some released while others are staged:
+// once drained, the stage files left on the stage (the spares) hold no
+// more than stage_cap or, with no cap, the most that was staged at once.
+TEST(TieredPool, LiveStageBytesStayWithinTheBudgetUnderChurn) {
+  for (const std::uint64_t cap : {std::uint64_t{4 * MiB}, std::uint64_t{0}}) {
+    SCOPED_TRACE(cap == 0 ? "no cap" : "4 MiB cap");
+    auto stage = std::make_shared<CountingStage>(std::make_shared<MemBackend>());
+    TieredOptions opts;
+    opts.stage_cap = cap;
+    auto tier = std::make_shared<TieredBackend>(stage, std::make_shared<MemBackend>(), opts);
+    Rng rng(7);
+    std::uint64_t peak = 0;  // most bytes staged at once (no cap)
+    std::uint64_t staged = 0;
+    for (int round = 0; round < 24; ++round) {
+      const int files = static_cast<int>(rng.uniform(1, 3));
+      for (int i = 0; i < files; ++i) {
+        const std::size_t size = static_cast<std::size_t>(rng.uniform(16, 1536)) * KiB;
+        // Sparse now and then: the stage file outgrows the staged bytes.
+        const std::uint64_t at = rng.uniform(0, 3) == 0 ? size : 0;
+        backend_write(*tier, "r" + std::to_string(round) + "_" + std::to_string(i),
+                      make_pattern(size, round), at);
+        staged += size;
+        peak = std::max(peak, staged);
+      }
+      tier->seal_epoch(static_cast<std::uint64_t>(round) + 1);
+      // Every third round drains at once; in between, releases run while
+      // the next round stages.
+      if (round % 3 != 2) continue;
+      ASSERT_TRUE(flush_within(tier, std::chrono::seconds(10)));
+      staged = 0;
+      ASSERT_EQ(tier->tier_stats().stage_used, 0u);
+      const std::uint64_t budget = cap > 0 ? cap : peak;
+      EXPECT_LE(stage->live_bytes(), budget) << "round " << round;
+    }
+    EXPECT_GT(stage->live_bytes(), 0u) << "nothing was kept for reuse";
+  }
+}
+
+// A job rotating through checkpoint epochs with new paths every epoch (as
+// CheckpointSet does) reuses the stage files of its first epoch for ever.
+TEST(TieredPool, SteadyRotationCreatesNoStageFileAfterWarmUp) {
+  for (const std::uint64_t cap : {std::uint64_t{4 * MiB}, std::uint64_t{0}}) {
+    SCOPED_TRACE(cap == 0 ? "no cap" : "4 MiB cap");
+    auto stage = std::make_shared<CountingStage>(std::make_shared<MemBackend>());
+    auto remote = std::make_shared<MemBackend>();
+    TieredOptions opts;
+    opts.stage_cap = cap;
+    auto tier = std::make_shared<TieredBackend>(stage, remote, opts);
+    int warm = 0;
+    for (int epoch = 1; epoch <= 10; ++epoch) {
+      const std::string dir = "epoch_" + std::to_string(epoch);
+      ASSERT_TRUE(tier->mkdir(dir).ok());
+      for (int rank = 0; rank < 2; ++rank) {
+        backend_write(*tier, dir + "/rank_" + std::to_string(rank), make_pattern(1 * MiB, epoch));
+      }
+      tier->seal_epoch(static_cast<std::uint64_t>(epoch));
+      ASSERT_TRUE(flush_within(tier, std::chrono::seconds(5)));
+      if (epoch == 1) warm = stage->created();
+    }
+    EXPECT_EQ(warm, 2);
+    EXPECT_EQ(stage->created(), warm) << "a stage file was created after warm-up";
+    EXPECT_EQ(stage->unlinked(), 0);
+    auto last = remote->contents("epoch_10/rank_1");
+    ASSERT_TRUE(last.ok());
+    EXPECT_EQ(last.value(), make_pattern(1 * MiB, 10));
+  }
+}
+
+// Freeing a stage file runs after the tier lock is dropped: while the
+// drain thread unlinks an evicted file's over-budget stage file, a write
+// to another file does not wait for it.
+TEST(TieredPool, UnlinkingAStageFileDoesNotHoldTheTierLock) {
+  auto stage = std::make_shared<CountingStage>(std::make_shared<MemBackend>());
+  stage->set_unlink_delay(std::chrono::milliseconds(1000));
+  auto tier = std::make_shared<TieredBackend>(stage, std::make_shared<MemBackend>(),
+                                              TieredOptions{});
+  const auto small = make_pattern(64 * KiB, 50);
+  auto b = tier->open_file("b", {.create = true, .truncate = true, .write = true});
+  ASSERT_TRUE(b.ok());
+  ASSERT_TRUE(tier->pwrite(b.value(), small, 0).ok());
+  // A sparse file: its stage file holds 5 MiB for 1 MiB staged, more than
+  // the stage ever held, so its release unlinks it.
+  backend_write(*tier, "a", make_pattern(1 * MiB, 51), 4 * MiB);
+  tier->seal_epoch(1);
+  std::thread flusher([tier] { (void)tier->flush(); });
+  ASSERT_TRUE(stage->wait_unlink_started(std::chrono::seconds(10)));
+
+  const auto t0 = std::chrono::steady_clock::now();
+  ASSERT_TRUE(tier->pwrite(b.value(), small, 64 * KiB).ok());
+  const auto took = std::chrono::steady_clock::now() - t0;
+  flusher.join();
+  stage->set_unlink_delay(std::chrono::milliseconds(0));
+  EXPECT_LT(took, std::chrono::milliseconds(500)) << "the write waited for the unlink";
+  EXPECT_EQ(stage->unlinked(), 1);
+  ASSERT_TRUE(tier->close_file(b.value()).ok());
 }
 
 TEST(TieredNamespace, CheckpointSetCommitOnTieredMountVerifiesAndDrains) {
